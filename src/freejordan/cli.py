@@ -56,7 +56,10 @@ def _load_or_build(d1: int, d2: int, n: int, budget, cache: Path | None) -> Grad
     probe = GradedJordanAlgebra(d1, d2, n, {1: ()}, {1: ()}, {})
     path = cache / f"oracle-{probe.cache_key()}.json" if cache else None
     if path and path.exists():
-        return GradedJordanAlgebra.from_json(path.read_text())
+        try:
+            return GradedJordanAlgebra.from_json(path.read_text())
+        except (ValueError, KeyError, TypeError):
+            pass  # unreadable or mismatched cache: a miss, rebuilt and rewritten below
     alg = build_free_jordan(d1, d2, n, budget=budget)
     if path:
         _atomic_write(path, alg.to_json())

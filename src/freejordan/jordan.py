@@ -58,13 +58,14 @@ class GradedJordanAlgebra:
     parities: dict[int, tuple[int, ...]]
     labels: dict[int, tuple[str, ...]]
     tables: dict[tuple[int, int], list[list[Vector]]]
-    dims: dict[int, GDim] = field(default_factory=dict)
+    dims: dict[int, GDim] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.dims:
-            self.dims = {
-                n: GDim(p.count(0), p.count(1)) for n, p in self.parities.items()
-            }
+        # Always derived, never stored: a cache cannot carry dims that
+        # disagree with its basis.
+        self.dims = {
+            n: GDim(p.count(0), p.count(1)) for n, p in self.parities.items()
+        }
 
     def dim(self, n: int) -> int:
         return len(self.parities[n])
@@ -181,7 +182,6 @@ class GradedJordanAlgebra:
             "key": self.cache_key(),
             "parities": {str(n): list(p) for n, p in self.parities.items()},
             "labels": {str(n): list(v) for n, v in self.labels.items()},
-            "dims": {str(n): [str(d.even), str(d.odd)] for n, d in self.dims.items()},
             "tables": {
                 f"{i},{j}": [[[frac(c) for c in vec] for vec in row] for row in tab]
                 for (i, j), tab in self.tables.items()
@@ -192,6 +192,8 @@ class GradedJordanAlgebra:
     @classmethod
     def from_json(cls, text: str) -> "GradedJordanAlgebra":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("cache payload is not a JSON object")
         if payload.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
         tables = {}
@@ -207,10 +209,6 @@ class GradedJordanAlgebra:
             parities={int(n): tuple(p) for n, p in payload["parities"].items()},
             labels={int(n): tuple(v) for n, v in payload["labels"].items()},
             tables=tables,
-            dims={
-                int(n): GDim(int(e), int(o))
-                for n, (e, o) in payload["dims"].items()
-            },
         )
         if alg.cache_key() != payload.get("key"):
             raise ValueError("cache key mismatch")

@@ -37,18 +37,6 @@ def _require_no_constant(a: SuperSeries, name: str) -> None:
         raise ValueError(f"{name} must have zero constant term")
 
 
-def odd_line(m: int, order: int) -> SuperSeries:
-    """(1/(1-z^{2m}), -z^m/(1-z^{2m})): lambda of one odd vector in degree m."""
-    if m < 1:
-        raise ValueError("line degree must be >= 1")
-    coeffs = [GDIM_ZERO] * (order + 1)
-    j = 0
-    while j * m <= order:
-        coeffs[j * m] = GDIM_ONE if j % 2 == 0 else GDim(0, -1)
-        j += 1
-    return SuperSeries(order, coeffs)
-
-
 def _one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
     """(1 - c * t^texp * z^m) ** k for any integer k, via binomial series.
 
@@ -78,12 +66,16 @@ def line_pow_even(m: int, k: int, order: int) -> SuperSeries:
     return _collapse_t_free(_one_minus_pow(GDIM_ONE, 0, m, k, order))
 
 
-def line_pow_odd(m: int, k: int, order: int) -> SuperSeries:
-    """(1/(1-z^{2m}), -z^m/(1-z^{2m}))^k for any integer k."""
-    f = _one_minus_pow(GDIM_ONE, 0, 2 * m, -k, order) * _one_minus_pow(
+def _odd_line_pow(m: int, k: int, order: int) -> TZSeries:
+    """(1/(1-z^{2m}), -z^m/(1-z^{2m}))^k as a t-free TZSeries."""
+    return _one_minus_pow(GDIM_ONE, 0, 2 * m, -k, order) * _one_minus_pow(
         GDim(0, 1), 0, m, k, order
     )
-    return _collapse_t_free(f)
+
+
+def line_pow_odd(m: int, k: int, order: int) -> SuperSeries:
+    """(1/(1-z^{2m}), -z^m/(1-z^{2m}))^k for any integer k."""
+    return _collapse_t_free(_odd_line_pow(m, k, order))
 
 
 def lambda_line(a: GDim, m: int, order: int) -> SuperSeries:
@@ -174,6 +166,25 @@ def theta_series(a: SuperSeries, b: SuperSeries) -> SuperSeries:
     return lambda_series(a + b)
 
 
+def phi_line(an: GDim, bn: GDim, n: int, order: int) -> TZSeries:
+    """Degree-n factor of Phi(a, b): lambda of an z^n [adjoint] + (an + bn) z^n.
+
+    Phi is the product of these factors over n >= 1; the t-free part of the
+    class, (an + bn) z^n, contributes the plain line factors.
+    """
+    s = an + bn
+    out = TZSeries.one(order)
+    if an.even:
+        out = out * adjoint_even_line_pow(n, an.even, order)
+    if s.even:
+        out = out * _one_minus_pow(GDIM_ONE, 0, n, s.even, order)
+    if an.odd:
+        out = out * adjoint_odd_line_pow(n, an.odd, order)
+    if s.odd:
+        out = out * _odd_line_pow(n, s.odd, order)
+    return out
+
+
 def phi_series(a: SuperSeries, b: SuperSeries) -> TZSeries:
     """lambda of a(z) tensor adjoint plus b(z), as the explicit product.
 
@@ -186,17 +197,8 @@ def phi_series(a: SuperSeries, b: SuperSeries) -> TZSeries:
     order = a.order
     out = TZSeries.one(order)
     for n in range(1, order + 1):
-        an, bn = a[n], b[n]
-        if an.even:
-            out = out * adjoint_even_line_pow(n, an.even, order)
-        if an.even + bn.even:
-            out = out * _one_minus_pow(GDIM_ONE, 0, n, an.even + bn.even, order)
-        if an.odd:
-            out = out * adjoint_odd_line_pow(n, an.odd, order)
-        if an.odd + bn.odd:
-            out = out * TZSeries.from_super(
-                line_pow_odd(n, an.odd + bn.odd, order)
-            )
+        if a[n] or b[n]:
+            out = out * phi_line(a[n], b[n], n, order)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Exact rational Gaussian elimination: rref, rank, and linear solving.
+"""Exact rational Gaussian elimination: rref and rank.
 
 Matrices are lists of rows of Fractions (or ints).  Everything is dense;
 the matrices in this project stay small enough that simplicity wins.
@@ -52,20 +52,3 @@ def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     return len(rref(rows)[1])
 
-
-def solve(a: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]) -> Row:
-    """Solve the square system a x = b exactly.
-
-    Raises ValueError if the matrix is singular or the system inconsistent.
-    """
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    reduced, pivots = rref(aug)
-    if n in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < n:
-        raise ValueError("singular linear system")
-    sol = [Fraction(0)] * n
-    for row, c in zip(reduced, pivots):
-        sol[c] = row[n]
-    return sol

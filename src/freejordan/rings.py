@@ -6,11 +6,15 @@ multiplication follows the tensor-product rule for superspaces:
 
     (a0, a1) * (b0, b1) = (a0*b0 + a1*b1, a0*b1 + a1*b0).
 
-On top of R live three series rings, all truncated exactly:
+On top of R live a Laurent polynomial ring and two truncated series rings:
 
-* ``SuperSeries``  -- R[[z]] mod z^(N+1),
 * ``RLaurent``     -- finitely supported Laurent polynomials in t over R,
+* ``SuperSeries``  -- R[[z]] mod z^(N+1),
 * ``TZSeries``     -- R[t, t^-1][[z]] mod z^(N+1).
+
+The two series rings share one truncated-series implementation
+(construction, indexing, ring operations, inverse, powers, truncation);
+each adds only its own product and the maps that are particular to it.
 
 All values are immutable; every operation returns a fresh value.  Integer
 coefficients are arbitrary precision throughout.
@@ -114,58 +118,60 @@ def _as_gdim(v: "GDim | int") -> GDim:
     return GDim(v) if isinstance(v, int) else v
 
 
-def gdim_mul(a: GDim, b: GDim) -> GDim:
-    """Product in R; exposed as a plain function for the tests' sake."""
-    return a * b
-
-
-class SuperSeries:
-    """Truncated series sum_{n=0}^{N} c_n z^n with c_n in R.
+class _TruncatedSeries:
+    """Truncated series sum_{n=0}^{N} c_n z^n over a coefficient ring.
 
     The truncation order N is fixed at construction; binary operations
-    insist on equal orders to rule out silent order mixing.
+    insist on equal orders to rule out silent order mixing.  Subclasses fix
+    the coefficient ring through ``_ZERO``, ``_ONE`` and ``_coerce`` and
+    supply the product.
     """
 
     __slots__ = ("order", "coeffs")
+    _TERM = "{c}z^{n}"
 
-    def __init__(self, order: int, coeffs: Iterable[GDim | int]) -> None:
+    @staticmethod
+    def _coerce(c):
+        return c
+
+    def __init__(self, order: int, coeffs: Iterable = ()) -> None:
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [_as_gdim(c) for c in coeffs]
+        cs = [self._coerce(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("too many coefficients for the truncation order")
-        cs.extend([GDIM_ZERO] * (order + 1 - len(cs)))
+        cs.extend([self._ZERO] * (order + 1 - len(cs)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
-        raise AttributeError("SuperSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "SuperSeries":
-        return cls(order, [])
+    def zero(cls, order: int):
+        return cls(order)
 
     @classmethod
-    def one(cls, order: int) -> "SuperSeries":
-        return cls(order, [GDIM_ONE])
+    def one(cls, order: int):
+        return cls(order, [cls._ONE])
 
     @classmethod
-    def monomial(cls, c: GDim | int, m: int, order: int) -> "SuperSeries":
+    def monomial(cls, c, m: int, order: int):
         if m < 0:
             raise ValueError("z-degree must be >= 0")
         if m > order:
             return cls.zero(order)
-        cs = [GDIM_ZERO] * (m + 1)
-        cs[m] = _as_gdim(c)
+        cs = [cls._ZERO] * (m + 1)
+        cs[m] = c
         return cls(order, cs)
 
-    def __getitem__(self, n: int) -> GDim:
+    def __getitem__(self, n: int):
         if 0 <= n <= self.order:
             return self.coeffs[n]
         raise IndexError(f"z-degree {n} outside truncation order {self.order}")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SuperSeries):
+        if type(other) is not type(self):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
@@ -175,23 +181,72 @@ class SuperSeries:
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
-    def _check(self, other: "SuperSeries") -> None:
+    def _check(self, other: "_TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError(
                 f"mismatched truncation orders {self.order} != {other.order}"
             )
 
-    def __add__(self, other: "SuperSeries") -> "SuperSeries":
+    def __add__(self, other):
         self._check(other)
-        return SuperSeries(
+        return type(self)(
             self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __neg__(self) -> "SuperSeries":
-        return SuperSeries(self.order, [-c for c in self.coeffs])
+    def __neg__(self):
+        return type(self)(self.order, [-c for c in self.coeffs])
 
-    def __sub__(self, other: "SuperSeries") -> "SuperSeries":
+    def __sub__(self, other):
         return self + (-other)
+
+    def scale(self, c):
+        return type(self)(self.order, [c * a for a in self.coeffs])
+
+    def inverse(self):
+        """Multiplicative inverse; requires an invertible constant term."""
+        inv0 = self.coeffs[0].inverse()
+        out = [self._ZERO] * (self.order + 1)
+        out[0] = inv0
+        for n in range(1, self.order + 1):
+            acc = self._ZERO
+            for k in range(1, n + 1):
+                if self.coeffs[k]:
+                    acc = acc + self.coeffs[k] * out[n - k]
+            out[n] = -(inv0 * acc)
+        return type(self)(self.order, out)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = self.one(self.order)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def truncate(self, order: int):
+        if order > self.order:
+            raise ValueError("cannot extend a truncated series")
+        return type(self)(order, self.coeffs[: order + 1])
+
+    def __str__(self) -> str:
+        parts = [self._TERM.format(c=c, n=n) for n, c in enumerate(self.coeffs) if c]
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(order={self.order}, {self})"
+
+
+class SuperSeries(_TruncatedSeries):
+    """R[[z]] mod z^(N+1): a truncated series with GDim coefficients."""
+
+    __slots__ = ()
+    _ZERO = GDIM_ZERO
+    _ONE = GDIM_ONE
+    _coerce = staticmethod(_as_gdim)
 
     def __mul__(self, other: "SuperSeries") -> "SuperSeries":
         self._check(other)
@@ -206,43 +261,6 @@ class SuperSeries:
                     out[i + j] = out[i + j] + a * b
         return SuperSeries(n, out)
 
-    def scale(self, c: GDim | int) -> "SuperSeries":
-        c = _as_gdim(c)
-        return SuperSeries(self.order, [c * a for a in self.coeffs])
-
-    def inverse(self) -> "SuperSeries":
-        """Multiplicative inverse; requires a unit constant term."""
-        c0 = self.coeffs[0]
-        if not c0.is_unit():
-            raise ZeroDivisionError("constant term is not a unit of R")
-        inv0 = c0.inverse()
-        out = [GDIM_ZERO] * (self.order + 1)
-        out[0] = inv0
-        for n in range(1, self.order + 1):
-            acc = GDIM_ZERO
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out[n] = -(inv0 * acc)
-        return SuperSeries(self.order, out)
-
-    def __pow__(self, k: int) -> "SuperSeries":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = SuperSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def truncate(self, order: int) -> "SuperSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return SuperSeries(order, self.coeffs[: order + 1])
-
     def pad(self, order: int) -> "SuperSeries":
         """Reinterpret with a higher truncation order, zero-padding.
 
@@ -253,24 +271,12 @@ class SuperSeries:
             raise ValueError("use truncate to lower the order")
         return SuperSeries(order, self.coeffs)
 
-    def vanishes_through(self, k: int) -> bool:
-        """True if the coefficients at z^0..z^k are all zero."""
-        k = min(k, self.order)
-        return not any(self.coeffs[: k + 1])
-
     def vanishing_order(self) -> int:
         """Index of the first nonzero coefficient; order + 1 if none."""
         for n, c in enumerate(self.coeffs):
             if c:
                 return n
         return self.order + 1
-
-    def __str__(self) -> str:
-        parts = [f"{c}z^{n}" for n, c in enumerate(self.coeffs) if c]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"SuperSeries(order={self.order}, {self})"
 
 
 class RLaurent:
@@ -315,9 +321,6 @@ class RLaurent:
     def items(self) -> Iterator[tuple[int, GDim]]:
         return iter(self.terms)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RLaurent):
             return NotImplemented
@@ -358,8 +361,7 @@ class RLaurent:
 
     def __pow__(self, k: int) -> "RLaurent":
         if k < 0:
-            inv = self.monomial_inverse()
-            return inv ** (-k)
+            return self.inverse() ** (-k)
         out = RLaurent.one()
         base = self
         while k:
@@ -369,8 +371,11 @@ class RLaurent:
             k >>= 1
         return out
 
-    def monomial_inverse(self) -> "RLaurent":
-        """Inverse of a single-term Laurent monomial with a unit coefficient."""
+    def inverse(self) -> "RLaurent":
+        """Inverse of a single-term Laurent monomial with a unit coefficient.
+
+        The units of R[t, 1/t] are exactly these monomials.
+        """
         if len(self.terms) != 1:
             raise ZeroDivisionError("only monomials are inverted in R[t,1/t]")
         e, c = self.terms[0]
@@ -404,82 +409,18 @@ def t_integer(m: int) -> RLaurent:
     return RLaurent({m - 1 - 2 * i: GDIM_ONE for i in range(m)})
 
 
-def residue(f: RLaurent) -> GDim:
-    return f.residue()
+class TZSeries(_TruncatedSeries):
+    """R[t, 1/t][[z]] mod z^(N+1): a truncated series with RLaurent coefficients."""
 
-
-class TZSeries:
-    """Truncated series in z whose coefficients are RLaurent values."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[RLaurent] = ()) -> None:
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        cs = list(coeffs)
-        if len(cs) > order + 1:
-            raise ValueError("too many coefficients for the truncation order")
-        cs.extend([RLAURENT_ZERO] * (order + 1 - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TZSeries is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "TZSeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "TZSeries":
-        return cls(order, [RLAURENT_ONE])
-
-    @classmethod
-    def monomial(cls, c: RLaurent, m: int, order: int) -> "TZSeries":
-        if m > order:
-            return cls.zero(order)
-        cs = [RLAURENT_ZERO] * (m + 1)
-        cs[m] = c
-        return cls(order, cs)
+    __slots__ = ()
+    _ZERO = RLAURENT_ZERO
+    _ONE = RLAURENT_ONE
+    _TERM = "({c})z^{n}"
 
     @classmethod
     def from_super(cls, f: SuperSeries) -> "TZSeries":
         """Embed R[[z]] into R[t,1/t][[z]] as t-free series."""
         return cls(f.order, [RLaurent({0: c}) for c in f.coeffs])
-
-    def __getitem__(self, n: int) -> RLaurent:
-        if 0 <= n <= self.order:
-            return self.coeffs[n]
-        raise IndexError(f"z-degree {n} outside truncation order {self.order}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TZSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def _check(self, other: "TZSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"mismatched truncation orders {self.order} != {other.order}"
-            )
-
-    def __add__(self, other: "TZSeries") -> "TZSeries":
-        self._check(other)
-        return TZSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "TZSeries":
-        return TZSeries(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "TZSeries") -> "TZSeries":
-        return self + (-other)
 
     def __mul__(self, other: "TZSeries") -> "TZSeries":
         self._check(other)
@@ -499,48 +440,9 @@ class TZSeries:
                         acc[e] = acc.get(e, GDIM_ZERO) + c1 * c2
         return TZSeries(n, [RLaurent(d) for d in out])
 
-    def scale(self, c: RLaurent) -> "TZSeries":
-        return TZSeries(self.order, [c * a for a in self.coeffs])
-
-    def inverse(self) -> "TZSeries":
-        inv0 = self.coeffs[0].monomial_inverse()
-        out = [RLAURENT_ZERO] * (self.order + 1)
-        out[0] = inv0
-        for n in range(1, self.order + 1):
-            acc = RLAURENT_ZERO
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out[n] = -(inv0 * acc)
-        return TZSeries(self.order, out)
-
-    def __pow__(self, k: int) -> "TZSeries":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = TZSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def truncate(self, order: int) -> "TZSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TZSeries(order, self.coeffs[: order + 1])
-
     def residue_series(self) -> SuperSeries:
         """Apply Res_{t=0} (.) dt coefficientwise in z."""
         return SuperSeries(self.order, [c.residue() for c in self.coeffs])
-
-    def __str__(self) -> str:
-        parts = [f"({c})z^{n}" for n, c in enumerate(self.coeffs) if c]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"TZSeries(order={self.order}, {self})"
 
 
 _T_INV_MINUS_ONE = RLaurent({-1: GDIM_ONE, 0: -GDIM_ONE})

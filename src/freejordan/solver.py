@@ -10,10 +10,16 @@ single residue equation
     Res_{t=0} (t^-1 - 1) Phi(a, b) dt = (1, 0),
     Res_{t=0} (1 - t)    Phi(a, b) dt = -(D1, D2) z.
 
-Both proceed degree by degree: the z^n coefficient of each residue depends
-affinely on the unknown n-th coefficient, so three (resp. five) evaluations
-assemble an exact integer linearization that is solved over the rationals
-and required to be integral.
+Psi and Phi are products of line factors, the degree-n factor depending
+only on the n-th coefficients and being a series in z^n.  So the unknown
+n-th coefficients enter the z^n equation only through the z^n coefficient
+of their own line, affinely and with a slope that does not depend on n:
+-I for the single equation, a fixed signed permutation for the pair.  Both
+solvers read that slope off the closed-form degree-1 line, check it against
+the constant, and then keep one running product P of the lines found so
+far, at the final order: the z^n defect of P alone determines the n-th
+coefficients, whose line is then multiplied into P.  A final residual over
+the whole solution is reported as ``residual_order``.
 """
 
 from __future__ import annotations
@@ -21,15 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg
 from .lambda_ops import (
-    adjoint_even_line_pow,
-    adjoint_odd_line_pow,
+    lambda_adjoint_line,
     lambda_adjoint_series,
+    phi_line,
     phi_series,
     residue_kernel,
 )
-from .rings import GDIM_ZERO, GDim, SuperSeries
+from .rings import GDIM_ZERO, GDim, SuperSeries, TZSeries, extract_L0, extract_L2
+
+# Slope of the z^n defects in the n-th unknowns.  Single equation: rows
+# (even, odd) of the residue, columns (even, odd) of a_n.  Pair system:
+# rows (L0 even, L0 odd, L2 even, L2 odd), columns (a_n, b_n) likewise.
+MINUS_IDENTITY = ((-1, 0), (0, -1))
+PAIR_STEP = ((0, 0, -1, 0), (0, 0, 0, -1), (-1, 0, 0, 0), (0, -1, 0, 0))
+
+_UNITS = (GDim(1, 0), GDim(0, 1))
 
 
 class SolverStepError(Exception):
@@ -38,18 +51,6 @@ class SolverStepError(Exception):
     def __init__(self, step: int, message: str) -> None:
         super().__init__(f"step {step}: {message}")
         self.step = step
-
-
-class SingularStepError(SolverStepError):
-    pass
-
-
-class NonIntegralStepError(SolverStepError):
-    pass
-
-
-class InconsistentStepError(SolverStepError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,19 @@ def _check_args(d1: int, d2: int, order: int) -> None:
         raise ValueError("order must be >= 1")
 
 
+def _step_matrix(columns: list[list[GDim]], expected) -> tuple[tuple[int, ...], ...]:
+    """Assemble the slope from per-unknown defect columns and check it.
+
+    ``columns[j]`` holds the z^1 defects of the degree-1 line whose j-th
+    unknown is a unit; every line is a series in z^n, so the same matrix
+    governs every degree.
+    """
+    m = tuple(zip(*[[x for g in col for x in g.pair()] for col in columns]))
+    if m != expected:
+        raise SolverStepError(1, f"step linearization {m} is not the constant {expected}")
+    return m
+
+
 def residual_series(a: SuperSeries, d1: int, d2: int, order: int | None = None) -> SuperSeries:
     """Res_{t=0} psi * Psi(a) dt as a series; callers assert vanishing.
 
@@ -93,58 +107,31 @@ def residual_series(a: SuperSeries, d1: int, d2: int, order: int | None = None) 
     return (psi * lambda_adjoint_series(a)).residue_series()
 
 
-def _integral_solution(m, rhs, n: int) -> list[int]:
-    try:
-        sol = linalg.solve(m, rhs)
-    except ValueError as exc:
-        if "inconsistent" in str(exc):
-            raise InconsistentStepError(n, "no solution to the step system") from exc
-        raise SingularStepError(n, "step linearization is singular") from exc
-    out = []
-    for v in sol:
-        if v.denominator != 1:
-            raise NonIntegralStepError(n, f"non-integral step solution {sol}")
-        out.append(int(v))
-    return out
-
-
 def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
     """Solve the single residue equation for a(z) through z^order."""
     _check_args(d1, d2, order)
+    psi = residue_kernel(d1, d2, order)
+    step = _step_matrix(
+        [[(psi[0] * lambda_adjoint_line(u, 1, 1)[1]).residue()] for u in _UNITS],
+        MINUS_IDENTITY,
+    )
     a: list[GDim] = [GDIM_ZERO]  # index 0 unused
-    matrices = []
+    prod = TZSeries.one(order)  # lines 1..n-1 of Psi
     for n in range(1, order + 1):
-        psi = residue_kernel(d1, d2, n)
-        base = psi * lambda_adjoint_series(SuperSeries(n, a + [GDIM_ZERO]))
+        # The z^n residue is (defect of prod) - a_n.
+        an = (psi[0] * prod[n] + psi[1] * prod[n - 1]).residue()
+        a.append(an)
+        if an:
+            prod = prod * lambda_adjoint_line(an, n, order)
 
-        def coeff_at_n(candidate: GDim) -> GDim:
-            f = base
-            if candidate.even:
-                f = f * adjoint_even_line_pow(n, candidate.even, n)
-            if candidate.odd:
-                f = f * adjoint_odd_line_pow(n, candidate.odd, n)
-            return f.residue_series()[n]
-
-        r0 = coeff_at_n(GDIM_ZERO)
-        re = coeff_at_n(GDim(1, 0))
-        ro = coeff_at_n(GDim(0, 1))
-        m = [
-            [re.even - r0.even, ro.even - r0.even],
-            [re.odd - r0.odd, ro.odd - r0.odd],
-        ]
-        sol = _integral_solution(m, [-r0.even, -r0.odd], n)
-        a.append(GDim(sol[0], sol[1]))
-        matrices.append(tuple(tuple(row) for row in m))
-
-    series = SuperSeries(order, a)
-    res = residual_series(series, d1, d2)
+    res = residual_series(SuperSeries(order, a), d1, d2)
     return SolveReport(
         d1=d1,
         d2=d2,
         order=order,
         a=tuple(a[1:]),
         b=None,
-        step_matrices=tuple(matrices),
+        step_matrices=(step,) * order,
         residual_order=res.vanishing_order(),
     )
 
@@ -153,8 +140,6 @@ def pair_residuals(
     a: SuperSeries, b: SuperSeries, d1: int, d2: int
 ) -> tuple[SuperSeries, SuperSeries]:
     """Defects of the two-equation system for given (a, b); zero on solution."""
-    from .rings import extract_L0, extract_L2
-
     phi = phi_series(a, b)
     e1 = extract_L0(phi) - SuperSeries.one(a.order)
     e2 = extract_L2(phi) + SuperSeries.monomial(GDim(d1, d2), 1, a.order)
@@ -164,40 +149,28 @@ def pair_residuals(
 def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
     """Solve the two-equation system for (a(z), b(z)) through z^order."""
     _check_args(d1, d2, order)
+    lines = [phi_line(u, GDIM_ZERO, 1, 1) for u in _UNITS]
+    lines += [phi_line(GDIM_ZERO, u, 1, 1) for u in _UNITS]
+    step = _step_matrix([[extract_L0(f)[1], extract_L2(f)[1]] for f in lines], PAIR_STEP)
     a: list[GDim] = [GDIM_ZERO]
     b: list[GDim] = [GDIM_ZERO]
-    matrices = []
-    unit_steps = [GDim(1, 0), GDim(0, 1)]
+    prod = TZSeries.one(order)  # lines 1..n-1 of Phi
     for n in range(1, order + 1):
+        # The z^n defects are (L0 of prod) - b_n and (L2 of prod) + D[n=1] - a_n.
+        bn = extract_L0(prod)[n]
+        an = extract_L2(prod)[n] + (GDim(d1, d2) if n == 1 else GDIM_ZERO)
+        a.append(an)
+        b.append(bn)
+        if an or bn:
+            prod = prod * phi_line(an, bn, n, order)
 
-        def defects(an: GDim, bn: GDim) -> list[int]:
-            sa = SuperSeries(n, a + [an])
-            sb = SuperSeries(n, b + [bn])
-            e1, e2 = pair_residuals(sa, sb, d1, d2)
-            return [e1[n].even, e1[n].odd, e2[n].even, e2[n].odd]
-
-        r0 = defects(GDIM_ZERO, GDIM_ZERO)
-        cols = []
-        for u in unit_steps:
-            cols.append([x - y for x, y in zip(defects(u, GDIM_ZERO), r0)])
-        for u in unit_steps:
-            cols.append([x - y for x, y in zip(defects(GDIM_ZERO, u), r0)])
-        m = [[cols[j][i] for j in range(4)] for i in range(4)]
-        sol = _integral_solution(m, [-x for x in r0], n)
-        a.append(GDim(sol[0], sol[1]))
-        b.append(GDim(sol[2], sol[3]))
-        matrices.append(tuple(tuple(row) for row in m))
-
-    sa = SuperSeries(order, a)
-    sb = SuperSeries(order, b)
-    e1, e2 = pair_residuals(sa, sb, d1, d2)
-    res_order = min(e1.vanishing_order(), e2.vanishing_order())
+    e1, e2 = pair_residuals(SuperSeries(order, a), SuperSeries(order, b), d1, d2)
     return SolveReport(
         d1=d1,
         d2=d2,
         order=order,
         a=tuple(a[1:]),
         b=tuple(b[1:]),
-        step_matrices=tuple(matrices),
-        residual_order=res_order,
+        step_matrices=(step,) * order,
+        residual_order=min(e1.vanishing_order(), e2.vanishing_order()),
     )

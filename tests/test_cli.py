@@ -3,6 +3,7 @@ import json
 import pytest
 
 from freejordan import cli
+from freejordan.jordan import GradedJordanAlgebra
 
 
 def run(capsys, *argv):
@@ -111,6 +112,35 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["agree_degrees"] == [1, 2, 3, 4]
         assert payload["mismatches"] == []
+
+    def _cached(self, capsys, tmp_path):
+        args = ["verify", "--d1", "1", "--d2", "1", "--max-degree", "4",
+                "--cache-dir", str(tmp_path), "--format", "json"]
+        assert run(capsys, *args)[0] == 0
+        (path,) = tmp_path.glob("oracle-*.json")
+        return args, path
+
+    def test_edited_dims_in_cache_are_ignored(self, capsys, tmp_path):
+        # Dims come from the cached basis parities, so a stray "dims" entry
+        # cannot turn into a conjecture-level discrepancy.
+        args, path = self._cached(capsys, tmp_path)
+        payload = json.loads(path.read_text())
+        payload["dims"] = {str(n): ["7", "7"] for n in range(1, 5)}
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("corrupt", [lambda text: text[:100], lambda text: "[]"],
+                             ids=["truncated", "not-an-object"])
+    def test_corrupt_cache_is_rebuilt(self, capsys, tmp_path, corrupt):
+        args, path = self._cached(capsys, tmp_path)
+        path.write_text(corrupt(path.read_text()))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
+        alg = GradedJordanAlgebra.from_json(path.read_text())
+        assert alg.max_degree == 4
 
 
 class TestHomologyCommand:

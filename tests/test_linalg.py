@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from freejordan import linalg
 
 
@@ -34,29 +32,3 @@ def test_rank_random_products():
         expected = 1 if any(u) and any(v) else 0
         assert linalg.rank(m) == expected
 
-
-def test_solve_exact():
-    sol = linalg.solve([[2, 1], [1, 3]], [5, 10])
-    assert sol == [Fraction(1), Fraction(3)]
-
-
-def test_solve_singular():
-    with pytest.raises(ValueError, match="singular"):
-        linalg.solve([[1, 2], [2, 4]], [1, 2])
-
-
-def test_solve_inconsistent():
-    with pytest.raises(ValueError, match="inconsistent"):
-        linalg.solve([[1, 2], [2, 4]], [1, 3])
-
-
-def test_solve_random_roundtrip():
-    rng = random.Random(6)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        x = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-        b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
-        if linalg.rank(a) < n:
-            continue
-        assert linalg.solve(a, b) == x

@@ -1,7 +1,9 @@
 import pytest
 
+from freejordan import cli, solver
 from freejordan.rings import GDIM_ZERO, GDim, SuperSeries
 from freejordan.solver import (
+    SolverStepError,
     pair_residuals,
     residual_series,
     solve_dims,
@@ -94,14 +96,33 @@ class TestSolveDimsPair:
         assert e2.vanishing_order() == 7
 
     def test_step_matrices_invertible(self):
-        rep = solve_dims_pair(2, 1, 5)
-        for m in rep.step_matrices:
-            # exact 4x4 integer determinant via expansion is overkill;
-            # the solver already solved each system, so just check shape
-            assert len(m) == 4 and all(len(row) == 4 for row in m)
+        # L0 moves against b_n and L2 against a_n, one-for-one and parity
+        # by parity: a signed permutation, the same at every degree.
+        perm = ((0, 0, -1, 0), (0, 0, 0, -1), (-1, 0, 0, 0), (0, -1, 0, 0))
+        for d1, d2 in [(2, 1), (0, 1), (1, 0), (1, 1), (0, 3)]:
+            rep = solve_dims_pair(d1, d2, 5)
+            assert rep.step_matrices == (perm,) * 5, (d1, d2)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
             solve_dims_pair(0, 0, 2)
         with pytest.raises(ValueError):
             solve_dims_pair(1, 0, -1)
+
+
+class TestStepConstant:
+    """A line factor whose slope is not the known constant is refused."""
+
+    def test_wrong_single_slope(self, monkeypatch, capsys):
+        line = solver.lambda_adjoint_line
+        monkeypatch.setattr(solver, "lambda_adjoint_line", lambda a, m, order: line(a, m, order) ** 2)
+        with pytest.raises(SolverStepError, match="step linearization"):
+            solve_dims(1, 1, 4)
+        assert cli.main(["solve", "--d1", "1", "--d2", "1", "--order", "4"]) == cli.EXIT_DISCREPANCY
+        assert "solver step failed" in capsys.readouterr().err
+
+    def test_wrong_pair_slope(self, monkeypatch):
+        line = solver.phi_line
+        monkeypatch.setattr(solver, "phi_line", lambda a, b, m, order: line(a, b, m, order) ** 2)
+        with pytest.raises(SolverStepError, match="step linearization"):
+            solve_dims_pair(1, 1, 4)
