@@ -133,7 +133,7 @@ def cmd_oracle(args) -> int:
     res = residual_series(alg.graded_dims(), args.d1, args.d2)
     bs_dims = {n: tag.bs[n].dim for n in sorted(tag.bs)}
     inn = {
-        n: inner_rank_diagnostic(alg, n, args.max_degree)
+        n: inner_rank_diagnostic(alg, tag.bs[n], args.max_degree)
         for n in range(2, args.max_degree)
     }
     payload = {

@@ -40,6 +40,8 @@ class ChainComplex:
     def __init__(self, tag: TagAlgebra, r_max: int, d_max: int) -> None:
         if d_max > tag.max_degree:
             raise ValueError("z-degree horizon beyond the TAG truncation")
+        if r_max < 0:
+            raise ValueError("homological degree cap r_max must be >= 0")
         self.tag = tag
         self.r_max = r_max
         self.d_max = d_max
@@ -50,6 +52,7 @@ class ChainComplex:
         for key in self.blocks:
             self.boundaries[key] = self._boundary_block(key)
         self._check_d_squared()
+        self._ranks: dict[BlockKey, int] = {}
 
     # -- chain enumeration ----------------------------------------------
 
@@ -180,15 +183,17 @@ class ChainComplex:
     # -- ranks and homology ----------------------------------------------
 
     def _rank(self, key: BlockKey) -> int:
-        cols = self.boundaries.get(key)
-        if not cols:
-            return 0
-        target = (key[0] - 1,) + key[1:]
-        nrows = len(self.blocks.get(target, []))
-        if nrows == 0:
-            return 0
-        dense = [[col.get(i, Fraction(0)) for col in cols] for i in range(nrows)]
-        return linalg.rank(dense)
+        """Rank of the boundary out of a block, computed once per block."""
+        if key not in self._ranks:
+            cols = self.boundaries.get(key)
+            target = (key[0] - 1,) + key[1:]
+            nrows = len(self.blocks.get(target, []))
+            rank = 0
+            if cols and nrows:
+                dense = [[col.get(i, Fraction(0)) for col in cols] for i in range(nrows)]
+                rank = linalg.rank(dense)
+            self._ranks[key] = rank
+        return self._ranks[key]
 
     def homology_weights(self, r: int, d: int) -> dict[int, GDim]:
         """dim H_r at z-degree d, per h-weight, as an even/odd pair.

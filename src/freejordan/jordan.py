@@ -282,7 +282,7 @@ def build_free_jordan(
             return out
 
         # Top-level super Jordan instances with total degree n.
-        rows: dict[tuple[tuple[int, Fraction], ...], None] = {}
+        rows: dict[linalg.SparseRow, None] = {}
         compositions = [
             (p, q, r, s)
             for p in range(1, n - 2)
@@ -315,53 +315,13 @@ def build_free_jordan(
                             if any(row):
                                 rows[tuple((k, c) for k, c in enumerate(row) if c)] = None
 
-        # Row-reduce per parity block (relations are parity-homogeneous).
-        n_even = coord_parity.count(0)
-        quotient_index: dict[int, int] = {}
-        pivot_expr: dict[int, list[tuple[int, Fraction]]] = {}
-        new_parities: list[int] = []
-        new_labels: list[str] = []
-        for block_par, lo, hi in ((0, 0, n_even), (1, n_even, nw)):
-            block_rows = []
-            for key in rows:
-                if any(lo <= k < hi for k, _ in key):
-                    if not all(lo <= k < hi for k, _ in key):
-                        raise AssertionError("relation row mixes parities")
-                    rvec = _zero(hi - lo)
-                    for k, c in key:
-                        rvec[k - lo] = c
-                    block_rows.append(rvec)
-            reduced, pivots = linalg.rref(block_rows) if block_rows else ([], [])
-            pivset = set(pivots)
-            for k in range(lo, hi):
-                if (k - lo) not in pivset:
-                    quotient_index[k] = len(new_parities)
-                    new_parities.append(block_par)
-                    (i, u, j, v) = coords[k]
-                    new_labels.append(f"({labels[i][u]}.{labels[j][v]})")
-            for rowvec, piv in zip(reduced, pivots):
-                expr = []
-                for k in range(hi - lo):
-                    if k != piv and rowvec[k]:
-                        expr.append((k + lo, -rowvec[k]))
-                pivot_expr[piv + lo] = expr
-
-        dim_n = len(new_parities)
-
-        def project(wvec: Sequence[Fraction]) -> Vector:
-            out = _zero(dim_n)
-            for k, c in enumerate(wvec):
-                if not c:
-                    continue
-                if k in quotient_index:
-                    out[quotient_index[k]] += c
-                else:
-                    for k2, c2 in pivot_expr[k]:
-                        out[quotient_index[k2]] += c * c2
-            return tuple(out)
-
-        parities[n] = tuple(new_parities)
-        labels[n] = tuple(new_labels)
+        # Relations are parity-homogeneous; quotient basis is non-pivots.
+        kept, projection = linalg.quotient(rows, coord_parity)
+        dim_n = len(kept)
+        parities[n] = tuple(coord_parity[k] for k in kept)
+        labels[n] = tuple(
+            f"({labels[i][u]}.{labels[j][v]})" for (i, u, j, v) in (coords[k] for k in kept)
+        )
         for i in range(1, n // 2 + 1):
             j = n - i
             tab = []
@@ -373,9 +333,9 @@ def build_free_jordan(
                         row_tab.append(tuple(_zero(dim_n)))
                     else:
                         k, sgn = hit
-                        base = _zero(nw)
-                        base[k] = Fraction(sgn)
-                        row_tab.append(project(base))
+                        row_tab.append(
+                            projection[k] if sgn == 1 else tuple(-c for c in projection[k])
+                        )
                 tab.append(row_tab)
             tables[(i, j)] = tab
 

@@ -1,16 +1,19 @@
-"""Exact rational Gaussian elimination: rref and rank.
+"""Exact rational Gaussian elimination: rref, rank and quotients.
 
 Matrices are lists of rows of Fractions (or ints).  Everything is dense;
 the matrices in this project stay small enough that simplicity wins.
+Every exact elimination in the package enters through ``rank`` or
+``quotient``, and both reduce with ``rref``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 Row = list[Fraction]
 Matrix = list[Row]
+SparseRow = tuple[tuple[int, Fraction], ...]
 
 
 def _to_fraction_rows(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
@@ -52,3 +55,45 @@ def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     return len(rref(rows)[1])
 
+
+def quotient(
+    rows: Collection[SparseRow], parity: Sequence[int]
+) -> tuple[list[int], list[tuple[Fraction, ...]]]:
+    """Quotient of a coordinate space by the span of sparse relation rows.
+
+    ``parity[k]`` is the parity of coordinate k, every even coordinate
+    first.  Each row ``((k, c), ...)`` must lie in one parity block; the
+    blocks are reduced separately.  Returns the non-pivot coordinates in
+    order (the quotient basis) and, for every coordinate, its image in
+    that basis.
+    """
+    n = len(parity)
+    n_even = parity.count(0)
+    kept: list[int] = []
+    pivot_expr: dict[int, list[tuple[int, Fraction]]] = {}
+    for lo, hi in ((0, n_even), (n_even, n)):
+        block = []
+        for key in rows:
+            if any(lo <= k < hi for k, _ in key):
+                if not all(lo <= k < hi for k, _ in key):
+                    raise AssertionError("relation row mixes parities")
+                vec = [Fraction(0)] * (hi - lo)
+                for k, c in key:
+                    vec[k - lo] = c
+                block.append(vec)
+        reduced, pivots = rref(block) if block else ([], [])
+        pivset = set(pivots)
+        kept += [k for k in range(lo, hi) if k - lo not in pivset]
+        for row, piv in zip(reduced, pivots):
+            pivot_expr[piv + lo] = [(k + lo, -c) for k, c in enumerate(row) if k != piv and c]
+    index = {k: q for q, k in enumerate(kept)}
+    projection = []
+    for k in range(n):
+        col = [Fraction(0)] * len(kept)
+        if k in index:
+            col[index[k]] = Fraction(1)
+        else:
+            for k2, c2 in pivot_expr[k]:
+                col[index[k2]] += c2
+        projection.append(tuple(col))
+    return kept, projection

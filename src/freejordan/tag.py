@@ -106,17 +106,7 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
     nw = len(coords)
     coord_parity = [cpar(c) for c in coords]
 
-    def tensor(i: int, x: Sequence[Fraction], j: int, y: Sequence[Fraction]) -> list[Fraction]:
-        row = _zero(nw)
-        for u, cu in enumerate(x):
-            if not cu:
-                continue
-            for v, cv in enumerate(y):
-                if cv:
-                    row[index[(i, u, j, v)]] += cu * cv
-        return row
-
-    rows: dict[tuple[tuple[int, Fraction], ...], None] = {}
+    rows: dict[linalg.SparseRow, None] = {}
 
     def add_row(row: Sequence[Fraction]) -> None:
         if any(row):
@@ -156,80 +146,30 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
                                     row[index[(dd, k, de, unit)]] += s * c
                         add_row(row)
 
-    n_even = coord_parity.count(0)
-    quotient_index: dict[int, int] = {}
-    pivot_expr: dict[int, list[tuple[int, Fraction]]] = {}
-    new_parities: list[int] = []
-    new_labels: list[str] = []
-    lifts: list[int] = []
-    for block_par, lo, hi in ((0, 0, n_even), (1, n_even, nw)):
-        block_rows = []
-        for key in rows:
-            if any(lo <= k < hi for k, _ in key):
-                if not all(lo <= k < hi for k, _ in key):
-                    raise AssertionError("Bs relation row mixes parities")
-                rvec = _zero(hi - lo)
-                for k, c in key:
-                    rvec[k - lo] = c
-                block_rows.append(rvec)
-        reduced, pivots = linalg.rref(block_rows) if block_rows else ([], [])
-        pivset = set(pivots)
-        for k in range(lo, hi):
-            if (k - lo) not in pivset:
-                quotient_index[k] = len(new_parities)
-                new_parities.append(block_par)
-                (i, u, j, v) = coords[k]
-                new_labels.append(f"{{{alg.labels[i][u]}(x){alg.labels[j][v]}}}")
-                lifts.append(k)
-        for rowvec, piv in zip(reduced, pivots):
-            expr = [
-                (k + lo, -rowvec[k])
-                for k in range(hi - lo)
-                if k != piv and rowvec[k]
-            ]
-            pivot_expr[piv + lo] = expr
-
-    dim_n = len(new_parities)
-    projection: list[Vector] = []
-    for k in range(nw):
-        col = _zero(dim_n)
-        if k in quotient_index:
-            col[quotient_index[k]] = Fraction(1)
-        else:
-            for k2, c2 in pivot_expr[k]:
-                col[quotient_index[k2]] += c2
-        projection.append(tuple(col))
-
+    kept, projection = linalg.quotient(rows, coord_parity)
     return BsComponent(
         degree=n,
         coords=coords,
-        parities=tuple(new_parities),
-        labels=tuple(new_labels),
-        lifts=tuple(lifts),
+        parities=tuple(coord_parity[k] for k in kept),
+        labels=tuple(
+            f"{{{alg.labels[i][u]}(x){alg.labels[j][v]}}}"
+            for (i, u, j, v) in (coords[k] for k in kept)
+        ),
+        lifts=tuple(kept),
         projection=projection,
     )
 
 
-def partial_derivation_matrix(
-    alg: GradedJordanAlgebra,
-    i: int,
-    x: Sequence[Fraction],
-    j: int,
-    y: Sequence[Fraction],
-    m: int,
-) -> list[Vector]:
-    """Columns of d_{x,y} = [L_x, L_y] on degree m (images in degree i+j+m)."""
-    return alg.derivation_of(i, x, j, y, m)
+def inner_rank_diagnostic(alg: GradedJordanAlgebra, bs: BsComponent, max_degree: int) -> GDim:
+    """Rank of the classes of ``bs`` acting on J through degree max_degree.
 
-
-def inner_rank_diagnostic(alg: GradedJordanAlgebra, n: int, max_degree: int) -> GDim:
-    """Rank of {degree-n Bs classes} acting on J through degree max_degree.
-
-    A truncation-dependent lower bound for the graded dimension of the
+    ``bs`` is one z-degree n = ``bs.degree`` of Bs(J), as ``build_Bs``
+    (or ``TagAlgebra.bs``) returns it for ``alg``.  The rank is a
+    truncation-dependent lower bound for the graded dimension of the
     degree-n inner derivations: action at z-degrees above the horizon is
     invisible, so the true dimension may be larger.
     """
-    bs = _build_bs_degree(alg, n)
+    n = bs.degree
     flat: dict[int, list[list[Fraction]]] = {0: [], 1: []}
     for idx, k in enumerate(bs.lifts):
         (i, u, j, v) = bs.coords[k]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from freejordan import cli
+from freejordan import cli, tag
 from freejordan.jordan import GradedJordanAlgebra
 
 
@@ -96,6 +96,20 @@ class TestOracleCommand:
         assert code == cli.EXIT_BUDGET
         assert "budget" in err
 
+    def test_each_bs_degree_is_built_once(self, capsys, tmp_path, monkeypatch):
+        built = []
+        build = tag._build_bs_degree
+
+        def counted(alg, n):
+            built.append(n)
+            return build(alg, n)
+
+        monkeypatch.setattr(tag, "_build_bs_degree", counted)
+        code, _, _ = run(capsys, "oracle", "--d1", "1", "--d2", "1", "--max-degree", "5",
+                         "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert sorted(built) == [2, 3, 4, 5]
+
 
 class TestVerifyCommand:
     def test_agreement(self, capsys):
@@ -154,6 +168,14 @@ class TestHomologyCommand:
         assert "L(2): (0,1)" in out
         assert "L(4): (1,0)" in out
         assert "Euler characteristic verified" in out
+
+    def test_negative_rmax_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "homology", "--d1", "0", "--d2", "1",
+            "--rmax", "-1", "--dmax", "5",
+        )
+        assert code == cli.EXIT_USAGE
+        assert "r_max" in err
 
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,6 @@
 import pytest
 
+from freejordan import linalg
 from freejordan.homology import build_chain_complex, compute_homology
 from freejordan.jordan import build_free_jordan
 from freejordan.rings import GDim
@@ -47,6 +48,22 @@ class TestChainComplex:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             build_chain_complex(tag_for(0, 1, 3), 2, 4)
+
+    def test_negative_r_max_is_rejected(self):
+        # A negative cap would never stop the enumeration.
+        with pytest.raises(ValueError):
+            build_chain_complex(tag_for(0, 1, 5), -1, 5)
+
+    def test_each_block_is_ranked_once(self, monkeypatch):
+        tag = tag_for(1, 1, 4)
+        calls = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or rref(rows))
+        compute_homology(tag, 4, 4)
+        monkeypatch.undo()
+        blocks = build_chain_complex(tag, 4, 4).blocks
+        assert len(blocks) == 101
+        assert 0 < len(calls) <= len(blocks)
 
 
 class TestHomologyValues:

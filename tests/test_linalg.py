@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from freejordan import linalg
 
 
@@ -32,3 +34,15 @@ def test_rank_random_products():
         expected = 1 if any(u) and any(v) else 0
         assert linalg.rank(m) == expected
 
+
+def test_quotient_rejects_row_mixing_parities():
+    with pytest.raises(AssertionError, match="mixes parities"):
+        linalg.quotient({((0, Fraction(1)), (2, Fraction(1))): None}, (0, 0, 1))
+
+
+def test_quotient_worked_case():
+    # x0 - x1 = 0 on two even coordinates and one odd: x1 and x2 survive,
+    # and x0 maps to the class of x1.
+    kept, projection = linalg.quotient([((0, Fraction(1)), (1, Fraction(-1)))], (0, 0, 1))
+    assert kept == [1, 2]
+    assert projection == [(1, 0), (1, 0), (0, 1)]

@@ -11,7 +11,6 @@ from freejordan.tag import (
     build_Bs,
     build_tag,
     inner_rank_diagnostic,
-    partial_derivation_matrix,
 )
 
 
@@ -86,15 +85,15 @@ class TestDerivations:
         alg = build_free_jordan(0, 1, 6)
         y = alg.basis_vector(1, 0)
         for m in range(1, 5):
-            cols = partial_derivation_matrix(alg, 1, y, 1, y, m)
+            cols = alg.derivation_of(1, y, 1, y, m)
             assert all(not any(col) for col in cols)
-        assert inner_rank_diagnostic(alg, 2, 6) == GDim(0, 0)
+        assert inner_rank_diagnostic(alg, build_Bs(alg, 2)[2], 6) == GDim(0, 0)
 
     def test_even_self_commutator_vanishes(self):
         alg = build_free_jordan(2, 0, 5)
         x = alg.basis_vector(1, 0)
         for m in range(1, 4):
-            cols = partial_derivation_matrix(alg, 1, x, 1, x, m)
+            cols = alg.derivation_of(1, x, 1, x, m)
             assert all(not any(col) for col in cols)
 
     def test_explicit_mixed_value(self):
@@ -102,7 +101,7 @@ class TestDerivations:
         alg = build_free_jordan(1, 1, 3)
         x = alg.basis_vector(1, 0)
         y = alg.basis_vector(1, 1)
-        col = partial_derivation_matrix(alg, 1, x, 1, y, 1)[0]
+        col = alg.derivation_of(1, x, 1, y, 1)[0]
         yx = alg.multiply(1, y, 1, x)
         xx = alg.multiply(1, x, 1, x)
         byhand = [
@@ -115,7 +114,7 @@ class TestDerivations:
         alg = build_free_jordan(1, 1, 5)
         bs = build_Bs(alg, 5)
         for n in (2, 3):
-            rank = inner_rank_diagnostic(alg, n, 5)
+            rank = inner_rank_diagnostic(alg, bs[n], 5)
             assert rank.even <= bs[n].dim.even
             assert rank.odd <= bs[n].dim.odd
 
@@ -124,7 +123,7 @@ class TestDerivations:
         # this truncation: every degree-2 class acts nontrivially.
         alg = build_free_jordan(2, 0, 5)
         bs = build_Bs(alg, 5)
-        assert inner_rank_diagnostic(alg, 2, 5) == bs[2].dim
+        assert inner_rank_diagnostic(alg, bs[2], 5) == bs[2].dim
 
 
 class TestTagAlgebra:
@@ -166,8 +165,8 @@ class TestTagAlgebra:
         for (n, u), gbs in tag._bs_index.items():
             (i, xu, j, yv) = tag._bs_lift(tag.basis[gbs])
             for m in range(1, tag.max_degree - n + 1):
-                cols = partial_derivation_matrix(
-                    alg, i, alg.basis_vector(i, xu), j, alg.basis_vector(j, yv), m
+                cols = alg.derivation_of(
+                    i, alg.basis_vector(i, xu), j, alg.basis_vector(j, yv), m
                 )
                 for a in range(3):
                     for w in range(alg.dim(m)):
