@@ -254,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=20_000_000,
-            help="max relation-matrix entries for the construction",
+            help="max relation-matrix entries per construction degree, counted as "
+            "(relation rows so far + identity instances about to be expanded) x dim W_n",
         )
 
     p = sub.add_parser("solve", help="solve the residue equation for the dimension series")
@@ -285,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.d1 < 0 or args.d2 < 0 or args.d1 + args.d2 < 1:
             parser.error("need d1, d2 >= 0 with d1 + d2 >= 1")
+        if args.budget < 1:
+            parser.error("--budget must be >= 1")
         return args.func(args)
     except ResourceBudgetExceeded as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)

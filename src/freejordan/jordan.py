@@ -6,13 +6,18 @@ Degree n >= 2 starts from the supercommutative pair space
     W_n = direct sum over i + j = n, i <= j of (basis_i x basis_j)
 
 (with u.u = 0 for odd u, and only ordered pairs u <= v when i = j), and is
-cut down by every top-level instance of the super Jordan operator identity
+cut down by the top-level instances of the super Jordan operator identity
 
     sum over cyclic (x,y,z) of (-1)^{|x||z|} [L_{x.y}, L_z] = 0
 
-applied to a fourth basis element w, with total degree n.  Inner products
-use the already-reduced lower-degree tables, so embedded instances of the
-identity vanish automatically.  The quotient is taken by exact rational
+applied to a fourth basis element w, with total degree n.  One instance per
+S3 orbit of basis triples suffices: the operator is cyclic in (x, y, z), and
+a transposition multiplies it by (-1)^{|x||y| + |y||z| + |z||x|}, because
+L_{y.x} = (-1)^{|x||y|} L_{x.y} in the supercommutative tables.  So only
+x <= y <= z in the (degree, index) order is expanded, with every w, and the
+span is that of all instances.  Inner products use the already-reduced
+lower-degree tables, so embedded instances of the identity vanish
+automatically.  The quotient is taken by exact rational
 row reduction; quotient bases are the non-pivot pair coordinates in a
 canonical order (parity even-first, then the lexicographic pair shape),
 which makes the structure constants reproducible.
@@ -24,6 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from . import linalg
@@ -32,6 +38,7 @@ from .rings import GDim, SuperSeries
 FORMAT_VERSION = 1
 
 Vector = tuple[Fraction, ...]
+SparseVector = tuple[tuple[int, Fraction], ...]
 
 
 class ResourceBudgetExceeded(Exception):
@@ -233,14 +240,104 @@ def _pair_coords(parities: dict[int, tuple[int, ...]], n: int) -> list[tuple[int
     return coords
 
 
+class PairSpace:
+    """The pair space W_n over an algebra built through degree n - 1.
+
+    Holds the canonical coordinates of W_n, the top-level product of two
+    basis elements into them, and the algebra's reduced basis products as
+    sparse vectors, each looked up from the tables once.  The memo lives as
+    long as the space, so one degree of the construction.
+    """
+
+    def __init__(self, alg: GradedJordanAlgebra, n: int) -> None:
+        self.alg = alg
+        self.parities = alg.parities
+        self.coords = _pair_coords(alg.parities, n)
+        self.index = {c: k for k, c in enumerate(self.coords)}
+        self.coord_parity = [
+            (self.parities[i][u] + self.parities[j][v]) % 2 for (i, u, j, v) in self.coords
+        ]
+        self._products: dict[tuple[int, int, int, int], SparseVector] = {}
+
+    def outer(self, i: int, u: int, j: int, v: int) -> tuple[int, int] | None:
+        """W_n coordinate and sign of the top-level product of two basis elements."""
+        sign = 1
+        if i > j or (i == j and u > v):
+            if self.parities[i][u] & self.parities[j][v]:
+                sign = -1
+            i, u, j, v = j, v, i, u
+        if i == j and u == v and self.parities[i][u] == 1:
+            return None
+        return self.index[(i, u, j, v)], sign
+
+    def product(self, i: int, u: int, j: int, v: int) -> SparseVector:
+        """Reduced product of two basis elements, as sparse degree-(i + j) coordinates."""
+        key = (i, u, j, v)
+        vec = self._products.get(key)
+        if vec is None:
+            dense = self.alg.multiply_basis(i, u, j, v)
+            vec = self._products[key] = tuple((k, c) for k, c in enumerate(dense) if c)
+        return vec
+
+
+def relation_row(
+    space: PairSpace,
+    x: tuple[int, int],
+    y: tuple[int, int],
+    z: tuple[int, int],
+    w: tuple[int, int],
+) -> linalg.SparseRow:
+    """One top-level instance of the super Jordan identity, in W_n coordinates.
+
+    x, y, z and w are basis elements (degree, index).  The row is
+
+        sum over cyclic (a,b,c) of (-1)^{|a||c|} ((a.b).(c.w) - (-1)^{(|a|+|b|)|c|} c.((a.b).w))
+
+    with the inner products reduced and the outermost one taken in W_n.
+    """
+    par = space.parities
+    s, wu = w
+    acc: dict[int, Fraction] = {}
+    triple = (x, y, z)
+    for r in range(3):
+        (di, ui), (dj, uj), (dk, uk) = triple[r], triple[(r + 1) % 3], triple[(r + 2) % 3]
+        pi, pj, pk = par[di][ui], par[dj][uj], par[dk][uk]
+        s1 = -1 if pi & pk else 1  # (-1)^{|a||c|}
+        s12 = -s1 if (pi ^ pj) & pk else s1  # times (-1)^{(|a|+|b|)|c|}
+        dab = di + dj
+        ab = space.product(di, ui, dj, uj)
+        # (a.b).(c.w)
+        for b, cb in space.product(dk, uk, s, wu):
+            for a, ca in ab:
+                hit = space.outer(dab, a, dk + s, b)
+                if hit is not None:
+                    k, sign = hit
+                    acc[k] = acc.get(k, 0) + (s1 * sign) * ca * cb
+        # c.((a.b).w)
+        for a, ca in ab:
+            for b, cb in space.product(dab, a, s, wu):
+                hit = space.outer(dk, uk, dab + s, b)
+                if hit is not None:
+                    k, sign = hit
+                    acc[k] = acc.get(k, 0) - (s12 * sign) * ca * cb
+    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+
+
 def build_free_jordan(
     d1: int, d2: int, max_degree: int, budget: int | None = 20_000_000
 ) -> GradedJordanAlgebra:
-    """Construct the free Jordan superalgebra through the given degree."""
+    """Construct the free Jordan superalgebra through the given degree.
+
+    ``budget`` caps the relation-matrix entries of one degree: before each
+    group of identity instances is expanded, (rows so far + instances in
+    the group) x dim W_n must not exceed it.  ``None`` means no cap.
+    """
     if d1 < 0 or d2 < 0 or d1 + d2 < 1:
         raise ValueError("need d1, d2 >= 0 with d1 + d2 >= 1")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
 
     parities: dict[int, tuple[int, ...]] = {1: (0,) * d1 + (1,) * d2}
     labels: dict[int, tuple[str, ...]] = {
@@ -250,77 +347,40 @@ def build_free_jordan(
     alg = GradedJordanAlgebra(d1, d2, 1, dict(parities), dict(labels), tables)
 
     for n in range(2, max_degree + 1):
-        coords = _pair_coords(parities, n)
-        index = {c: k for k, c in enumerate(coords)}
-        nw = len(coords)
-        coord_parity = [
-            (parities[i][u] + parities[j][v]) % 2 for (i, u, j, v) in coords
-        ]
+        space = PairSpace(alg, n)
+        nw = len(space.coords)
 
-        def outer_basis(i: int, u: int, j: int, v: int) -> tuple[int, int] | None:
-            """W_n coordinate and sign of the product of two basis elements."""
-            sign = 1
-            if i > j or (i == j and u > v):
-                sign = (-1) ** (parities[i][u] * parities[j][v])
-                i, u, j, v = j, v, i, u
-            if i == j and u == v and parities[i][u] == 1:
-                return None
-            return index[(i, u, j, v)], sign
-
-        def outer_vec(i: int, x: Sequence[Fraction], j: int, y: Sequence[Fraction]) -> list[Fraction]:
-            out = _zero(nw)
-            for u, cu in enumerate(x):
-                if not cu:
-                    continue
-                for v, cv in enumerate(y):
-                    if not cv:
-                        continue
-                    hit = outer_basis(i, u, j, v)
-                    if hit is not None:
-                        k, s = hit
-                        out[k] += s * cu * cv
-            return out
-
-        # Top-level super Jordan instances with total degree n.
+        # Top-level super Jordan instances with total degree n, one per S3
+        # orbit of (x, y, z): the other orderings give the same row up to sign.
+        basis = [(d, u) for d in range(1, n - 2) for u in range(len(parities[d]))]
+        groups: dict[tuple[int, ...], list[tuple[tuple[int, int], ...]]] = {}
+        for triple in combinations_with_replacement(basis, 3):
+            degrees = tuple(d for d, _ in triple)
+            if sum(degrees) < n:
+                groups.setdefault(degrees, []).append(triple)
         rows: dict[linalg.SparseRow, None] = {}
-        compositions = [
-            (p, q, r, s)
-            for p in range(1, n - 2)
-            for q in range(1, n - 2)
-            for r in range(1, n - 2)
-            for s in range(1, n - 2)
-            if p + q + r + s == n
-        ]
-        for (p, q, r, s) in compositions:
-            np_, nq, nr, ns = (len(parities[t]) for t in (p, q, r, s))
+        for degrees, triples in groups.items():
+            s = n - sum(degrees)
+            ns = len(parities[s])
             if budget is not None:
-                projected = (len(rows) + np_ * nq * nr * ns) * nw
+                projected = (len(rows) + len(triples) * ns) * nw
                 if projected > budget:
                     raise ResourceBudgetExceeded(
                         f"degree {n}: relation matrix would exceed budget {budget}"
                     )
-            for xu in range(np_):
-                xv = alg.basis_vector(p, xu)
-                for yu in range(nq):
-                    yv = alg.basis_vector(q, yu)
-                    for zu in range(nr):
-                        zv = alg.basis_vector(r, zu)
-                        px, py, pz = parities[p][xu], parities[q][yu], parities[r][zu]
-                        for wu in range(ns):
-                            wv = alg.basis_vector(s, wu)
-                            row = _sj_row(
-                                alg, outer_vec, nw,
-                                (p, xv, px), (q, yv, py), (r, zv, pz), (s, wv),
-                            )
-                            if any(row):
-                                rows[tuple((k, c) for k, c in enumerate(row) if c)] = None
+            for (x, y, z) in triples:
+                for wu in range(ns):
+                    row = relation_row(space, x, y, z, (s, wu))
+                    if row:
+                        rows[row] = None
 
         # Relations are parity-homogeneous; quotient basis is non-pivots.
-        kept, projection = linalg.quotient(rows, coord_parity)
+        kept, projection = linalg.quotient(rows, space.coord_parity)
         dim_n = len(kept)
-        parities[n] = tuple(coord_parity[k] for k in kept)
+        parities[n] = tuple(space.coord_parity[k] for k in kept)
         labels[n] = tuple(
-            f"({labels[i][u]}.{labels[j][v]})" for (i, u, j, v) in (coords[k] for k in kept)
+            f"({labels[i][u]}.{labels[j][v]})"
+            for (i, u, j, v) in (space.coords[k] for k in kept)
         )
         for i in range(1, n // 2 + 1):
             j = n - i
@@ -328,7 +388,7 @@ def build_free_jordan(
             for u in range(len(parities[i])):
                 row_tab = []
                 for v in range(len(parities[j])):
-                    hit = outer_basis(i, u, j, v)
+                    hit = space.outer(i, u, j, v)
                     if hit is None:
                         row_tab.append(tuple(_zero(dim_n)))
                     else:
@@ -342,24 +402,3 @@ def build_free_jordan(
         alg = GradedJordanAlgebra(d1, d2, n, dict(parities), dict(labels), tables)
 
     return alg
-
-
-def _sj_row(alg, outer_vec, nw, x, y, z, w):
-    """Expand one top-level super Jordan instance into W_n coordinates."""
-    (s, wv) = w
-    out = _zero(nw)
-    triple = [x, y, z]
-    for r in range(3):
-        (di, xi, pi) = triple[r % 3]
-        (dj, xj, pj) = triple[(r + 1) % 3]
-        (dk, xk, pk) = triple[(r + 2) % 3]
-        s1 = (-1) ** (pi * pk)
-        s2 = (-1) ** ((pi + pj) * pk)
-        ab = alg.multiply(di, xi, dj, xj)
-        zw = alg.multiply(dk, xk, s, wv)
-        t1 = outer_vec(di + dj, ab, dk + s, zw)
-        abw = alg.multiply(di + dj, ab, s, wv)
-        t2 = outer_vec(dk, xk, di + dj + s, abw)
-        for idx in range(len(out)):
-            out[idx] += s1 * (t1[idx] - s2 * t2[idx])
-    return out

@@ -156,6 +156,17 @@ class TestVerifyCommand:
         alg = GradedJordanAlgebra.from_json(path.read_text())
         assert alg.max_degree == 4
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_usage_error(self, capsys, tmp_path, budget):
+        # Also when the algebra would come from the cache and never be built.
+        args = ["verify", "--d1", "1", "--d2", "0", "--max-degree", "3",
+                "--cache-dir", str(tmp_path)]
+        assert run(capsys, *args)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--budget", budget])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--budget must be >= 1" in capsys.readouterr().err
+
 
 class TestHomologyCommand:
     def test_golden_output(self, capsys):

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 from freejordan.jordan import (
     GradedJordanAlgebra,
+    PairSpace,
     ResourceBudgetExceeded,
     _pair_coords,
     build_free_jordan,
+    relation_row,
 )
 from freejordan.rings import GDim
 from freejordan.solver import solve_dims
@@ -119,18 +122,44 @@ class TestAlgebraStructure:
 
 
 class TestConjectureAgreement:
-    def test_two_even_generators_match_solver(self):
+    @pytest.mark.parametrize("d1, d2, max_degree", [(2, 0, 7), (1, 1, 8), (0, 2, 8)])
+    def test_construction_matches_solver(self, d1, d2, max_degree):
         # Conjecture-level cross-check at the reachable frontier.
-        alg = build_free_jordan(2, 0, 6)
-        rep = solve_dims(2, 0, 6)
-        for n in range(1, 7):
-            assert alg.dims[n] == rep.a[n - 1]
+        alg = build_free_jordan(d1, d2, max_degree)
+        rep = solve_dims(d1, d2, max_degree)
+        for n in range(1, max_degree + 1):
+            assert alg.dims[n] == rep.a[n - 1], n
 
-    def test_mixed_generators_match_solver(self):
-        alg = build_free_jordan(1, 1, 6)
-        rep = solve_dims(1, 1, 6)
-        for n in range(1, 7):
-            assert alg.dims[n] == rep.a[n - 1]
+
+class TestRelationRows:
+    @pytest.mark.parametrize("d1, d2", [(2, 0), (1, 1), (0, 2), (1, 2)])
+    def test_rows_are_s3_symmetric_up_to_koszul_sign(self, d1, d2):
+        # The construction expands only x <= y <= z.  That has the span of
+        # every ordering because an even permutation of (x, y, z) leaves the
+        # row unchanged and an odd one multiplies it by
+        # (-1)^{|x||y| + |y||z| + |z||x|}.
+        even_perms = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+        nonzero = flipped = 0
+        for n in range(4, 7):
+            alg = build_free_jordan(d1, d2, n - 1)
+            space = PairSpace(alg, n)
+            basis = [(d, u) for d in range(1, n - 2) for u in range(alg.dim(d))]
+            for triple in combinations_with_replacement(basis, 3):
+                s = n - sum(d for d, _ in triple)
+                if s < 1:
+                    continue
+                px, py, pz = (alg.parities[d][u] for d, u in triple)
+                eps = (-1) ** (px * py + py * pz + pz * px)
+                for wu in range(alg.dim(s)):
+                    row = relation_row(space, *triple, (s, wu))
+                    nonzero += bool(row)
+                    flipped += bool(row) and eps == -1
+                    for perm in permutations(range(3)):
+                        sign = 1 if perm in even_perms else eps
+                        got = relation_row(space, *(triple[k] for k in perm), (s, wu))
+                        assert got == tuple((k, sign * c) for k, c in row), (n, triple, wu, perm)
+        assert nonzero
+        assert flipped or d2 == 0
 
 
 class TestSerialization:
@@ -165,3 +194,7 @@ def test_bad_args():
         build_free_jordan(0, 0, 3)
     with pytest.raises(ValueError):
         build_free_jordan(1, 1, 0)
+    # Degree 3 has no identity instances, so only the argument check can fire.
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            build_free_jordan(1, 0, 3, budget=budget)
