@@ -122,13 +122,22 @@ class TestAlgebraStructure:
 
 
 class TestConjectureAgreement:
-    @pytest.mark.parametrize("d1, d2, max_degree", [(2, 0, 7), (1, 1, 8), (0, 2, 8)])
-    def test_construction_matches_solver(self, d1, d2, max_degree):
-        # Conjecture-level cross-check at the reachable frontier.
+    # Conjecture-level cross-check at the reachable frontier.
+    @staticmethod
+    def _assert_agreement(d1, d2, max_degree):
         alg = build_free_jordan(d1, d2, max_degree)
         rep = solve_dims(d1, d2, max_degree)
         for n in range(1, max_degree + 1):
             assert alg.dims[n] == rep.a[n - 1], n
+
+    def test_two_even_generators_match_solver(self):
+        self._assert_agreement(2, 0, 7)
+
+    def test_mixed_generators_match_solver(self):
+        self._assert_agreement(1, 1, 8)
+
+    def test_two_odd_generators_match_solver(self):
+        self._assert_agreement(0, 2, 8)
 
 
 class TestRelationRows:
