@@ -185,14 +185,9 @@ class ChainComplex:
     def _rank(self, key: BlockKey) -> int:
         """Rank of the boundary out of a block, computed once per block."""
         if key not in self._ranks:
-            cols = self.boundaries.get(key)
-            target = (key[0] - 1,) + key[1:]
-            nrows = len(self.blocks.get(target, []))
-            rank = 0
-            if cols and nrows:
-                dense = [[col.get(i, Fraction(0)) for col in cols] for i in range(nrows)]
-                rank = linalg.rank(dense)
-            self._ranks[key] = rank
+            # The columns themselves go in as rows: rank(A^T) = rank(A).
+            cols = [tuple(col.items()) for col in self.boundaries.get(key, []) if col]
+            self._ranks[key] = linalg.rank(cols) if cols else 0
         return self._ranks[key]
 
     def homology_weights(self, r: int, d: int) -> dict[int, GDim]:

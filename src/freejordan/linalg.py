@@ -1,7 +1,17 @@
-"""Exact rational Gaussian elimination: rref, rank and quotients.
+"""Exact rational row reduction of sparse rows: rref, rank and quotients.
 
-Matrices are lists of rows of Fractions (or ints).  Everything is dense;
-the matrices in this project stay small enough that simplicity wins.
+A row is a ``SparseRow``: ``(column, coefficient)`` pairs with distinct
+columns and Fraction or int coefficients; zero entries are ignored.
+``rref`` inserts the rows one at a time and keeps the pivot rows fully
+reduced after every insertion: a new row is reduced by the pivot rows
+whose columns it touches, its lowest remaining column becomes a new
+pivot, and that column is cleared from the other pivot rows.  The pivot
+rows then always have a leading 1 in their own pivot column and zeros in
+every other pivot column, and they span the rows seen so far.  A basis
+of a row space with those two properties is unique, so the output is the
+reduced row echelon form whatever the order of the input rows, and
+equals what dense Gaussian elimination gives.
+
 Every exact elimination in the package enters through ``rank`` or
 ``quotient``, and both reduce with ``rref``.
 """
@@ -11,48 +21,46 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Collection, Sequence
 
-Row = list[Fraction]
-Matrix = list[Row]
 SparseRow = tuple[tuple[int, Fraction], ...]
 
 
-def _to_fraction_rows(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _subtract(vec: dict[int, Fraction], f: Fraction, row: dict[int, Fraction], skip: int) -> None:
+    """vec -= f * row outside column ``skip``, dropping the zeros."""
+    for k, c in row.items():
+        if k != skip:
+            v = vec.get(k, 0) - f * c
+            if v:
+                vec[k] = v
+            else:
+                del vec[k]
 
 
-def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = _to_fraction_rows(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        # Pivot choice: smallest numerator magnitude among nonzero entries,
-        # to keep intermediate fractions modest.
-        best = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                if best is None or abs(m[i][c].numerator) < abs(m[best][c].numerator):
-                    best = i
-        if best is None:
+def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The rows come back sorted by pivot, each as sorted sparse pairs.
+    """
+    reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
+    # The order does not change the result; short rows first keep the
+    # pivot rows sparse for longer.
+    for row in sorted(rows, key=len):
+        vec = {k: Fraction(c) for k, c in row if c}
+        for p in [k for k in vec if k in reduced]:
+            _subtract(vec, vec.pop(p), reduced[p], p)
+        if not vec:
             continue
-        m[r], m[best] = m[best], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+        piv = min(vec)
+        inv = 1 / vec[piv]
+        vec = {k: c * inv for k, c in vec.items()}
+        for other in reduced.values():
+            if piv in other:
+                _subtract(other, other.pop(piv), vec, piv)
+        reduced[piv] = vec
+    pivots = sorted(reduced)
+    return [tuple(sorted(reduced[p].items())) for p in pivots], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+def rank(rows: Sequence[SparseRow]) -> int:
     return len(rref(rows)[1])
 
 
@@ -61,39 +69,27 @@ def quotient(
 ) -> tuple[list[int], list[tuple[Fraction, ...]]]:
     """Quotient of a coordinate space by the span of sparse relation rows.
 
-    ``parity[k]`` is the parity of coordinate k, every even coordinate
-    first.  Each row ``((k, c), ...)`` must lie in one parity block; the
-    blocks are reduced separately.  Returns the non-pivot coordinates in
+    ``parity[k]`` is the parity of coordinate k.  Each row ``((k, c), ...)``
+    must lie in one parity block.  Returns the non-pivot coordinates in
     order (the quotient basis) and, for every coordinate, its image in
     that basis.
     """
-    n = len(parity)
-    n_even = parity.count(0)
-    kept: list[int] = []
-    pivot_expr: dict[int, list[tuple[int, Fraction]]] = {}
-    for lo, hi in ((0, n_even), (n_even, n)):
-        block = []
-        for key in rows:
-            if any(lo <= k < hi for k, _ in key):
-                if not all(lo <= k < hi for k, _ in key):
-                    raise AssertionError("relation row mixes parities")
-                vec = [Fraction(0)] * (hi - lo)
-                for k, c in key:
-                    vec[k - lo] = c
-                block.append(vec)
-        reduced, pivots = rref(block) if block else ([], [])
-        pivset = set(pivots)
-        kept += [k for k in range(lo, hi) if k - lo not in pivset]
-        for row, piv in zip(reduced, pivots):
-            pivot_expr[piv + lo] = [(k + lo, -c) for k, c in enumerate(row) if k != piv and c]
+    for row in rows:
+        if len({parity[k] for k, _ in row}) > 1:
+            raise AssertionError("relation row mixes parities")
+    reduced, pivots = rref(list(rows)) if rows else ([], [])
+    pivset = set(pivots)
+    kept = [k for k in range(len(parity)) if k not in pivset]
     index = {k: q for q, k in enumerate(kept)}
+    pivot_row = dict(zip(pivots, reduced))
     projection = []
-    for k in range(n):
+    for k in range(len(parity)):
         col = [Fraction(0)] * len(kept)
         if k in index:
             col[index[k]] = Fraction(1)
         else:
-            for k2, c2 in pivot_expr[k]:
-                col[index[k2]] += c2
+            for k2, c in pivot_row[k]:
+                if k2 != k:
+                    col[index[k2]] = -c
         projection.append(tuple(col))
     return kept, projection

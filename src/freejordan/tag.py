@@ -170,19 +170,15 @@ def inner_rank_diagnostic(alg: GradedJordanAlgebra, bs: BsComponent, max_degree:
     invisible, so the true dimension may be larger.
     """
     n = bs.degree
-    flat: dict[int, list[list[Fraction]]] = {0: [], 1: []}
+    rows: dict[int, list[linalg.SparseRow]] = {0: [], 1: []}
     for idx, k in enumerate(bs.lifts):
         (i, u, j, v) = bs.coords[k]
-        vecs: list[Fraction] = []
+        flat: list[Fraction] = []
         for m in range(1, max_degree - n + 1):
             for col in alg.derivation_of(i, alg.basis_vector(i, u), j, alg.basis_vector(j, v), m):
-                vecs.extend(col)
-        flat[bs.parities[idx]].append(vecs)
-    ranks = {}
-    for p in (0, 1):
-        rows = [r for r in flat[p] if r]
-        ranks[p] = linalg.rank(rows) if rows else 0
-    return GDim(ranks[0], ranks[1])
+                flat.extend(col)
+        rows[bs.parities[idx]].append(tuple((pos, c) for pos, c in enumerate(flat) if c))
+    return GDim(linalg.rank(rows[0]), linalg.rank(rows[1]))
 
 
 @dataclass(frozen=True)
@@ -238,6 +234,7 @@ class TagAlgebra:
                         label=self.bs[n].labels[u],
                         data=(u,),
                     ))
+        self._derivations: dict[tuple[int, int, int, int, int], list[Vector]] = {}
         self.brackets: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for gi in range(len(self.basis)):
             for gj in range(len(self.basis)):
@@ -312,24 +309,31 @@ class TagAlgebra:
         comp = self.bs[el.degree]
         return comp.coords[comp.lifts[el.data[0]]]
 
+    def _derivation(self, lift: tuple[int, int, int, int], m: int) -> list[Vector]:
+        """Columns of d_{x,y} on degree m for the lift x(x)y, built once."""
+        key = lift + (m,)
+        if key not in self._derivations:
+            i, u, j, v = lift
+            alg = self.alg
+            self._derivations[key] = alg.derivation_of(
+                i, alg.basis_vector(i, u), j, alg.basis_vector(j, v), m
+            )
+        return self._derivations[key]
+
     def _bs_on_sl2(self, eb: TagElement, es: TagElement) -> Iterator[tuple[int, Fraction]]:
-        (i, u, j, v) = self._bs_lift(eb)
         a, w = es.data
         m = es.degree
-        cols = self.alg.derivation_of(
-            i, self.alg.basis_vector(i, u), j, self.alg.basis_vector(j, v), m
-        )
-        return self._sl2_tensor(a, eb.degree + m, cols[w], Fraction(1))
+        col = self._derivation(self._bs_lift(eb), m)[w]
+        return self._sl2_tensor(a, eb.degree + m, col, Fraction(1))
 
     def _bs_on_bs(self, e1: TagElement, e2: TagElement) -> Iterator[tuple[int, Fraction]]:
-        (i, u, j, v) = self._bs_lift(e1)
+        lift = self._bs_lift(e1)
+        (i, _, j, _) = lift
         (p, s, q, t) = self._bs_lift(e2)
         n = e1.degree + e2.degree
         comp = self.bs[n]
-        xv = self.alg.basis_vector(i, u)
-        yv = self.alg.basis_vector(j, v)
-        dz = self.alg.derivation_of(i, xv, j, yv, p)[s]
-        dw = self.alg.derivation_of(i, xv, j, yv, q)[t]
+        dz = self._derivation(lift, p)[s]
+        dw = self._derivation(lift, q)[t]
         amb = _zero(len(comp.coords))
         for k, c in enumerate(dz):
             if c:

@@ -131,7 +131,7 @@ class TestConjectureAgreement:
             assert alg.dims[n] == rep.a[n - 1], n
 
     def test_two_even_generators_match_solver(self):
-        self._assert_agreement(2, 0, 7)
+        self._assert_agreement(2, 0, 8)
 
     def test_mixed_generators_match_solver(self):
         self._assert_agreement(1, 1, 8)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from freejordan.jordan import build_free_jordan
+from freejordan.jordan import GradedJordanAlgebra, build_free_jordan
 from freejordan.rings import GDim
 from freejordan.solver import solve_dims_pair
 from freejordan.tag import (
@@ -157,6 +157,19 @@ class TestTagAlgebra:
         gh = tag._sl2_index[(1, 1, 0)]
         gbs = tag._bs_index[(2, 0)]
         assert tag.bracket(gh, gh) == ((gbs, Fraction(4)),)
+
+    def test_each_derivation_matrix_is_built_once(self, monkeypatch):
+        alg = build_free_jordan(1, 1, 6)
+        calls = []
+        derivation_of = GradedJordanAlgebra.derivation_of
+
+        def counted(self, i, x, j, y, m):
+            calls.append((i, tuple(x), j, tuple(y), m))
+            return derivation_of(self, i, x, j, y, m)
+
+        monkeypatch.setattr(GradedJordanAlgebra, "derivation_of", counted)
+        TagAlgebra(alg, 6)
+        assert calls and len(calls) == len(set(calls))
 
     def test_bs_action_matches_derivation(self):
         # Bracket rule 2 factors through d_{x,y}.
