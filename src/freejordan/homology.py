@@ -186,6 +186,7 @@ class ChainComplex:
         """Rank of the boundary out of a block, computed once per block."""
         if key not in self._ranks:
             # The columns themselves go in as rows: rank(A^T) = rank(A).
+            # Many keys asked for have no boundary; they cost no rref call.
             cols = [tuple(col.items()) for col in self.boundaries.get(key, []) if col]
             self._ranks[key] = linalg.rank(cols) if cols else 0
         return self._ranks[key]

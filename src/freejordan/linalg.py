@@ -77,7 +77,7 @@ def quotient(
     for row in rows:
         if len({parity[k] for k, _ in row}) > 1:
             raise AssertionError("relation row mixes parities")
-    reduced, pivots = rref(list(rows)) if rows else ([], [])
+    reduced, pivots = rref(list(rows))
     pivset = set(pivots)
     kept = [k for k in range(len(parity)) if k not in pivset]
     index = {k: q for q, k in enumerate(kept)}
