@@ -57,9 +57,12 @@ def _load_or_build(d1: int, d2: int, n: int, budget, cache: Path | None) -> Grad
     path = cache / f"oracle-{probe.cache_key()}.json" if cache else None
     if path and path.exists():
         try:
-            return GradedJordanAlgebra.from_json(path.read_text())
+            alg = GradedJordanAlgebra.from_json(path.read_text())
         except (ValueError, KeyError, TypeError):
-            pass  # unreadable or mismatched cache: a miss, rebuilt and rewritten below
+            pass  # unreadable or altered cache: a miss, rebuilt and rewritten below
+        else:
+            if (alg.d1, alg.d2, alg.max_degree) == (d1, d2, n):
+                return alg  # a file of another shape is a miss too
     alg = build_free_jordan(d1, d2, n, budget=budget)
     if path:
         _atomic_write(path, alg.to_json())
@@ -132,10 +135,7 @@ def cmd_oracle(args) -> int:
     tag = build_tag(alg, args.max_degree)
     res = residual_series(alg.graded_dims(), args.d1, args.d2)
     bs_dims = {n: tag.bs[n].dim for n in sorted(tag.bs)}
-    inn = {
-        n: inner_rank_diagnostic(alg, tag.bs[n], args.max_degree)
-        for n in range(2, args.max_degree)
-    }
+    inn = {n: inner_rank_diagnostic(tag, n) for n in range(2, args.max_degree)}
     payload = {
         "config": _config_echo(args, max_degree=args.max_degree),
         "dims": [_gd(alg.dims[n]) for n in range(1, args.max_degree + 1)],

@@ -21,6 +21,11 @@ automatically.  The quotient is taken by exact rational
 row reduction; quotient bases are the non-pivot pair coordinates in a
 canonical order (parity even-first, then the lexicographic pair shape),
 which makes the structure constants reproducible.
+
+Every vector is a ``Vector``, the package's one sparse type
+(``linalg.SparseRow``): sorted (index, coefficient) pairs with no zero
+coefficient, so the zero vector is ``()``.  The tables hold their entries
+in that form, and the cache stores them as they are held.
 """
 
 from __future__ import annotations
@@ -30,23 +35,17 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Sequence
 
 from . import linalg
 from .rings import GDim, SuperSeries
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-Vector = tuple[Fraction, ...]
-SparseVector = tuple[tuple[int, Fraction], ...]
+Vector = linalg.SparseRow
 
 
 class ResourceBudgetExceeded(Exception):
     """The relation matrix for some degree outgrew the configured budget."""
-
-
-def _zero(n: int) -> list[Fraction]:
-    return [Fraction(0)] * n
 
 
 @dataclass
@@ -54,9 +53,10 @@ class GradedJordanAlgebra:
     """Truncation of the free Jordan superalgebra with exact mult tables.
 
     ``parities[n]`` lists the parity (0 or 1) of each degree-n basis
-    element; ``tables[(i, j)]`` (only i <= j) maps a pair of basis indices
-    to the coordinates of their product in degree i + j.  Instances are
-    treated as immutable once built.
+    element; ``tables[(i, j)][u][v]`` (only i <= j) is the product of basis
+    elements u and v as a sparse ``Vector`` in degree i + j.  Instances are
+    treated as immutable once built.  ``to_json`` writes the tables as they
+    are held, with a sha256 of the payload that ``from_json`` checks.
     """
 
     d1: int
@@ -83,9 +83,9 @@ class GradedJordanAlgebra:
         return SuperSeries(self.max_degree, coeffs)
 
     def basis_vector(self, n: int, idx: int) -> Vector:
-        v = _zero(self.dim(n))
-        v[idx] = Fraction(1)
-        return tuple(v)
+        if not 0 <= idx < self.dim(n):
+            raise IndexError(f"no basis element {idx} in degree {n}")
+        return ((idx, Fraction(1)),)
 
     def multiply_basis(self, i: int, u: int, j: int, v: int) -> Vector:
         """Product of basis elements, as coordinates in degree i + j."""
@@ -95,27 +95,19 @@ class GradedJordanAlgebra:
             return self.tables[(i, j)][u][v]
         sign = (-1) ** (self.parities[i][u] * self.parities[j][v])
         w = self.tables[(j, i)][v][u]
-        return w if sign == 1 else tuple(-c for c in w)
+        return w if sign == 1 else tuple((k, -c) for k, c in w)
 
-    def multiply(self, i: int, x: Sequence[Fraction], j: int, y: Sequence[Fraction]) -> Vector:
+    def multiply(self, i: int, x: Vector, j: int, y: Vector) -> Vector:
         """Bilinear extension of the basis product."""
         if i + j > self.max_degree:
             raise ValueError(f"product degree {i + j} beyond truncation")
-        out = _zero(self.dim(i + j))
-        for u, cu in enumerate(x):
-            if not cu:
-                continue
-            for v, cv in enumerate(y):
-                if not cv:
-                    continue
-                w = self.multiply_basis(i, u, j, v)
-                c = cu * cv
-                for k, wk in enumerate(w):
-                    if wk:
-                        out[k] += c * wk
-        return tuple(out)
+        acc: dict[int, Fraction] = {}
+        for u, cu in x:
+            for v, cv in y:
+                linalg.accumulate(acc, self.multiply_basis(i, u, j, v), cu * cv)
+        return linalg.sparse_row(acc)
 
-    def derivation_of(self, i: int, x: Sequence[Fraction], j: int, y: Sequence[Fraction], m: int) -> list[Vector]:
+    def derivation_of(self, i: int, x: Vector, j: int, y: Vector, m: int) -> list[Vector]:
         """Matrix columns of [L_x, L_y] restricted to degree m.
 
         Column u is the image of the u-th degree-m basis element, living in
@@ -125,25 +117,24 @@ class GradedJordanAlgebra:
         cols = []
         for u in range(self.dim(m)):
             zu = self.basis_vector(m, u)
-            yz = self.multiply(j, y, m, zu)
-            xz = self.multiply(i, x, m, zu)
-            first = self.multiply(i, x, j + m, yz)
-            second = self.multiply(j, y, i + m, xz)
-            cols.append(tuple(a - sign * b for a, b in zip(first, second)))
+            acc: dict[int, Fraction] = {}
+            linalg.accumulate(acc, self.multiply(i, x, j + m, self.multiply(j, y, m, zu)))
+            linalg.accumulate(acc, self.multiply(j, y, i + m, self.multiply(i, x, m, zu)), -sign)
+            cols.append(linalg.sparse_row(acc))
         return cols
 
-    def _vec_parity(self, n: int, x: Sequence[Fraction]) -> int:
-        pars = {self.parities[n][u] for u, c in enumerate(x) if c}
+    def _vec_parity(self, n: int, x: Vector) -> int:
+        pars = {self.parities[n][u] for u, _ in x}
         if len(pars) > 1:
             raise ValueError("vector is not parity-homogeneous")
         return pars.pop() if pars else 0
 
     def jordan_residual(
         self,
-        x: tuple[int, Sequence[Fraction]],
-        y: tuple[int, Sequence[Fraction]],
-        z: tuple[int, Sequence[Fraction]],
-        w: tuple[int, Sequence[Fraction]],
+        x: tuple[int, Vector],
+        y: tuple[int, Vector],
+        z: tuple[int, Vector],
+        w: tuple[int, Vector],
     ) -> Vector:
         """The super Jordan identity operator applied to (x, y, z) and w.
 
@@ -153,7 +144,7 @@ class GradedJordanAlgebra:
         n = x[0] + y[0] + z[0] + w[0]
         if n > self.max_degree:
             raise ValueError("total degree beyond truncation")
-        out = _zero(self.dim(n))
+        acc: dict[int, Fraction] = {}
         triple = [x, y, z]
         for r in range(3):
             (di, xi), (dj, xj), (dk, xk) = triple[r % 3], triple[(r + 1) % 3], triple[(r + 2) % 3]
@@ -167,9 +158,9 @@ class GradedJordanAlgebra:
             t1 = self.multiply(di + dj, ab, dk + w[0], zw)
             abw = self.multiply(di + dj, ab, w[0], w[1])
             t2 = self.multiply(dk, xk, di + dj + w[0], abw)
-            for idx in range(len(out)):
-                out[idx] += s1 * (t1[idx] - s2 * t2[idx])
-        return tuple(out)
+            linalg.accumulate(acc, t1, s1)
+            linalg.accumulate(acc, t2, -s1 * s2)
+        return linalg.sparse_row(acc)
 
     # -- serialization ---------------------------------------------------
 
@@ -178,38 +169,39 @@ class GradedJordanAlgebra:
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
     def to_json(self) -> str:
-        def frac(f: Fraction) -> str:
-            return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
+        """Canonical JSON: the sparse tables as held, plus a sha256 of the rest."""
         payload = {
             "format_version": FORMAT_VERSION,
             "d1": self.d1,
             "d2": self.d2,
             "max_degree": self.max_degree,
-            "key": self.cache_key(),
             "parities": {str(n): list(p) for n, p in self.parities.items()},
             "labels": {str(n): list(v) for n, v in self.labels.items()},
             "tables": {
-                f"{i},{j}": [[[frac(c) for c in vec] for vec in row] for row in tab]
+                f"{i},{j}": [[[[k, str(c)] for k, c in vec] for vec in row] for row in tab]
                 for (i, j), tab in self.tables.items()
             },
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        payload["sha256"] = _digest(payload)
+        return _canonical(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "GradedJordanAlgebra":
+        """Inverse of ``to_json``; raises ValueError unless the sha256 matches."""
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("cache payload is not a JSON object")
+        if payload.pop("sha256", None) != _digest(payload):
+            raise ValueError("cache content does not match its sha256")
         if payload.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
         tables = {}
         for key, tab in payload["tables"].items():
             i, j = (int(s) for s in key.split(","))
             tables[(i, j)] = [
-                [tuple(Fraction(c) for c in vec) for vec in row] for row in tab
+                [tuple((k, Fraction(c)) for k, c in vec) for vec in row] for row in tab
             ]
-        alg = cls(
+        return cls(
             d1=payload["d1"],
             d2=payload["d2"],
             max_degree=payload["max_degree"],
@@ -217,9 +209,14 @@ class GradedJordanAlgebra:
             labels={int(n): tuple(v) for n, v in payload["labels"].items()},
             tables=tables,
         )
-        if alg.cache_key() != payload.get("key"):
-            raise ValueError("cache key mismatch")
-        return alg
+
+
+def _canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(payload: dict) -> str:
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
 def _pair_coords(parities: dict[int, tuple[int, ...]], n: int) -> list[tuple[int, int, int, int]]:
@@ -243,10 +240,8 @@ def _pair_coords(parities: dict[int, tuple[int, ...]], n: int) -> list[tuple[int
 class PairSpace:
     """The pair space W_n over an algebra built through degree n - 1.
 
-    Holds the canonical coordinates of W_n, the top-level product of two
-    basis elements into them, and the algebra's reduced basis products as
-    sparse vectors, each looked up from the tables once.  The memo lives as
-    long as the space, so one degree of the construction.
+    Holds the canonical coordinates of W_n and the top-level product of two
+    basis elements into them; reduced products come from ``alg``.
     """
 
     def __init__(self, alg: GradedJordanAlgebra, n: int) -> None:
@@ -257,7 +252,6 @@ class PairSpace:
         self.coord_parity = [
             (self.parities[i][u] + self.parities[j][v]) % 2 for (i, u, j, v) in self.coords
         ]
-        self._products: dict[tuple[int, int, int, int], SparseVector] = {}
 
     def outer(self, i: int, u: int, j: int, v: int) -> tuple[int, int] | None:
         """W_n coordinate and sign of the top-level product of two basis elements."""
@@ -269,15 +263,6 @@ class PairSpace:
         if i == j and u == v and self.parities[i][u] == 1:
             return None
         return self.index[(i, u, j, v)], sign
-
-    def product(self, i: int, u: int, j: int, v: int) -> SparseVector:
-        """Reduced product of two basis elements, as sparse degree-(i + j) coordinates."""
-        key = (i, u, j, v)
-        vec = self._products.get(key)
-        if vec is None:
-            dense = self.alg.multiply_basis(i, u, j, v)
-            vec = self._products[key] = tuple((k, c) for k, c in enumerate(dense) if c)
-        return vec
 
 
 def relation_row(
@@ -296,6 +281,7 @@ def relation_row(
     with the inner products reduced and the outermost one taken in W_n.
     """
     par = space.parities
+    product = space.alg.multiply_basis
     s, wu = w
     acc: dict[int, Fraction] = {}
     triple = (x, y, z)
@@ -305,9 +291,9 @@ def relation_row(
         s1 = -1 if pi & pk else 1  # (-1)^{|a||c|}
         s12 = -s1 if (pi ^ pj) & pk else s1  # times (-1)^{(|a|+|b|)|c|}
         dab = di + dj
-        ab = space.product(di, ui, dj, uj)
+        ab = product(di, ui, dj, uj)
         # (a.b).(c.w)
-        for b, cb in space.product(dk, uk, s, wu):
+        for b, cb in product(dk, uk, s, wu):
             for a, ca in ab:
                 hit = space.outer(dab, a, dk + s, b)
                 if hit is not None:
@@ -315,12 +301,12 @@ def relation_row(
                     acc[k] = acc.get(k, 0) + (s1 * sign) * ca * cb
         # c.((a.b).w)
         for a, ca in ab:
-            for b, cb in space.product(dab, a, s, wu):
+            for b, cb in product(dab, a, s, wu):
                 hit = space.outer(dk, uk, dab + s, b)
                 if hit is not None:
                     k, sign = hit
                     acc[k] = acc.get(k, 0) - (s12 * sign) * ca * cb
-    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+    return linalg.sparse_row(acc)
 
 
 def build_free_jordan(
@@ -376,7 +362,6 @@ def build_free_jordan(
 
         # Relations are parity-homogeneous; quotient basis is non-pivots.
         kept, projection = linalg.quotient(rows, space.coord_parity)
-        dim_n = len(kept)
         parities[n] = tuple(space.coord_parity[k] for k in kept)
         labels[n] = tuple(
             f"({labels[i][u]}.{labels[j][v]})"
@@ -390,11 +375,11 @@ def build_free_jordan(
                 for v in range(len(parities[j])):
                     hit = space.outer(i, u, j, v)
                     if hit is None:
-                        row_tab.append(tuple(_zero(dim_n)))
+                        row_tab.append(())
                     else:
                         k, sgn = hit
                         row_tab.append(
-                            projection[k] if sgn == 1 else tuple(-c for c in projection[k])
+                            projection[k] if sgn == 1 else tuple((q, -c) for q, c in projection[k])
                         )
                 tab.append(row_tab)
             tables[(i, j)] = tab

@@ -13,7 +13,10 @@ reduced row echelon form whatever the order of the input rows, and
 equals what dense Gaussian elimination gives.
 
 Every exact elimination in the package enters through ``rank`` or
-``quotient``, and both reduce with ``rref``.
+``quotient``, and both reduce with ``rref``.  ``SparseRow`` is also the
+one vector type of the package: the algebra's tables, Bs(J) and the TAG
+bracket hold their vectors as sorted pairs with no zero coefficient,
+built with ``accumulate`` and ``sparse_row``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,17 @@ from fractions import Fraction
 from typing import Collection, Sequence
 
 SparseRow = tuple[tuple[int, Fraction], ...]
+
+
+def accumulate(acc: dict[int, Fraction], row: SparseRow, scale: Fraction | int = 1) -> None:
+    """acc += scale * row."""
+    for k, c in row:
+        acc[k] = acc.get(k, 0) + scale * c
+
+
+def sparse_row(acc: dict[int, Fraction]) -> SparseRow:
+    """The nonzero entries of ``acc``, sorted by index."""
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
 def _subtract(vec: dict[int, Fraction], f: Fraction, row: dict[int, Fraction], skip: int) -> None:
@@ -66,30 +80,26 @@ def rank(rows: Sequence[SparseRow]) -> int:
 
 def quotient(
     rows: Collection[SparseRow], parity: Sequence[int]
-) -> tuple[list[int], list[tuple[Fraction, ...]]]:
+) -> tuple[list[int], list[SparseRow]]:
     """Quotient of a coordinate space by the span of sparse relation rows.
 
     ``parity[k]`` is the parity of coordinate k.  Each row ``((k, c), ...)``
     must lie in one parity block.  Returns the non-pivot coordinates in
     order (the quotient basis) and, for every coordinate, its image in
-    that basis.
+    that basis as a sparse row: a kept coordinate maps to ``((q, 1),)``,
+    a pivot coordinate to its pivot row negated off the pivot.
     """
     for row in rows:
         if len({parity[k] for k, _ in row}) > 1:
             raise AssertionError("relation row mixes parities")
     reduced, pivots = rref(list(rows))
-    pivset = set(pivots)
-    kept = [k for k in range(len(parity)) if k not in pivset]
-    index = {k: q for q, k in enumerate(kept)}
     pivot_row = dict(zip(pivots, reduced))
-    projection = []
-    for k in range(len(parity)):
-        col = [Fraction(0)] * len(kept)
-        if k in index:
-            col[index[k]] = Fraction(1)
-        else:
-            for k2, c in pivot_row[k]:
-                if k2 != k:
-                    col[index[k2]] = -c
-        projection.append(tuple(col))
+    kept = [k for k in range(len(parity)) if k not in pivot_row]
+    index = {k: q for q, k in enumerate(kept)}
+    # Off its pivot, a reduced row lies in kept columns only, in order.
+    projection = [
+        ((index[k], Fraction(1)),) if k in index
+        else tuple((index[k2], -c) for k2, c in pivot_row[k] if k2 != k)
+        for k in range(len(parity))
+    ]
     return kept, projection

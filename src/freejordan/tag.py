@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import linalg
-from .jordan import GradedJordanAlgebra, Vector, _zero
+from .jordan import GradedJordanAlgebra, Vector
 from .rings import GDim
 
 # sl2 basis order: e, h, f
@@ -53,10 +53,15 @@ _KAPPA = {(0, 2): 4, (2, 0): 4, (1, 1): 8}
 
 @dataclass
 class BsComponent:
-    """One z-degree of Bs(J): quotient basis and ambient projection."""
+    """One z-degree of Bs(J): quotient basis and ambient projection.
+
+    The ambient space is J (x) J in that degree, with coordinates
+    ``coords`` and their positions ``index``.
+    """
 
     degree: int
     coords: list[tuple[int, int, int, int]]  # ambient (i, u, j, v), canonical
+    index: dict[tuple[int, int, int, int], int]  # ambient coordinate -> position
     parities: tuple[int, ...]  # of the quotient basis
     labels: tuple[str, ...]
     lifts: tuple[int, ...]  # ambient coordinate index of each quotient basis elt
@@ -66,20 +71,12 @@ class BsComponent:
     def dim(self) -> GDim:
         return GDim(self.parities.count(0), self.parities.count(1))
 
-    def coord_index(self, coord: tuple[int, int, int, int]) -> int:
-        cache = getattr(self, "_coord_index", None)
-        if cache is None:
-            cache = self._coord_index = {c: k for k, c in enumerate(self.coords)}
-        return cache[coord]
-
-    def project(self, ambient: Sequence[Fraction]) -> Vector:
-        out = _zero(len(self.parities))
-        for k, c in enumerate(ambient):
-            if c:
-                for idx, p in enumerate(self.projection[k]):
-                    if p:
-                        out[idx] += c * p
-        return tuple(out)
+    def project(self, ambient: dict[int, Fraction]) -> Vector:
+        """Class of the ambient vector ``{position: coefficient}``."""
+        acc: dict[int, Fraction] = {}
+        for k, c in ambient.items():
+            linalg.accumulate(acc, self.projection[k], c)
+        return linalg.sparse_row(acc)
 
 
 def build_Bs(alg: GradedJordanAlgebra, max_degree: int) -> dict[int, BsComponent]:
@@ -103,21 +100,21 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
     cpar = lambda c: (par[c[0]][c[1]] + par[c[2]][c[3]]) % 2
     coords.sort(key=lambda c: (cpar(c), c))
     index = {c: k for k, c in enumerate(coords)}
-    nw = len(coords)
     coord_parity = [cpar(c) for c in coords]
 
     rows: dict[linalg.SparseRow, None] = {}
 
-    def add_row(row: Sequence[Fraction]) -> None:
-        if any(row):
-            rows[tuple((k, c) for k, c in enumerate(row) if c)] = None
+    def add_row(terms: list[tuple[int, Fraction]]) -> None:
+        acc: dict[int, Fraction] = {}
+        linalg.accumulate(acc, terms)
+        row = linalg.sparse_row(acc)
+        if row:
+            rows[row] = None
 
     # Supercommutator relations.
     for (i, u, j, v) in coords:
-        row = _zero(nw)
-        row[index[(i, u, j, v)]] += 1
-        row[index[(j, v, i, u)]] += (-1) ** (par[i][u] * par[j][v])
-        add_row(row)
+        sign = (-1) ** (par[i][u] * par[j][v])
+        add_row([(index[(i, u, j, v)], 1), (index[(j, v, i, u)], sign)])
 
     # Cyclic relations on basis triples.
     for p in range(1, n - 1):
@@ -126,30 +123,27 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
             if r < 1:
                 continue
             for xu in range(len(par[p])):
-                xv = alg.basis_vector(p, xu)
                 for yu in range(len(par[q])):
-                    yv = alg.basis_vector(q, yu)
-                    xy = alg.multiply(p, xv, q, yv)
+                    xy = alg.multiply_basis(p, xu, q, yu)
                     for zu in range(len(par[r])):
-                        zv = alg.basis_vector(r, zu)
                         px, py, pz = par[p][xu], par[q][yu], par[r][zu]
-                        yz = alg.multiply(q, yv, r, zv)
-                        zx = alg.multiply(r, zv, p, xv)
-                        row = _zero(nw)
-                        for s, (dd, vec, de, unit) in (
-                            ((-1) ** (px * pz), (p + q, xy, r, zu)),
-                            ((-1) ** (px * py), (q + r, yz, p, xu)),
-                            ((-1) ** (py * pz), (r + p, zx, q, yu)),
-                        ):
-                            for k, c in enumerate(vec):
-                                if c:
-                                    row[index[(dd, k, de, unit)]] += s * c
-                        add_row(row)
+                        yz = alg.multiply_basis(q, yu, r, zu)
+                        zx = alg.multiply_basis(r, zu, p, xu)
+                        add_row([
+                            (index[(dd, k, de, unit)], s * c)
+                            for s, dd, vec, de, unit in (
+                                ((-1) ** (px * pz), p + q, xy, r, zu),
+                                ((-1) ** (px * py), q + r, yz, p, xu),
+                                ((-1) ** (py * pz), r + p, zx, q, yu),
+                            )
+                            for k, c in vec
+                        ])
 
     kept, projection = linalg.quotient(rows, coord_parity)
     return BsComponent(
         degree=n,
         coords=coords,
+        index=index,
         parities=tuple(coord_parity[k] for k in kept),
         labels=tuple(
             f"{{{alg.labels[i][u]}(x){alg.labels[j][v]}}}"
@@ -160,24 +154,25 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
     )
 
 
-def inner_rank_diagnostic(alg: GradedJordanAlgebra, bs: BsComponent, max_degree: int) -> GDim:
-    """Rank of the classes of ``bs`` acting on J through degree max_degree.
+def inner_rank_diagnostic(tag: TagAlgebra, n: int) -> GDim:
+    """Rank of the degree-n classes of Bs(J) acting on J through tag.max_degree.
 
-    ``bs`` is one z-degree n = ``bs.degree`` of Bs(J), as ``build_Bs``
-    (or ``TagAlgebra.bs``) returns it for ``alg``.  The rank is a
-    truncation-dependent lower bound for the graded dimension of the
+    Reads the derivation matrices that ``tag`` has memoized.  The rank is
+    a truncation-dependent lower bound for the graded dimension of the
     degree-n inner derivations: action at z-degrees above the horizon is
     invisible, so the true dimension may be larger.
     """
-    n = bs.degree
+    bs = tag.bs[n]
     rows: dict[int, list[linalg.SparseRow]] = {0: [], 1: []}
     for idx, k in enumerate(bs.lifts):
-        (i, u, j, v) = bs.coords[k]
-        flat: list[Fraction] = []
-        for m in range(1, max_degree - n + 1):
-            for col in alg.derivation_of(i, alg.basis_vector(i, u), j, alg.basis_vector(j, v), m):
-                flat.extend(col)
-        rows[bs.parities[idx]].append(tuple((pos, c) for pos, c in enumerate(flat) if c))
+        # Each class is the concatenation of its derivation columns.
+        row: list[tuple[int, Fraction]] = []
+        offset = 0
+        for m in range(1, tag.max_degree - n + 1):
+            for col in tag._derivation(bs.coords[k], m):
+                row.extend((offset + pos, c) for pos, c in col)
+                offset += tag.alg.dim(n + m)
+        rows[bs.parities[idx]].append(tuple(row))
     return GDim(linalg.rank(rows[0]), linalg.rank(rows[1]))
 
 
@@ -258,24 +253,18 @@ class TagAlgebra:
 
     # -- bracket construction -------------------------------------------
 
-    def _sl2_tensor(self, a: int, n: int, vec: Sequence[Fraction], scale: Fraction) -> Iterator[tuple[int, Fraction]]:
-        for u, c in enumerate(vec):
-            if c:
-                yield self._sl2_index[(a, n, u)], scale * c
+    def _sl2_tensor(self, a: int, n: int, vec: Vector, scale: Fraction) -> Iterator[tuple[int, Fraction]]:
+        for u, c in vec:
+            yield self._sl2_index[(a, n, u)], scale * c
 
-    def _bs_terms(self, n: int, vec: Sequence[Fraction], scale: Fraction) -> Iterator[tuple[int, Fraction]]:
-        for u, c in enumerate(vec):
-            if c:
-                yield self._bs_index[(n, u)], scale * c
+    def _bs_terms(self, n: int, vec: Vector, scale: Fraction) -> Iterator[tuple[int, Fraction]]:
+        for u, c in vec:
+            yield self._bs_index[(n, u)], scale * c
 
     def _bracket_basis(self, gi: int, gj: int) -> tuple[tuple[int, Fraction], ...]:
         e1, e2 = self.basis[gi], self.basis[gj]
         acc: dict[int, Fraction] = {}
-
-        def add(pairs: Iterator[tuple[int, Fraction]], sign: int = 1) -> None:
-            for k, c in pairs:
-                acc[k] = acc.get(k, Fraction(0)) + sign * c
-
+        add = lambda pairs, sign=1: linalg.accumulate(acc, pairs, sign)
         n = e1.degree + e2.degree
         if e1.kind == "sl2" and e2.kind == "sl2":
             a, u = e1.data
@@ -283,8 +272,7 @@ class TagAlgebra:
             i, j = e1.degree, e2.degree
             kap = _KAPPA.get((a, b))
             if kap and n in self.bs:
-                amb = _zero(len(self.bs[n].coords))
-                amb[self.bs[n].coord_index((i, u, j, v))] = Fraction(kap, 2)
+                amb = {self.bs[n].index[(i, u, j, v)]: Fraction(kap, 2)}
                 add(self._bs_terms(n, self.bs[n].project(amb), Fraction(1)))
             for c_idx, coeff in _SL2_BRACKET.get((a, b), ()):
                 prod = self.alg.multiply_basis(i, u, j, v)
@@ -296,7 +284,7 @@ class TagAlgebra:
             add(self._bs_on_sl2(e2, e1), sign)
         else:
             add(self._bs_on_bs(e1, e2))
-        out = tuple(sorted((k, c) for k, c in acc.items() if c))
+        out = linalg.sparse_row(acc)
         for k, _ in out:
             el = self.basis[k]
             if el.degree != n or el.weight != e1.weight + e2.weight:
@@ -332,16 +320,14 @@ class TagAlgebra:
         (p, s, q, t) = self._bs_lift(e2)
         n = e1.degree + e2.degree
         comp = self.bs[n]
-        dz = self._derivation(lift, p)[s]
-        dw = self._derivation(lift, q)[t]
-        amb = _zero(len(comp.coords))
-        for k, c in enumerate(dz):
-            if c:
-                amb[comp.coord_index((i + j + p, k, q, t))] += c
         sgn = (-1) ** (e1.parity * self.alg.parities[p][s])
-        for k, c in enumerate(dw):
-            if c:
-                amb[comp.coord_index((p, s, i + j + q, k))] += sgn * c
+        amb: dict[int, Fraction] = {}
+        linalg.accumulate(amb, [
+            (comp.index[(i + j + p, k, q, t)], c) for k, c in self._derivation(lift, p)[s]
+        ])
+        linalg.accumulate(amb, [
+            (comp.index[(p, s, i + j + q, k)], c) for k, c in self._derivation(lift, q)[t]
+        ], sgn)
         return self._bs_terms(n, comp.project(amb), Fraction(1))
 
     # -- self-tests ------------------------------------------------------

@@ -144,7 +144,7 @@ def test_criterion_6_algebraic_gates():
                     for v in range(alg.dim(j)):
                         sign = (-1) ** (alg.parities[i][u] * alg.parities[j][v])
                         assert alg.multiply_basis(i, u, j, v) == tuple(
-                            sign * c for c in alg.multiply_basis(j, v, i, u)
+                            (k, sign * c) for k, c in alg.multiply_basis(j, v, i, u)
                         )
         # super Jordan residual on the full degree-compatible quadruple grid
         for du in range(alg.dim(1)):
@@ -157,7 +157,7 @@ def test_criterion_6_algebraic_gates():
                             (1, alg.basis_vector(1, dw)),
                             (1, alg.basis_vector(1, dx)),
                         )
-                        assert not any(r)
+                        assert r == ()
         # TAG anticommutativity + Jacobi on all in-range triples
         tag = build_tag(alg, 4)
         assert tag.check_jacobi() > 0

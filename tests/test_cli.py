@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -96,6 +97,30 @@ class TestOracleCommand:
         assert code == cli.EXIT_BUDGET
         assert "budget" in err
 
+    def test_edited_table_coefficient_in_cache_is_rebuilt(self, capsys, tmp_path):
+        # One altered structure constant breaks the Jacobi gate (exit 4);
+        # the cache must be rebuilt instead of served.
+        args = ["oracle", "--d1", "1", "--d2", "1", "--max-degree", "5",
+                "--cache-dir", str(tmp_path), "--format", "json"]
+        code, expected, _ = run(capsys, *args)
+        assert code == 0
+        (path,) = tmp_path.glob("oracle-*.json")
+        payload = json.loads(path.read_text())
+
+        def double_first(node):
+            # The first nonzero coefficient (a decimal or fraction string).
+            for k, item in enumerate(node):
+                if isinstance(item, str) and item != "0":
+                    node[k] = str(2 * Fraction(item))
+                    return True
+                if isinstance(item, list) and double_first(item):
+                    return True
+            return False
+
+        assert double_first(payload["tables"]["1,3"])
+        path.write_text(json.dumps(payload))
+        assert run(capsys, *args)[:2] == (0, expected)
+
     def test_each_bs_degree_is_built_once(self, capsys, tmp_path, monkeypatch):
         built = []
         build = tag._build_bs_degree
@@ -155,6 +180,32 @@ class TestVerifyCommand:
         assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
         alg = GradedJordanAlgebra.from_json(path.read_text())
         assert alg.max_degree == 4
+
+    def test_edited_parity_in_cache_is_rebuilt(self, capsys, tmp_path):
+        # A flipped basis parity changes the dims read off the cache; it must
+        # be rebuilt, not reported as a conjecture-level discrepancy.
+        args, path = self._cached(capsys, tmp_path)
+        payload = json.loads(path.read_text())
+        payload["parities"]["3"][0] ^= 1
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
+        assert GradedJordanAlgebra.from_json(path.read_text()).parities[3][0] == 0
+
+    def test_cache_of_another_shape_is_rebuilt(self, capsys, tmp_path):
+        # A valid (0|2)@4 file under the (1|1)@4 name is a miss.
+        args, path = self._cached(capsys, tmp_path)
+        other = tmp_path / "other"
+        assert run(capsys, "verify", "--d1", "0", "--d2", "2", "--max-degree", "4",
+                   "--cache-dir", str(other))[0] == 0
+        (other_path,) = other.glob("oracle-*.json")
+        path.write_text(other_path.read_text())
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
+        alg = GradedJordanAlgebra.from_json(path.read_text())
+        assert (alg.d1, alg.d2, alg.max_degree) == (1, 1, 4)
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_usage_error(self, capsys, tmp_path, budget):

@@ -120,11 +120,15 @@ def test_quotient_kills_relations_and_keeps_a_basis(seed, nrows, ncols, density)
     kept, projection = linalg.quotient(rows, parity)
     assert len(kept) == ncols - linalg.rank(rows)
     for row in rows:
-        image = [sum((c * projection[k][q] for k, c in row), Fraction(0))
-                 for q in range(len(kept))]
+        image = [Fraction(0)] * len(kept)
+        for k, c in row:
+            for q, p in projection[k]:
+                image[q] += c * p
         assert not any(image)
+    for vec in projection:
+        assert [q for q, _ in vec] == sorted({q for q, _ in vec}) and all(c for _, c in vec)
     for q, k in enumerate(kept):
-        assert projection[k] == tuple(Fraction(int(q2 == q)) for q2 in range(len(kept)))
+        assert projection[k] == ((q, 1),)
 
 
 def test_quotient_rejects_row_mixing_parities():
@@ -137,4 +141,4 @@ def test_quotient_worked_case():
     # and x0 maps to the class of x1.
     kept, projection = linalg.quotient([((0, Fraction(1)), (1, Fraction(-1)))], (0, 0, 1))
     assert kept == [1, 2]
-    assert projection == [(1, 0), (1, 0), (0, 1)]
+    assert projection == [((0, 1),), ((0, 1),), ((1, 1),)]
