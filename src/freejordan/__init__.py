@@ -1,12 +1,13 @@
 """Exact graded-dimension computations for free Jordan superalgebras."""
 
-from .homology import build_chain_complex, compute_homology
+from .homology import ChainComplex, compute_homology
 from .jordan import GradedJordanAlgebra, build_free_jordan
 from .rings import GDim, RLaurent, SuperSeries, TZSeries, t_integer
 from .solver import residual_series, solve_dims, solve_dims_pair
 from .tag import TagAlgebra, build_Bs, build_tag, inner_rank_diagnostic
 
 __all__ = [
+    "ChainComplex",
     "GDim",
     "GradedJordanAlgebra",
     "RLaurent",
@@ -14,7 +15,6 @@ __all__ = [
     "TZSeries",
     "TagAlgebra",
     "build_Bs",
-    "build_chain_complex",
     "build_free_jordan",
     "build_tag",
     "compute_homology",

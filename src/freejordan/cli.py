@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from .homology import compute_homology
-from .jordan import GradedJordanAlgebra, ResourceBudgetExceeded, build_free_jordan
+from .jordan import GradedJordanAlgebra, ResourceBudgetExceeded, build_free_jordan, cache_key
 from .rings import GDim
 from .solver import SolverStepError, residual_series, solve_dims, solve_dims_pair
 from .tag import build_tag, inner_rank_diagnostic
@@ -30,6 +30,10 @@ EXIT_INTERNAL = 4
 EXIT_DISCREPANCY = 5
 
 CACHE_ENV = "FREEJORDAN_CACHE_DIR"
+
+# Least value of each numeric argument, checked before any work starts so
+# that a ValueError raised later is an internal fault, not a usage error.
+_MINIMUM = {"order": 1, "max_degree": 1, "r_max": 0, "d_max": 1}
 
 
 def _cache_dir(args) -> Path | None:
@@ -53,8 +57,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _load_or_build(d1: int, d2: int, n: int, budget, cache: Path | None) -> GradedJordanAlgebra:
-    probe = GradedJordanAlgebra(d1, d2, n, {1: ()}, {1: ()}, {})
-    path = cache / f"oracle-{probe.cache_key()}.json" if cache else None
+    path = cache / f"oracle-{cache_key(d1, d2, n)}.json" if cache else None
     if path and path.exists():
         try:
             alg = GradedJordanAlgebra.from_json(path.read_text())
@@ -199,16 +202,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    alg = _load_or_build(args.d1, args.d2, args.dmax, args.budget, _cache_dir(args))
-    tag = build_tag(alg, args.dmax)
-    report = compute_homology(tag, args.rmax, args.dmax)
+    alg = _load_or_build(args.d1, args.d2, args.d_max, args.budget, _cache_dir(args))
+    tag = build_tag(alg, args.d_max)
+    report = compute_homology(tag, args.r_max, args.d_max)
     payload = {
-        "config": _config_echo(args, r_max=args.rmax, d_max=args.dmax),
+        "config": _config_echo(args, r_max=args.r_max, d_max=args.d_max),
         "homology": report.to_json_dict(),
     }
     lines = [
         f"homology of the TAG algebra for ({args.d1}|{args.d2}), "
-        f"r <= {args.rmax}, z-degree <= {args.dmax}:"
+        f"r <= {args.r_max}, z-degree <= {args.d_max}:"
     ]
     for (r, d), ws in sorted(report.weights.items()):
         mult = report.multiplicities[(r, d)]
@@ -246,8 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if max_degree:
             p.add_argument("--max-degree", type=int, required=True, help="construction depth")
         if homology:
-            p.add_argument("--rmax", type=int, required=True, help="top homological degree")
-            p.add_argument("--dmax", type=int, required=True, help="top z-degree")
+            p.add_argument("--rmax", dest="r_max", type=int, required=True,
+                           help="top homological degree")
+            p.add_argument("--dmax", dest="d_max", type=int, required=True, help="top z-degree")
         p.add_argument("--cache-dir", default=None, help=f"cache directory (or ${CACHE_ENV})")
         p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
         p.add_argument(
@@ -288,6 +292,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("need d1, d2 >= 0 with d1 + d2 >= 1")
         if args.budget < 1:
             parser.error("--budget must be >= 1")
+        for name, least in _MINIMUM.items():
+            if getattr(args, name, least) < least:
+                print(f"usage error: {name} must be >= {least}", file=sys.stderr)
+                return EXIT_USAGE
         return args.func(args)
     except ResourceBudgetExceeded as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
@@ -295,10 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverStepError as exc:
         print(f"solver step failed (conjectured solvability violated): {exc}", file=sys.stderr)
         return EXIT_DISCREPANCY
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -48,7 +48,7 @@ class ChainComplex:
         self.blocks: dict[BlockKey, list[Monomial]] = {}
         self.index: dict[BlockKey, dict[Monomial, int]] = {}
         self._enumerate()
-        self.boundaries: dict[BlockKey, list[dict[int, Fraction]]] = {}
+        self.boundaries: dict[BlockKey, list[linalg.SparseRow]] = {}
         for key in self.blocks:
             self.boundaries[key] = self._boundary_block(key)
         self._check_d_squared()
@@ -148,7 +148,7 @@ class ChainComplex:
                     out[new] = out.get(new, Fraction(0)) + sign * s2 * c
         return {m: c for m, c in out.items() if c}
 
-    def _boundary_block(self, key: BlockKey) -> list[dict[int, Fraction]]:
+    def _boundary_block(self, key: BlockKey) -> list[linalg.SparseRow]:
         """Sparse boundary columns for a block, rows indexed in V_{r-1}."""
         r, d, w, par = key
         if r == 0:
@@ -162,7 +162,7 @@ class ChainComplex:
                 if self.block_key(m2) != target:
                     raise AssertionError("boundary leaves its block")
                 col[tindex[m2]] = c
-            cols.append(col)
+            cols.append(linalg.sparse_row(col))
         return cols
 
     def _check_d_squared(self) -> None:
@@ -172,9 +172,8 @@ class ChainComplex:
             below = self.boundaries.get((r - 1, d, w, par), [])
             for col in cols:
                 acc: dict[int, Fraction] = {}
-                for i, c in col.items():
-                    for k, c2 in below[i].items():
-                        acc[k] = acc.get(k, Fraction(0)) + c * c2
+                for i, c in col:
+                    linalg.accumulate(acc, below[i], c)
                 if any(acc.values()):
                     raise AssertionError(
                         f"d^2 != 0 on block r={r} d={d} weight={w} parity={par}"
@@ -187,7 +186,7 @@ class ChainComplex:
         if key not in self._ranks:
             # The columns themselves go in as rows: rank(A^T) = rank(A).
             # Many keys asked for have no boundary; they cost no rref call.
-            cols = [tuple(col.items()) for col in self.boundaries.get(key, []) if col]
+            cols = [col for col in self.boundaries.get(key, []) if col]
             self._ranks[key] = linalg.rank(cols) if cols else 0
         return self._ranks[key]
 
@@ -213,28 +212,6 @@ class ChainComplex:
                 )
             if pair[0] or pair[1]:
                 out[w] = GDim(pair[0], pair[1])
-        return out
-
-    def isotypic_multiplicities(self, r: int, d: int) -> dict[int, GDim]:
-        """Multiplicity of the irreducible of highest weight 2m in H_r.
-
-        mult(2m) = dim(weight 2m) - dim(weight 2m + 2); all weights here
-        are even, and a negative multiplicity signals a broken weight
-        string, which is raised rather than returned.
-        """
-        ws = self.homology_weights(r, d)
-        if any(w % 2 for w in ws):
-            raise AssertionError(f"odd h-weight in H_{r} at z-degree {d}")
-        top = max((w for w in ws), default=0)
-        out: dict[int, GDim] = {}
-        for w in range(0, top + 1, 2):
-            m = ws.get(w, GDIM_ZERO) - ws.get(w + 2, GDIM_ZERO)
-            if m.even < 0 or m.odd < 0:
-                raise AssertionError(
-                    f"negative multiplicity at weight {w} in H_{r}, z-degree {d}"
-                )
-            if m:
-                out[w] = m
         return out
 
     # -- Euler characteristic cross-check --------------------------------
@@ -282,8 +259,27 @@ class ChainComplex:
         return through + 1
 
 
-def build_chain_complex(tag: TagAlgebra, r_max: int, d_max: int) -> ChainComplex:
-    return ChainComplex(tag, r_max, d_max)
+def isotypic_multiplicities(ws: dict[int, GDim], r: int, d: int) -> dict[int, GDim]:
+    """Multiplicity of the irreducible of highest weight 2m in H_r at z-degree d.
+
+    ``ws`` is dim H_r per h-weight, as ``homology_weights`` returns it.
+    mult(2m) = dim(weight 2m) - dim(weight 2m + 2); all weights here are
+    even, and a negative multiplicity signals a broken weight string,
+    which is raised rather than returned.
+    """
+    if any(w % 2 for w in ws):
+        raise AssertionError(f"odd h-weight in H_{r} at z-degree {d}")
+    top = max(ws, default=0)
+    out: dict[int, GDim] = {}
+    for w in range(0, top + 1, 2):
+        m = ws.get(w, GDIM_ZERO) - ws.get(w + 2, GDIM_ZERO)
+        if m.even < 0 or m.odd < 0:
+            raise AssertionError(
+                f"negative multiplicity at weight {w} in H_{r}, z-degree {d}"
+            )
+        if m:
+            out[w] = m
+    return out
 
 
 @dataclass
@@ -324,7 +320,7 @@ class HomologyReport:
 
 def compute_homology(tag: TagAlgebra, r_max: int, d_max: int) -> HomologyReport:
     """Full report: homology on complete (r, d) blocks plus the Euler gate."""
-    cc = build_chain_complex(tag, r_max, d_max)
+    cc = ChainComplex(tag, r_max, d_max)
     report = HomologyReport(tag.alg.d1, tag.alg.d2, r_max, d_max)
     for r in range(0, r_max + 1):
         for d in range(0, d_max + 1):
@@ -334,7 +330,7 @@ def compute_homology(tag: TagAlgebra, r_max: int, d_max: int) -> HomologyReport:
             ws = cc.homology_weights(r, d)
             if ws:
                 report.weights[(r, d)] = ws
-                report.multiplicities[(r, d)] = cc.isotypic_multiplicities(r, d)
+                report.multiplicities[(r, d)] = isotypic_multiplicities(ws, r, d)
     if r_max >= 1:
         report.euler_checked_through = min(d_max, r_max) + 1
         cc.euler_check(min(d_max, r_max))

@@ -164,10 +164,6 @@ class GradedJordanAlgebra:
 
     # -- serialization ---------------------------------------------------
 
-    def cache_key(self) -> str:
-        raw = f"{self.d1}|{self.d2}|{self.max_degree}|{FORMAT_VERSION}"
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
     def to_json(self) -> str:
         """Canonical JSON: the sparse tables as held, plus a sha256 of the rest."""
         payload = {
@@ -209,6 +205,12 @@ class GradedJordanAlgebra:
             labels={int(n): tuple(v) for n, v in payload["labels"].items()},
             tables=tables,
         )
+
+
+def cache_key(d1: int, d2: int, max_degree: int) -> str:
+    """Name of the cached algebra of this shape in the current format."""
+    raw = f"{d1}|{d2}|{max_degree}|{FORMAT_VERSION}"
+    return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
 
 def _canonical(payload: dict) -> str:

@@ -14,9 +14,10 @@ equals what dense Gaussian elimination gives.
 
 Every exact elimination in the package enters through ``rank`` or
 ``quotient``, and both reduce with ``rref``.  ``SparseRow`` is also the
-one vector type of the package: the algebra's tables, Bs(J) and the TAG
-bracket hold their vectors as sorted pairs with no zero coefficient,
-built with ``accumulate`` and ``sparse_row``.
+one vector type of the package: the algebra's tables, Bs(J), the TAG
+bracket and the Chevalley-Eilenberg boundary columns hold their vectors
+as sorted pairs with no zero coefficient, built with ``accumulate`` and
+``sparse_row``.
 """
 
 from __future__ import annotations

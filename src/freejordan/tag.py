@@ -27,6 +27,7 @@ are checked exhaustively after construction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -229,14 +230,23 @@ class TagAlgebra:
                         label=self.bs[n].labels[u],
                         data=(u,),
                     ))
+        self._degrees = [el.degree for el in self.basis]
         self._derivations: dict[tuple[int, int, int, int, int], list[Vector]] = {}
-        self.brackets: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-        for gi in range(len(self.basis)):
-            for gj in range(len(self.basis)):
-                if self.basis[gi].degree + self.basis[gj].degree <= max_degree:
-                    terms = self._bracket_basis(gi, gj)
-                    if terms:
-                        self.brackets[(gi, gj)] = terms
+        self.brackets: dict[tuple[int, int], Vector] = {}
+        for gi, gj in self._pairs(max_degree):
+            terms = self._bracket_basis(gi, gj)
+            if terms:
+                self.brackets[(gi, gj)] = terms
+
+    def _pairs(self, max_total: int) -> Iterator[tuple[int, int]]:
+        """Basis index pairs whose z-degrees sum to at most ``max_total``.
+
+        The basis is ordered by degree, so the partners of gi are an
+        initial segment of it.
+        """
+        for gi, d in enumerate(self._degrees):
+            for gj in range(bisect_right(self._degrees, max_total - d)):
+                yield gi, gj
 
     def graded_dims(self) -> dict[int, GDim]:
         out: dict[int, GDim] = {}
@@ -333,61 +343,39 @@ class TagAlgebra:
     # -- self-tests ------------------------------------------------------
 
     def check_anticommutativity(self) -> None:
-        nb = len(self.basis)
-        for gi in range(nb):
-            for gj in range(nb):
-                if self.basis[gi].degree + self.basis[gj].degree > self.max_degree:
-                    continue
-                sign = (-1) ** (self.basis[gi].parity * self.basis[gj].parity)
-                lhs = dict(self.brackets.get((gi, gj), ()))
-                for k, c in self.brackets.get((gj, gi), ()):
-                    lhs[k] = lhs.get(k, Fraction(0)) + sign * c
-                if any(lhs.values()):
-                    raise AssertionError(
-                        f"anticommutativity fails on ({self.basis[gi].label}, "
-                        f"{self.basis[gj].label})"
-                    )
-
-    def _bracket_vec(self, vec: dict[int, Fraction], gj: int) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for gi, c in vec.items():
-            for k, c2 in self.brackets.get((gi, gj), ()):
-                out[k] = out.get(k, Fraction(0)) + c * c2
-        return out
+        """[x, y] + (-1)^{|x||y|} [y, x] = 0 on every in-range basis pair."""
+        for gi, gj in self._pairs(self.max_degree):
+            acc = dict(self.brackets.get((gi, gj), ()))
+            sign = (-1) ** (self.basis[gi].parity * self.basis[gj].parity)
+            linalg.accumulate(acc, self.brackets.get((gj, gi), ()), sign)
+            if any(acc.values()):
+                raise AssertionError(
+                    f"anticommutativity fails on ({self.basis[gi].label}, "
+                    f"{self.basis[gj].label})"
+                )
 
     def check_jacobi(self) -> int:
-        """Super Jacobi on every in-range basis triple; returns the count."""
+        """Super Jacobi on every in-range basis triple; returns the count.
+
+        The Jacobiator of (i, j, k) is the sum over its cyclic rotations
+        (a, b, c) of (-1)^{|a||c|} [[a, b], c], each read off the table.
+        """
         count = 0
-        nb = len(self.basis)
-        for gi in range(nb):
-            di, pi = self.basis[gi].degree, self.basis[gi].parity
-            for gj in range(nb):
-                dj, pj = self.basis[gj].degree, self.basis[gj].parity
-                if di + dj >= self.max_degree:
-                    continue
-                ij = dict(self.brackets.get((gi, gj), ()))
-                for gk in range(nb):
-                    dk, pk = self.basis[gk].degree, self.basis[gk].parity
-                    if di + dj + dk > self.max_degree:
-                        continue
-                    acc: dict[int, Fraction] = {}
-                    s1 = (-1) ** (pi * pk)
-                    for k, c in self._bracket_vec(ij, gk).items():
-                        acc[k] = acc.get(k, Fraction(0)) + s1 * c
-                    jk = dict(self.brackets.get((gj, gk), ()))
-                    s2 = (-1) ** (pj * pi)
-                    for k, c in self._bracket_vec(jk, gi).items():
-                        acc[k] = acc.get(k, Fraction(0)) + s2 * c
-                    ki = dict(self.brackets.get((gk, gi), ()))
-                    s3 = (-1) ** (pk * pj)
-                    for k, c in self._bracket_vec(ki, gj).items():
-                        acc[k] = acc.get(k, Fraction(0)) + s3 * c
-                    if any(acc.values()):
-                        raise AssertionError(
-                            f"Jacobi fails on ({self.basis[gi].label}, "
-                            f"{self.basis[gj].label}, {self.basis[gk].label})"
-                        )
-                    count += 1
+        par = [el.parity for el in self.basis]
+        for gi, gj in self._pairs(self.max_degree - 1):
+            top = self.max_degree - self._degrees[gi] - self._degrees[gj]
+            for gk in range(bisect_right(self._degrees, top)):
+                acc: dict[int, Fraction] = {}
+                for a, b, c in ((gi, gj, gk), (gj, gk, gi), (gk, gi, gj)):
+                    sign = (-1) ** (par[a] * par[c])
+                    for m, coeff in self.brackets.get((a, b), ()):
+                        linalg.accumulate(acc, self.brackets.get((m, c), ()), sign * coeff)
+                if any(acc.values()):
+                    raise AssertionError(
+                        f"Jacobi fails on ({self.basis[gi].label}, "
+                        f"{self.basis[gj].label}, {self.basis[gk].label})"
+                    )
+                count += 1
         return count
 
     def structure_constants_json(self) -> dict:

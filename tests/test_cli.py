@@ -52,6 +52,27 @@ class TestSolveCommand:
         assert "usage error" in err
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--max-degree", "0"],
+        ["verify", "--max-degree", "-1"],
+        ["homology", "--rmax", "2", "--dmax", "0"],
+    ], ids=["oracle-max-degree", "verify-max-degree", "dmax"])
+    def test_out_of_range_argument_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv[:1], "--d1", "1", "--d2", "1", *argv[1:])
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(alg, n):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(cli, "build_tag", broken)
+        code, _, err = run(capsys, "oracle", "--d1", "0", "--d2", "1", "--max-degree", "3")
+        assert code == cli.EXIT_INTERNAL
+        assert "usage error" not in err
+
+
 class TestSolveAbCommand:
     def test_golden(self, capsys):
         code, out, _ = run(

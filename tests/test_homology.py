@@ -1,7 +1,7 @@
 import pytest
 
 from freejordan import linalg
-from freejordan.homology import build_chain_complex, compute_homology
+from freejordan.homology import ChainComplex, compute_homology, isotypic_multiplicities
 from freejordan.jordan import build_free_jordan
 from freejordan.rings import GDim
 from freejordan.tag import build_tag
@@ -13,32 +13,49 @@ def tag_for(d1, d2, n):
 
 class TestChainComplex:
     def test_h0_is_the_ground_field(self):
-        cc = build_chain_complex(tag_for(0, 1, 3), 3, 3)
+        cc = ChainComplex(tag_for(0, 1, 3), 3, 3)
         assert cc.homology_weights(0, 0) == {0: GDim(1, 0)}
 
     def test_symmetric_square_block(self):
         # For one odd generator: g_odd = sl2 (x) y (3 elements, z-degree 1),
         # g_even = {y(x)y} (z-degree 2).  V_2 at z-degree 2 is S^2 of the
         # odd part: 6 monomials, no exterior contribution.
-        cc = build_chain_complex(tag_for(0, 1, 4), 4, 4)
+        cc = ChainComplex(tag_for(0, 1, 4), 4, 4)
         dims = cc.block_dim(2, 2)
         assert sum(dims.values()) == 6
         assert all(par == 0 for (_w, par) in dims)
 
     def test_d_squared_gate_runs(self):
         # construction asserts d^2 = 0 on every block
-        build_chain_complex(tag_for(0, 1, 6), 4, 6)
-        build_chain_complex(tag_for(1, 1, 4), 4, 4)
+        ChainComplex(tag_for(0, 1, 6), 4, 6)
+        ChainComplex(tag_for(1, 1, 4), 4, 4)
+
+    def test_d_squared_gate_catches_one_doubled_entry(self):
+        # An entry over a nonzero lower boundary column; doubling an entry
+        # over a zero one leaves d^2 = 0.
+        cc = ChainComplex(tag_for(1, 1, 4), 4, 4)
+        cols, j, i = next(
+            (cols, j, i)
+            for key, cols in cc.boundaries.items() if key[0] >= 3
+            for j, col in enumerate(cols)
+            for i, _ in col
+            if cc.boundaries[(key[0] - 1,) + key[1:]][i]
+        )
+        cols[j] = tuple((k, 2 * c if k == i else c) for k, c in cols[j])
+        with pytest.raises(AssertionError, match="d\\^2"):
+            cc._check_d_squared()
 
     def test_boundary_preserves_grading(self):
-        cc = build_chain_complex(tag_for(1, 1, 3), 3, 3)
+        cc = ChainComplex(tag_for(1, 1, 3), 3, 3)
         for key, mons in cc.blocks.items():
             for mon in mons:
                 for m2 in cc.boundary_monomial(mon):
                     assert cc.block_key(m2) == (key[0] - 1,) + key[1:]
+            # Columns are held as linalg's sparse rows.
+            assert all(col == linalg.sparse_row(dict(col)) for col in cc.boundaries[key])
 
     def test_completeness_horizon(self):
-        cc = build_chain_complex(tag_for(0, 1, 5), 3, 5)
+        cc = ChainComplex(tag_for(0, 1, 5), 3, 5)
         assert cc.is_complete(3, 5)
         assert not cc.is_complete(4, 5)  # r_max cut
         assert cc.is_complete(6, 5)  # empty: every factor has z-degree >= 1
@@ -47,12 +64,12 @@ class TestChainComplex:
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
-            build_chain_complex(tag_for(0, 1, 3), 2, 4)
+            ChainComplex(tag_for(0, 1, 3), 2, 4)
 
     def test_negative_r_max_is_rejected(self):
         # A negative cap would never stop the enumeration.
         with pytest.raises(ValueError):
-            build_chain_complex(tag_for(0, 1, 5), -1, 5)
+            ChainComplex(tag_for(0, 1, 5), -1, 5)
 
     def test_each_block_is_ranked_once(self, monkeypatch):
         tag = tag_for(1, 1, 4)
@@ -61,9 +78,25 @@ class TestChainComplex:
         monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or rref(rows))
         compute_homology(tag, 4, 4)
         monkeypatch.undo()
-        blocks = build_chain_complex(tag, 4, 4).blocks
+        blocks = ChainComplex(tag, 4, 4).blocks
         assert len(blocks) == 101
         assert 0 < len(calls) <= len(blocks)
+
+
+    def test_each_homology_block_is_weighed_once(self, monkeypatch):
+        # The multiplicities come from the weights already computed.
+        calls = []
+        weights = ChainComplex.homology_weights
+        monkeypatch.setattr(ChainComplex, "homology_weights",
+                            lambda cc, r, d: calls.append((r, d)) or weights(cc, r, d))
+        compute_homology(tag_for(1, 1, 4), 4, 4)
+        assert len(calls) == len(set(calls)) > 0
+
+    @pytest.mark.parametrize("ws", [{0: GDim(1, 0), 2: GDim(2, 0)}, {1: GDim(1, 0)}],
+                             ids=["broken-weight-string", "odd-weight"])
+    def test_multiplicities_reject_impossible_weights(self, ws):
+        with pytest.raises(AssertionError):
+            isotypic_multiplicities(ws, 2, 3)
 
 
 class TestHomologyValues:
@@ -94,11 +127,11 @@ class TestHomologyValues:
                     assert set(mult) <= {4}, "L(4)-isotypic"
 
     def test_euler_characteristic(self):
-        cc = build_chain_complex(tag_for(1, 1, 5), 5, 5)
+        cc = ChainComplex(tag_for(1, 1, 5), 5, 5)
         assert cc.euler_check() == 6
 
     def test_euler_needs_complete_columns(self):
-        cc = build_chain_complex(tag_for(1, 1, 4), 2, 4)
+        cc = ChainComplex(tag_for(1, 1, 4), 2, 4)
         with pytest.raises(ValueError):
             cc.chain_character(3)
 

@@ -11,6 +11,7 @@ from freejordan.jordan import (
     ResourceBudgetExceeded,
     _pair_coords,
     build_free_jordan,
+    cache_key,
     relation_row,
 )
 from freejordan.rings import GDim
@@ -179,10 +180,7 @@ class TestSerialization:
         assert clone.labels == alg.labels
 
     def test_cache_key_depends_on_shape(self):
-        a = build_free_jordan(1, 1, 3)
-        b = build_free_jordan(1, 1, 4)
-        c = build_free_jordan(0, 2, 3)
-        assert len({a.cache_key(), b.cache_key(), c.cache_key()}) == 3
+        assert len({cache_key(1, 1, 3), cache_key(1, 1, 4), cache_key(0, 2, 3)}) == 3
 
     def test_corrupted_cache_rejected(self):
         alg = build_free_jordan(0, 2, 3)

@@ -195,10 +195,32 @@ class TestTagAlgebra:
         assert {el.weight for el in tag.basis} <= {-2, 0, 2}
 
     def test_self_tests_pass(self):
-        # build_tag runs exhaustive anticommutativity and Jacobi checks.
-        alg = build_free_jordan(0, 2, 5)
-        tag = build_tag(alg, 5)
-        assert tag.check_jacobi() > 0
+        # build_tag runs exhaustive anticommutativity and Jacobi checks;
+        # the count is every ordered in-range triple.
+        for d1, d2, n, triples in [(0, 2, 5, 2376), (1, 1, 4, 1080), (2, 0, 5, 5256)]:
+            tag = build_tag(build_free_jordan(d1, d2, n), n)
+            assert tag.check_jacobi() == triples, (d1, d2, n)
+
+    def test_anticommutativity_gate_catches_one_scaled_entry(self):
+        tag = TagAlgebra(build_free_jordan(1, 1, 4), 4)
+        key = next(k for k in tag.brackets if k[0] != k[1])
+        tag.brackets[key] = tuple((k, 2 * c) for k, c in tag.brackets[key])
+        with pytest.raises(AssertionError, match="anticommutativity"):
+            tag.check_anticommutativity()
+
+    def test_jacobi_gate_catches_a_doubled_antisymmetric_pair(self):
+        # Doubling [gi,gj] and [gj,gi] together keeps anticommutativity, so
+        # only the Jacobi gate can see it.
+        tag = TagAlgebra(build_free_jordan(1, 1, 4), 4)
+        gi, gj = next(
+            (gi, gj) for gi, gj in tag.brackets
+            if gi < gj and tag.basis[gi].degree + tag.basis[gj].degree < tag.max_degree
+        )
+        for key in ((gi, gj), (gj, gi)):
+            tag.brackets[key] = tuple((k, 2 * c) for k, c in tag.brackets[key])
+        tag.check_anticommutativity()
+        with pytest.raises(AssertionError, match="Jacobi"):
+            tag.check_jacobi()
 
     def test_structure_constants_serialize(self):
         import json
