@@ -145,7 +145,11 @@ class ChainComplex:
                     if ins is None:
                         continue
                     new, s2 = ins
-                    out[new] = out.get(new, Fraction(0)) + sign * s2 * c
+                    term = c if sign == s2 else -c  # both signs are +-1
+                    if new in out:
+                        out[new] += term
+                    else:
+                        out[new] = term
         return {m: c for m, c in out.items() if c}
 
     def _boundary_block(self, key: BlockKey) -> list[linalg.SparseRow]:

@@ -29,9 +29,18 @@ SparseRow = tuple[tuple[int, Fraction], ...]
 
 
 def accumulate(acc: dict[int, Fraction], row: SparseRow, scale: Fraction | int = 1) -> None:
-    """acc += scale * row."""
+    """acc += scale * row.
+
+    A new key takes its term as it is, and scale 1 multiplies nothing:
+    seeding with the int 0 would cost a ``Fraction.__radd__`` per entry.
+    """
+    if scale != 1:
+        row = [(k, scale * c) for k, c in row]
     for k, c in row:
-        acc[k] = acc.get(k, 0) + scale * c
+        if k in acc:
+            acc[k] += c
+        else:
+            acc[k] = c
 
 
 def sparse_row(acc: dict[int, Fraction]) -> SparseRow:

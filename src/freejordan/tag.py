@@ -21,8 +21,10 @@ carries the bracket
 
 where k is the sl2 trace form with k(e,f) = 4 and k(h,h) = 8.  Everything
 is graded: a(x)x has the z-degree of x and h-weight +2/0/-2 for a = e/h/f;
-Bs classes have weight 0.  Anticommutativity and the super Jacobi identity
-are checked exhaustively after construction.
+Bs classes have weight 0.  After construction, anticommutativity is checked
+on every unordered in-range basis pair and the super Jacobi identity on
+every sorted in-range basis triple; by graded antisymmetry the other
+orderings follow from these, so both checks are exhaustive.
 """
 
 from __future__ import annotations
@@ -238,14 +240,15 @@ class TagAlgebra:
             if terms:
                 self.brackets[(gi, gj)] = terms
 
-    def _pairs(self, max_total: int) -> Iterator[tuple[int, int]]:
+    def _pairs(self, max_total: int, unordered: bool = False) -> Iterator[tuple[int, int]]:
         """Basis index pairs whose z-degrees sum to at most ``max_total``.
 
         The basis is ordered by degree, so the partners of gi are an
-        initial segment of it.
+        initial segment of it.  ``unordered`` keeps only gi <= gj.
         """
         for gi, d in enumerate(self._degrees):
-            for gj in range(bisect_right(self._degrees, max_total - d)):
+            start = gi if unordered else 0
+            for gj in range(start, bisect_right(self._degrees, max_total - d)):
                 yield gi, gj
 
     def graded_dims(self) -> dict[int, GDim]:
@@ -343,8 +346,13 @@ class TagAlgebra:
     # -- self-tests ------------------------------------------------------
 
     def check_anticommutativity(self) -> None:
-        """[x, y] + (-1)^{|x||y|} [y, x] = 0 on every in-range basis pair."""
-        for gi, gj in self._pairs(self.max_degree):
+        """[x, y] + (-1)^{|x||y|} [y, x] = 0 on every unordered in-range pair.
+
+        The condition for (y, x) is (-1)^{|x||y|} times the one for (x, y),
+        so checking gi <= gj reads every table entry, once as [x, y] and
+        once as the partner [y, x].
+        """
+        for gi, gj in self._pairs(self.max_degree, unordered=True):
             acc = dict(self.brackets.get((gi, gj), ()))
             sign = (-1) ** (self.basis[gi].parity * self.basis[gj].parity)
             linalg.accumulate(acc, self.brackets.get((gj, gi), ()), sign)
@@ -355,16 +363,22 @@ class TagAlgebra:
                 )
 
     def check_jacobi(self) -> int:
-        """Super Jacobi on every in-range basis triple; returns the count.
+        """Super Jacobi on every sorted in-range basis triple; returns the count.
 
         The Jacobiator of (i, j, k) is the sum over its cyclic rotations
         (a, b, c) of (-1)^{|a||c|} [[a, b], c], each read off the table.
+        Only gi <= gj <= gk is checked, repeats included, and that covers
+        every ordered triple once ``check_anticommutativity`` has passed:
+        the Jacobiator is invariant under rotation as written, and with
+        [b, a] = -(-1)^{|a||b|} [a, b] swapping two arguments multiplies it
+        by -(-1)^{|a||b|+|b||c|+|c||a|}.  So every permutation of a triple
+        gives plus or minus the Jacobiator of the sorted triple.
         """
         count = 0
         par = [el.parity for el in self.basis]
-        for gi, gj in self._pairs(self.max_degree - 1):
+        for gi, gj in self._pairs(self.max_degree - 1, unordered=True):
             top = self.max_degree - self._degrees[gi] - self._degrees[gj]
-            for gk in range(bisect_right(self._degrees, top)):
+            for gk in range(gj, bisect_right(self._degrees, top)):
                 acc: dict[int, Fraction] = {}
                 for a, b, c in ((gi, gj, gk), (gj, gk, gi), (gk, gi, gj)):
                     sign = (-1) ** (par[a] * par[c])

@@ -47,6 +47,28 @@ def test_rank_random_products():
         assert linalg.rank(sparse(m)) == expected
 
 
+@pytest.mark.parametrize(
+    "scale", [1, -3, Fraction(2, 3), Fraction(1)], ids=["one", "int", "fraction", "fraction-one"]
+)
+def test_accumulate_matches_reference(scale):
+    # Int and Fraction coefficients on overlapping keys; the last row
+    # cancels key 1, which sparse_row must drop.
+    rows = [
+        ((0, 2), (1, Fraction(1, 2))),
+        ((1, Fraction(3, 2)), (2, -1), (4, Fraction(-5, 7))),
+        ((1, -2), (3, 7)),
+    ]
+    acc = {5: Fraction(1, 3)}
+    expect = {5: Fraction(1, 3)}
+    for row in rows:
+        linalg.accumulate(acc, row, scale)
+        for k, c in row:
+            expect[k] = expect.get(k, 0) + scale * c
+    assert acc == expect
+    assert linalg.sparse_row(acc) == tuple(sorted((k, c) for k, c in expect.items() if c))
+    assert 1 not in dict(linalg.sparse_row(acc))
+
+
 def random_sparse_rows(rng, nrows, ncols, density):
     """Random integer rows with some exact duplicates and combinations."""
     rows = []

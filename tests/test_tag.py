@@ -15,6 +15,35 @@ from freejordan.tag import (
 )
 
 
+def ordered_jacobi_failures(tag):
+    """Messages naming every ordered in-range triple whose Jacobiator is nonzero.
+
+    Sums (-1)^{|a||c|} [[a,b],c] over the cyclic rotations with plain dict
+    arithmetic, independently of ``check_jacobi``.
+    """
+    deg = [el.degree for el in tag.basis]
+    par = [el.parity for el in tag.basis]
+    n = len(tag.basis)
+    failing = set()
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if deg[i] + deg[j] + deg[k] > tag.max_degree:
+                    continue
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    sign = (-1) ** (par[a] * par[c])
+                    for m, coeff in tag.brackets.get((a, b), ()):
+                        for q, v in tag.brackets.get((m, c), ()):
+                            acc[q] = acc.get(q, 0) + sign * coeff * v
+                if any(acc.values()):
+                    failing.add(
+                        f"Jacobi fails on ({tag.basis[i].label}, "
+                        f"{tag.basis[j].label}, {tag.basis[k].label})"
+                    )
+    return failing
+
+
 class TestBs:
     def test_one_odd_generator(self):
         # Bs of the 1-dimensional odd algebra: one even class {y(x)y}.
@@ -196,17 +225,35 @@ class TestTagAlgebra:
 
     def test_self_tests_pass(self):
         # build_tag runs exhaustive anticommutativity and Jacobi checks;
-        # the count is every ordered in-range triple.
-        for d1, d2, n, triples in [(0, 2, 5, 2376), (1, 1, 4, 1080), (2, 0, 5, 5256)]:
+        # the count is every sorted in-range triple gi <= gj <= gk, which
+        # covers every ordered one once anticommutativity holds.
+        for d1, d2, n, triples in [
+            (0, 2, 5, 476), (1, 1, 4, 224), (2, 0, 5, 1016), (1, 1, 6, 2030),
+        ]:
             tag = build_tag(build_free_jordan(d1, d2, n), n)
             assert tag.check_jacobi() == triples, (d1, d2, n)
 
     def test_anticommutativity_gate_catches_one_scaled_entry(self):
-        tag = TagAlgebra(build_free_jordan(1, 1, 4), 4)
-        key = next(k for k in tag.brackets if k[0] != k[1])
-        tag.brackets[key] = tuple((k, 2 * c) for k, c in tag.brackets[key])
-        with pytest.raises(AssertionError, match="anticommutativity"):
-            tag.check_anticommutativity()
+        # Every entry the gate constrains, on either side of the diagonal:
+        # the sorted-pair loop reads the ``below`` entries with gi > gj only
+        # as the partner [y,x].  An odd [x,x] is symmetric, so it is left out.
+        for d1, d2, below in [(1, 1, 138), (0, 2, 90)]:
+            tag = TagAlgebra(build_free_jordan(d1, d2, 4), 4)
+            keys = [(gi, gj) for gi, gj in tag.brackets
+                    if gi != gj or tag.basis[gi].parity == 0]
+            assert sum(gi > gj for gi, gj in keys) == below, (d1, d2)
+            for key in keys:
+                terms = tag.brackets[key]
+                tag.brackets[key] = tuple((k, 2 * c) for k, c in terms)
+                with pytest.raises(AssertionError, match="anticommutativity"):
+                    tag.check_anticommutativity()
+                tag.brackets[key] = terms
+            # An even [x,x] is zero, so it is not in the table; plant one.
+            gx = next(g for g, el in enumerate(tag.basis)
+                      if el.parity == 0 and 2 * el.degree <= tag.max_degree)
+            tag.brackets[(gx, gx)] = ((0, Fraction(1)),)
+            with pytest.raises(AssertionError, match="anticommutativity"):
+                tag.check_anticommutativity()
 
     def test_jacobi_gate_catches_a_doubled_antisymmetric_pair(self):
         # Doubling [gi,gj] and [gj,gi] together keeps anticommutativity, so
@@ -221,6 +268,31 @@ class TestTagAlgebra:
         tag.check_anticommutativity()
         with pytest.raises(AssertionError, match="Jacobi"):
             tag.check_jacobi()
+
+    @pytest.mark.parametrize("d1,d2,npairs", [(1, 1, 47), (0, 2, 35)])
+    def test_sorted_jacobi_gate_agrees_with_every_ordered_triple(self, d1, d2, npairs):
+        # Double each antisymmetric pair in turn.  The sorted-triple gate
+        # must fail exactly when some ordered triple fails, and name a
+        # failing triple.
+        tag = TagAlgebra(build_free_jordan(d1, d2, 4), 4)
+        pairs = [(gi, gj) for gi, gj in tag.brackets
+                 if gi < gj and tag._degrees[gi] + tag._degrees[gj] < tag.max_degree]
+        assert len(pairs) == npairs
+        caught = 0
+        for gi, gj in pairs:
+            saved = {key: tag.brackets[key] for key in ((gi, gj), (gj, gi))}
+            for key, terms in saved.items():
+                tag.brackets[key] = tuple((k, 2 * c) for k, c in terms)
+            failing = ordered_jacobi_failures(tag)
+            if failing:
+                with pytest.raises(AssertionError, match="Jacobi") as err:
+                    tag.check_jacobi()
+                assert str(err.value) in failing
+                caught += 1
+            else:
+                tag.check_jacobi()
+            tag.brackets.update(saved)
+        assert caught == npairs
 
     def test_structure_constants_serialize(self):
         import json
