@@ -11,14 +11,23 @@ and on a line tensored with the adjoint sl2 character (t-weights -2,0,2)
     lambda(a z^m [adjoint]) = (1 - [2]_t z^m + z^{2m}, 0)^e *
         (sum_i [2i+1]_t z^{2im}, -sum_i [2i+2]_t z^{(2i+1)m})^o.
 
-Infinite products over lines n >= 1 are finite after truncation because the
-n-th factor is congruent to 1 mod z^n.
+One line factor serves every product: the degree-n factor of
+
+    Phi(a, b) = lambda(a(z) [adjoint] + (a + b)(z))
+
+is ``phi_line(a_n, b_n, n, order)``.  The adjoint character product is
+Psi(a) = Phi(a, -a), and the plain lambda-operation is lambda(c) =
+Phi(0, c), whose factors are t-free.  Infinite products over lines n >= 1
+are finite after truncation because the n-th factor is congruent to 1
+mod z^n.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .rings import (
@@ -57,42 +66,11 @@ def _one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
     return TZSeries(order, terms)
 
 
-def _collapse_t_free(f: TZSeries) -> SuperSeries:
-    return SuperSeries(f.order, [c[0] for c in f.coeffs])
-
-
-def line_pow_even(m: int, k: int, order: int) -> SuperSeries:
-    """(1 - z^m)^k for any integer k."""
-    return _collapse_t_free(_one_minus_pow(GDIM_ONE, 0, m, k, order))
-
-
 def _odd_line_pow(m: int, k: int, order: int) -> TZSeries:
     """(1/(1-z^{2m}), -z^m/(1-z^{2m}))^k as a t-free TZSeries."""
     return _one_minus_pow(GDIM_ONE, 0, 2 * m, -k, order) * _one_minus_pow(
         GDim(0, 1), 0, m, k, order
     )
-
-
-def line_pow_odd(m: int, k: int, order: int) -> SuperSeries:
-    """(1/(1-z^{2m}), -z^m/(1-z^{2m}))^k for any integer k."""
-    return _collapse_t_free(_odd_line_pow(m, k, order))
-
-
-def lambda_line(a: GDim, m: int, order: int) -> SuperSeries:
-    """lambda of the class a z^m, for one graded line in degree m >= 1."""
-    if m < 1:
-        raise ValueError("line degree must be >= 1")
-    return line_pow_even(m, a.even, order) * line_pow_odd(m, a.odd, order)
-
-
-def lambda_series(a: SuperSeries) -> SuperSeries:
-    """lambda of an arbitrary a(z) in zR[[z]], as the product of line factors."""
-    _require_no_constant(a, "a")
-    out = SuperSeries.one(a.order)
-    for n in range(1, a.order + 1):
-        if a[n]:
-            out = out * lambda_line(a[n], n, a.order)
-    return out
 
 
 def adjoint_even_line(m: int, order: int) -> TZSeries:
@@ -140,57 +118,28 @@ def adjoint_odd_line_pow(m: int, k: int, order: int) -> TZSeries:
     return f
 
 
-def lambda_adjoint_line(a: GDim, m: int, order: int) -> TZSeries:
-    """lambda of the class a z^m tensored with the adjoint sl2 character."""
-    if m < 1:
-        raise ValueError("line degree must be >= 1")
-    return adjoint_even_line_pow(m, a.even, order) * adjoint_odd_line_pow(
-        m, a.odd, order
-    )
-
-
-def lambda_adjoint_series(a: SuperSeries) -> TZSeries:
-    """lambda of a(z) tensor adjoint: the product of adjoint line factors."""
-    _require_no_constant(a, "a")
-    out = TZSeries.one(a.order)
-    for n in range(1, a.order + 1):
-        if a[n]:
-            out = out * lambda_adjoint_line(a[n], n, a.order)
-    return out
-
-
-def theta_series(a: SuperSeries, b: SuperSeries) -> SuperSeries:
-    """The t-free cofactor: lambda of (a + b)(z) in R[[z]]."""
-    _require_no_constant(a, "a")
-    _require_no_constant(b, "b")
-    return lambda_series(a + b)
-
-
 def phi_line(an: GDim, bn: GDim, n: int, order: int) -> TZSeries:
     """Degree-n factor of Phi(a, b): lambda of an z^n [adjoint] + (an + bn) z^n.
 
     Phi is the product of these factors over n >= 1; the t-free part of the
-    class, (an + bn) z^n, contributes the plain line factors.
+    class, (an + bn) z^n, contributes the plain line factors.  Those come
+    first, while the partial product is still t-free and cheap to multiply.
     """
     s = an + bn
-    out = TZSeries.one(order)
-    if an.even:
-        out = out * adjoint_even_line_pow(n, an.even, order)
+    factors = []
     if s.even:
-        out = out * _one_minus_pow(GDIM_ONE, 0, n, s.even, order)
-    if an.odd:
-        out = out * adjoint_odd_line_pow(n, an.odd, order)
+        factors.append(_one_minus_pow(GDIM_ONE, 0, n, s.even, order))
     if s.odd:
-        out = out * _odd_line_pow(n, s.odd, order)
-    return out
+        factors.append(_odd_line_pow(n, s.odd, order))
+    if an.even:
+        factors.append(adjoint_even_line_pow(n, an.even, order))
+    if an.odd:
+        factors.append(adjoint_odd_line_pow(n, an.odd, order))
+    return reduce(mul, factors) if factors else TZSeries.one(order)
 
 
 def phi_series(a: SuperSeries, b: SuperSeries) -> TZSeries:
-    """lambda of a(z) tensor adjoint plus b(z), as the explicit product.
-
-    Identically equal to lambda_adjoint_series(a) * theta_series(a, b); the
-    product form below keeps the factors line by line.
-    """
+    """lambda of a(z) tensor adjoint plus b(z), as the explicit product."""
     _require_no_constant(a, "a")
     _require_no_constant(b, "b")
     a._check(b)
@@ -200,6 +149,11 @@ def phi_series(a: SuperSeries, b: SuperSeries) -> TZSeries:
         if a[n] or b[n]:
             out = out * phi_line(a[n], b[n], n, order)
     return out
+
+
+def lambda_adjoint_series(a: SuperSeries) -> TZSeries:
+    """Psi(a), lambda of a(z) tensor adjoint: the product Phi(a, -a)."""
+    return phi_series(a, -a)
 
 
 def residue_kernel(d1: int, d2: int, order: int) -> TZSeries:

@@ -48,7 +48,8 @@ class GDim:
         return self.even == other.even and self.odd == other.odd
 
     def __hash__(self) -> int:
-        return hash((self.even, self.odd))
+        # Equal to the int `even` when odd == 0, so it must hash like it.
+        return hash(self.even) if self.odd == 0 else hash((self.even, self.odd))
 
     def __bool__(self) -> bool:
         return self.even != 0 or self.odd != 0

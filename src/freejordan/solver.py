@@ -18,8 +18,12 @@ of their own line, affinely and with a slope that does not depend on n:
 solvers read that slope off the closed-form degree-1 line, check it against
 the constant, and then keep one running product P of the lines found so
 far, at the final order: the z^n defect of P alone determines the n-th
-coefficients, whose line is then multiplied into P.  A final residual over
-the whole solution is reported as ``residual_order``.
+coefficients, whose line is then multiplied into P.  At the end P is the
+whole product, so the residual of the solution is read off it: each step
+zeroes its own degree, and a nonzero residual (a line that disagrees with
+the checked slope) raises ``SolverStepError`` at its first degree.
+``residual_series`` and ``pair_residuals`` evaluate given series instead,
+such as the dimensions of a constructed algebra.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lambda_ops import (
-    lambda_adjoint_line,
     lambda_adjoint_series,
     phi_line,
     phi_series,
@@ -62,8 +65,8 @@ class SolveReport:
     order: int
     a: tuple[GDim, ...]  # coefficients for n = 1..order
     b: Optional[tuple[GDim, ...]]
-    step_matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    residual_order: int
+    step_matrix: tuple[tuple[int, ...], ...]  # the slope at every degree
+    residual_order: int  # order + 1: the solvers raise on a nonzero residual
 
     def a_series(self) -> SuperSeries:
         return SuperSeries(self.order, (GDIM_ZERO,) + self.a)
@@ -94,6 +97,15 @@ def _step_matrix(columns: list[list[GDim]], expected) -> tuple[tuple[int, ...], 
     return m
 
 
+def _residual_order(*residuals: SuperSeries) -> int:
+    """Vanishing order of the final residuals; raise at a nonzero degree."""
+    v = min(r.vanishing_order() for r in residuals)
+    if v <= residuals[0].order:
+        values = ", ".join(str(r[v]) for r in residuals)
+        raise SolverStepError(v, f"residual {values} at z^{v} is not zero")
+    return v
+
+
 def residual_series(a: SuperSeries, d1: int, d2: int, order: int | None = None) -> SuperSeries:
     """Res_{t=0} psi * Psi(a) dt as a series; callers assert vanishing.
 
@@ -112,7 +124,7 @@ def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
     _check_args(d1, d2, order)
     psi = residue_kernel(d1, d2, order)
     step = _step_matrix(
-        [[(psi[0] * lambda_adjoint_line(u, 1, 1)[1]).residue()] for u in _UNITS],
+        [[(psi[0] * phi_line(u, -u, 1, 1)[1]).residue()] for u in _UNITS],
         MINUS_IDENTITY,
     )
     a: list[GDim] = [GDIM_ZERO]  # index 0 unused
@@ -122,28 +134,30 @@ def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
         an = (psi[0] * prod[n] + psi[1] * prod[n - 1]).residue()
         a.append(an)
         if an:
-            prod = prod * lambda_adjoint_line(an, n, order)
+            prod = prod * phi_line(an, -an, n, order)
 
-    res = residual_series(SuperSeries(order, a), d1, d2)
     return SolveReport(
         d1=d1,
         d2=d2,
         order=order,
         a=tuple(a[1:]),
         b=None,
-        step_matrices=(step,) * order,
-        residual_order=res.vanishing_order(),
+        step_matrix=step,
+        residual_order=_residual_order((psi * prod).residue_series()),
     )
+
+
+def _pair_defects(phi: TZSeries, d1: int, d2: int) -> tuple[SuperSeries, SuperSeries]:
+    e1 = extract_L0(phi) - SuperSeries.one(phi.order)
+    e2 = extract_L2(phi) + SuperSeries.monomial(GDim(d1, d2), 1, phi.order)
+    return e1, e2
 
 
 def pair_residuals(
     a: SuperSeries, b: SuperSeries, d1: int, d2: int
 ) -> tuple[SuperSeries, SuperSeries]:
     """Defects of the two-equation system for given (a, b); zero on solution."""
-    phi = phi_series(a, b)
-    e1 = extract_L0(phi) - SuperSeries.one(a.order)
-    e2 = extract_L2(phi) + SuperSeries.monomial(GDim(d1, d2), 1, a.order)
-    return e1, e2
+    return _pair_defects(phi_series(a, b), d1, d2)
 
 
 def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
@@ -164,13 +178,12 @@ def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
         if an or bn:
             prod = prod * phi_line(an, bn, n, order)
 
-    e1, e2 = pair_residuals(SuperSeries(order, a), SuperSeries(order, b), d1, d2)
     return SolveReport(
         d1=d1,
         d2=d2,
         order=order,
         a=tuple(a[1:]),
         b=tuple(b[1:]),
-        step_matrices=(step,) * order,
-        residual_order=min(e1.vanishing_order(), e2.vanishing_order()),
+        step_matrix=step,
+        residual_order=_residual_order(*_pair_defects(prod, d1, d2)),
     )

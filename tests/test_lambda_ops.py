@@ -8,11 +8,8 @@ from freejordan.lambda_ops import (
     adjoint_odd_line_pow,
     lambda_adjoint_series,
     lambda_direct,
-    lambda_line,
-    lambda_series,
     phi_series,
     residue_kernel,
-    theta_series,
 )
 from freejordan.rings import (
     GDIM_ONE,
@@ -32,15 +29,24 @@ def series_from_pieces(pieces, order):
     return SuperSeries(order, coeffs)
 
 
+def plain_lambda(c: SuperSeries) -> SuperSeries:
+    """lambda(c): the t^0 part of Phi(0, c), whose line factors are t-free."""
+    return t_component(phi_series(SuperSeries.zero(c.order), c), 0)
+
+
+def t_component(f: TZSeries, i: int) -> SuperSeries:
+    return SuperSeries(f.order, [c[i] for c in f.coeffs])
+
+
 class TestLambdaLine:
     def test_single_even_vector(self):
         # One even vector in degree m: lambda = 1 - z^m.
-        f = lambda_line(GDim(1, 0), 2, 8)
+        f = plain_lambda(SuperSeries.monomial(GDim(1, 0), 2, 8))
         assert f == SuperSeries.one(8) - SuperSeries.monomial(GDIM_ONE, 2, 8)
 
     def test_single_odd_vector(self):
         # One odd vector: alternating tail 1 - (0,1)z^m + z^{2m} - ...
-        f = lambda_line(GDim(0, 1), 1, 6)
+        f = plain_lambda(SuperSeries.monomial(GDim(0, 1), 1, 6))
         expect = [GDIM_ONE, GDim(0, -1), GDIM_ONE, GDim(0, -1),
                   GDIM_ONE, GDim(0, -1), GDIM_ONE]
         assert f == SuperSeries(6, expect)
@@ -58,24 +64,22 @@ class TestLambdaLine:
                     pieces[m] = g + (GDim(1, 0) if par == 0 else GDim(0, 1))
                 piece_list = [(g, m) for m, g in pieces.items()]
                 direct = lambda_direct(piece_list, order)
-                closed = lambda_series(series_from_pieces(piece_list, order))
+                closed = plain_lambda(series_from_pieces(piece_list, order))
                 assert direct == closed, f"mismatch for pieces {piece_list}"
 
     def test_homomorphism_random(self):
-        """lambda(a + b) = lambda(a) lambda(b) on random effective classes."""
+        """Phi(a + c, b + d) = Phi(a, b) Phi(c, d) on random effective pairs."""
         rng = random.Random(11)
         order = 10
+
+        def rand():
+            return SuperSeries(order, [GDIM_ZERO] + [
+                GDim(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(order)
+            ])
+
         for _ in range(100):
-            a = SuperSeries(order, [GDIM_ZERO] + [
-                GDim(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(order)
-            ])
-            b = SuperSeries(order, [GDIM_ZERO] + [
-                GDim(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(order)
-            ])
-            assert lambda_series(a + b) == lambda_series(a) * lambda_series(b)
-            assert lambda_adjoint_series(a + b) == (
-                lambda_adjoint_series(a) * lambda_adjoint_series(b)
-            )
+            a, b, c, d = rand(), rand(), rand(), rand()
+            assert phi_series(a + c, b + d) == phi_series(a, b) * phi_series(c, d)
 
 
 class TestAdjointLines:
@@ -118,7 +122,7 @@ class TestCharacterProducts:
                 GDim(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(order)
             ])
             lhs = phi_series(a, b)
-            rhs = lambda_adjoint_series(a) * TZSeries.from_super(theta_series(a, b))
+            rhs = lambda_adjoint_series(a) * TZSeries.from_super(plain_lambda(a + b))
             assert lhs == rhs
 
     def test_residue_kernel_shape(self):
@@ -126,10 +130,6 @@ class TestCharacterProducts:
         assert psi.coeffs[0] == RLaurent({0: GDIM_ONE, 1: GDim(-1, 0)})
         assert psi.coeffs[1] == RLaurent({-1: GDim(2, 3), 0: GDim(-2, -3)})
         assert all(not psi.coeffs[n] for n in range(2, 6))
-
-
-def t_component(f: TZSeries, i: int) -> SuperSeries:
-    return SuperSeries(f.order, [c[i] for c in f.coeffs])
 
 
 def poly(order, **terms):

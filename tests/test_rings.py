@@ -56,6 +56,14 @@ class TestGDim:
         assert GDim(0, 1)
         assert -GDim(1, -2) == GDim(-1, 2)
 
+    def test_hash_agrees_with_int_equality(self):
+        # GDim(n, 0) == n, so both must land in the same set or dict slot.
+        assert GDim(1, 0) == 1 and 1 in {GDim(1, 0)}
+        assert GDim(-3, 0) in {-3}
+        assert len({GDim(0, 0), 0}) == 1
+        assert {GDim(2, 0): "x"}[2] == "x"
+        assert GDim(1, 1) not in {1} and len({GDim(0, 1), 0}) == 2
+
 
 class TestSuperSeries:
     def test_geometric_inverse(self):

@@ -43,8 +43,7 @@ class TestSolveDims:
         # The linearization at each degree is -I: the residue moves
         # one-for-one against the unknown coefficient.
         rep = solve_dims(1, 2, 6)
-        for m in rep.step_matrices:
-            assert m == ((-1, 0), (0, -1))
+        assert rep.step_matrix == ((-1, 0), (0, -1))
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -101,7 +100,7 @@ class TestSolveDimsPair:
         perm = ((0, 0, -1, 0), (0, 0, 0, -1), (-1, 0, 0, 0), (0, -1, 0, 0))
         for d1, d2 in [(2, 1), (0, 1), (1, 0), (1, 1), (0, 3)]:
             rep = solve_dims_pair(d1, d2, 5)
-            assert rep.step_matrices == (perm,) * 5, (d1, d2)
+            assert rep.step_matrix == perm, (d1, d2)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -114,8 +113,8 @@ class TestStepConstant:
     """A line factor whose slope is not the known constant is refused."""
 
     def test_wrong_single_slope(self, monkeypatch, capsys):
-        line = solver.lambda_adjoint_line
-        monkeypatch.setattr(solver, "lambda_adjoint_line", lambda a, m, order: line(a, m, order) ** 2)
+        line = solver.phi_line
+        monkeypatch.setattr(solver, "phi_line", lambda a, b, m, order: line(a, b, m, order) ** 2)
         with pytest.raises(SolverStepError, match="step linearization"):
             solve_dims(1, 1, 4)
         assert cli.main(["solve", "--d1", "1", "--d2", "1", "--order", "4"]) == cli.EXIT_DISCREPANCY
@@ -126,3 +125,33 @@ class TestStepConstant:
         monkeypatch.setattr(solver, "phi_line", lambda a, b, m, order: line(a, b, m, order) ** 2)
         with pytest.raises(SolverStepError, match="step linearization"):
             solve_dims_pair(1, 1, 4)
+
+
+class TestResidualGate:
+    """A line that is wrong only above degree 1 passes the slope check; the
+    residual read off the final product must still refuse it."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_above_degree_1(self, monkeypatch):
+        line = solver.phi_line
+        monkeypatch.setattr(
+            solver, "phi_line",
+            lambda a, b, m, order: line(a, b, m, order) ** (2 if m >= 2 else 1),
+        )
+
+    def test_single_equation_raises_at_first_nonzero_degree(self):
+        with pytest.raises(SolverStepError, match="at z\\^2 is not zero") as exc:
+            solve_dims(1, 1, 6)
+        assert exc.value.step == 2
+
+    def test_pair_system_raises_at_first_nonzero_degree(self):
+        with pytest.raises(SolverStepError, match="at z\\^2 is not zero") as exc:
+            solve_dims_pair(1, 1, 6)
+        assert exc.value.step == 2
+
+    @pytest.mark.parametrize("command", ["solve", "solve-ab"])
+    def test_cli_exits_with_discrepancy(self, command, capsys):
+        argv = [command, "--d1", "1", "--d2", "1", "--order", "6"]
+        assert cli.main(argv) == cli.EXIT_DISCREPANCY
+        captured = capsys.readouterr()
+        assert "step 2" in captured.err and captured.out == ""
