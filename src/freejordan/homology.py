@@ -335,7 +335,5 @@ def compute_homology(tag: TagAlgebra, r_max: int, d_max: int) -> HomologyReport:
             if ws:
                 report.weights[(r, d)] = ws
                 report.multiplicities[(r, d)] = isotypic_multiplicities(ws, r, d)
-    if r_max >= 1:
-        report.euler_checked_through = min(d_max, r_max) + 1
-        cc.euler_check(min(d_max, r_max))
+    report.euler_checked_through = cc.euler_check(min(d_max, r_max))
     return report

@@ -20,6 +20,10 @@ Psi(a) = Phi(a, -a), and the plain lambda-operation is lambda(c) =
 Phi(0, c), whose factors are t-free.  Infinite products over lines n >= 1
 are finite after truncation because the n-th factor is congruent to 1
 mod z^n.
+
+The solvers read these products through L0(c) = c_0 - c_{-1} =
+Res_{t=0} (t^-1 - 1) c dt and L2(c) = c_{-1} - c_{-2} = Res_{t=0} (1 - t) c dt
+(``rings``), the multiplicities of the trivial and adjoint sl2 isotypes.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import Sequence
 
 from .rings import (
     GDIM_ONE,
+    GDIM_X,
     GDIM_ZERO,
     GDim,
     RLaurent,
@@ -66,13 +71,6 @@ def _one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
     return TZSeries(order, terms)
 
 
-def _odd_line_pow(m: int, k: int, order: int) -> TZSeries:
-    """(1/(1-z^{2m}), -z^m/(1-z^{2m}))^k as a t-free TZSeries."""
-    return _one_minus_pow(GDIM_ONE, 0, 2 * m, -k, order) * _one_minus_pow(
-        GDim(0, 1), 0, m, k, order
-    )
-
-
 def adjoint_even_line(m: int, order: int) -> TZSeries:
     """(1 - [2]_t z^m + z^{2m}, 0): lambda of one even vector tensor adjoint."""
     out = TZSeries.one(order)
@@ -97,44 +95,34 @@ def adjoint_odd_line(m: int, order: int) -> TZSeries:
     return TZSeries(order, full)
 
 
-def adjoint_even_line_pow(m: int, k: int, order: int) -> TZSeries:
-    """(1 - [2]_t z^m + z^{2m})^k, factored as ((1 - t z^m)(1 - z^m/t))^k."""
-    return _one_minus_pow(GDIM_ONE, 1, m, k, order) * _one_minus_pow(
-        GDIM_ONE, -1, m, k, order
-    )
-
-
-def adjoint_odd_line_pow(m: int, k: int, order: int) -> TZSeries:
-    """k-th power of the odd adjoint line, via its four-factor closed form.
-
-    The base line equals (1/(1-t^2 z^{2m}), -t z^m/(1-t^2 z^{2m})) times the
-    same with t replaced by 1/t, so its powers reduce to four binomial
-    expansions.
-    """
-    f = _one_minus_pow(GDIM_ONE, 2, 2 * m, -k, order)
-    f = f * _one_minus_pow(GDIM_ONE, -2, 2 * m, -k, order)
-    f = f * _one_minus_pow(GDim(0, 1), 1, m, k, order)
-    f = f * _one_minus_pow(GDim(0, 1), -1, m, k, order)
-    return f
-
-
 def phi_line(an: GDim, bn: GDim, n: int, order: int) -> TZSeries:
     """Degree-n factor of Phi(a, b): lambda of an z^n [adjoint] + (an + bn) z^n.
 
-    Phi is the product of these factors over n >= 1; the t-free part of the
-    class, (an + bn) z^n, contributes the plain line factors.  Those come
-    first, while the partial product is still t-free and cheap to multiply.
+    Phi is the product of these factors over n >= 1.  Each line is a
+    product of binomials (1 - c t^e z^m)^k, listed below as (c, e, m, k):
+    the plain lines of (an + bn) z^n, then the adjoint lines of an z^n.
+    The t-free lines come first, while the partial product is still t-free
+    and cheap to multiply; each line's sparse binomials are multiplied
+    together before they meet the denser partial product.
     """
     s = an + bn
-    factors = []
-    if s.even:
-        factors.append(_one_minus_pow(GDIM_ONE, 0, n, s.even, order))
-    if s.odd:
-        factors.append(_odd_line_pow(n, s.odd, order))
-    if an.even:
-        factors.append(adjoint_even_line_pow(n, an.even, order))
-    if an.odd:
-        factors.append(adjoint_odd_line_pow(n, an.odd, order))
+    table = (
+        # plain even line: 1 - z^n
+        ((GDIM_ONE, 0, n, s.even),),
+        # plain odd line: (1 - x z^n) / (1 - z^{2n})
+        ((GDIM_ONE, 0, 2 * n, -s.odd), (GDIM_X, 0, n, s.odd)),
+        # adjoint even line: 1 - [2]_t z^n + z^{2n} = (1 - t z^n)(1 - z^n/t)
+        ((GDIM_ONE, 1, n, an.even), (GDIM_ONE, -1, n, an.even)),
+        # adjoint odd line:
+        #   (1 - x t z^n)(1 - x z^n/t) / ((1 - t^2 z^{2n})(1 - z^{2n}/t^2))
+        ((GDIM_ONE, 2, 2 * n, -an.odd), (GDIM_ONE, -2, 2 * n, -an.odd),
+         (GDIM_X, 1, n, an.odd), (GDIM_X, -1, n, an.odd)),
+    )
+    factors = [
+        reduce(mul, [_one_minus_pow(c, e, m, k, order) for c, e, m, k in line])
+        for line in table
+        if line[0][3]
+    ]
     return reduce(mul, factors) if factors else TZSeries.one(order)
 
 
@@ -154,22 +142,6 @@ def phi_series(a: SuperSeries, b: SuperSeries) -> TZSeries:
 def lambda_adjoint_series(a: SuperSeries) -> TZSeries:
     """Psi(a), lambda of a(z) tensor adjoint: the product Phi(a, -a)."""
     return phi_series(a, -a)
-
-
-def residue_kernel(d1: int, d2: int, order: int) -> TZSeries:
-    """The weight factor (d1 z, d2 z) t^-1 + (1 - d1 z, -d2 z) + (-1, 0) t.
-
-    Pairing it with the adjoint character product under Res_{t=0} gives the
-    recurrence that determines the graded dimensions.
-    """
-    if d1 < 0 or d2 < 0:
-        raise ValueError("generator counts must be >= 0")
-    z0 = RLaurent({0: GDIM_ONE, 1: GDim(-1, 0)})
-    z1 = RLaurent({-1: GDim(d1, d2), 0: GDim(-d1, -d2)})
-    coeffs = [z0]
-    if order >= 1:
-        coeffs.append(z1)
-    return TZSeries(order, coeffs)
 
 
 def lambda_direct(pieces: Sequence[tuple[GDim, int]], order: int) -> SuperSeries:

@@ -200,9 +200,6 @@ class _TruncatedSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        return type(self)(self.order, [c * a for a in self.coeffs])
-
     def inverse(self):
         """Multiplicative inverse; requires an invertible constant term."""
         inv0 = self.coeffs[0].inverse()
@@ -382,10 +379,6 @@ class RLaurent:
         e, c = self.terms[0]
         return RLaurent({-e: c.inverse()})
 
-    def residue(self) -> GDim:
-        """Res_{t=0} f dt: the coefficient at t^-1."""
-        return self[-1]
-
     def is_t_symmetric(self) -> bool:
         """Whether the coefficient at t^e always equals the one at t^-e."""
         return all(self[e] == self[-e] for e, _ in self.terms)
@@ -441,20 +434,26 @@ class TZSeries(_TruncatedSeries):
                         acc[e] = acc.get(e, GDIM_ZERO) + c1 * c2
         return TZSeries(n, [RLaurent(d) for d in out])
 
-    def residue_series(self) -> SuperSeries:
-        """Apply Res_{t=0} (.) dt coefficientwise in z."""
-        return SuperSeries(self.order, [c.residue() for c in self.coeffs])
+
+def L0(c: RLaurent) -> GDim:
+    """Res_{t=0} (t^-1 - 1) c dt = c_0 - c_{-1}.
+
+    For a t-symmetric sl2 character c (weight 2k at t^k), the multiplicity
+    of the trivial isotype; L2 gives that of the adjoint isotype.
+    """
+    return c[0] - c[-1]
 
 
-_T_INV_MINUS_ONE = RLaurent({-1: GDIM_ONE, 0: -GDIM_ONE})
-_ONE_MINUS_T = RLaurent({0: GDIM_ONE, 1: -GDIM_ONE})
+def L2(c: RLaurent) -> GDim:
+    """Res_{t=0} (1 - t) c dt = c_{-1} - c_{-2}."""
+    return c[-1] - c[-2]
 
 
 def extract_L0(f: TZSeries) -> SuperSeries:
-    """Trivial-isotype extractor: Res_{t=0}(t^-1 - 1) f dt per z-degree."""
-    return f.scale(_T_INV_MINUS_ONE).residue_series()
+    """L0 of every z-coefficient."""
+    return SuperSeries(f.order, [L0(c) for c in f.coeffs])
 
 
 def extract_L2(f: TZSeries) -> SuperSeries:
-    """Adjoint-isotype extractor: Res_{t=0}(1 - t) f dt per z-degree."""
-    return f.scale(_ONE_MINUS_T).residue_series()
+    """L2 of every z-coefficient."""
+    return SuperSeries(f.order, [L2(c) for c in f.coeffs])

@@ -3,12 +3,18 @@
 Two solvers live here.  ``solve_dims`` determines the series a(z) from the
 single residue equation
 
-    Res_{t=0} psi * Psi(a) dt = 0        (psi the degree-1 weight factor),
+    Res_{t=0} psi * Psi(a) dt = 0,    psi = (1 - t) + D z (t^-1 - 1),
 
-``solve_dims_pair`` determines (a(z), b(z)) from the two-equation system
+with D = (d1, d2); ``solve_dims_pair`` determines (a(z), b(z)) from the
+two-equation system
 
     Res_{t=0} (t^-1 - 1) Phi(a, b) dt = (1, 0),
-    Res_{t=0} (1 - t)    Phi(a, b) dt = -(D1, D2) z.
+    Res_{t=0} (1 - t)    Phi(a, b) dt = -D z.
+
+Each residue is a difference of t-coefficients: Res (t^-1 - 1) c dt =
+c_0 - c_{-1} = L0(c) and Res (1 - t) c dt = c_{-1} - c_{-2} = L2(c), the
+multiplicities of the trivial and the adjoint sl2 isotypes in c.  So the
+single equation's z^n residue is L2(Psi_n) + D L0(Psi_{n-1}).
 
 Psi and Phi are products of line factors, the degree-n factor depending
 only on the n-th coefficients and being a series in z^n.  So the unknown
@@ -31,13 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .lambda_ops import (
-    lambda_adjoint_series,
-    phi_line,
-    phi_series,
-    residue_kernel,
-)
-from .rings import GDIM_ZERO, GDim, SuperSeries, TZSeries, extract_L0, extract_L2
+from .lambda_ops import lambda_adjoint_series, phi_line, phi_series
+from .rings import GDIM_ZERO, L0, L2, GDim, SuperSeries, TZSeries, extract_L0, extract_L2
 
 # Slope of the z^n defects in the n-th unknowns.  Single equation: rows
 # (even, odd) of the residue, columns (even, odd) of a_n.  Pair system:
@@ -77,11 +78,20 @@ class SolveReport:
         return SuperSeries(self.order, (GDIM_ZERO,) + self.b)
 
 
-def _check_args(d1: int, d2: int, order: int) -> None:
-    if d1 < 0 or d2 < 0 or d1 + d2 < 1:
-        raise ValueError("need d1, d2 >= 0 with d1 + d2 >= 1")
+def _generators(d1: int, d2: int) -> GDim:
+    """The generator class D = (d1, d2)."""
+    if d1 < 0 or d2 < 0:
+        raise ValueError("generator counts must be >= 0")
+    return GDim(d1, d2)
+
+
+def _check_args(d1: int, d2: int, order: int) -> GDim:
+    gens = _generators(d1, d2)
+    if not gens:
+        raise ValueError("need d1 + d2 >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
+    return gens
 
 
 def _step_matrix(columns: list[list[GDim]], expected) -> tuple[tuple[int, ...], ...]:
@@ -106,32 +116,33 @@ def _residual_order(*residuals: SuperSeries) -> int:
     return v
 
 
+def _single_defect(psi_a: TZSeries, gens: GDim) -> SuperSeries:
+    """Res_{t=0} psi * Psi(a) dt per z-degree: L2 + D z L0 of Psi(a)."""
+    return extract_L2(psi_a) + SuperSeries.monomial(gens, 1, psi_a.order) * extract_L0(psi_a)
+
+
 def residual_series(a: SuperSeries, d1: int, d2: int, order: int | None = None) -> SuperSeries:
     """Res_{t=0} psi * Psi(a) dt as a series; callers assert vanishing.
 
     When ``order`` exceeds a's truncation the series is zero-padded, which
     treats the missing coefficients as literal zeros.
     """
+    gens = _generators(d1, d2)
     if order is None:
         order = a.order
     a = a.pad(order) if order > a.order else a.truncate(order)
-    psi = residue_kernel(d1, d2, order)
-    return (psi * lambda_adjoint_series(a)).residue_series()
+    return _single_defect(lambda_adjoint_series(a), gens)
 
 
 def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
     """Solve the single residue equation for a(z) through z^order."""
-    _check_args(d1, d2, order)
-    psi = residue_kernel(d1, d2, order)
-    step = _step_matrix(
-        [[(psi[0] * phi_line(u, -u, 1, 1)[1]).residue()] for u in _UNITS],
-        MINUS_IDENTITY,
-    )
+    gens = _check_args(d1, d2, order)
+    step = _step_matrix([[L2(phi_line(u, -u, 1, 1)[1])] for u in _UNITS], MINUS_IDENTITY)
     a: list[GDim] = [GDIM_ZERO]  # index 0 unused
     prod = TZSeries.one(order)  # lines 1..n-1 of Psi
     for n in range(1, order + 1):
         # The z^n residue is (defect of prod) - a_n.
-        an = (psi[0] * prod[n] + psi[1] * prod[n - 1]).residue()
+        an = L2(prod[n]) + gens * L0(prod[n - 1])
         a.append(an)
         if an:
             prod = prod * phi_line(an, -an, n, order)
@@ -143,13 +154,13 @@ def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
         a=tuple(a[1:]),
         b=None,
         step_matrix=step,
-        residual_order=_residual_order((psi * prod).residue_series()),
+        residual_order=_residual_order(_single_defect(prod, gens)),
     )
 
 
-def _pair_defects(phi: TZSeries, d1: int, d2: int) -> tuple[SuperSeries, SuperSeries]:
+def _pair_defects(phi: TZSeries, gens: GDim) -> tuple[SuperSeries, SuperSeries]:
     e1 = extract_L0(phi) - SuperSeries.one(phi.order)
-    e2 = extract_L2(phi) + SuperSeries.monomial(GDim(d1, d2), 1, phi.order)
+    e2 = extract_L2(phi) + SuperSeries.monomial(gens, 1, phi.order)
     return e1, e2
 
 
@@ -157,22 +168,23 @@ def pair_residuals(
     a: SuperSeries, b: SuperSeries, d1: int, d2: int
 ) -> tuple[SuperSeries, SuperSeries]:
     """Defects of the two-equation system for given (a, b); zero on solution."""
-    return _pair_defects(phi_series(a, b), d1, d2)
+    gens = _generators(d1, d2)
+    return _pair_defects(phi_series(a, b), gens)
 
 
 def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
     """Solve the two-equation system for (a(z), b(z)) through z^order."""
-    _check_args(d1, d2, order)
+    gens = _check_args(d1, d2, order)
     lines = [phi_line(u, GDIM_ZERO, 1, 1) for u in _UNITS]
     lines += [phi_line(GDIM_ZERO, u, 1, 1) for u in _UNITS]
-    step = _step_matrix([[extract_L0(f)[1], extract_L2(f)[1]] for f in lines], PAIR_STEP)
+    step = _step_matrix([[L0(f[1]), L2(f[1])] for f in lines], PAIR_STEP)
     a: list[GDim] = [GDIM_ZERO]
     b: list[GDim] = [GDIM_ZERO]
     prod = TZSeries.one(order)  # lines 1..n-1 of Phi
     for n in range(1, order + 1):
         # The z^n defects are (L0 of prod) - b_n and (L2 of prod) + D[n=1] - a_n.
-        bn = extract_L0(prod)[n]
-        an = extract_L2(prod)[n] + (GDim(d1, d2) if n == 1 else GDIM_ZERO)
+        bn = L0(prod[n])
+        an = L2(prod[n]) + (gens if n == 1 else GDIM_ZERO)
         a.append(an)
         b.append(bn)
         if an or bn:
@@ -185,5 +197,5 @@ def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
         a=tuple(a[1:]),
         b=tuple(b[1:]),
         step_matrix=step,
-        residual_order=_residual_order(*_pair_defects(prod, d1, d2)),
+        residual_order=_residual_order(*_pair_defects(prod, gens)),
     )

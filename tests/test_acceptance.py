@@ -11,9 +11,9 @@ from freejordan.homology import ChainComplex, compute_homology
 from freejordan.jordan import build_free_jordan
 from freejordan.lambda_ops import (
     adjoint_odd_line,
-    adjoint_odd_line_pow,
     lambda_adjoint_series,
     lambda_direct,
+    phi_line,
     phi_series,
 )
 from freejordan.rings import GDIM_ZERO, GDim, SuperSeries, TZSeries
@@ -110,7 +110,7 @@ def test_criterion_5_lambda_operation_properties():
         ])
         assert plain_lambda(a + b) == plain_lambda(a) * plain_lambda(b)
     for m in (1, 2, 3):
-        assert adjoint_odd_line_pow(m, 1, 30) == adjoint_odd_line(m, 30)
+        assert phi_line(GDim(0, 1), GDim(0, -1), m, 30) == adjoint_odd_line(m, 30)
     for _ in range(10):
         a = SuperSeries(6, [GDIM_ZERO] + [
             GDim(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(6)

@@ -252,6 +252,16 @@ class TestHomologyCommand:
         assert "L(4): (1,0)" in out
         assert "Euler characteristic verified" in out
 
+    def test_rmax_zero_checks_the_z0_column(self, capsys):
+        # The z^0 chain column is the empty monomial alone, complete at any r_max.
+        args = ["homology", "--d1", "1", "--d2", "0", "--rmax", "0", "--dmax", "2"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert "Euler characteristic verified through z^0" in out
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["homology"]["euler_checked_through"] == 1
+
     def test_negative_rmax_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "homology", "--d1", "0", "--d2", "1",

@@ -3,13 +3,11 @@ from itertools import combinations_with_replacement
 
 from freejordan.lambda_ops import (
     adjoint_even_line,
-    adjoint_even_line_pow,
     adjoint_odd_line,
-    adjoint_odd_line_pow,
     lambda_adjoint_series,
     lambda_direct,
+    phi_line,
     phi_series,
-    residue_kernel,
 )
 from freejordan.rings import (
     GDIM_ONE,
@@ -82,20 +80,30 @@ class TestLambdaLine:
             assert phi_series(a + c, b + d) == phi_series(a, b) * phi_series(c, d)
 
 
+def adjoint_even_pow(m: int, k: int, order: int) -> TZSeries:
+    """k-th power of the even adjoint line: the factor of Phi at (k, 0), (-k, 0)."""
+    return phi_line(GDim(k, 0), GDim(-k, 0), m, order)
+
+
+def adjoint_odd_pow(m: int, k: int, order: int) -> TZSeries:
+    """k-th power of the odd adjoint line: the factor of Phi at (0, k), (0, -k)."""
+    return phi_line(GDim(0, k), GDim(0, -k), m, order)
+
+
 class TestAdjointLines:
     def test_odd_line_closed_form(self):
         # The explicit t-integer sum equals the four-factor closed form,
         # checked deep (order 30).
         for m in (1, 2, 3):
-            assert adjoint_odd_line_pow(m, 1, 30) == adjoint_odd_line(m, 30)
+            assert adjoint_odd_pow(m, 1, 30) == adjoint_odd_line(m, 30)
 
     def test_even_line_closed_form(self):
         for m in (1, 2, 3):
-            assert adjoint_even_line_pow(m, 1, 12) == adjoint_even_line(m, 12)
+            assert adjoint_even_pow(m, 1, 12) == adjoint_even_line(m, 12)
 
     def test_pow_consistency(self):
         for k in (2, 3, -1, -2):
-            direct = adjoint_odd_line_pow(1, k, 8)
+            direct = adjoint_odd_pow(1, k, 8)
             if k > 0:
                 expect = TZSeries.one(8)
                 for _ in range(k):
@@ -105,8 +113,31 @@ class TestAdjointLines:
             assert direct == expect
 
     def test_even_times_inverse(self):
-        f = adjoint_even_line_pow(2, 5, 10) * adjoint_even_line_pow(2, -5, 10)
+        f = adjoint_even_pow(2, 5, 10) * adjoint_even_pow(2, -5, 10)
         assert f == TZSeries.one(10)
+
+
+class TestFactorTable:
+    def test_phi_line_is_product_of_reference_lines(self):
+        """phi_line(an, bn, n) = even^s_e odd^s_o adj_even^a_e adj_odd^a_o,
+        s = an + bn, on a grid of virtual classes; the reference lines come
+        from the closed forms and from basis enumeration, not the table."""
+        order = 6
+        grid = [GDim(e, o) for e in range(-1, 3) for o in range(-1, 3)]
+        for n in (1, 2):
+            lines = (
+                TZSeries.one(order) - TZSeries.monomial(RLaurent.one(), n, order),
+                TZSeries.from_super(lambda_direct([(GDim(0, 1), n)], order)),
+                adjoint_even_line(n, order),
+                adjoint_odd_line(n, order),
+            )
+            power = {(i, k): line ** k for i, line in enumerate(lines) for k in range(-2, 5)}
+            for an in grid:
+                for bn in grid:
+                    s = an + bn
+                    expect = (power[0, s.even] * power[1, s.odd]
+                              * power[2, an.even] * power[3, an.odd])
+                    assert phi_line(an, bn, n, order) == expect, (an, bn, n)
 
 
 class TestCharacterProducts:
@@ -124,12 +155,6 @@ class TestCharacterProducts:
             lhs = phi_series(a, b)
             rhs = lambda_adjoint_series(a) * TZSeries.from_super(plain_lambda(a + b))
             assert lhs == rhs
-
-    def test_residue_kernel_shape(self):
-        psi = residue_kernel(2, 3, 5)
-        assert psi.coeffs[0] == RLaurent({0: GDIM_ONE, 1: GDim(-1, 0)})
-        assert psi.coeffs[1] == RLaurent({-1: GDim(2, 3), 0: GDim(-2, -3)})
-        assert all(not psi.coeffs[n] for n in range(2, 6))
 
 
 def poly(order, **terms):

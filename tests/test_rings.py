@@ -111,11 +111,6 @@ class TestRLaurent:
         for m in range(2, 8):
             assert t_integer(2) * t_integer(m) == t_integer(m + 1) + t_integer(m - 1)
 
-    def test_residue(self):
-        f = RLaurent({-1: GDim(3, 1), 0: GDim(9, 9), 2: GDim(1, 0)})
-        assert f.residue() == GDim(3, 1)
-        assert RLaurent.zero().residue() == GDIM_ZERO
-
     def test_symmetry(self):
         assert t_integer(5).is_t_symmetric()
         assert not RLaurent({1: GDIM_ONE}).is_t_symmetric()
@@ -128,13 +123,6 @@ class TestRLaurent:
 
 
 class TestTZSeries:
-    def test_from_super_and_residue_series(self):
-        f = SuperSeries(4, [GDim(n, 0) for n in range(5)])
-        g = TZSeries.from_super(f)
-        assert g.residue_series() == SuperSeries.zero(4)
-        h = g * TZSeries.monomial(RLaurent.t_power(-1), 0, 4)
-        assert h.residue_series() == f
-
     def test_inverse(self):
         f = TZSeries.one(6) + TZSeries.monomial(t_integer(2), 1, 6)
         assert f * f.inverse() == TZSeries.one(6)
@@ -146,7 +134,7 @@ class TestTZSeries:
 
 class TestExtractors:
     def test_on_pure_t_powers(self):
-        # L0 pairs against (t^-1 - 1): picks c_1 - c_0 per z-coefficient,
+        # L0 pairs against (t^-1 - 1): picks c_0 - c_{-1} per z-coefficient,
         # L2 pairs against (1 - t): picks c_{-1} - c_{-2}.
         f = TZSeries(2, [RLaurent({i: GDim(10 + i, 0) for i in range(-2, 3)})] * 3)
         assert extract_L0(f)[0] == GDim(1, 0)
@@ -171,3 +159,47 @@ class TestExtractors:
             ])
             assert extract_L0(f + g) == extract_L0(f) + extract_L0(g)
             assert extract_L2(f + g) == extract_L2(f) + extract_L2(g)
+
+    def test_functionals_are_the_residue_form(self):
+        """L0, L2 and the single equation's L2 + D z L0 against the paper's
+        residues, read as the t^-1 coefficient of the multiplied series."""
+
+        def res(f):
+            return SuperSeries(f.order, [c[-1] for c in f.coeffs])
+
+        def t_free(c, order):
+            return TZSeries.monomial(c, 0, order)
+
+        def psi(d1, d2, order):
+            # (d1 z, d2 z) t^-1 + (1 - d1 z, -d2 z) + (-1, 0) t
+            dz = TZSeries.from_super(SuperSeries.monomial(GDim(d1, d2), 1, order))
+            return (dz * t_free(RLaurent.t_power(-1), order)
+                    + TZSeries.one(order) - dz
+                    - t_free(RLaurent.t_power(1), order))
+
+        kernel = psi(2, 3, 5)
+        assert kernel.coeffs[0] == RLaurent({0: GDIM_ONE, 1: GDim(-1, 0)})
+        assert kernel.coeffs[1] == RLaurent({-1: GDim(2, 3), 0: GDim(-2, -3)})
+        assert all(not kernel.coeffs[n] for n in range(2, 6))
+
+        f = RLaurent({-1: GDim(3, 1), 0: GDim(9, 9), 2: GDim(1, 0)})
+        assert f[-1] == GDim(3, 1) and RLaurent.zero()[-1] == GDIM_ZERO
+        g = SuperSeries(4, [GDim(n, 0) for n in range(5)])
+        assert res(TZSeries.from_super(g)) == SuperSeries.zero(4)
+        assert res(TZSeries.from_super(g) * t_free(RLaurent.t_power(-1), 4)) == g
+
+        rng = random.Random(4)
+        order = 5
+        t_inv_minus_one = t_free(RLaurent({-1: GDIM_ONE, 0: -GDIM_ONE}), order)
+        one_minus_t = t_free(RLaurent({0: GDIM_ONE, 1: -GDIM_ONE}), order)
+        for _ in range(50):
+            f = TZSeries(order, [
+                RLaurent({rng.randint(-3, 3): rand_gdim(rng) for _ in range(3)})
+                for _ in range(order + 1)
+            ])
+            d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
+            l0, l2 = extract_L0(f), extract_L2(f)
+            assert res(t_inv_minus_one * f) == l0
+            assert res(one_minus_t * f) == l2
+            dz = SuperSeries.monomial(GDim(d1, d2), 1, order)
+            assert res(psi(d1, d2, order) * f) == l2 + dz * l0

@@ -65,6 +65,14 @@ class TestResidualSeries:
         res = residual_series(wrong, 0, 2)
         assert res.vanishing_order() <= 3
 
+    def test_negative_generator_count_is_refused(self):
+        a = solve_dims(1, 1, 3).a_series()
+        for d1, d2 in [(-1, 2), (1, -1)]:
+            with pytest.raises(ValueError, match="generator counts"):
+                residual_series(a, d1, d2)
+            with pytest.raises(ValueError, match="generator counts"):
+                pair_residuals(a, a, d1, d2)
+
     def test_padding_behaviour(self):
         # Truncating the series and padding with zeros breaks the residual
         # exactly where the dropped coefficients would have acted.
