@@ -140,7 +140,22 @@ class TestFactorTable:
                     assert phi_line(an, bn, n, order) == expect, (an, bn, n)
 
 
+def paper_psi(d1: int, d2: int, order: int) -> TZSeries:
+    # The paper's residue kernel (d1 z, d2 z) t^-1 + (1 - d1 z, -d2 z) + (-1, 0) t;
+    # the solvers read its residue as L2 + D z L0 instead.
+    dz = TZSeries.from_super(SuperSeries.monomial(GDim(d1, d2), 1, order))
+    t = TZSeries.monomial(RLaurent.t_power(1), 0, order)
+    t_inv = TZSeries.monomial(RLaurent.t_power(-1), 0, order)
+    return dz * t_inv + TZSeries.one(order) - dz - t
+
+
 class TestCharacterProducts:
+    def test_residue_kernel_shape(self):
+        psi = paper_psi(2, 3, 5)
+        assert psi.coeffs[0] == RLaurent({0: GDIM_ONE, 1: GDim(-1, 0)})
+        assert psi.coeffs[1] == RLaurent({-1: GDim(2, 3), 0: GDim(-2, -3)})
+        assert all(not psi.coeffs[n] for n in range(2, 6))
+
     def test_phi_factorization(self):
         # Phi = Theta * Psi identically.
         rng = random.Random(13)

@@ -7,6 +7,8 @@ from freejordan.rings import (
     GDIM_X,
     GDIM_ZERO,
     GDim,
+    L0,
+    L2,
     RLaurent,
     SuperSeries,
     TZSeries,
@@ -18,6 +20,23 @@ from freejordan.rings import (
 
 def rand_gdim(rng, lo=-5, hi=5):
     return GDim(rng.randint(lo, hi), rng.randint(lo, hi))
+
+
+def residue_series(f):
+    # Res_{t=0} per z-coefficient: the t^-1 coefficient.
+    return SuperSeries(f.order, [c[-1] for c in f.coeffs])
+
+
+def t_free(c, order):
+    return TZSeries.monomial(c, 0, order)
+
+
+def paper_psi(d1, d2, order):
+    # The paper's residue kernel (d1 z, d2 z) t^-1 + (1 - d1 z, -d2 z) + (-1, 0) t.
+    dz = TZSeries.from_super(SuperSeries.monomial(GDim(d1, d2), 1, order))
+    return (dz * t_free(RLaurent.t_power(-1), order)
+            + TZSeries.one(order) - dz
+            - t_free(RLaurent.t_power(1), order))
 
 
 class TestGDim:
@@ -111,6 +130,15 @@ class TestRLaurent:
         for m in range(2, 8):
             assert t_integer(2) * t_integer(m) == t_integer(m + 1) + t_integer(m - 1)
 
+    def test_residue(self):
+        # The residue is the t^-1 coefficient; L0 and L2 are differences of
+        # the coefficients at t^0, t^-1 and t^-2.
+        f = RLaurent({-1: GDim(3, 1), 0: GDim(9, 9), 2: GDim(1, 0)})
+        assert f[-1] == GDim(3, 1)
+        assert RLaurent.zero()[-1] == GDIM_ZERO
+        assert L0(f) == GDim(6, 8)
+        assert L2(f) == GDim(3, 1)
+
     def test_symmetry(self):
         assert t_integer(5).is_t_symmetric()
         assert not RLaurent({1: GDIM_ONE}).is_t_symmetric()
@@ -123,6 +151,13 @@ class TestRLaurent:
 
 
 class TestTZSeries:
+    def test_from_super_and_residue_series(self):
+        f = SuperSeries(4, [GDim(n, 0) for n in range(5)])
+        g = TZSeries.from_super(f)
+        assert residue_series(g) == SuperSeries.zero(4)
+        h = g * TZSeries.monomial(RLaurent.t_power(-1), 0, 4)
+        assert residue_series(h) == f
+
     def test_inverse(self):
         f = TZSeries.one(6) + TZSeries.monomial(t_integer(2), 1, 6)
         assert f * f.inverse() == TZSeries.one(6)
@@ -163,31 +198,6 @@ class TestExtractors:
     def test_functionals_are_the_residue_form(self):
         """L0, L2 and the single equation's L2 + D z L0 against the paper's
         residues, read as the t^-1 coefficient of the multiplied series."""
-
-        def res(f):
-            return SuperSeries(f.order, [c[-1] for c in f.coeffs])
-
-        def t_free(c, order):
-            return TZSeries.monomial(c, 0, order)
-
-        def psi(d1, d2, order):
-            # (d1 z, d2 z) t^-1 + (1 - d1 z, -d2 z) + (-1, 0) t
-            dz = TZSeries.from_super(SuperSeries.monomial(GDim(d1, d2), 1, order))
-            return (dz * t_free(RLaurent.t_power(-1), order)
-                    + TZSeries.one(order) - dz
-                    - t_free(RLaurent.t_power(1), order))
-
-        kernel = psi(2, 3, 5)
-        assert kernel.coeffs[0] == RLaurent({0: GDIM_ONE, 1: GDim(-1, 0)})
-        assert kernel.coeffs[1] == RLaurent({-1: GDim(2, 3), 0: GDim(-2, -3)})
-        assert all(not kernel.coeffs[n] for n in range(2, 6))
-
-        f = RLaurent({-1: GDim(3, 1), 0: GDim(9, 9), 2: GDim(1, 0)})
-        assert f[-1] == GDim(3, 1) and RLaurent.zero()[-1] == GDIM_ZERO
-        g = SuperSeries(4, [GDim(n, 0) for n in range(5)])
-        assert res(TZSeries.from_super(g)) == SuperSeries.zero(4)
-        assert res(TZSeries.from_super(g) * t_free(RLaurent.t_power(-1), 4)) == g
-
         rng = random.Random(4)
         order = 5
         t_inv_minus_one = t_free(RLaurent({-1: GDIM_ONE, 0: -GDIM_ONE}), order)
@@ -199,7 +209,7 @@ class TestExtractors:
             ])
             d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
             l0, l2 = extract_L0(f), extract_L2(f)
-            assert res(t_inv_minus_one * f) == l0
-            assert res(one_minus_t * f) == l2
+            assert residue_series(t_inv_minus_one * f) == l0
+            assert residue_series(one_minus_t * f) == l2
             dz = SuperSeries.monomial(GDim(d1, d2), 1, order)
-            assert res(psi(d1, d2, order) * f) == l2 + dz * l0
+            assert residue_series(paper_psi(d1, d2, order) * f) == l2 + dz * l0
