@@ -129,39 +129,6 @@ class GradedJordanAlgebra:
             raise ValueError("vector is not parity-homogeneous")
         return pars.pop() if pars else 0
 
-    def jordan_residual(
-        self,
-        x: tuple[int, Vector],
-        y: tuple[int, Vector],
-        z: tuple[int, Vector],
-        w: tuple[int, Vector],
-    ) -> Vector:
-        """The super Jordan identity operator applied to (x, y, z) and w.
-
-        Vanishes identically on a Jordan superalgebra; evaluated through
-        the stored multiplication tables.
-        """
-        n = x[0] + y[0] + z[0] + w[0]
-        if n > self.max_degree:
-            raise ValueError("total degree beyond truncation")
-        acc: dict[int, Fraction] = {}
-        triple = [x, y, z]
-        for r in range(3):
-            (di, xi), (dj, xj), (dk, xk) = triple[r % 3], triple[(r + 1) % 3], triple[(r + 2) % 3]
-            pi = self._vec_parity(di, xi)
-            pj = self._vec_parity(dj, xj)
-            pk = self._vec_parity(dk, xk)
-            s1 = (-1) ** (pi * pk)
-            s2 = (-1) ** ((pi + pj) * pk)
-            ab = self.multiply(di, xi, dj, xj)
-            zw = self.multiply(dk, xk, w[0], w[1])
-            t1 = self.multiply(di + dj, ab, dk + w[0], zw)
-            abw = self.multiply(di + dj, ab, w[0], w[1])
-            t2 = self.multiply(dk, xk, di + dj + w[0], abw)
-            linalg.accumulate(acc, t1, s1)
-            linalg.accumulate(acc, t2, -s1 * s2)
-        return linalg.sparse_row(acc)
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> str:

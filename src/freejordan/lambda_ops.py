@@ -29,20 +29,16 @@ Res_{t=0} (t^-1 - 1) c dt and L2(c) = c_{-1} - c_{-2} = Res_{t=0} (1 - t) c dt
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
 from math import comb
 from operator import mul
-from typing import Sequence
 
 from .rings import (
     GDIM_ONE,
     GDIM_X,
-    GDIM_ZERO,
     GDim,
     RLaurent,
     SuperSeries,
     TZSeries,
-    t_integer,
 )
 
 
@@ -69,30 +65,6 @@ def _one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
             coef = comb(-k + j - 1, j)
         terms[j * m] = RLaurent({j * texp: (c**j) * coef})
     return TZSeries(order, terms)
-
-
-def adjoint_even_line(m: int, order: int) -> TZSeries:
-    """(1 - [2]_t z^m + z^{2m}, 0): lambda of one even vector tensor adjoint."""
-    out = TZSeries.one(order)
-    out = out + TZSeries.monomial(-t_integer(2), m, order)
-    out = out + TZSeries.monomial(RLaurent.one(), 2 * m, order)
-    return out
-
-
-def adjoint_odd_line(m: int, order: int) -> TZSeries:
-    """(sum_i [2i+1]_t z^{2im}, -sum_i [2i+2]_t z^{(2i+1)m})."""
-    coeffs = []
-    j = 0
-    while j * m <= order:
-        if j % 2 == 0:
-            coeffs.append(t_integer(j + 1))
-        else:
-            coeffs.append(t_integer(j + 1) * GDim(0, -1))
-        j += 1
-    full = [RLaurent.zero()] * (order + 1)
-    for j, c in enumerate(coeffs):
-        full[j * m] = c
-    return TZSeries(order, full)
 
 
 def phi_line(an: GDim, bn: GDim, n: int, order: int) -> TZSeries:
@@ -142,52 +114,3 @@ def phi_series(a: SuperSeries, b: SuperSeries) -> TZSeries:
 def lambda_adjoint_series(a: SuperSeries) -> TZSeries:
     """Psi(a), lambda of a(z) tensor adjoint: the product Phi(a, -a)."""
     return phi_series(a, -a)
-
-
-def lambda_direct(pieces: Sequence[tuple[GDim, int]], order: int) -> SuperSeries:
-    """Brute-force lambda of a graded superspace, by basis enumeration.
-
-    ``pieces`` lists (graded dimension, z-degree) for finitely many graded
-    components with nonnegative entries.  Expands every exterior-power
-    subset of the even basis and every symmetric-power multiset of the odd
-    basis, with sign (-1)^(p+q); the multiset parity decides even/odd.
-    Serves as an independent oracle for the closed-form line factors.
-    """
-    even_degs: list[int] = []
-    odd_degs: list[int] = []
-    for g, m in pieces:
-        if m < 1:
-            raise ValueError("graded pieces must sit in degree >= 1")
-        if g.even < 0 or g.odd < 0:
-            raise ValueError("direct enumeration needs an effective class")
-        even_degs.extend([m] * g.even)
-        odd_degs.extend([m] * g.odd)
-
-    # Exterior powers of the even part: plain subsets.
-    ext = [GDIM_ZERO] * (order + 1)  # signed count per total degree, parity even
-    for p in range(len(even_degs) + 1):
-        for sub in combinations(even_degs, p):
-            d = sum(sub)
-            if d <= order:
-                ext[d] = ext[d] + (GDIM_ONE if p % 2 == 0 else GDim(-1, 0))
-    ext_series = SuperSeries(order, ext)
-
-    # Symmetric powers of the odd part: multisets, enumerated recursively.
-    # Each multiset of size q contributes (-1)^q with parity q mod 2.
-    sym = [GDIM_ZERO] * (order + 1)
-    sym[0] = GDIM_ONE
-
-    def visit(i: int, deg: int, q: int) -> None:
-        for j in range(i, len(odd_degs)):
-            d, k = deg, q
-            while True:
-                d += odd_degs[j]
-                k += 1
-                if d > order:
-                    break
-                sym[d] = sym[d] + (GDim(1, 0) if k % 2 == 0 else GDim(0, -1))
-                visit(j + 1, d, k)
-
-    visit(0, 0, 0)
-    sym_series = SuperSeries(order, sym)
-    return ext_series * sym_series

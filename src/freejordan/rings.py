@@ -22,7 +22,7 @@ coefficients are arbitrary precision throughout.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 
 class GDim:
@@ -295,6 +295,13 @@ class RLaurent:
                     d.pop(e, None)
         object.__setattr__(self, "terms", tuple(sorted(d.items())))
 
+    @classmethod
+    def _canonical(cls, terms: tuple[tuple[int, GDim], ...]) -> "RLaurent":
+        """Wrap terms that are already sorted by exponent with no zero coefficient."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("RLaurent is immutable")
 
@@ -379,10 +386,6 @@ class RLaurent:
         e, c = self.terms[0]
         return RLaurent({-e: c.inverse()})
 
-    def is_t_symmetric(self) -> bool:
-        """Whether the coefficient at t^e always equals the one at t^-e."""
-        return all(self[e] == self[-e] for e, _ in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -417,22 +420,44 @@ class TZSeries(_TruncatedSeries):
         return cls(f.order, [RLaurent({0: c}) for c in f.coeffs])
 
     def __mul__(self, other: "TZSeries") -> "TZSeries":
+        # In the split coordinates (p, m) = (e + o, e - o), R is the subring
+        # of Z x Z where p = m (mod 2), so one R-product is the two int
+        # products p1*p2 and m1*m2, and the series product is two plain
+        # integer convolutions.
         self._check(other)
         n = self.order
-        out: list[dict[int, GDim]] = [dict() for _ in range(n + 1)]
+        ys = [_split(c) for c in other.coeffs]
+        ps: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        ms: list[dict[int, int]] = [{} for _ in range(n + 1)]
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
+            xs = _split(a)
             for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b:
+                y = ys[j]
+                if not y:
                     continue
-                acc = out[i + j]
-                for e1, c1 in a.terms:
-                    for e2, c2 in b.terms:
+                p, m = ps[i + j], ms[i + j]
+                for e1, p1, m1 in xs:
+                    for e2, p2, m2 in y:
                         e = e1 + e2
-                        acc[e] = acc.get(e, GDIM_ZERO) + c1 * c2
-        return TZSeries(n, [RLaurent(d) for d in out])
+                        p[e] = p.get(e, 0) + p1 * p2
+                        m[e] = m.get(e, 0) + m1 * m2
+        return TZSeries(n, [_unsplit(p, m) for p, m in zip(ps, ms)])
+
+
+def _split(c: RLaurent) -> tuple[tuple[int, int, int], ...]:
+    """The terms (t-exponent, e + o, e - o) of c."""
+    return tuple((k, g.even + g.odd, g.even - g.odd) for k, g in c.terms)
+
+
+def _unsplit(p: dict[int, int], m: dict[int, int]) -> RLaurent:
+    """The RLaurent with split coordinates p[k], m[k] at t^k; p = m (mod 2)."""
+    return RLaurent._canonical(tuple(
+        (k, GDim((p[k] + m[k]) >> 1, (p[k] - m[k]) >> 1))
+        for k in sorted(p)
+        if p[k] or m[k]
+    ))
 
 
 def L0(c: RLaurent) -> GDim:

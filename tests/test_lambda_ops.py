@@ -2,10 +2,7 @@ import random
 from itertools import combinations_with_replacement
 
 from freejordan.lambda_ops import (
-    adjoint_even_line,
-    adjoint_odd_line,
     lambda_adjoint_series,
-    lambda_direct,
     phi_line,
     phi_series,
 )
@@ -18,6 +15,7 @@ from freejordan.rings import (
     TZSeries,
     t_integer,
 )
+from reference import adjoint_even_line, adjoint_odd_line, lambda_direct
 
 
 def series_from_pieces(pieces, order):

@@ -1,4 +1,5 @@
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -16,6 +17,7 @@ from freejordan.rings import (
     extract_L2,
     t_integer,
 )
+from reference import is_t_symmetric
 
 
 def rand_gdim(rng, lo=-5, hi=5):
@@ -37,6 +39,31 @@ def paper_psi(d1, d2, order):
     return (dz * t_free(RLaurent.t_power(-1), order)
             + TZSeries.one(order) - dz
             - t_free(RLaurent.t_power(1), order))
+
+
+def rand_tz(rng, order, bound):
+    # Empty z-coefficients, negative t-exponents, nonzero odd parts.
+    return TZSeries(order, [
+        RLaurent({rng.randint(-4, 3): rand_gdim(rng, -bound, bound)
+                  for _ in range(rng.randint(0, 4))})
+        for _ in range(order + 1)
+    ])
+
+
+def laurent_product(f, g):
+    """f * g through RLaurent products, summed per z-degree."""
+    out = [RLaurent.zero()] * (f.order + 1)
+    for i in range(f.order + 1):
+        for j in range(f.order + 1 - i):
+            out[i + j] = out[i + j] + f[i] * g[j]
+    return TZSeries(f.order, out)
+
+
+def assert_canonical(f):
+    for c in f.coeffs:
+        assert c == RLaurent(c.terms)
+        assert hash(c) == hash(RLaurent(c.terms))
+        assert all(g for _, g in c.terms)
 
 
 class TestGDim:
@@ -139,9 +166,16 @@ class TestRLaurent:
         assert L0(f) == GDim(6, 8)
         assert L2(f) == GDim(3, 1)
 
+    def test_construction_from_pairs_and_mappings(self):
+        # Pair lists sum duplicate exponents and drop zeros; any Mapping
+        # reads as exponent -> coefficient.
+        pairs = [(1, GDim(1, 2)), (0, 3), (1, GDim(-1, -2)), (0, GDim(1, 1))]
+        assert RLaurent(pairs).terms == ((0, GDim(4, 1)),)
+        assert RLaurent(MappingProxyType({2: 1, 0: GDIM_ZERO})).terms == ((2, GDIM_ONE),)
+
     def test_symmetry(self):
-        assert t_integer(5).is_t_symmetric()
-        assert not RLaurent({1: GDIM_ONE}).is_t_symmetric()
+        assert is_t_symmetric(t_integer(5))
+        assert not is_t_symmetric(RLaurent({1: GDIM_ONE}))
 
     def test_monomial_inverse_and_pow(self):
         t = RLaurent.t_power(1)
@@ -165,6 +199,41 @@ class TestTZSeries:
     def test_order_mismatch_raises(self):
         with pytest.raises(ValueError):
             TZSeries.one(2) * TZSeries.one(3)
+
+    def test_product_is_the_laurent_product(self):
+        # Coefficients past 2**64 rule out a fixed-width shortcut.
+        rng = random.Random(5)
+        for bound in (5, 2**70):
+            for _ in range(30):
+                order = rng.randint(0, 5)
+                f, g = rand_tz(rng, order, bound), rand_tz(rng, order, bound)
+                h = f * g
+                assert h == laurent_product(f, g)
+                assert_canonical(h)
+
+    def test_product_ring_axioms(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            f, g, h = (rand_tz(rng, 4, 2**70) for _ in range(3))
+            assert f * g == g * f
+            assert (f * g) * h == f * (g * h)
+            assert f * (g + h) == f * g + f * h
+
+    def test_product_drops_cancelled_terms(self):
+        # (c + (u + r) z)(c - u z) has z-coefficient c r: the c u terms
+        # cancel to exactly zero, in full when r = 0.
+        rng = random.Random(7)
+        for _ in range(30):
+            c, u, r = (RLaurent({rng.randint(-3, 3): rand_gdim(rng, -2**70, 2**70)
+                                 for _ in range(3)}) for _ in range(3))
+            for rest in (r, RLaurent.zero()):
+                f = TZSeries(2, [c, u + rest])
+                g = TZSeries(2, [c, -u])
+                h = f * g
+                assert h == laurent_product(f, g)
+                assert h[1] == c * rest
+                assert h[2] == -(u + rest) * u
+                assert_canonical(h)
 
 
 class TestExtractors:

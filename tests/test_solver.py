@@ -91,10 +91,11 @@ class TestSolveDimsPair:
         assert rep.residual_order == 9
 
     def test_agrees_with_single_equation(self):
-        for d1, d2 in [(1, 1), (0, 2), (2, 0), (2, 1)]:
-            pair = solve_dims_pair(d1, d2, 8)
-            single = solve_dims(d1, d2, 8)
-            assert pair.a == single.a, (d1, d2)
+        # (3|0) at order 25 drives the product coefficients to 48 bits.
+        for d1, d2, order in [(1, 1, 8), (0, 2, 8), (2, 0, 8), (2, 1, 8), (3, 0, 25)]:
+            pair = solve_dims_pair(d1, d2, order)
+            single = solve_dims(d1, d2, order)
+            assert pair.a == single.a, (d1, d2, order)
 
     def test_defects_vanish_on_solution(self):
         rep = solve_dims_pair(1, 1, 6)
