@@ -58,17 +58,20 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _load_or_build(d1: int, d2: int, n: int, budget, cache: Path | None) -> GradedJordanAlgebra:
     path = cache / f"oracle-{cache_key(d1, d2, n)}.json" if cache else None
-    if path and path.exists():
+    if path:
         try:
             alg = GradedJordanAlgebra.from_json(path.read_text())
-        except (ValueError, KeyError, TypeError):
-            pass  # unreadable or altered cache: a miss, rebuilt and rewritten below
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # absent, unreadable or altered cache: a miss, rebuilt and rewritten below
         else:
             if (alg.d1, alg.d2, alg.max_degree) == (d1, d2, n):
                 return alg  # a file of another shape is a miss too
     alg = build_free_jordan(d1, d2, n, budget=budget)
     if path:
-        _atomic_write(path, alg.to_json())
+        try:
+            _atomic_write(path, alg.to_json())
+        except OSError as exc:
+            print(f"cache not written: {exc}", file=sys.stderr)  # the answer stands
     return alg
 
 

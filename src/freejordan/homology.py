@@ -23,7 +23,6 @@ explicit rather than silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .lambda_ops import phi_series
@@ -35,7 +34,13 @@ BlockKey = tuple[int, int, int, int]  # (r, z-degree, weight, parity)
 
 
 class ChainComplex:
-    """CE chains of a TAG truncation through r <= r_max, z-degree <= d_max."""
+    """CE chains of a TAG truncation through r <= r_max, z-degree <= d_max.
+
+    The boundary is read off the TAG's integer bracket table, so
+    ``boundary_monomial`` and ``boundaries`` hold ``tag.scale`` times d,
+    with int coefficients.  Ranks do not see the scale, and the d^2 = 0
+    gate sums ``tag.scale**2`` times d^2 in exact integers.
+    """
 
     def __init__(self, tag: TagAlgebra, r_max: int, d_max: int) -> None:
         if d_max > tag.max_degree:
@@ -120,11 +125,11 @@ class ChainComplex:
             return None
         return rest[:pos] + (g,) + rest[pos:], sign
 
-    def boundary_monomial(self, mon: Monomial) -> dict[Monomial, Fraction]:
-        """d applied to one monomial, as a sparse combination."""
+    def boundary_monomial(self, mon: Monomial) -> dict[Monomial, int]:
+        """tag.scale times d applied to one monomial, as a sparse combination."""
         basis = self.tag.basis
         tag = self.tag
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         r = len(mon)
         pars = [basis[g].parity for g in mon]
         for s in range(r):
@@ -161,7 +166,7 @@ class ChainComplex:
         tindex = self.index.get(target, {})
         cols = []
         for mon in self.blocks[key]:
-            col: dict[int, Fraction] = {}
+            col: dict[int, int] = {}
             for m2, c in self.boundary_monomial(mon).items():
                 if self.block_key(m2) != target:
                     raise AssertionError("boundary leaves its block")
@@ -175,7 +180,7 @@ class ChainComplex:
                 continue
             below = self.boundaries.get((r - 1, d, w, par), [])
             for col in cols:
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for i, c in col:
                     linalg.accumulate(acc, below[i], c)
                 if any(acc.values()):

@@ -17,7 +17,7 @@ L_{y.x} = (-1)^{|x||y|} L_{x.y} in the supercommutative tables.  So only
 x <= y <= z in the (degree, index) order is expanded, with every w, and the
 span is that of all instances.  Inner products use the already-reduced
 lower-degree tables, so embedded instances of the identity vanish
-automatically.  The quotient is taken by exact rational
+automatically.  The quotient is taken by exact fraction-free
 row reduction; quotient bases are the non-pivot pair coordinates in a
 canonical order (parity even-first, then the lexicographic pair shape),
 which makes the structure constants reproducible.

@@ -1,16 +1,25 @@
-"""Exact rational row reduction of sparse rows: rref, rank and quotients.
+"""Exact fraction-free row reduction of sparse rows: rref, rank and quotients.
 
 A row is a ``SparseRow``: ``(column, coefficient)`` pairs with distinct
 columns and Fraction or int coefficients; zero entries are ignored.
-``rref`` inserts the rows one at a time and keeps the pivot rows fully
-reduced after every insertion: a new row is reduced by the pivot rows
-whose columns it touches, its lowest remaining column becomes a new
-pivot, and that column is cleared from the other pivot rows.  The pivot
-rows then always have a leading 1 in their own pivot column and zeros in
-every other pivot column, and they span the rows seen so far.  A basis
-of a row space with those two properties is unique, so the output is the
-reduced row echelon form whatever the order of the input rows, and
-equals what dense Gaussian elimination gives.
+``rref`` eliminates over the integers (fraction-free Gauss-Jordan, after
+Bareiss, Math. Comp. 22, 1968).  Each input row is scaled to integers by
+the lcm of its denominators, and the pivot rows are kept primitive: the
+gcd of a row's entries is 1 and its leading entry is positive.  The rows
+are inserted one at a time and the pivot rows stay fully reduced after
+every insertion: a new row is reduced by the pivot rows whose columns it
+touches, through the integer combination ``row[p]*vec - vec[p]*row``
+divided by ``gcd(row[p], vec[p])``; its lowest remaining column becomes a
+new pivot, and that column is cleared from the other pivot rows the same
+way.  Every step is exact, so no prime, reconstruction or certificate is
+needed, and the entries stay small.
+
+Only the output is rational: each pivot row is divided by its leading
+entry.  The pivot rows then have a leading 1 in their own pivot column
+and zeros in every other pivot column, and they span the rows seen so
+far.  A basis of a row space with those two properties is unique, so the
+output is the reduced row echelon form whatever the order of the input
+rows, and equals what rational Gaussian elimination gives.
 
 Every exact elimination in the package enters through ``rank`` or
 ``quotient``, and both reduce with ``rref``.  ``SparseRow`` is also the
@@ -23,9 +32,10 @@ as sorted pairs with no zero coefficient, built with ``accumulate`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Collection, Sequence
 
-SparseRow = tuple[tuple[int, Fraction], ...]
+SparseRow = tuple[tuple[int, Fraction | int], ...]
 
 
 def accumulate(acc: dict[int, Fraction], row: SparseRow, scale: Fraction | int = 1) -> None:
@@ -48,40 +58,76 @@ def sparse_row(acc: dict[int, Fraction]) -> SparseRow:
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
-def _subtract(vec: dict[int, Fraction], f: Fraction, row: dict[int, Fraction], skip: int) -> None:
-    """vec -= f * row outside column ``skip``, dropping the zeros."""
+def _integral(row: SparseRow) -> dict[int, int]:
+    """The nonzero entries of ``row`` times the lcm of their denominators."""
+    row = [(k, c) for k, c in row if c]
+    den = lcm(*(c.denominator for _, c in row))
+    if den == 1:
+        return {k: int(c) for k, c in row}
+    return {k: c.numerator * (den // c.denominator) for k, c in row}
+
+
+def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> None:
+    """Clear column p of vec in place: vec <- (row[p]*vec - vec[p]*row) / g.
+
+    g = gcd(row[p], vec[p]), and row[p] > 0, so vec keeps its sign.
+    """
+    v = vec.pop(p)
+    lead = row[p]
+    g = gcd(lead, v)
+    if g != lead:
+        a = lead // g
+        for k in vec:
+            vec[k] *= a
+    b = v // g
     for k, c in row.items():
-        if k != skip:
-            v = vec.get(k, 0) - f * c
-            if v:
-                vec[k] = v
+        if k != p:
+            x = vec.get(k, 0) - b * c
+            if x:
+                vec[k] = x
             else:
                 del vec[k]
+
+
+def _make_primitive(vec: dict[int, int], lead: int) -> None:
+    """Divide vec by the gcd of its entries, signed so that vec[lead] > 0."""
+    g = gcd(*vec.values())
+    if vec[lead] < 0:
+        g = -g
+    if g != 1:
+        for k in vec:
+            vec[k] //= g
 
 
 def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    The rows come back sorted by pivot, each as sorted sparse pairs.
+    The rows come back sorted by pivot, each as sorted sparse pairs with
+    Fraction coefficients.
     """
-    reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
+    reduced: dict[int, dict[int, int]] = {}  # pivot column -> its primitive row
     # The order does not change the result; short rows first keep the
     # pivot rows sparse for longer.
     for row in sorted(rows, key=len):
-        vec = {k: Fraction(c) for k, c in row if c}
+        vec = _integral(row)
         for p in [k for k in vec if k in reduced]:
-            _subtract(vec, vec.pop(p), reduced[p], p)
+            _eliminate(vec, reduced[p], p)
         if not vec:
             continue
         piv = min(vec)
-        inv = 1 / vec[piv]
-        vec = {k: c * inv for k, c in vec.items()}
-        for other in reduced.values():
+        _make_primitive(vec, piv)
+        for q, other in reduced.items():
             if piv in other:
-                _subtract(other, other.pop(piv), vec, piv)
+                _eliminate(other, vec, piv)
+                _make_primitive(other, q)
         reduced[piv] = vec
     pivots = sorted(reduced)
-    return [tuple(sorted(reduced[p].items())) for p in pivots], pivots
+    out = []
+    for p in pivots:
+        vec = reduced[p]
+        lead = vec[p]
+        out.append(tuple((k, Fraction(c, lead)) for k, c in sorted(vec.items())))
+    return out, pivots
 
 
 def rank(rows: Sequence[SparseRow]) -> int:

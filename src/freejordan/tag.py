@@ -32,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from . import linalg
@@ -197,7 +198,11 @@ class TagAlgebra:
     Basis elements are indexed globally, ordered by z-degree, with the
     sl2-tensor part before the Bs part inside each degree.  Brackets are
     precomputed for every ordered pair whose total z-degree stays within
-    the truncation.
+    the truncation and stored once, as integers: ``scale`` is the least
+    common denominator of all structure constants, and ``brackets[(gi, gj)]``
+    holds ``scale * [basis[gi], basis[gj]]`` with int coefficients.
+    ``bracket`` and ``structure_constants_json`` divide the scale out;
+    the gates and the chain complex read the integer table directly.
     """
 
     def __init__(self, alg: GradedJordanAlgebra, max_degree: int) -> None:
@@ -239,6 +244,11 @@ class TagAlgebra:
             terms = self._bracket_basis(gi, gj)
             if terms:
                 self.brackets[(gi, gj)] = terms
+        self.scale = lcm(*(c.denominator for terms in self.brackets.values() for _, c in terms))
+        for key, terms in self.brackets.items():
+            self.brackets[key] = tuple(
+                (k, c.numerator * (self.scale // c.denominator)) for k, c in terms
+            )
 
     def _pairs(self, max_total: int, unordered: bool = False) -> Iterator[tuple[int, int]]:
         """Basis index pairs whose z-degrees sum to at most ``max_total``.
@@ -262,7 +272,7 @@ class TagAlgebra:
         """[basis[gi], basis[gj]] as sparse (index, coefficient) pairs."""
         if self.basis[gi].degree + self.basis[gj].degree > self.max_degree:
             raise ValueError("bracket degree beyond truncation")
-        return self.brackets.get((gi, gj), ())
+        return tuple((k, Fraction(c, self.scale)) for k, c in self.brackets.get((gi, gj), ()))
 
     # -- bracket construction -------------------------------------------
 
@@ -348,7 +358,8 @@ class TagAlgebra:
     def check_anticommutativity(self) -> None:
         """[x, y] + (-1)^{|x||y|} [y, x] = 0 on every unordered in-range pair.
 
-        The condition for (y, x) is (-1)^{|x||y|} times the one for (x, y),
+        Read off the integer table, so each sum is ``scale`` times the
+        rational one, and vanishes exactly when it does.  The condition for (y, x) is (-1)^{|x||y|} times the one for (x, y),
         so checking gi <= gj reads every table entry, once as [x, y] and
         once as the partner [y, x].
         """
@@ -366,7 +377,8 @@ class TagAlgebra:
         """Super Jacobi on every sorted in-range basis triple; returns the count.
 
         The Jacobiator of (i, j, k) is the sum over its cyclic rotations
-        (a, b, c) of (-1)^{|a||c|} [[a, b], c], each read off the table.
+        (a, b, c) of (-1)^{|a||c|} [[a, b], c], each read off the integer
+        table, so what is summed is ``scale**2`` times the Jacobiator.
         Only gi <= gj <= gk is checked, repeats included, and that covers
         every ordered triple once ``check_anticommutativity`` has passed:
         the Jacobiator is invariant under rotation as written, and with
@@ -379,7 +391,7 @@ class TagAlgebra:
         for gi, gj in self._pairs(self.max_degree - 1, unordered=True):
             top = self.max_degree - self._degrees[gi] - self._degrees[gj]
             for gk in range(gj, bisect_right(self._degrees, top)):
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for a, b, c in ((gi, gj, gk), (gj, gk, gi), (gk, gi, gj)):
                     sign = (-1) ** (par[a] * par[c])
                     for m, coeff in self.brackets.get((a, b), ()):
@@ -406,7 +418,7 @@ class TagAlgebra:
                 for el in self.basis
             ],
             "brackets": {
-                f"{i},{j}": [[k, str(c)] for k, c in terms]
+                f"{i},{j}": [[k, str(Fraction(c, self.scale))] for k, c in terms]
                 for (i, j), terms in sorted(self.brackets.items())
             },
         }

@@ -7,7 +7,8 @@ package computes in closed form or through its tables.
 * ``adjoint_even_line``,
   ``adjoint_odd_line``   -- the adjoint line factors as sums of t-integers;
 * ``is_t_symmetric``     -- the t -> 1/t symmetry of an sl2 character;
-* ``jordan_residual``    -- the super Jordan identity through the tables.
+* ``jordan_residual``    -- the super Jordan identity through the tables;
+* ``fraction_rref``      -- reduced row echelon form by rational elimination.
 """
 
 from __future__ import annotations
@@ -139,3 +140,39 @@ def jordan_residual(
         linalg.accumulate(acc, t1, s1)
         linalg.accumulate(acc, t2, -s1 * s2)
     return linalg.sparse_row(acc)
+
+
+def _subtract(vec: dict[int, Fraction], f: Fraction, row: dict[int, Fraction], skip: int) -> None:
+    """vec -= f * row outside column ``skip``, dropping the zeros."""
+    for k, c in row.items():
+        if k != skip:
+            v = vec.get(k, 0) - f * c
+            if v:
+                vec[k] = v
+            else:
+                del vec[k]
+
+
+def fraction_rref(rows: Sequence[linalg.SparseRow]) -> tuple[list[linalg.SparseRow], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The rows come back sorted by pivot, each as sorted sparse pairs.
+    """
+    reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
+    # The order does not change the result; short rows first keep the
+    # pivot rows sparse for longer.
+    for row in sorted(rows, key=len):
+        vec = {k: Fraction(c) for k, c in row if c}
+        for p in [k for k in vec if k in reduced]:
+            _subtract(vec, vec.pop(p), reduced[p], p)
+        if not vec:
+            continue
+        piv = min(vec)
+        inv = 1 / vec[piv]
+        vec = {k: c * inv for k, c in vec.items()}
+        for other in reduced.values():
+            if piv in other:
+                _subtract(other, other.pop(piv), vec, piv)
+        reduced[piv] = vec
+    pivots = sorted(reduced)
+    return [tuple(sorted(reduced[p].items())) for p in pivots], pivots

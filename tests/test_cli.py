@@ -110,6 +110,31 @@ class TestOracleCommand:
         assert code == 0
         assert list(tmp_path.glob("oracle-*.json"))
 
+    def test_directory_at_the_cache_path_is_a_miss(self, capsys, tmp_path):
+        # Neither reading nor replacing a directory works; the answer stands.
+        args = ["oracle", "--d1", "1", "--d2", "1", "--max-degree", "4",
+                "--cache-dir", str(tmp_path), "--format", "json"]
+        code, expected, _ = run(capsys, *args)
+        assert code == 0
+        (path,) = tmp_path.glob("oracle-*.json")
+        path.unlink()
+        path.mkdir()
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (0, expected)
+        assert err.count("cache not written: ") == 1 and "Traceback" not in err
+        assert path.is_dir()
+
+    def test_cache_dir_under_a_regular_file_is_a_miss(self, capsys, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory")
+        args = ["oracle", "--d1", "1", "--d2", "1", "--max-degree", "4", "--format", "json"]
+        code, expected, _ = run(capsys, *args)
+        assert code == 0
+        code, out, err = run(capsys, *args, "--cache-dir", str(plain / "cache"))
+        assert (code, out) == (0, expected)
+        assert err.count("cache not written: ") == 1 and "Traceback" not in err
+        assert plain.read_text() == "not a directory"
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(
             capsys, "oracle", "--d1", "2", "--d2", "2", "--max-degree", "6",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from freejordan import linalg
+from reference import fraction_rref
 
 
 def sparse(dense):
@@ -69,14 +70,33 @@ def test_accumulate_matches_reference(scale):
     assert 1 not in dict(linalg.sparse_row(acc))
 
 
+def random_coefficient(rng):
+    """Mostly a small int; else a Fraction with denominator 2-7 or an int above 2**64."""
+    pick = rng.random()
+    if pick < 0.2:
+        return Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(2, 7))
+    if pick < 0.3:
+        return rng.choice([-1, 1]) * (2**64 + rng.randint(1, 2**70))
+    return rng.choice([-3, -2, -1, 1, 2, 5])
+
+
 def random_sparse_rows(rng, nrows, ncols, density):
-    """Random integer rows with some exact duplicates and combinations."""
+    """Random rows with some exact duplicates, negations, combinations and zero rows.
+
+    The coefficients mix ints, Fractions and ints above 2**64; a negated
+    row and most random rows start with a negative entry somewhere, and a
+    zero row is either empty or made of explicit zeros.
+    """
     rows = []
     for _ in range(nrows):
         pick = rng.random()
         if rows and pick < 0.15:
             rows.append(rng.choice(rows))
-        elif len(rows) > 1 and pick < 0.35:
+        elif rows and pick < 0.22:
+            rows.append(tuple((k, -c) for k, c in rng.choice(rows)))
+        elif pick < 0.27:
+            rows.append(rng.choice([(), ((0, 0), (ncols - 1, Fraction(0)))]))
+        elif len(rows) > 1 and pick < 0.4:
             a, b = rng.sample(rows, 2)
             fa, fb = rng.randint(-3, 3), rng.randint(-3, 3)
             acc = {}
@@ -86,7 +106,7 @@ def random_sparse_rows(rng, nrows, ncols, density):
             rows.append(tuple((k, c) for k, c in sorted(acc.items()) if c))
         else:
             rows.append(tuple(
-                (k, rng.choice([-3, -2, -1, 1, 2, 5]))
+                (k, random_coefficient(rng))
                 for k in range(ncols) if rng.random() < density
             ))
     return rows
@@ -101,6 +121,9 @@ SHAPES = [(seed, nrows, ncols, density)
 def test_rref_is_reduced_echelon_form(seed, nrows, ncols, density):
     rows = random_sparse_rows(random.Random(seed), nrows, ncols, density)
     reduced, pivots = linalg.rref(rows)
+    # The integer engine returns exactly what rational elimination does.
+    assert (reduced, pivots) == fraction_rref(rows)
+    assert all(type(c) is Fraction for row in reduced for _, c in row)
     assert pivots == sorted(set(pivots)) and len(reduced) == len(pivots)
     for row, p in zip(reduced, pivots):
         cols = [k for k, _ in row]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -293,6 +294,23 @@ class TestTagAlgebra:
                 tag.check_jacobi()
             tag.brackets.update(saved)
         assert caught == npairs
+
+    @pytest.mark.parametrize("d1,d2,n,scale", [(1, 1, 4, 2), (2, 0, 5, 4), (0, 2, 4, 1)])
+    def test_bracket_table_is_integral(self, d1, d2, n, scale):
+        # The table stores scale * [x, y] with int coefficients, where scale
+        # is the least common denominator of the rational brackets, which
+        # _bracket_basis recomputes.
+        tag = TagAlgebra(build_free_jordan(d1, d2, n), n)
+        rational = {key: tag._bracket_basis(*key) for key in tag._pairs(n)}
+        rational = {key: terms for key, terms in rational.items() if terms}
+        assert set(tag.brackets) == set(rational)
+        assert all(type(c) is int for terms in tag.brackets.values() for _, c in terms)
+        denominators = [c.denominator for terms in rational.values() for _, c in terms]
+        assert tag.scale == math.lcm(*denominators) == scale
+        for key, terms in rational.items():
+            assert tag.bracket(*key) == terms
+            assert all(type(c) is Fraction for _, c in tag.bracket(*key))
+            assert tag.brackets[key] == tuple((k, int(c * scale)) for k, c in terms)
 
     def test_structure_constants_serialize(self):
         import json
