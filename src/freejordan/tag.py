@@ -359,9 +359,10 @@ class TagAlgebra:
         """[x, y] + (-1)^{|x||y|} [y, x] = 0 on every unordered in-range pair.
 
         Read off the integer table, so each sum is ``scale`` times the
-        rational one, and vanishes exactly when it does.  The condition for (y, x) is (-1)^{|x||y|} times the one for (x, y),
-        so checking gi <= gj reads every table entry, once as [x, y] and
-        once as the partner [y, x].
+        rational one, and vanishes exactly when it does.  The condition
+        for (y, x) is (-1)^{|x||y|} times the one for (x, y), so checking
+        gi <= gj reads every table entry, once as [x, y] and once as the
+        partner [y, x].
         """
         for gi, gj in self._pairs(self.max_degree, unordered=True):
             acc = dict(self.brackets.get((gi, gj), ()))

@@ -83,9 +83,9 @@ def random_coefficient(rng):
 def random_sparse_rows(rng, nrows, ncols, density):
     """Random rows with some exact duplicates, negations, combinations and zero rows.
 
-    The coefficients mix ints, Fractions and ints above 2**64; a negated
-    row and most random rows start with a negative entry somewhere, and a
-    zero row is either empty or made of explicit zeros.
+    The coefficients mix small ints, Fractions with denominators 2-7 and
+    ints above 2**64.  Negated copies give rows with a negative leading
+    entry, and a zero row is either empty or made of explicit zeros.
     """
     rows = []
     for _ in range(nrows):
