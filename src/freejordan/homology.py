@@ -22,7 +22,9 @@ explicit rather than silent.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import linalg
 from .lambda_ops import phi_series
@@ -52,6 +54,7 @@ class ChainComplex:
         self.d_max = d_max
         self.blocks: dict[BlockKey, list[Monomial]] = {}
         self.index: dict[BlockKey, dict[Monomial, int]] = {}
+        self._parity = [el.parity for el in tag.basis]
         self._enumerate()
         self.boundaries: dict[BlockKey, list[linalg.SparseRow]] = {}
         for key in self.blocks:
@@ -62,31 +65,34 @@ class ChainComplex:
     # -- chain enumeration ----------------------------------------------
 
     def _enumerate(self) -> None:
+        """Every chain, depth first; a block lists its monomials in that order.
+
+        The basis is sorted by z-degree, so the factors that still fit under
+        ``d_max`` after z-degree d are an initial segment of it, ending at
+        ``stop[d]``.  An even factor moves ``start`` past itself, so even
+        factors never repeat.
+        """
         basis = self.tag.basis
-        nb = len(basis)
+        degrees = [el.degree for el in basis]
+        stop = [bisect_right(degrees, self.d_max - d) for d in range(self.d_max + 1)]
+        grade = [(el.degree, el.weight, el.parity) for el in basis]
+        r_max, blocks, index = self.r_max, self.blocks, self.index
 
-        def add(mon: Monomial, d: int, w: int, par: int) -> None:
+        def extend(mon: Monomial, start: int, d: int, w: int, par: int) -> None:
             key = (len(mon), d, w, par)
-            blk = self.blocks.setdefault(key, [])
-            self.index.setdefault(key, {})[mon] = len(blk)
+            blk = blocks.get(key)
+            if blk is None:
+                blk = blocks[key] = []
+                index[key] = {}
+            index[key][mon] = len(blk)
             blk.append(mon)
-
-        def extend(mon: list[int], start: int, d: int, w: int, par: int) -> None:
-            add(tuple(mon), d, w, par)
-            if len(mon) == self.r_max:
+            if len(mon) == r_max:
                 return
-            for g in range(start, nb):
-                el = basis[g]
-                if d + el.degree > self.d_max:
-                    continue
-                if el.parity == 0 and mon and mon[-1] == g:
-                    continue  # even factors square to zero
-                mon.append(g)
-                extend(mon, g if el.parity == 1 else g + 1,
-                       d + el.degree, w + el.weight, (par + el.parity) % 2)
-                mon.pop()
+            for g in range(start, stop[d]):
+                dg, wg, pg = grade[g]
+                extend(mon + (g,), g + 1 - pg, d + dg, w + wg, par ^ pg)
 
-        extend([], 0, 0, 0, 0)
+        extend((), 0, 0, 0, 0)
 
     def block_key(self, mon: Monomial) -> BlockKey:
         basis = self.tag.basis
@@ -109,48 +115,45 @@ class ChainComplex:
 
     # -- boundary --------------------------------------------------------
 
-    def _insert(self, g: int, rest: Monomial) -> tuple[Monomial, int] | None:
-        """Canonical insertion g ^ rest with Koszul signs; None if it dies."""
-        basis = self.tag.basis
-        pg = basis[g].parity
-        sign = 1
-        pos = 0
-        for h in rest:
-            if h < g:
-                sign *= -((-1) ** (pg * basis[h].parity))
-                pos += 1
-            else:
-                break
-        if pg == 0 and pos < len(rest) and rest[pos] == g:
-            return None
-        return rest[:pos] + (g,) + rest[pos:], sign
-
     def boundary_monomial(self, mon: Monomial) -> dict[Monomial, int]:
-        """tag.scale times d applied to one monomial, as a sparse combination."""
-        basis = self.tag.basis
-        tag = self.tag
-        out: dict[Monomial, int] = {}
+        """tag.scale times d applied to one monomial, as a sparse combination.
+
+        Signs are parities.  Moving a_s and then a_t to the front costs
+        s + |a_s|·before[s] and t - 1 + |a_t|·(before[t] - |a_s|), where
+        before[i] counts the odd factors ahead of slot i.  Inserting the
+        bracket term g at position pos of the rest costs
+        pos + |g|·(odd factors of the rest ahead of pos).  A term of the
+        wrong grading gives no chain of the target block, and
+        ``_boundary_block`` raises.
+        """
+        brackets = self.tag.brackets
+        par = self._parity
+        pars = [par[g] for g in mon]
+        before = [0, *accumulate(pars)]
         r = len(mon)
-        pars = [basis[g].parity for g in mon]
+        out: dict[Monomial, int] = {}
         for s in range(r):
+            ps = pars[s]
             for t in range(s + 1, r):
                 # Each unordered slot pair appears exactly once; repeated odd
                 # factors contribute once per pair of slots, as S(g_odd)
                 # requires.
-                terms = tag.brackets.get((mon[s], mon[t]), ())
+                terms = brackets.get((mon[s], mon[t]))
                 if not terms:
                     continue
-                sign = (-1) ** s * (-1) ** (pars[s] * sum(pars[:s]))
-                sign *= (-1) ** (t - 1) * (-1) ** (
-                    pars[t] * (sum(pars[:t]) - pars[s])
-                )
+                pt = pars[t]
+                sign = s + t - 1 + ps * before[s] + pt * (before[t] - ps)
                 rest = mon[:s] + mon[s + 1:t] + mon[t + 1:]
-                for k, c in terms:
-                    ins = self._insert(k, rest)
-                    if ins is None:
-                        continue
-                    new, s2 = ins
-                    term = c if sign == s2 else -c  # both signs are +-1
+                for g, c in terms:
+                    # g sits at z-degree deg a_s + deg a_t, above both, so it
+                    # sorts after both: at position at - 2 of the rest.
+                    at = bisect_left(mon, g)
+                    pg = par[g]
+                    if not pg and at < r and mon[at] == g:
+                        continue  # an even factor squares to zero
+                    new = rest[:at - 2] + (g,) + rest[at - 2:]
+                    odd = before[at] - ps - pt
+                    term = -c if (sign + at + pg * odd) & 1 else c
                     if new in out:
                         out[new] += term
                     else:
@@ -158,19 +161,23 @@ class ChainComplex:
         return {m: c for m, c in out.items() if c}
 
     def _boundary_block(self, key: BlockKey) -> list[linalg.SparseRow]:
-        """Sparse boundary columns for a block, rows indexed in V_{r-1}."""
+        """Sparse boundary columns for a block, rows indexed in V_{r-1}.
+
+        Every chain lies in exactly one block's index, so a term missing
+        from the target block's index has left the block.
+        """
         r, d, w, par = key
         if r == 0:
             return []
-        target = (r - 1, d, w, par)
-        tindex = self.index.get(target, {})
+        tindex = self.index.get((r - 1, d, w, par), {})
         cols = []
         for mon in self.blocks[key]:
             col: dict[int, int] = {}
             for m2, c in self.boundary_monomial(mon).items():
-                if self.block_key(m2) != target:
+                i = tindex.get(m2)
+                if i is None:
                     raise AssertionError("boundary leaves its block")
-                col[tindex[m2]] = c
+                col[i] = c
             cols.append(linalg.sparse_row(col))
         return cols
 
@@ -182,7 +189,8 @@ class ChainComplex:
             for col in cols:
                 acc: dict[int, int] = {}
                 for i, c in col:
-                    linalg.accumulate(acc, below[i], c)
+                    for k, v in below[i]:
+                        acc[k] = acc.get(k, 0) + c * v
                 if any(acc.values()):
                     raise AssertionError(
                         f"d^2 != 0 on block r={r} d={d} weight={w} parity={par}"

@@ -22,11 +22,12 @@ output is the reduced row echelon form whatever the order of the input
 rows, and equals what rational Gaussian elimination gives.
 
 Every exact elimination in the package enters through ``rank`` or
-``quotient``, and both reduce with ``rref``.  ``SparseRow`` is also the
-one vector type of the package: the algebra's tables, Bs(J), the TAG
-bracket and the Chevalley-Eilenberg boundary columns hold their vectors
-as sorted pairs with no zero coefficient, built with ``accumulate`` and
-``sparse_row``.
+``quotient``.  Both reduce with ``_reduce``; ``quotient`` goes on through
+``rref`` to the rational output rows, which ``rank`` never builds.
+``SparseRow`` is also the one vector type of the package: the algebra's
+tables, Bs(J), the TAG bracket and the Chevalley-Eilenberg boundary
+columns hold their vectors as sorted pairs with no zero coefficient,
+built with ``accumulate`` and ``sparse_row``.
 """
 
 from __future__ import annotations
@@ -99,13 +100,9 @@ def _make_primitive(vec: dict[int, int], lead: int) -> None:
             vec[k] //= g
 
 
-def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    The rows come back sorted by pivot, each as sorted sparse pairs with
-    Fraction coefficients.
-    """
-    reduced: dict[int, dict[int, int]] = {}  # pivot column -> its primitive row
+def _reduce(rows: Sequence[SparseRow]) -> dict[int, dict[int, int]]:
+    """The fully reduced primitive integer pivot rows, keyed by pivot column."""
+    reduced: dict[int, dict[int, int]] = {}
     # The order does not change the result; short rows first keep the
     # pivot rows sparse for longer.
     for row in sorted(rows, key=len):
@@ -121,6 +118,16 @@ def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
                 _eliminate(other, vec, piv)
                 _make_primitive(other, q)
         reduced[piv] = vec
+    return reduced
+
+
+def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The rows come back sorted by pivot, each as sorted sparse pairs with
+    Fraction coefficients.
+    """
+    reduced = _reduce(rows)
     pivots = sorted(reduced)
     out = []
     for p in pivots:
@@ -131,7 +138,8 @@ def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
 
 
 def rank(rows: Sequence[SparseRow]) -> int:
-    return len(rref(rows)[1])
+    """Row rank: the number of pivots, with no rational output rows built."""
+    return len(_reduce(rows))
 
 
 def quotient(

@@ -276,13 +276,14 @@ class TagAlgebra:
 
     # -- bracket construction -------------------------------------------
 
-    def _sl2_tensor(self, a: int, n: int, vec: Vector, scale: Fraction) -> Iterator[tuple[int, Fraction]]:
-        for u, c in vec:
-            yield self._sl2_index[(a, n, u)], scale * c
+    # The helpers below map a vector to TAG indices unscaled; a coefficient
+    # goes to ``linalg.accumulate``, which multiplies nothing by 1.
 
-    def _bs_terms(self, n: int, vec: Vector, scale: Fraction) -> Iterator[tuple[int, Fraction]]:
-        for u, c in vec:
-            yield self._bs_index[(n, u)], scale * c
+    def _sl2_tensor(self, a: int, n: int, vec: Vector) -> list[tuple[int, Fraction]]:
+        return [(self._sl2_index[(a, n, u)], c) for u, c in vec]
+
+    def _bs_terms(self, n: int, vec: Vector) -> list[tuple[int, Fraction]]:
+        return [(self._bs_index[(n, u)], c) for u, c in vec]
 
     def _bracket_basis(self, gi: int, gj: int) -> tuple[tuple[int, Fraction], ...]:
         e1, e2 = self.basis[gi], self.basis[gj]
@@ -295,11 +296,11 @@ class TagAlgebra:
             i, j = e1.degree, e2.degree
             kap = _KAPPA.get((a, b))
             if kap and n in self.bs:
-                amb = {self.bs[n].index[(i, u, j, v)]: Fraction(kap, 2)}
-                add(self._bs_terms(n, self.bs[n].project(amb), Fraction(1)))
+                amb = {self.bs[n].index[(i, u, j, v)]: 1}
+                add(self._bs_terms(n, self.bs[n].project(amb)), Fraction(kap, 2))
             for c_idx, coeff in _SL2_BRACKET.get((a, b), ()):
                 prod = self.alg.multiply_basis(i, u, j, v)
-                add(self._sl2_tensor(c_idx, n, prod, Fraction(coeff)))
+                add(self._sl2_tensor(c_idx, n, prod), coeff)
         elif e1.kind == "bs" and e2.kind == "sl2":
             add(self._bs_on_sl2(e1, e2))
         elif e1.kind == "sl2" and e2.kind == "bs":
@@ -331,13 +332,13 @@ class TagAlgebra:
             )
         return self._derivations[key]
 
-    def _bs_on_sl2(self, eb: TagElement, es: TagElement) -> Iterator[tuple[int, Fraction]]:
+    def _bs_on_sl2(self, eb: TagElement, es: TagElement) -> list[tuple[int, Fraction]]:
         a, w = es.data
         m = es.degree
         col = self._derivation(self._bs_lift(eb), m)[w]
-        return self._sl2_tensor(a, eb.degree + m, col, Fraction(1))
+        return self._sl2_tensor(a, eb.degree + m, col)
 
-    def _bs_on_bs(self, e1: TagElement, e2: TagElement) -> Iterator[tuple[int, Fraction]]:
+    def _bs_on_bs(self, e1: TagElement, e2: TagElement) -> list[tuple[int, Fraction]]:
         lift = self._bs_lift(e1)
         (i, _, j, _) = lift
         (p, s, q, t) = self._bs_lift(e2)
@@ -351,7 +352,7 @@ class TagAlgebra:
         linalg.accumulate(amb, [
             (comp.index[(p, s, i + j + q, k)], c) for k, c in self._derivation(lift, q)[t]
         ], sgn)
-        return self._bs_terms(n, comp.project(amb), Fraction(1))
+        return self._bs_terms(n, comp.project(amb))
 
     # -- self-tests ------------------------------------------------------
 

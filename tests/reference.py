@@ -8,13 +8,17 @@ package computes in closed form or through its tables.
   ``adjoint_odd_line``   -- the adjoint line factors as sums of t-integers;
 * ``is_t_symmetric``     -- the t -> 1/t symmetry of an sl2 character;
 * ``jordan_residual``    -- the super Jordan identity through the tables;
-* ``fraction_rref``      -- reduced row echelon form by rational elimination.
+* ``fraction_rref``      -- reduced row echelon form by rational elimination;
+* ``reference_chain_blocks``,
+  ``reference_boundary_monomial`` -- the Chevalley-Eilenberg chains by
+                           filtering every index tuple, and their boundary
+                           with signs summed factor by factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from freejordan import linalg
@@ -28,6 +32,7 @@ from freejordan.rings import (
     TZSeries,
     t_integer,
 )
+from freejordan.tag import TagAlgebra
 
 
 def adjoint_even_line(m: int, order: int) -> TZSeries:
@@ -176,3 +181,77 @@ def fraction_rref(rows: Sequence[linalg.SparseRow]) -> tuple[list[linalg.SparseR
         reduced[piv] = vec
     pivots = sorted(reduced)
     return [tuple(sorted(reduced[p].items())) for p in pivots], pivots
+
+
+def reference_chain_blocks(tag: TagAlgebra, r_max: int, d_max: int) -> dict:
+    """CE chain blocks by filtering every weakly increasing index tuple.
+
+    A chain is a tuple from ``combinations_with_replacement`` with no
+    repeated even index, z-degree <= d_max and length <= r_max.  Chains are
+    grouped by (length, z-degree, weight, parity) and listed in tuple
+    order; the blocks come in the order of their first chain.
+    """
+    basis = tag.basis
+    chains = []
+    for r in range(r_max + 1):
+        # Every factor has z-degree >= 1, so a longer tuple cannot fit
+        # with a factor above d_max - (r - 1); dropping those only saves time.
+        pool = [g for g, el in enumerate(basis) if el.degree <= d_max - max(r - 1, 0)]
+        for mon in combinations_with_replacement(pool, r):
+            if sum(basis[g].degree for g in mon) > d_max:
+                continue
+            if any(a == b and basis[a].parity == 0 for a, b in zip(mon, mon[1:])):
+                continue
+            chains.append(mon)
+    blocks: dict = {}
+    for mon in sorted(chains):
+        key = (
+            len(mon),
+            sum(basis[g].degree for g in mon),
+            sum(basis[g].weight for g in mon),
+            sum(basis[g].parity for g in mon) % 2,
+        )
+        blocks.setdefault(key, []).append(mon)
+    return blocks
+
+
+def reference_boundary_monomial(tag: TagAlgebra, mon: tuple[int, ...]) -> dict:
+    """tag.scale times the CE boundary of one chain, signs factor by factor.
+
+    Moving a_s and then a_t to the front passes every factor ahead of
+    them, and the bracket term is re-inserted past every smaller factor
+    of the rest, each step with the adjacent swap rule
+    x ^ y = -(-1)^{|x||y|} y ^ x.
+    """
+    basis = tag.basis
+
+    def insert(g, rest):
+        pg = basis[g].parity
+        sign = 1
+        pos = 0
+        for h in rest:
+            if h < g:
+                sign *= -((-1) ** (pg * basis[h].parity))
+                pos += 1
+            else:
+                break
+        if pg == 0 and pos < len(rest) and rest[pos] == g:
+            return None
+        return rest[:pos] + (g,) + rest[pos:], sign
+
+    out: dict = {}
+    r = len(mon)
+    pars = [basis[g].parity for g in mon]
+    for s in range(r):
+        for t in range(s + 1, r):
+            terms = tag.brackets.get((mon[s], mon[t]), ())
+            sign = (-1) ** s * (-1) ** (pars[s] * sum(pars[:s]))
+            sign *= (-1) ** (t - 1) * (-1) ** (pars[t] * (sum(pars[:t]) - pars[s]))
+            rest = mon[:s] + mon[s + 1:t] + mon[t + 1:]
+            for k, c in terms:
+                ins = insert(k, rest)
+                if ins is None:
+                    continue
+                new, s2 = ins
+                out[new] = out.get(new, 0) + sign * s2 * c
+    return {m: c for m, c in out.items() if c}

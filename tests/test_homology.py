@@ -5,6 +5,7 @@ from freejordan.homology import ChainComplex, compute_homology, isotypic_multipl
 from freejordan.jordan import build_free_jordan
 from freejordan.rings import GDim
 from freejordan.tag import build_tag
+from reference import reference_boundary_monomial, reference_chain_blocks
 
 
 def tag_for(d1, d2, n):
@@ -54,6 +55,36 @@ class TestChainComplex:
             # Columns are held as linalg's sparse rows.
             assert all(col == linalg.sparse_row(dict(col)) for col in cc.boundaries[key])
 
+    @pytest.mark.parametrize("d1,d2", [(1, 1), (0, 2), (2, 0)])
+    def test_blocks_match_the_brute_force_enumeration(self, d1, d2):
+        # Same blocks, in the same order, each listing its chains in order.
+        tag = tag_for(d1, d2, 5)
+        cc = ChainComplex(tag, 5, 5)
+        assert list(cc.blocks.items()) == list(reference_chain_blocks(tag, 5, 5).items())
+        assert all(cc.index[key] == {m: i for i, m in enumerate(mons)}
+                   for key, mons in cc.blocks.items())
+
+    def test_boundary_matches_the_reference_signs(self):
+        tag = tag_for(1, 1, 5)
+        cc = ChainComplex(tag, 5, 5)
+        mons = [mon for mons in cc.blocks.values() for mon in mons]
+        assert sum(1 for mon in mons if cc.boundary_monomial(mon)) > 1000
+        for mon in mons:
+            assert cc.boundary_monomial(mon) == reference_boundary_monomial(tag, mon)
+
+    def test_block_leak_gate_fires(self):
+        # Send one e(x)x term of a bracket to f(x)x: the chain it lands on
+        # is a chain, but of weight lower by 4, so in another block.
+        tag = tag_for(1, 1, 3)
+        ChainComplex(tag, 3, 3)
+        e_to_f = {g: tag._sl2_index[(2, n, u)]
+                  for (a, n, u), g in tag._sl2_index.items() if a == 0}
+        key = next(key for key, terms in tag.brackets.items()
+                   if key[0] < key[1] and any(k in e_to_f for k, _ in terms))
+        tag.brackets[key] = tuple(sorted((e_to_f.get(k, k), c) for k, c in tag.brackets[key]))
+        with pytest.raises(AssertionError, match="boundary leaves its block"):
+            ChainComplex(tag, 3, 3)
+
     def test_completeness_horizon(self):
         cc = ChainComplex(tag_for(0, 1, 5), 3, 5)
         assert cc.is_complete(3, 5)
@@ -74,8 +105,8 @@ class TestChainComplex:
     def test_each_block_is_ranked_once(self, monkeypatch):
         tag = tag_for(1, 1, 4)
         calls = []
-        rref = linalg.rref
-        monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or rref(rows))
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
         compute_homology(tag, 4, 4)
         monkeypatch.undo()
         blocks = ChainComplex(tag, 4, 4).blocks

@@ -140,6 +140,13 @@ def test_rref_is_reduced_echelon_form(seed, nrows, ncols, density):
         assert combo == dense
 
 
+@pytest.mark.parametrize("seed,nrows,ncols,density", SHAPES)
+def test_rank_is_the_rref_pivot_count(seed, nrows, ncols, density):
+    # rank skips the rational output rows; it must count the same pivots.
+    rows = random_sparse_rows(random.Random(seed), nrows, ncols, density)
+    assert linalg.rank(rows) == len(linalg.rref(rows)[1])
+
+
 @pytest.mark.parametrize("seed,nrows,ncols,density", SHAPES[:10])
 def test_rref_and_quotient_ignore_row_order(seed, nrows, ncols, density):
     rng = random.Random(seed)

@@ -171,7 +171,7 @@ class TestTagAlgebra:
         terms = dict(tag.bracket(ge, gf))
         comp = tag.bs[2]
         amb = {comp.index[(1, 0, 1, 0)]: Fraction(2)}
-        expect = dict(tag._bs_terms(2, comp.project(amb), Fraction(1)))
+        expect = dict(tag._bs_terms(2, comp.project(amb)))
         prod = alg.multiply_basis(1, 0, 1, 0)
         for u, c in prod:
             expect[tag._sl2_index[(1, 2, u)]] = c
