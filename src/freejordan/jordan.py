@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -82,11 +82,6 @@ class GradedJordanAlgebra:
         coeffs = [GDim(0, 0)] + [self.dims[n] for n in range(1, self.max_degree + 1)]
         return SuperSeries(self.max_degree, coeffs)
 
-    def basis_vector(self, n: int, idx: int) -> Vector:
-        if not 0 <= idx < self.dim(n):
-            raise IndexError(f"no basis element {idx} in degree {n}")
-        return ((idx, Fraction(1)),)
-
     def multiply_basis(self, i: int, u: int, j: int, v: int) -> Vector:
         """Product of basis elements, as coordinates in degree i + j."""
         if i + j > self.max_degree:
@@ -97,37 +92,34 @@ class GradedJordanAlgebra:
         w = self.tables[(j, i)][v][u]
         return w if sign == 1 else tuple((k, -c) for k, c in w)
 
-    def multiply(self, i: int, x: Vector, j: int, y: Vector) -> Vector:
-        """Bilinear extension of the basis product."""
-        if i + j > self.max_degree:
-            raise ValueError(f"product degree {i + j} beyond truncation")
-        acc: dict[int, Fraction] = {}
-        for u, cu in x:
-            for v, cv in y:
-                linalg.accumulate(acc, self.multiply_basis(i, u, j, v), cu * cv)
-        return linalg.sparse_row(acc)
+    def derivation(self, i: int, u: int, j: int, v: int, m: int) -> list[Vector]:
+        """Columns of d_{x,y} = [L_x, L_y] on degree m, for basis elements x and y.
 
-    def derivation_of(self, i: int, x: Vector, j: int, y: Vector, m: int) -> list[Vector]:
-        """Matrix columns of [L_x, L_y] restricted to degree m.
-
-        Column u is the image of the u-th degree-m basis element, living in
-        degree i + j + m.
+        x is element u of degree i and y element v of degree j; column w is
+        x.(y.z_w) - (-1)^{|x||y|} y.(x.z_w), in degree i + j + m.
         """
-        sign = (-1) ** (self._vec_parity(i, x) * self._vec_parity(j, y))
+        sign = -1 if self.parities[i][u] & self.parities[j][v] else 1
         cols = []
-        for u in range(self.dim(m)):
-            zu = self.basis_vector(m, u)
+        for w in range(self.dim(m)):
             acc: dict[int, Fraction] = {}
-            linalg.accumulate(acc, self.multiply(i, x, j + m, self.multiply(j, y, m, zu)))
-            linalg.accumulate(acc, self.multiply(j, y, i + m, self.multiply(i, x, m, zu)), -sign)
+            for a, b, c, d, s in ((i, u, j, v, 1), (j, v, i, u, -sign)):
+                for k, ck in self.multiply_basis(c, d, m, w):
+                    for q, cq in self.multiply_basis(a, b, c + m, k):
+                        acc[q] = acc.get(q, 0) + s * ck * cq
             cols.append(linalg.sparse_row(acc))
         return cols
 
-    def _vec_parity(self, n: int, x: Vector) -> int:
-        pars = {self.parities[n][u] for u, _ in x}
-        if len(pars) > 1:
-            raise ValueError("vector is not parity-homogeneous")
-        return pars.pop() if pars else 0
+    def integer_copy(self) -> tuple[int, GradedJordanAlgebra]:
+        """(T, a copy whose table entries are T times these, as ints).
+
+        T is the lcm of the tables' denominators, so the copy's products
+        are T times these and its derivations T**2 times these.
+        """
+        T = linalg.denominator(vec for tab in self.tables.values() for row in tab for vec in row)
+        return T, replace(self, tables={
+            key: [[linalg.scaled(vec, T) for vec in row] for row in tab]
+            for key, tab in self.tables.items()
+        })
 
     # -- serialization ---------------------------------------------------
 
@@ -150,7 +142,14 @@ class GradedJordanAlgebra:
 
     @classmethod
     def from_json(cls, text: str) -> "GradedJordanAlgebra":
-        """Inverse of ``to_json``; raises ValueError unless the sha256 matches."""
+        """Inverse of ``to_json``.
+
+        Raises ValueError unless the sha256 matches and the payload is well
+        formed: a parity tuple and as many labels for each degree
+        1..max_degree, and one table for each i <= j with i + j <=
+        max_degree, of dim(i) x dim(j) entries with indices below
+        dim(i + j) and no zero denominator.
+        """
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("cache payload is not a JSON object")
@@ -158,18 +157,25 @@ class GradedJordanAlgebra:
             raise ValueError("cache content does not match its sha256")
         if payload.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
-        tables = {}
-        for key, tab in payload["tables"].items():
-            i, j = (int(s) for s in key.split(","))
-            tables[(i, j)] = [
-                [tuple((k, Fraction(c)) for k, c in vec) for vec in row] for row in tab
-            ]
+        max_degree = payload["max_degree"]
+        parities = {int(n): tuple(p) for n, p in payload["parities"].items()}
+        if set(parities) != set(range(1, max_degree + 1)):
+            raise ValueError("cache parities do not cover degrees 1..max_degree")
+        labels = {int(n): tuple(v) for n, v in payload["labels"].items()}
+        if {n: len(v) for n, v in labels.items()} != {n: len(p) for n, p in parities.items()}:
+            raise ValueError("cache labels do not match the parities")
+        cached = {tuple(map(int, key.split(","))): tab for key, tab in payload["tables"].items()}
+        if set(cached) != {
+            (i, j) for i in range(1, max_degree) for j in range(i, max_degree + 1 - i)
+        }:
+            raise ValueError("cache tables do not match the products through max_degree")
+        tables = {(i, j): _read_table(tab, parities, i, j) for (i, j), tab in cached.items()}
         return cls(
             d1=payload["d1"],
             d2=payload["d2"],
-            max_degree=payload["max_degree"],
-            parities={int(n): tuple(p) for n, p in payload["parities"].items()},
-            labels={int(n): tuple(v) for n, v in payload["labels"].items()},
+            max_degree=max_degree,
+            parities=parities,
+            labels=labels,
             tables=tables,
         )
 
@@ -186,6 +192,22 @@ def _canonical(payload: dict) -> str:
 
 def _digest(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+
+
+def _read_table(
+    tab: list, parities: dict[int, tuple[int, ...]], i: int, j: int
+) -> list[list[Vector]]:
+    """The cached (i, j) table as held; ValueError unless its shape fits ``parities``."""
+    if len(tab) != len(parities[i]) or any(len(row) != len(parities[j]) for row in tab):
+        raise ValueError(f"cache table ({i}, {j}) is not dim({i}) x dim({j})")
+    try:
+        out = [[tuple((k, Fraction(c)) for k, c in vec) for vec in row] for row in tab]
+    except ArithmeticError as exc:  # a zero denominator, or an infinite float
+        raise ValueError(f"cache table ({i}, {j}) holds an invalid coefficient") from exc
+    dim = len(parities[i + j])
+    if any(not 0 <= k < dim for row in out for vec in row for k, _ in vec):
+        raise ValueError(f"cache table ({i}, {j}) holds an index beyond dim({i + j})")
+    return out
 
 
 def _pair_coords(parities: dict[int, tuple[int, ...]], n: int) -> list[tuple[int, int, int, int]]:

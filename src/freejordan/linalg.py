@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 SparseRow = tuple[tuple[int, Fraction | int], ...]
 
@@ -59,13 +59,30 @@ def sparse_row(acc: dict[int, Fraction]) -> SparseRow:
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
+def denominator(rows: Iterable[SparseRow]) -> int:
+    """The lcm of the denominators of every coefficient in ``rows``."""
+    return lcm(*(c.denominator for row in rows for _, c in row))
+
+
+def scaled(row: SparseRow, den: int) -> SparseRow:
+    """``den * row`` with int coefficients; ``den`` must clear every denominator."""
+    return tuple((k, c.numerator * (den // c.denominator)) for k, c in row)
+
+
 def _integral(row: SparseRow) -> dict[int, int]:
-    """The nonzero entries of ``row`` times the lcm of their denominators."""
+    """The nonzero entries of ``row`` times the lcm of their denominators.
+
+    A row of ints is taken as it is; the scan stops at the first entry
+    that is not an int.
+    """
+    for _, c in row:
+        if type(c) is not int:
+            break
+    else:
+        vec = dict(row)
+        return vec if 0 not in vec.values() else {k: c for k, c in vec.items() if c}
     row = [(k, c) for k, c in row if c]
-    den = lcm(*(c.denominator for _, c in row))
-    if den == 1:
-        return {k: int(c) for k, c in row}
-    return {k: c.numerator * (den // c.denominator) for k, c in row}
+    return dict(scaled(row, denominator([row])))
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> None:

@@ -25,6 +25,11 @@ Bs classes have weight 0.  After construction, anticommutativity is checked
 on every unordered in-range basis pair and the super Jacobi identity on
 every sorted in-range basis triple; by graded antisymmetry the other
 orderings follow from these, so both checks are exhaustive.
+
+The layer is built in ints from ``alg.integer_copy()``, J's tables times
+T; ``TagAlgebra`` gives the scales.  ``Fraction`` appears only at the API
+boundary: ``BsComponent.projection``, ``TagAlgebra.bracket`` and
+``structure_constants_json``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator
 
 from . import linalg
@@ -75,16 +80,14 @@ class BsComponent:
     def dim(self) -> GDim:
         return GDim(self.parities.count(0), self.parities.count(1))
 
-    def project(self, ambient: dict[int, Fraction]) -> Vector:
-        """Class of the ambient vector ``{position: coefficient}``."""
-        acc: dict[int, Fraction] = {}
-        for k, c in ambient.items():
-            linalg.accumulate(acc, self.projection[k], c)
-        return linalg.sparse_row(acc)
-
 
 def build_Bs(alg: GradedJordanAlgebra, max_degree: int) -> dict[int, BsComponent]:
-    """Bs(J) per z-degree 2..max_degree, by exact row reduction."""
+    """Bs(J) per z-degree 2..max_degree, by exact row reduction.
+
+    The relation rows are built from ``alg``'s tables as they are held, so
+    ``alg.integer_copy()`` gives each cyclic row times T: the same row
+    space, quotient and projection, in ints.
+    """
     if max_degree > alg.max_degree:
         raise ValueError("algebra not built deep enough")
     out: dict[int, BsComponent] = {}
@@ -108,8 +111,8 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
 
     rows: dict[linalg.SparseRow, None] = {}
 
-    def add_row(terms: list[tuple[int, Fraction]]) -> None:
-        acc: dict[int, Fraction] = {}
+    def add_row(terms: list[tuple[int, Fraction | int]]) -> None:
+        acc: dict[int, Fraction | int] = {}
         linalg.accumulate(acc, terms)
         row = linalg.sparse_row(acc)
         if row:
@@ -121,6 +124,7 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
         add_row([(index[(i, u, j, v)], 1), (index[(j, v, i, u)], sign)])
 
     # Cyclic relations on basis triples.
+    product = alg.multiply_basis
     for p in range(1, n - 1):
         for q in range(1, n - p):
             r = n - p - q
@@ -128,11 +132,11 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
                 continue
             for xu in range(len(par[p])):
                 for yu in range(len(par[q])):
-                    xy = alg.multiply_basis(p, xu, q, yu)
+                    xy = product(p, xu, q, yu)
                     for zu in range(len(par[r])):
                         px, py, pz = par[p][xu], par[q][yu], par[r][zu]
-                        yz = alg.multiply_basis(q, yu, r, zu)
-                        zx = alg.multiply_basis(r, zu, p, xu)
+                        yz = product(q, yu, r, zu)
+                        zx = product(r, zu, p, xu)
                         add_row([
                             (index[(dd, k, de, unit)], s * c)
                             for s, dd, vec, de, unit in (
@@ -161,19 +165,20 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
 def inner_rank_diagnostic(tag: TagAlgebra, n: int) -> GDim:
     """Rank of the degree-n classes of Bs(J) acting on J through tag.max_degree.
 
-    Reads the derivation matrices that ``tag`` has memoized.  The rank is
-    a truncation-dependent lower bound for the graded dimension of the
-    degree-n inner derivations: action at z-degrees above the horizon is
-    invisible, so the true dimension may be larger.
+    Reads the derivation matrices that ``tag`` built once, at scale T**2,
+    which the rank does not see.  The rank is a truncation-dependent lower
+    bound for the graded dimension of the degree-n inner derivations:
+    action at z-degrees above the horizon is invisible, so the true
+    dimension may be larger.
     """
     bs = tag.bs[n]
     rows: dict[int, list[linalg.SparseRow]] = {0: [], 1: []}
     for idx, k in enumerate(bs.lifts):
         # Each class is the concatenation of its derivation columns.
-        row: list[tuple[int, Fraction]] = []
+        row: list[tuple[int, int]] = []
         offset = 0
         for m in range(1, tag.max_degree - n + 1):
-            for col in tag._derivation(bs.coords[k], m):
+            for col in tag._derivations[bs.coords[k] + (m,)]:
                 row.extend((offset + pos, c) for pos, c in col)
                 offset += tag.alg.dim(n + m)
         rows[bs.parities[idx]].append(tuple(row))
@@ -203,6 +208,18 @@ class TagAlgebra:
     holds ``scale * [basis[gi], basis[gj]]`` with int coefficients.
     ``bracket`` and ``structure_constants_json`` divide the scale out;
     the gates and the chain complex read the integer table directly.
+
+    Everything is built in ints from one integer copy of J's tables, each
+    entry times T, the lcm of their denominators: Bs(J) from cyclic rows
+    T times the rational ones, the derivation columns at T**2, and the Bs
+    projection read at P, the lcm of its denominators.  Each bracket is
+    summed at S = lcm(2P, P*T**2): the k/2 part carries 2P, the
+    [a,b](x)(x.y) part T, the Bs-on-sl2 part T**2 and the Bs-on-Bs part
+    P*T**2.  With g the gcd of S and every entry, ``scale`` = S // g and
+    each entry is divided by g; as every rational coefficient is an entry
+    over S, S // g is the lcm of their denominators.  Of the integer data
+    only ``_derivations`` outlives construction: the T**2 columns of every
+    Bs class on every degree in range, read by ``inner_rank_diagnostic``.
     """
 
     def __init__(self, alg: GradedJordanAlgebra, max_degree: int) -> None:
@@ -210,7 +227,8 @@ class TagAlgebra:
             raise ValueError("algebra not built deep enough")
         self.alg = alg
         self.max_degree = max_degree
-        self.bs = build_Bs(alg, max_degree)
+        T, scaled = alg.integer_copy()
+        self.bs = build_Bs(scaled, max_degree)
         self.basis: list[TagElement] = []
         self._sl2_index: dict[tuple[int, int, int], int] = {}
         self._bs_index: dict[tuple[int, int], int] = {}
@@ -238,17 +256,14 @@ class TagAlgebra:
                         data=(u,),
                     ))
         self._degrees = [el.degree for el in self.basis]
-        self._derivations: dict[tuple[int, int, int, int, int], list[Vector]] = {}
-        self.brackets: dict[tuple[int, int], Vector] = {}
-        for gi, gj in self._pairs(max_degree):
-            terms = self._bracket_basis(gi, gj)
-            if terms:
-                self.brackets[(gi, gj)] = terms
-        self.scale = lcm(*(c.denominator for terms in self.brackets.values() for _, c in terms))
-        for key, terms in self.brackets.items():
-            self.brackets[key] = tuple(
-                (k, c.numerator * (self.scale // c.denominator)) for k, c in terms
-            )
+        # lift (i, u, j, v) of a Bs class + (m,) -> T**2 times d_{x,y} on degree m.
+        self._derivations: dict[tuple[int, int, int, int, int], list[Vector]] = {
+            comp.coords[k] + (m,): scaled.derivation(*comp.coords[k], m)
+            for n, comp in self.bs.items()
+            for k in comp.lifts
+            for m in range(1, max_degree - n + 1)
+        }
+        self.brackets, self.scale = self._bracket_table(scaled, T)
 
     def _pairs(self, max_total: int, unordered: bool = False) -> Iterator[tuple[int, int]]:
         """Basis index pairs whose z-degrees sum to at most ``max_total``.
@@ -276,83 +291,92 @@ class TagAlgebra:
 
     # -- bracket construction -------------------------------------------
 
-    # The helpers below map a vector to TAG indices unscaled; a coefficient
-    # goes to ``linalg.accumulate``, which multiplies nothing by 1.
+    # The helpers below map a vector to TAG indices times ``scale``.  Every
+    # vector is sorted and the indices of one (a, degree) or one Bs degree
+    # are consecutive, so each image is sorted too.
 
-    def _sl2_tensor(self, a: int, n: int, vec: Vector) -> list[tuple[int, Fraction]]:
-        return [(self._sl2_index[(a, n, u)], c) for u, c in vec]
+    def _sl2_tensor(self, a: int, n: int, vec: Vector, scale: int) -> list[tuple[int, int]]:
+        return [(self._sl2_index[(a, n, u)], scale * c) for u, c in vec]
 
-    def _bs_terms(self, n: int, vec: Vector) -> list[tuple[int, Fraction]]:
-        return [(self._bs_index[(n, u)], c) for u, c in vec]
-
-    def _bracket_basis(self, gi: int, gj: int) -> tuple[tuple[int, Fraction], ...]:
-        e1, e2 = self.basis[gi], self.basis[gj]
-        acc: dict[int, Fraction] = {}
-        add = lambda pairs, sign=1: linalg.accumulate(acc, pairs, sign)
-        n = e1.degree + e2.degree
-        if e1.kind == "sl2" and e2.kind == "sl2":
-            a, u = e1.data
-            b, v = e2.data
-            i, j = e1.degree, e2.degree
-            kap = _KAPPA.get((a, b))
-            if kap and n in self.bs:
-                amb = {self.bs[n].index[(i, u, j, v)]: 1}
-                add(self._bs_terms(n, self.bs[n].project(amb)), Fraction(kap, 2))
-            for c_idx, coeff in _SL2_BRACKET.get((a, b), ()):
-                prod = self.alg.multiply_basis(i, u, j, v)
-                add(self._sl2_tensor(c_idx, n, prod), coeff)
-        elif e1.kind == "bs" and e2.kind == "sl2":
-            add(self._bs_on_sl2(e1, e2))
-        elif e1.kind == "sl2" and e2.kind == "bs":
-            sign = -((-1) ** (e1.parity * e2.parity))
-            add(self._bs_on_sl2(e2, e1), sign)
-        else:
-            add(self._bs_on_bs(e1, e2))
-        out = linalg.sparse_row(acc)
-        for k, _ in out:
-            el = self.basis[k]
-            if el.degree != n or el.weight != e1.weight + e2.weight:
-                raise AssertionError("bracket violates grading")
-            if el.parity != (e1.parity + e2.parity) % 2:
-                raise AssertionError("bracket violates parity")
-        return out
+    def _bs_terms(self, n: int, vec: Vector, scale: int) -> list[tuple[int, int]]:
+        return [(self._bs_index[(n, u)], scale * c) for u, c in vec]
 
     def _bs_lift(self, el: TagElement) -> tuple[int, int, int, int]:
         comp = self.bs[el.degree]
         return comp.coords[comp.lifts[el.data[0]]]
 
-    def _derivation(self, lift: tuple[int, int, int, int], m: int) -> list[Vector]:
-        """Columns of d_{x,y} on degree m for the lift x(x)y, built once."""
-        key = lift + (m,)
-        if key not in self._derivations:
-            i, u, j, v = lift
-            alg = self.alg
-            self._derivations[key] = alg.derivation_of(
-                i, alg.basis_vector(i, u), j, alg.basis_vector(j, v), m
-            )
-        return self._derivations[key]
+    def _bracket_table(
+        self, scaled: GradedJordanAlgebra, T: int
+    ) -> tuple[dict[tuple[int, int], Vector], int]:
+        """Every in-range bracket in ints; returns (brackets, scale).
 
-    def _bs_on_sl2(self, eb: TagElement, es: TagElement) -> list[tuple[int, Fraction]]:
-        a, w = es.data
-        m = es.degree
-        col = self._derivation(self._bs_lift(eb), m)[w]
-        return self._sl2_tensor(a, eb.degree + m, col)
+        See the class docstring for the scales T, P and S.  Inside a degree
+        the sl2 tensors come before the Bs classes, so the k/2 part of an
+        sl2 bracket follows its [a,b](x)(x.y) part, and each bracket but a
+        Bs-on-Bs one is a concatenation of sorted images with no sum.
+        """
+        P = linalg.denominator(vec for comp in self.bs.values() for vec in comp.projection)
+        projection = {
+            n: [linalg.scaled(vec, P) for vec in comp.projection] for n, comp in self.bs.items()
+        }
+        S = lcm(2 * P, P * T * T)
+        # Multipliers that bring each part of a bracket to scale S.
+        half_kappa = {key: kap * (S // (2 * P)) for key, kap in _KAPPA.items()}
+        to_s_product = S // T
+        to_s_derivation = S // (T * T)
+        to_s_bs = S // (P * T * T)
 
-    def _bs_on_bs(self, e1: TagElement, e2: TagElement) -> list[tuple[int, Fraction]]:
-        lift = self._bs_lift(e1)
-        (i, _, j, _) = lift
-        (p, s, q, t) = self._bs_lift(e2)
-        n = e1.degree + e2.degree
-        comp = self.bs[n]
-        sgn = (-1) ** (e1.parity * self.alg.parities[p][s])
-        amb: dict[int, Fraction] = {}
-        linalg.accumulate(amb, [
-            (comp.index[(i + j + p, k, q, t)], c) for k, c in self._derivation(lift, p)[s]
-        ])
-        linalg.accumulate(amb, [
-            (comp.index[(p, s, i + j + q, k)], c) for k, c in self._derivation(lift, q)[t]
-        ], sgn)
-        return self._bs_terms(n, comp.project(amb))
+        grade = [(el.degree, el.weight, el.parity) for el in self.basis]
+        brackets: dict[tuple[int, int], Vector] = {}
+        for gi, gj in self._pairs(self.max_degree):
+            e1, e2 = self.basis[gi], self.basis[gj]
+            n = e1.degree + e2.degree
+            if e1.kind == "sl2" and e2.kind == "sl2":
+                (a, u), (b, v) = e1.data, e2.data
+                i, j = e1.degree, e2.degree
+                out = []
+                for c_idx, coeff in _SL2_BRACKET.get((a, b), ()):
+                    prod = scaled.multiply_basis(i, u, j, v)
+                    out += self._sl2_tensor(c_idx, n, prod, coeff * to_s_product)
+                kap = half_kappa.get((a, b))
+                if kap and n in self.bs:
+                    coord = self.bs[n].index[(i, u, j, v)]
+                    out += self._bs_terms(n, projection[n][coord], kap)
+            elif e1.kind != e2.kind:
+                # [sl2, Bs] = -(-1)^{|x||y|} [Bs, sl2]
+                eb, es, sign = (
+                    (e1, e2, 1) if e1.kind == "bs"
+                    else (e2, e1, -((-1) ** (e1.parity * e2.parity)))
+                )
+                a, w = es.data
+                col = self._derivations[self._bs_lift(eb) + (es.degree,)][w]
+                out = self._sl2_tensor(a, n, col, sign * to_s_derivation)
+            else:
+                # {d(z)(x)w} + (-1)^{|e1||z|} {z(x)d(w)}, d of e1 and z(x)w the lift of e2
+                lift, (p, s, q, t) = self._bs_lift(e1), self._bs_lift(e2)
+                d, index = e1.degree, self.bs[n].index
+                sign = (-1) ** (e1.parity * scaled.parities[p][s])
+                image: dict[int, int] = {}
+                for k, c in self._derivations[lift + (p,)][s]:
+                    linalg.accumulate(image, projection[n][index[(d + p, k, q, t)]], c)
+                for k, c in self._derivations[lift + (q,)][t]:
+                    linalg.accumulate(image, projection[n][index[(p, s, d + q, k)]], sign * c)
+                out = self._bs_terms(n, linalg.sparse_row(image), to_s_bs)
+            if not out:
+                continue
+            want = (n, e1.weight + e2.weight, (e1.parity + e2.parity) % 2)
+            for k, _ in out:
+                if grade[k] != want:
+                    bad = "parity" if grade[k][:2] == want[:2] else "grading"
+                    raise AssertionError(f"bracket violates {bad}")
+            brackets[(gi, gj)] = tuple(out)
+        g = S
+        for terms in brackets.values():
+            g = gcd(g, *(c for _, c in terms))
+        if g != 1:
+            for key, terms in brackets.items():
+                brackets[key] = tuple((k, c // g) for k, c in terms)
+        return brackets, S // g
 
     # -- self-tests ------------------------------------------------------
 

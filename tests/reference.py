@@ -7,7 +7,15 @@ package computes in closed form or through its tables.
 * ``adjoint_even_line``,
   ``adjoint_odd_line``   -- the adjoint line factors as sums of t-integers;
 * ``is_t_symmetric``     -- the t -> 1/t symmetry of an sl2 character;
+* ``basis_vector``,
+  ``multiply``,
+  ``derivation_of``      -- rational vectors, products and d_{x,y} = [L_x, L_y]
+                           through the tables, for any homogeneous vectors;
 * ``jordan_residual``    -- the super Jordan identity through the tables;
+* ``project``            -- the class in Bs(J) of an ambient J (x) J vector;
+* ``fraction_brackets``  -- the TAG bracket table summed in Fractions from
+                           the rational tables, the route the integer table
+                           replaced;
 * ``fraction_rref``      -- reduced row echelon form by rational elimination;
 * ``reference_chain_blocks``,
   ``reference_boundary_monomial`` -- the Chevalley-Eilenberg chains by
@@ -32,7 +40,7 @@ from freejordan.rings import (
     TZSeries,
     t_integer,
 )
-from freejordan.tag import TagAlgebra
+from freejordan.tag import _KAPPA, _SL2_BRACKET, BsComponent, TagAlgebra
 
 
 def adjoint_even_line(m: int, order: int) -> TZSeries:
@@ -113,6 +121,49 @@ def is_t_symmetric(c: RLaurent) -> bool:
     return all(c[e] == c[-e] for e, _ in c.terms)
 
 
+def basis_vector(alg: GradedJordanAlgebra, n: int, idx: int) -> Vector:
+    if not 0 <= idx < alg.dim(n):
+        raise IndexError(f"no basis element {idx} in degree {n}")
+    return ((idx, Fraction(1)),)
+
+
+def vector_parity(alg: GradedJordanAlgebra, n: int, x: Vector) -> int:
+    pars = {alg.parities[n][u] for u, _ in x}
+    if len(pars) > 1:
+        raise ValueError("vector is not parity-homogeneous")
+    return pars.pop() if pars else 0
+
+
+def multiply(alg: GradedJordanAlgebra, i: int, x: Vector, j: int, y: Vector) -> Vector:
+    """Bilinear extension of the basis product."""
+    if i + j > alg.max_degree:
+        raise ValueError(f"product degree {i + j} beyond truncation")
+    acc: dict[int, Fraction] = {}
+    for u, cu in x:
+        for v, cv in y:
+            linalg.accumulate(acc, alg.multiply_basis(i, u, j, v), cu * cv)
+    return linalg.sparse_row(acc)
+
+
+def derivation_of(
+    alg: GradedJordanAlgebra, i: int, x: Vector, j: int, y: Vector, m: int
+) -> list[Vector]:
+    """Matrix columns of [L_x, L_y] restricted to degree m.
+
+    Column u is the image of the u-th degree-m basis element, living in
+    degree i + j + m.
+    """
+    sign = (-1) ** (vector_parity(alg, i, x) * vector_parity(alg, j, y))
+    cols = []
+    for u in range(alg.dim(m)):
+        zu = basis_vector(alg, m, u)
+        acc: dict[int, Fraction] = {}
+        linalg.accumulate(acc, multiply(alg, i, x, j + m, multiply(alg, j, y, m, zu)))
+        linalg.accumulate(acc, multiply(alg, j, y, i + m, multiply(alg, i, x, m, zu)), -sign)
+        cols.append(linalg.sparse_row(acc))
+    return cols
+
+
 def jordan_residual(
     alg: GradedJordanAlgebra,
     x: tuple[int, Vector],
@@ -132,19 +183,91 @@ def jordan_residual(
     triple = [x, y, z]
     for r in range(3):
         (di, xi), (dj, xj), (dk, xk) = triple[r % 3], triple[(r + 1) % 3], triple[(r + 2) % 3]
-        pi = alg._vec_parity(di, xi)
-        pj = alg._vec_parity(dj, xj)
-        pk = alg._vec_parity(dk, xk)
+        pi = vector_parity(alg, di, xi)
+        pj = vector_parity(alg, dj, xj)
+        pk = vector_parity(alg, dk, xk)
         s1 = (-1) ** (pi * pk)
         s2 = (-1) ** ((pi + pj) * pk)
-        ab = alg.multiply(di, xi, dj, xj)
-        zw = alg.multiply(dk, xk, w[0], w[1])
-        t1 = alg.multiply(di + dj, ab, dk + w[0], zw)
-        abw = alg.multiply(di + dj, ab, w[0], w[1])
-        t2 = alg.multiply(dk, xk, di + dj + w[0], abw)
+        ab = multiply(alg, di, xi, dj, xj)
+        zw = multiply(alg, dk, xk, w[0], w[1])
+        t1 = multiply(alg, di + dj, ab, dk + w[0], zw)
+        abw = multiply(alg, di + dj, ab, w[0], w[1])
+        t2 = multiply(alg, dk, xk, di + dj + w[0], abw)
         linalg.accumulate(acc, t1, s1)
         linalg.accumulate(acc, t2, -s1 * s2)
     return linalg.sparse_row(acc)
+
+
+def project(comp: BsComponent, ambient: dict[int, Fraction]) -> Vector:
+    """Class of the ambient vector ``{position: coefficient}`` in Bs(J)."""
+    acc: dict[int, Fraction] = {}
+    for k, c in ambient.items():
+        linalg.accumulate(acc, comp.projection[k], c)
+    return linalg.sparse_row(acc)
+
+
+def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
+    """Every nonzero in-range [basis[gi], basis[gj]] with Fraction coefficients.
+
+    Each bracket is summed coefficient by coefficient from the rational
+    tables, the Bs projection and ``derivation_of``, with no common scale.
+    """
+    alg, bs, basis = tag.alg, tag.bs, tag.basis
+    derivations: dict[tuple[int, ...], list[Vector]] = {}
+
+    def derivation(el, m):
+        comp = bs[el.degree]
+        i, u, j, v = lift = comp.coords[comp.lifts[el.data[0]]]
+        if lift + (m,) not in derivations:
+            derivations[lift + (m,)] = derivation_of(
+                alg, i, basis_vector(alg, i, u), j, basis_vector(alg, j, v), m
+            )
+        return lift, derivations[lift + (m,)]
+
+    def sl2_tensor(a, n, vec):
+        return [(tag._sl2_index[(a, n, u)], c) for u, c in vec]
+
+    def bs_terms(n, vec):
+        return [(tag._bs_index[(n, u)], c) for u, c in vec]
+
+    def bs_on_sl2(eb, es):
+        a, w = es.data
+        return sl2_tensor(a, eb.degree + es.degree, derivation(eb, es.degree)[1][w])
+
+    out = {}
+    for gi, gj in tag._pairs(tag.max_degree):
+        e1, e2 = basis[gi], basis[gj]
+        n = e1.degree + e2.degree
+        acc: dict[int, Fraction] = {}
+        if e1.kind == "sl2" and e2.kind == "sl2":
+            (a, u), (b, v) = e1.data, e2.data
+            i, j = e1.degree, e2.degree
+            kap = _KAPPA.get((a, b))
+            if kap and n in bs:
+                amb = {bs[n].index[(i, u, j, v)]: 1}
+                linalg.accumulate(acc, bs_terms(n, project(bs[n], amb)), Fraction(kap, 2))
+            for c_idx, coeff in _SL2_BRACKET.get((a, b), ()):
+                prod = alg.multiply_basis(i, u, j, v)
+                linalg.accumulate(acc, sl2_tensor(c_idx, n, prod), coeff)
+        elif e1.kind == "bs" and e2.kind == "sl2":
+            linalg.accumulate(acc, bs_on_sl2(e1, e2))
+        elif e1.kind == "sl2" and e2.kind == "bs":
+            sign = -((-1) ** (e1.parity * e2.parity))
+            linalg.accumulate(acc, bs_on_sl2(e2, e1), sign)
+        else:
+            comp = bs[n]
+            (p, s, q, t) = bs[e2.degree].coords[bs[e2.degree].lifts[e2.data[0]]]
+            (i, _, j, _), cols_p = derivation(e1, p)
+            _, cols_q = derivation(e1, q)
+            sgn = (-1) ** (e1.parity * alg.parities[p][s])
+            amb: dict[int, Fraction] = {}
+            linalg.accumulate(amb, [(comp.index[(i + j + p, k, q, t)], c) for k, c in cols_p[s]])
+            linalg.accumulate(amb, [(comp.index[(p, s, i + j + q, k)], c) for k, c in cols_q[t]], sgn)
+            linalg.accumulate(acc, bs_terms(n, project(comp, amb)))
+        terms = linalg.sparse_row(acc)
+        if terms:
+            out[(gi, gj)] = terms
+    return out
 
 
 def _subtract(vec: dict[int, Fraction], f: Fraction, row: dict[int, Fraction], skip: int) -> None:

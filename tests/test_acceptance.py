@@ -21,7 +21,7 @@ from freejordan.solver import (
     solve_dims_pair,
 )
 from freejordan.tag import build_tag
-from reference import adjoint_odd_line, jordan_residual, lambda_direct
+from reference import adjoint_odd_line, basis_vector, jordan_residual, lambda_direct
 
 
 def report(n: int, text: str) -> None:
@@ -156,10 +156,10 @@ def test_criterion_6_algebraic_gates():
                     for dx in range(alg.dim(1)):
                         r = jordan_residual(
                             alg,
-                            (1, alg.basis_vector(1, du)),
-                            (1, alg.basis_vector(1, dv)),
-                            (1, alg.basis_vector(1, dw)),
-                            (1, alg.basis_vector(1, dx)),
+                            (1, basis_vector(alg, 1, du)),
+                            (1, basis_vector(alg, 1, dv)),
+                            (1, basis_vector(alg, 1, dw)),
+                            (1, basis_vector(alg, 1, dx)),
                         )
                         assert r == ()
         # TAG anticommutativity + Jacobi on all in-range triples

@@ -18,6 +18,7 @@ import pytest
 from freejordan.homology import compute_homology
 from freejordan.jordan import build_free_jordan
 from freejordan.tag import build_tag, inner_rank_diagnostic
+from reference import multiply
 
 
 def _pairs(vec):
@@ -78,6 +79,14 @@ PINNED = {
         "structure_constants": "5ea5d54d1f75afde091f7614eb195b2eeb275203e8ce40a2222289fff3c5b331",
         "homology": "f86df864dfbfc80353cae54b3f269efda68432503b04ceae0f851270c4178154",
     },
+    # Both the table scale T and the Bs projection scale P exceed 1 here;
+    # the bracket table's scale is 48.
+    (2, 0, 6, 3): {
+        "algebra": "1d1bf0b004caecb6714dc48070b6319a707fbe116a70b62debaadf3470d8e2d7",
+        "bs": "411914e05991a274ebf4a11cfdc655ef307e20debdc03752312e57027aa55e22",
+        "structure_constants": "b5ea60124acbc0fbfd6fa678b3f912231b9b3613d6226b17eba27b6bc898f760",
+        "homology": "349dba11b4ba07c8dd421162cc02dc7deb7c4d050dedd66d0d4241ccca8aab68",
+    },
 }
 
 
@@ -109,7 +118,7 @@ def test_every_vector_is_sparse():
                   if rng.random() < 0.6)
             for d in (i, j)
         )
-        products.append(alg.multiply(i, x, j, y))
+        products.append(multiply(alg, i, x, j, y))
     for name, vecs in [("table", entries), ("projection", projections),
                        ("derivation", columns), ("product", products)]:
         assert any(vecs), name

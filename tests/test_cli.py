@@ -3,8 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from freejordan import cli, tag
+from freejordan import cli, jordan, tag
 from freejordan.jordan import GradedJordanAlgebra
+
+
+def _first_entry(payload):
+    vec = next(vec for row in payload["tables"]["1,1"] for vec in row if vec)
+    return vec[0]
+
+
+# Edits of a cached (1|1)@4 payload that keep it valid JSON of the right shape
+# at the top level; the sha256 is recomputed after each.
+MALFORMED = {
+    "zero-denominator": lambda p: _first_entry(p).__setitem__(1, "1/0"),
+    "index-beyond-dim": lambda p: _first_entry(p).__setitem__(0, 99),
+    "short-table": lambda p: p["tables"]["1,2"][0].pop(),
+    "missing-table": lambda p: p["tables"].pop("1,3"),
+    "missing-labels": lambda p: p["labels"]["3"].pop(),
+    "missing-degree": lambda p: p["parities"].pop("4"),
+}
 
 
 def run(capsys, *argv):
@@ -226,6 +243,24 @@ class TestVerifyCommand:
         assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
         alg = GradedJordanAlgebra.from_json(path.read_text())
         assert alg.max_degree == 4
+
+    @pytest.mark.parametrize("edit", sorted(MALFORMED))
+    def test_malformed_cache_with_a_valid_sha256_is_rebuilt(self, capsys, tmp_path, edit):
+        # The sha256 is recomputed over the edited payload, so only the
+        # checks of from_json stand between it and the TAG layer.
+        args, path = self._cached(capsys, tmp_path)
+        fresh = path.read_text()
+        payload = json.loads(fresh)
+        del payload["sha256"]
+        MALFORMED[edit](payload)
+        payload["sha256"] = jordan._digest(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            GradedJordanAlgebra.from_json(path.read_text())
+        code, out, err = run(capsys, *args)
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
+        assert path.read_text() == fresh
 
     def test_edited_parity_in_cache_is_rebuilt(self, capsys, tmp_path):
         # A flipped basis parity changes the dims read off the cache; it must

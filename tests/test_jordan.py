@@ -16,7 +16,7 @@ from freejordan.jordan import (
 )
 from freejordan.rings import GDim
 from freejordan.solver import solve_dims
-from reference import jordan_residual
+from reference import basis_vector, jordan_residual
 
 
 def rand_homogeneous(alg, rng, n):
@@ -87,10 +87,10 @@ class TestAlgebraStructure:
                         for wu in range(dims1):
                             r = jordan_residual(
                                 alg,
-                                (1, alg.basis_vector(1, xu)),
-                                (1, alg.basis_vector(1, yu)),
-                                (1, alg.basis_vector(1, zu)),
-                                (1, alg.basis_vector(1, wu)),
+                                (1, basis_vector(alg, 1, xu)),
+                                (1, basis_vector(alg, 1, yu)),
+                                (1, basis_vector(alg, 1, zu)),
+                                (1, basis_vector(alg, 1, wu)),
                             )
                             assert r == ()
 

@@ -37,6 +37,13 @@ def test_rref_dependent_rows():
                 assert r2[c] == 0
 
 
+def test_int_rows_with_explicit_zeros():
+    # Rows of ints skip the denominator scan; their zeros are still dropped.
+    rows = [((0, 0), (2, 0)), ((0, 2), (1, 0), (2, 4)), ((0, 3), (2, 6))]
+    assert linalg.rank(rows) == 1
+    assert linalg.rref(rows) == fraction_rref(rows) == ([((0, 1), (2, 2))], [0])
+
+
 def test_rank_random_products():
     # rank(A) <= min dims; outer products have rank 1
     rng = random.Random(5)

@@ -14,6 +14,7 @@ from freejordan.tag import (
     build_tag,
     inner_rank_diagnostic,
 )
+from reference import basis_vector, derivation_of, fraction_brackets, multiply, project
 
 
 def ordered_jacobi_failures(tag):
@@ -68,7 +69,7 @@ class TestBs:
                 sign = (-1) ** (alg.parities[i][u] * alg.parities[j][v])
                 k = comp.index[(j, v, i, u)]
                 amb[k] = amb.get(k, 0) + sign
-                assert comp.project(amb) == ()
+                assert project(comp, amb) == ()
 
     def test_cyclic_relation_holds(self):
         alg = build_free_jordan(0, 2, 4)
@@ -94,7 +95,7 @@ class TestBs:
                 for k, c in vec:
                     pos = comp.index[(da, k, db, w)]
                     amb[pos] = amb.get(pos, 0) + s * c
-            assert comp.project(amb) == ()
+            assert project(comp, amb) == ()
 
     def test_matches_pair_solver(self):
         # Conjecture-level agreement of Bs dimensions with the b-series.
@@ -114,30 +115,28 @@ class TestBs:
 class TestDerivations:
     def test_inner_derivations_vanish_for_one_odd_generator(self):
         alg = build_free_jordan(0, 1, 6)
-        y = alg.basis_vector(1, 0)
         for m in range(1, 5):
-            cols = alg.derivation_of(1, y, 1, y, m)
+            cols = alg.derivation(1, 0, 1, 0, m)
             assert all(col == () for col in cols)
         assert inner_rank_diagnostic(TagAlgebra(alg, 6), 2) == GDim(0, 0)
 
     def test_even_self_commutator_vanishes(self):
         alg = build_free_jordan(2, 0, 5)
-        x = alg.basis_vector(1, 0)
         for m in range(1, 4):
-            cols = alg.derivation_of(1, x, 1, x, m)
+            cols = alg.derivation(1, 0, 1, 0, m)
             assert all(col == () for col in cols)
 
     def test_explicit_mixed_value(self):
         # d_{x,y}(x) = x.(y.x) - y.x^2 in degree 3.
         alg = build_free_jordan(1, 1, 3)
-        x = alg.basis_vector(1, 0)
-        y = alg.basis_vector(1, 1)
-        col = alg.derivation_of(1, x, 1, y, 1)[0]
-        yx = alg.multiply(1, y, 1, x)
-        xx = alg.multiply(1, x, 1, x)
+        x = basis_vector(alg, 1, 0)
+        y = basis_vector(alg, 1, 1)
+        col = alg.derivation(1, 0, 1, 1, 1)[0]
+        yx = multiply(alg, 1, y, 1, x)
+        xx = multiply(alg, 1, x, 1, x)
         byhand = {}
-        linalg.accumulate(byhand, alg.multiply(1, x, 2, yx))
-        linalg.accumulate(byhand, alg.multiply(1, y, 2, xx), -1)
+        linalg.accumulate(byhand, multiply(alg, 1, x, 2, yx))
+        linalg.accumulate(byhand, multiply(alg, 1, y, 2, xx), -1)
         assert col == linalg.sparse_row(byhand)
 
     def test_rank_bounded_by_bs(self):
@@ -171,7 +170,7 @@ class TestTagAlgebra:
         terms = dict(tag.bracket(ge, gf))
         comp = tag.bs[2]
         amb = {comp.index[(1, 0, 1, 0)]: Fraction(2)}
-        expect = dict(tag._bs_terms(2, comp.project(amb)))
+        expect = dict(tag._bs_terms(2, project(comp, amb), 1))
         prod = alg.multiply_basis(1, 0, 1, 0)
         for u, c in prod:
             expect[tag._sl2_index[(1, 2, u)]] = c
@@ -190,13 +189,13 @@ class TestTagAlgebra:
         # one memo: 36 distinct matrices at (1|1)@6, each built once.
         alg = build_free_jordan(1, 1, 6)
         calls = []
-        derivation_of = GradedJordanAlgebra.derivation_of
+        derivation = GradedJordanAlgebra.derivation
 
-        def counted(self, i, x, j, y, m):
-            calls.append((i, tuple(x), j, tuple(y), m))
-            return derivation_of(self, i, x, j, y, m)
+        def counted(self, i, u, j, v, m):
+            calls.append((i, u, j, v, m))
+            return derivation(self, i, u, j, v, m)
 
-        monkeypatch.setattr(GradedJordanAlgebra, "derivation_of", counted)
+        monkeypatch.setattr(GradedJordanAlgebra, "derivation", counted)
         tag = build_tag(alg, 6)
         for n in tag.bs:
             inner_rank_diagnostic(tag, n)
@@ -209,8 +208,8 @@ class TestTagAlgebra:
         for (n, u), gbs in tag._bs_index.items():
             (i, xu, j, yv) = tag._bs_lift(tag.basis[gbs])
             for m in range(1, tag.max_degree - n + 1):
-                cols = alg.derivation_of(
-                    i, alg.basis_vector(i, xu), j, alg.basis_vector(j, yv), m
+                cols = derivation_of(
+                    alg, i, basis_vector(alg, i, xu), j, basis_vector(alg, j, yv), m
                 )
                 for a in range(3):
                     for w in range(alg.dim(m)):
@@ -295,14 +294,16 @@ class TestTagAlgebra:
             tag.brackets.update(saved)
         assert caught == npairs
 
-    @pytest.mark.parametrize("d1,d2,n,scale", [(1, 1, 4, 2), (2, 0, 5, 4), (0, 2, 4, 1)])
+    @pytest.mark.parametrize("d1,d2,n,scale", [
+        (1, 1, 4, 2), (2, 0, 5, 4), (0, 2, 4, 1), (2, 0, 6, 48), (2, 1, 5, 8),
+    ])
     def test_bracket_table_is_integral(self, d1, d2, n, scale):
         # The table stores scale * [x, y] with int coefficients, where scale
         # is the least common denominator of the rational brackets, which
-        # _bracket_basis recomputes.
+        # fraction_brackets sums in Fractions.  At (2|0)@6 and (2|1)@5 both
+        # the table scale T and the projection scale P exceed 1.
         tag = TagAlgebra(build_free_jordan(d1, d2, n), n)
-        rational = {key: tag._bracket_basis(*key) for key in tag._pairs(n)}
-        rational = {key: terms for key, terms in rational.items() if terms}
+        rational = fraction_brackets(tag)
         assert set(tag.brackets) == set(rational)
         assert all(type(c) is int for terms in tag.brackets.values() for _, c in terms)
         denominators = [c.denominator for terms in rational.values() for _, c in terms]
