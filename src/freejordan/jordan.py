@@ -17,8 +17,11 @@ L_{y.x} = (-1)^{|x||y|} L_{x.y} in the supercommutative tables.  So only
 x <= y <= z in the (degree, index) order is expanded, with every w, and the
 span is that of all instances.  Inner products use the already-reduced
 lower-degree tables, so embedded instances of the identity vanish
-automatically.  The quotient is taken by exact fraction-free
-row reduction; quotient bases are the non-pivot pair coordinates in a
+automatically.  The rows are built from ``integer_copy()`` of the
+lower-degree tables, T times the rational ones, so each row is T**2 times
+its rational instance: the same row space, in ints.  The quotient is taken
+by exact fraction-free row reduction, whose rational reduced rows give the
+new tables; quotient bases are the non-pivot pair coordinates in a
 canonical order (parity even-first, then the lexicographic pair shape),
 which makes the structure constants reproducible.
 
@@ -101,7 +104,7 @@ class GradedJordanAlgebra:
         sign = -1 if self.parities[i][u] & self.parities[j][v] else 1
         cols = []
         for w in range(self.dim(m)):
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Fraction | int] = {}
             for a, b, c, d, s in ((i, u, j, v, 1), (j, v, i, u, -sign)):
                 for k, ck in self.multiply_basis(c, d, m, w):
                     for q, cq in self.multiply_basis(a, b, c + m, k):
@@ -232,7 +235,8 @@ class PairSpace:
     """The pair space W_n over an algebra built through degree n - 1.
 
     Holds the canonical coordinates of W_n and the top-level product of two
-    basis elements into them; reduced products come from ``alg``.
+    basis elements into them; reduced products come from ``alg``, whose
+    tables hold ints (``integer_copy``).
     """
 
     def __init__(self, alg: GradedJordanAlgebra, n: int) -> None:
@@ -270,11 +274,13 @@ def relation_row(
         sum over cyclic (a,b,c) of (-1)^{|a||c|} ((a.b).(c.w) - (-1)^{(|a|+|b|)|c|} c.((a.b).w))
 
     with the inner products reduced and the outermost one taken in W_n.
+    Every term is a product of two table entries, so over tables T times
+    the rational ones the row is T**2 times the rational instance.
     """
     par = space.parities
     product = space.alg.multiply_basis
     s, wu = w
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     triple = (x, y, z)
     for r in range(3):
         (di, ui), (dj, uj), (dk, uk) = triple[r], triple[(r + 1) % 3], triple[(r + 2) % 3]
@@ -324,7 +330,7 @@ def build_free_jordan(
     alg = GradedJordanAlgebra(d1, d2, 1, dict(parities), dict(labels), tables)
 
     for n in range(2, max_degree + 1):
-        space = PairSpace(alg, n)
+        space = PairSpace(alg.integer_copy()[1], n)
         nw = len(space.coords)
 
         # Top-level super Jordan instances with total degree n, one per S3

@@ -1,17 +1,18 @@
 """Exact fraction-free row reduction of sparse rows: rref, rank and quotients.
 
 A row is a ``SparseRow``: ``(column, coefficient)`` pairs with distinct
-columns and Fraction or int coefficients; zero entries are ignored.
-``rref`` eliminates over the integers (fraction-free Gauss-Jordan, after
-Bareiss, Math. Comp. 22, 1968).  Each input row is scaled to integers by
-the lcm of its denominators, and the pivot rows are kept primitive: the
-gcd of a row's entries is 1 and its leading entry is positive.  The rows
-are inserted one at a time and the pivot rows stay fully reduced after
-every insertion: a new row is reduced by the pivot rows whose columns it
-touches, through the integer combination ``row[p]*vec - vec[p]*row``
-divided by ``gcd(row[p], vec[p])``; its lowest remaining column becomes a
-new pivot, and that column is cleared from the other pivot rows the same
-way.  Every step is exact, so no prime, reconstruction or certificate is
+columns; zero entries are ignored.  The rows given to ``rank``, ``rref``
+and ``quotient`` hold ints, and nothing is scaled on the way in: every
+caller builds its rows from integer tables (``integer_copy`` of the
+algebra, or the TAG bracket table).  ``rref`` eliminates over the
+integers (fraction-free Gauss-Jordan, after Bareiss, Math. Comp. 22,
+1968), and the pivot rows are kept primitive: the gcd of a row's entries
+is 1 and its leading entry is positive.  The rows are inserted one at a
+time and the pivot rows stay fully reduced after every insertion: a new
+row is reduced by the pivot rows whose columns it touches, through the
+integer combination ``row[p]*vec - vec[p]*row`` divided by
+``gcd(row[p], vec[p])``; its lowest remaining column becomes a new pivot,
+and that column is cleared from the other pivot rows the same way.  Every step is exact, so no prime, reconstruction or certificate is
 needed, and the entries stay small.
 
 Only the output is rational: each pivot row is divided by its leading
@@ -19,7 +20,8 @@ entry.  The pivot rows then have a leading 1 in their own pivot column
 and zeros in every other pivot column, and they span the rows seen so
 far.  A basis of a row space with those two properties is unique, so the
 output is the reduced row echelon form whatever the order of the input
-rows, and equals what rational Gaussian elimination gives.
+rows and whatever nonzero multiple of each row is given, and equals what
+rational Gaussian elimination gives.
 
 Every exact elimination in the package enters through ``rank`` or
 ``quotient``.  Both reduce with ``_reduce``; ``quotient`` goes on through
@@ -39,22 +41,13 @@ from typing import Collection, Iterable, Sequence
 SparseRow = tuple[tuple[int, Fraction | int], ...]
 
 
-def accumulate(acc: dict[int, Fraction], row: SparseRow, scale: Fraction | int = 1) -> None:
-    """acc += scale * row.
-
-    A new key takes its term as it is, and scale 1 multiplies nothing:
-    seeding with the int 0 would cost a ``Fraction.__radd__`` per entry.
-    """
-    if scale != 1:
-        row = [(k, scale * c) for k, c in row]
+def accumulate(acc: dict[int, int], row: SparseRow, scale: int = 1) -> None:
+    """acc += scale * row."""
     for k, c in row:
-        if k in acc:
-            acc[k] += c
-        else:
-            acc[k] = c
+        acc[k] = acc.get(k, 0) + scale * c
 
 
-def sparse_row(acc: dict[int, Fraction]) -> SparseRow:
+def sparse_row(acc: dict[int, Fraction | int]) -> SparseRow:
     """The nonzero entries of ``acc``, sorted by index."""
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
@@ -67,22 +60,6 @@ def denominator(rows: Iterable[SparseRow]) -> int:
 def scaled(row: SparseRow, den: int) -> SparseRow:
     """``den * row`` with int coefficients; ``den`` must clear every denominator."""
     return tuple((k, c.numerator * (den // c.denominator)) for k, c in row)
-
-
-def _integral(row: SparseRow) -> dict[int, int]:
-    """The nonzero entries of ``row`` times the lcm of their denominators.
-
-    A row of ints is taken as it is; the scan stops at the first entry
-    that is not an int.
-    """
-    for _, c in row:
-        if type(c) is not int:
-            break
-    else:
-        vec = dict(row)
-        return vec if 0 not in vec.values() else {k: c for k, c in vec.items() if c}
-    row = [(k, c) for k, c in row if c]
-    return dict(scaled(row, denominator([row])))
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> None:
@@ -118,12 +95,12 @@ def _make_primitive(vec: dict[int, int], lead: int) -> None:
 
 
 def _reduce(rows: Sequence[SparseRow]) -> dict[int, dict[int, int]]:
-    """The fully reduced primitive integer pivot rows, keyed by pivot column."""
+    """The fully reduced primitive pivot rows of the int ``rows``, keyed by pivot column."""
     reduced: dict[int, dict[int, int]] = {}
     # The order does not change the result; short rows first keep the
     # pivot rows sparse for longer.
     for row in sorted(rows, key=len):
-        vec = _integral(row)
+        vec = {k: c for k, c in row if c}
         for p in [k for k in vec if k in reduced]:
             _eliminate(vec, reduced[p], p)
         if not vec:

@@ -13,7 +13,7 @@ On top of R live a Laurent polynomial ring and two truncated series rings:
 * ``TZSeries``     -- R[t, t^-1][[z]] mod z^(N+1).
 
 The two series rings share one truncated-series implementation
-(construction, indexing, ring operations, inverse, powers, truncation);
+(construction, indexing, ring operations, inverse and powers);
 each adds only its own product and the maps that are particular to it.
 
 All values are immutable; every operation returns a fresh value.  Integer
@@ -225,11 +225,6 @@ class _TruncatedSeries:
             k >>= 1
         return out
 
-    def truncate(self, order: int):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return type(self)(order, self.coeffs[: order + 1])
-
     def __str__(self) -> str:
         parts = [self._TERM.format(c=c, n=n) for n, c in enumerate(self.coeffs) if c]
         return " + ".join(parts) if parts else "0"
@@ -258,16 +253,6 @@ class SuperSeries(_TruncatedSeries):
                 if b:
                     out[i + j] = out[i + j] + a * b
         return SuperSeries(n, out)
-
-    def pad(self, order: int) -> "SuperSeries":
-        """Reinterpret with a higher truncation order, zero-padding.
-
-        Only meaningful when the extra coefficients are genuinely known to
-        vanish (e.g. a polynomial); callers take that responsibility.
-        """
-        if order < self.order:
-            raise ValueError("use truncate to lower the order")
-        return SuperSeries(order, self.coeffs)
 
     def vanishing_order(self) -> int:
         """Index of the first nonzero coefficient; order + 1 if none."""

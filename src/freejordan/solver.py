@@ -121,16 +121,9 @@ def _single_defect(psi_a: TZSeries, gens: GDim) -> SuperSeries:
     return extract_L2(psi_a) + SuperSeries.monomial(gens, 1, psi_a.order) * extract_L0(psi_a)
 
 
-def residual_series(a: SuperSeries, d1: int, d2: int, order: int | None = None) -> SuperSeries:
-    """Res_{t=0} psi * Psi(a) dt as a series; callers assert vanishing.
-
-    When ``order`` exceeds a's truncation the series is zero-padded, which
-    treats the missing coefficients as literal zeros.
-    """
+def residual_series(a: SuperSeries, d1: int, d2: int) -> SuperSeries:
+    """Res_{t=0} psi * Psi(a) dt as a series; callers assert vanishing."""
     gens = _generators(d1, d2)
-    if order is None:
-        order = a.order
-    a = a.pad(order) if order > a.order else a.truncate(order)
     return _single_defect(lambda_adjoint_series(a), gens)
 
 

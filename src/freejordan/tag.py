@@ -84,9 +84,9 @@ class BsComponent:
 def build_Bs(alg: GradedJordanAlgebra, max_degree: int) -> dict[int, BsComponent]:
     """Bs(J) per z-degree 2..max_degree, by exact row reduction.
 
-    The relation rows are built from ``alg``'s tables as they are held, so
-    ``alg.integer_copy()`` gives each cyclic row times T: the same row
-    space, quotient and projection, in ints.
+    ``alg``'s tables must hold ints, as ``alg.integer_copy()``'s do: each
+    cyclic row is then T times the rational one, with the same row space,
+    quotient and projection.
     """
     if max_degree > alg.max_degree:
         raise ValueError("algebra not built deep enough")
@@ -111,8 +111,8 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
 
     rows: dict[linalg.SparseRow, None] = {}
 
-    def add_row(terms: list[tuple[int, Fraction | int]]) -> None:
-        acc: dict[int, Fraction | int] = {}
+    def add_row(terms: list[tuple[int, int]]) -> None:
+        acc: dict[int, int] = {}
         linalg.accumulate(acc, terms)
         row = linalg.sparse_row(acc)
         if row:

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from freejordan import linalg
+from freejordan import cli, linalg
 from reference import fraction_rref
 
 
 def sparse(dense):
-    return [tuple((k, Fraction(c)) for k, c in enumerate(row) if c) for row in dense]
+    return [tuple((k, c) for k, c in enumerate(row) if c) for row in dense]
 
 
 def densify(row, ncols):
@@ -38,7 +38,7 @@ def test_rref_dependent_rows():
 
 
 def test_int_rows_with_explicit_zeros():
-    # Rows of ints skip the denominator scan; their zeros are still dropped.
+    # Explicit zeros are dropped before the elimination.
     rows = [((0, 0), (2, 0)), ((0, 2), (1, 0), (2, 4)), ((0, 3), (2, 6))]
     assert linalg.rank(rows) == 1
     assert linalg.rref(rows) == fraction_rref(rows) == ([((0, 1), (2, 2))], [0])
@@ -48,8 +48,8 @@ def test_rank_random_products():
     # rank(A) <= min dims; outer products have rank 1
     rng = random.Random(5)
     for _ in range(20):
-        u = [Fraction(rng.randint(-4, 4)) for _ in range(4)]
-        v = [Fraction(rng.randint(-4, 4)) for _ in range(5)]
+        u = [rng.randint(-4, 4) for _ in range(4)]
+        v = [rng.randint(-4, 4) for _ in range(5)]
         m = [[a * b for b in v] for a in u]
         expected = 1 if any(u) and any(v) else 0
         assert linalg.rank(sparse(m)) == expected
@@ -88,11 +88,13 @@ def random_coefficient(rng):
 
 
 def random_sparse_rows(rng, nrows, ncols, density):
-    """Random rows with some exact duplicates, negations, combinations and zero rows.
+    """Random int rows with some exact duplicates, negations, combinations and zero rows.
 
-    The coefficients mix small ints, Fractions with denominators 2-7 and
-    ints above 2**64.  Negated copies give rows with a negative leading
-    entry, and a zero row is either empty or made of explicit zeros.
+    The coefficients mix small ints and ints above 2**64; a fresh row drawn
+    with Fractions of denominators 2-7 is scaled to ints by its own
+    denominator, as the callers of ``linalg`` scale their tables.  Negated
+    copies give rows with a negative leading entry, and a zero row is
+    either empty or made of explicit zeros.
     """
     rows = []
     for _ in range(nrows):
@@ -102,7 +104,7 @@ def random_sparse_rows(rng, nrows, ncols, density):
         elif rows and pick < 0.22:
             rows.append(tuple((k, -c) for k, c in rng.choice(rows)))
         elif pick < 0.27:
-            rows.append(rng.choice([(), ((0, 0), (ncols - 1, Fraction(0)))]))
+            rows.append(rng.choice([(), ((0, 0), (ncols - 1, 0))]))
         elif len(rows) > 1 and pick < 0.4:
             a, b = rng.sample(rows, 2)
             fa, fb = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -112,10 +114,11 @@ def random_sparse_rows(rng, nrows, ncols, density):
                     acc[k] = acc.get(k, 0) + f * c
             rows.append(tuple((k, c) for k, c in sorted(acc.items()) if c))
         else:
-            rows.append(tuple(
+            row = tuple(
                 (k, random_coefficient(rng))
                 for k in range(ncols) if rng.random() < density
-            ))
+            )
+            rows.append(linalg.scaled(row, linalg.denominator([row])))
     return rows
 
 
@@ -192,12 +195,33 @@ def test_quotient_kills_relations_and_keeps_a_basis(seed, nrows, ncols, density)
 
 def test_quotient_rejects_row_mixing_parities():
     with pytest.raises(AssertionError, match="mixes parities"):
-        linalg.quotient({((0, Fraction(1)), (2, Fraction(1))): None}, (0, 0, 1))
+        linalg.quotient({((0, 1), (2, 1)): None}, (0, 0, 1))
 
 
 def test_quotient_worked_case():
     # x0 - x1 = 0 on two even coordinates and one odd: x1 and x2 survive,
     # and x0 maps to the class of x1.
-    kept, projection = linalg.quotient([((0, Fraction(1)), (1, Fraction(-1)))], (0, 0, 1))
+    kept, projection = linalg.quotient([((0, 1), (1, -1))], (0, 0, 1))
     assert kept == [1, 2]
     assert projection == [((0, 1),), ((0, 1),), ((1, 1),)]
+
+
+def test_elimination_takes_ints(monkeypatch, capsys):
+    # Every caller scales its rows to ints; a Fraction is refused, not scaled.
+    with pytest.raises(TypeError):
+        linalg.rank([((0, Fraction(1, 2)), (1, 1))])
+    reduce = linalg._reduce
+
+    def int_rows_only(rows):
+        assert all(type(c) is int for row in rows for _, c in row)
+        return reduce(rows)
+
+    monkeypatch.setattr(linalg, "_reduce", int_rows_only)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    for argv in (
+        ["verify", "--d1", "2", "--d2", "0", "--max-degree", "6"],
+        ["homology", "--d1", "1", "--d2", "1", "--rmax", "4", "--dmax", "4"],
+        ["oracle", "--d1", "0", "--d2", "2", "--max-degree", "5"],
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()

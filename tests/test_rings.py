@@ -122,12 +122,6 @@ class TestSuperSeries:
         with pytest.raises(ValueError):
             SuperSeries.one(3) * SuperSeries.one(4)
 
-    def test_truncate_pad_roundtrip(self):
-        rng = random.Random(1)
-        f = SuperSeries(6, [rand_gdim(rng) for _ in range(7)])
-        assert f.truncate(3).pad(6).truncate(3) == f.truncate(3)
-        assert f.pad(9).truncate(6) == f
-
     def test_vanishing_order(self):
         f = SuperSeries.monomial(GDim(0, 2), 3, 8)
         assert f.vanishing_order() == 3

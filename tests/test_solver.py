@@ -73,13 +73,6 @@ class TestResidualSeries:
             with pytest.raises(ValueError, match="generator counts"):
                 pair_residuals(a, a, d1, d2)
 
-    def test_padding_behaviour(self):
-        # Truncating the series and padding with zeros breaks the residual
-        # exactly where the dropped coefficients would have acted.
-        rep = solve_dims(1, 1, 3)
-        res = residual_series(rep.a_series(), 1, 1, order=6)
-        assert res.vanishing_order() == 4
-
 
 class TestSolveDimsPair:
     def test_one_odd_generator(self):
