@@ -2,7 +2,7 @@
 
 from .homology import ChainComplex, compute_homology
 from .jordan import GradedJordanAlgebra, build_free_jordan
-from .rings import GDim, RLaurent, SuperSeries, TZSeries, t_integer
+from .rings import GDim, RLaurent, TZSeries
 from .solver import residual_series, solve_dims, solve_dims_pair
 from .tag import TagAlgebra, build_Bs, build_tag, inner_rank_diagnostic
 
@@ -11,7 +11,6 @@ __all__ = [
     "GDim",
     "GradedJordanAlgebra",
     "RLaurent",
-    "SuperSeries",
     "TZSeries",
     "TagAlgebra",
     "build_Bs",
@@ -22,7 +21,6 @@ __all__ = [
     "residual_series",
     "solve_dims",
     "solve_dims_pair",
-    "t_integer",
 ]
 
 __version__ = "0.1.0"

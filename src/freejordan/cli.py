@@ -18,9 +18,15 @@ import tempfile
 from pathlib import Path
 
 from .homology import compute_homology
-from .jordan import GradedJordanAlgebra, ResourceBudgetExceeded, build_free_jordan, cache_key
+from .jordan import (
+    DEFAULT_BUDGET,
+    GradedJordanAlgebra,
+    ResourceBudgetExceeded,
+    build_free_jordan,
+    cache_key,
+)
 from .rings import GDim
-from .solver import SolverStepError, residual_series, solve_dims, solve_dims_pair
+from .solver import SolverStepError, residual_series, solve_dims, solve_dims_pair, vanishing_order
 from .tag import build_tag, inner_rank_diagnostic
 
 EXIT_OK = 0
@@ -147,13 +153,13 @@ def cmd_oracle(args) -> int:
         "dims": [_gd(alg.dims[n]) for n in range(1, args.max_degree + 1)],
         "bs_dims": {str(n): _gd(d) for n, d in bs_dims.items()},
         "inner_rank_lower_bounds": {str(n): _gd(d) for n, d in inn.items()},
-        "residual_ok_through": res.vanishing_order(),
+        "residual_ok_through": vanishing_order(res),
     }
     lines = [f"free Jordan superalgebra on ({args.d1}|{args.d2}) through degree {args.max_degree}:"]
     lines += [f"  dim J_{n} = {alg.dims[n]}" for n in range(1, args.max_degree + 1)]
     lines += [f"  dim Bs_{n} = {d}" for n, d in bs_dims.items()]
     lines += [f"  rank Inn_{n} >= {d} (horizon {args.max_degree})" for n, d in inn.items()]
-    lines.append(f"residue vanishes through z^{res.vanishing_order() - 1}")
+    lines.append(f"residue vanishes through z^{vanishing_order(res) - 1}")
     rows = [["n", "even", "odd"]] + [
         [n, alg.dims[n].even, alg.dims[n].odd] for n in range(1, args.max_degree + 1)
     ]
@@ -180,7 +186,7 @@ def cmd_verify(args) -> int:
         "mismatches": [
             {"degree": n, "solver": _gd(s), "oracle": _gd(o)} for n, s, o in mismatch
         ],
-        "residual_ok_through": res.vanishing_order(),
+        "residual_ok_through": vanishing_order(res),
     }
     lines = [f"solver vs constructed algebra for ({args.d1}|{args.d2}):"]
     for n in range(1, args.max_degree + 1):
@@ -189,7 +195,7 @@ def cmd_verify(args) -> int:
             lines.append(f"  n={n}: {s} agree")
         else:
             lines.append(f"  n={n}: MISMATCH solver={s} constructed={o}")
-    lines.append(f"residue with constructed dims vanishes through z^{res.vanishing_order() - 1}")
+    lines.append(f"residue with constructed dims vanishes through z^{vanishing_order(res) - 1}")
     rows = [["n", "solver_even", "solver_odd", "oracle_even", "oracle_odd"]] + [
         [n, rep.a[n - 1].even, rep.a[n - 1].odd, alg.dims[n].even, alg.dims[n].odd]
         for n in range(1, args.max_degree + 1)
@@ -260,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=20_000_000,
+            default=DEFAULT_BUDGET,
             help="max relation-matrix entries per construction degree, counted as "
             "(relation rows so far + identity instances about to be expanded) x dim W_n",
         )

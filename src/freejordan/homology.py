@@ -28,7 +28,7 @@ from itertools import accumulate
 
 from . import linalg
 from .lambda_ops import phi_series
-from .rings import GDIM_ZERO, GDim, RLaurent, SuperSeries
+from .rings import GDIM_ZERO, GDim, RLaurent
 from .tag import TagAlgebra
 
 Monomial = tuple[int, ...]
@@ -94,24 +94,9 @@ class ChainComplex:
 
         extend((), 0, 0, 0, 0)
 
-    def block_key(self, mon: Monomial) -> BlockKey:
-        basis = self.tag.basis
-        d = sum(basis[g].degree for g in mon)
-        w = sum(basis[g].weight for g in mon)
-        par = sum(basis[g].parity for g in mon) % 2
-        return (len(mon), d, w, par)
-
     def is_complete(self, r: int, d: int) -> bool:
         """Whether the chain block V_r at z-degree d has every monomial."""
         return d <= self.d_max and (r <= self.r_max or r > d)
-
-    def block_dim(self, r: int, d: int) -> dict[tuple[int, int], int]:
-        """Dimensions per (weight, parity) of V_r at z-degree d."""
-        out: dict[tuple[int, int], int] = {}
-        for (rr, dd, w, par), mons in self.blocks.items():
-            if rr == r and dd == d:
-                out[(w, par)] = len(mons)
-        return out
 
     # -- boundary --------------------------------------------------------
 
@@ -246,34 +231,29 @@ class ChainComplex:
             acc[w // 2] = acc.get(w // 2, GDIM_ZERO) + g
         return RLaurent(acc)
 
-    def euler_check(self, through: int | None = None) -> int:
+    def euler_check(self) -> int:
         """Verify the chain Euler characteristic against the lambda product.
 
-        For each z-degree d with a complete chain column, the alternating
-        sum of chain characters must equal the z^d coefficient of the
-        lambda-operation applied to [g] = a(z).adjoint + b(z), with a the
-        algebra dimensions and b the Bs dimensions.  Returns the number of
-        degrees checked; raises on the first mismatch.
+        For each z-degree d <= min(d_max, r_max), where the chain column is
+        complete, the alternating sum of chain characters must equal the
+        z^d coefficient of the lambda-operation applied to
+        [g] = a(z).adjoint + b(z), with a the algebra dimensions and b the
+        Bs dimensions.  Returns the number of degrees checked; raises on the
+        first mismatch.
         """
-        if through is None:
-            through = min(self.d_max, self.r_max)
+        top = min(self.d_max, self.r_max)
         tag = self.tag
-        order = through
-        a = [GDIM_ZERO] * (order + 1)
-        b = [GDIM_ZERO] * (order + 1)
-        for n in range(1, order + 1):
-            a[n] = tag.alg.dims[n]
-            if n in tag.bs:
-                b[n] = tag.bs[n].dim
-        phi = phi_series(SuperSeries(order, a), SuperSeries(order, b))
-        for d in range(0, through + 1):
+        a = [tag.alg.dims[n] for n in range(1, top + 1)]
+        b = [tag.bs[n].dim if n in tag.bs else GDIM_ZERO for n in range(1, top + 1)]
+        phi = phi_series(a, b)
+        for d in range(0, top + 1):
             lhs = self.chain_character(d)
             if lhs != phi[d]:
                 raise AssertionError(
                     f"Euler characteristic mismatch at z-degree {d}: "
                     f"chains give {lhs}, lambda gives {phi[d]}"
                 )
-        return through + 1
+        return top + 1
 
 
 def isotypic_multiplicities(ws: dict[int, GDim], r: int, d: int) -> dict[int, GDim]:
@@ -348,5 +328,5 @@ def compute_homology(tag: TagAlgebra, r_max: int, d_max: int) -> HomologyReport:
             if ws:
                 report.weights[(r, d)] = ws
                 report.multiplicities[(r, d)] = isotypic_multiplicities(ws, r, d)
-    report.euler_checked_through = cc.euler_check(min(d_max, r_max))
+    report.euler_checked_through = cc.euler_check()
     return report

@@ -40,9 +40,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .rings import GDim, SuperSeries
+from .rings import GDim
 
 FORMAT_VERSION = 2
+
+# The default cap on relation-matrix entries per construction degree.
+DEFAULT_BUDGET = 20_000_000
 
 Vector = linalg.SparseRow
 
@@ -80,10 +83,9 @@ class GradedJordanAlgebra:
     def dim(self, n: int) -> int:
         return len(self.parities[n])
 
-    def graded_dims(self) -> SuperSeries:
-        """Graded dimensions as a series prefix (coefficient of z^n)."""
-        coeffs = [GDim(0, 0)] + [self.dims[n] for n in range(1, self.max_degree + 1)]
-        return SuperSeries(self.max_degree, coeffs)
+    def graded_dims(self) -> tuple[GDim, ...]:
+        """Graded dimensions of degrees 1..max_degree: the z^1..z^N coefficients."""
+        return tuple(self.dims[n] for n in range(1, self.max_degree + 1))
 
     def multiply_basis(self, i: int, u: int, j: int, v: int) -> Vector:
         """Product of basis elements, as coordinates in degree i + j."""
@@ -307,7 +309,7 @@ def relation_row(
 
 
 def build_free_jordan(
-    d1: int, d2: int, max_degree: int, budget: int | None = 20_000_000
+    d1: int, d2: int, max_degree: int, budget: int | None = DEFAULT_BUDGET
 ) -> GradedJordanAlgebra:
     """Construct the free Jordan superalgebra through the given degree.
 

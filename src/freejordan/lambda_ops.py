@@ -21,6 +21,11 @@ Phi(0, c), whose factors are t-free.  Infinite products over lines n >= 1
 are finite after truncation because the n-th factor is congruent to 1
 mod z^n.
 
+A dimension series a(z) = sum_{n>=1} a_n z^n is passed as the tuple
+(a_1, ..., a_N) of its GDim coefficients; it has no constant term, and its
+length N is the truncation order of the product.  Every product is a
+``TZSeries``, the package's one series type.
+
 The solvers read these products through L0(c) = c_0 - c_{-1} =
 Res_{t=0} (t^-1 - 1) c dt and L2(c) = c_{-1} - c_{-2} = Res_{t=0} (1 - t) c dt
 (``rings``), the multiplicities of the trivial and adjoint sl2 isotypes.
@@ -28,29 +33,19 @@ Res_{t=0} (t^-1 - 1) c dt and L2(c) = c_{-1} - c_{-2} = Res_{t=0} (1 - t) c dt
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import reduce
 from math import comb
 from operator import mul
 
-from .rings import (
-    GDIM_ONE,
-    GDIM_X,
-    GDim,
-    RLaurent,
-    SuperSeries,
-    TZSeries,
-)
-
-
-def _require_no_constant(a: SuperSeries, name: str) -> None:
-    if a[0]:
-        raise ValueError(f"{name} must have zero constant term")
+from .rings import GDIM_ONE, GDIM_X, GDim, RLaurent, TZSeries
 
 
 def _one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
     """(1 - c * t^texp * z^m) ** k for any integer k, via binomial series.
 
-    Closed-form expansion keeps factors sparse even for huge exponents:
+    c is 1 or x, so c**j is c for odd j and 1 for even j.  Closed-form
+    expansion keeps factors sparse even for huge exponents:
     for k >= 0 the sum is finite, for k < 0 it is the generalized binomial
     series, truncated at z^order either way.
     """
@@ -63,7 +58,7 @@ def _one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
             coef = comb(k, j) * (-1) ** j
         else:
             coef = comb(-k + j - 1, j)
-        terms[j * m] = RLaurent({j * texp: (c**j) * coef})
+        terms[j * m] = RLaurent({j * texp: (c if j & 1 else GDIM_ONE) * coef})
     return TZSeries(order, terms)
 
 
@@ -98,19 +93,22 @@ def phi_line(an: GDim, bn: GDim, n: int, order: int) -> TZSeries:
     return reduce(mul, factors) if factors else TZSeries.one(order)
 
 
-def phi_series(a: SuperSeries, b: SuperSeries) -> TZSeries:
-    """lambda of a(z) tensor adjoint plus b(z), as the explicit product."""
-    _require_no_constant(a, "a")
-    _require_no_constant(b, "b")
-    a._check(b)
-    order = a.order
+def phi_series(a: Sequence[GDim], b: Sequence[GDim]) -> TZSeries:
+    """lambda of a(z) tensor adjoint plus b(z), as the explicit product.
+
+    ``a`` and ``b`` hold the coefficients of z^1..z^N; the product is
+    truncated at that N.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"mismatched truncation orders {len(a)} != {len(b)}")
+    order = len(a)
     out = TZSeries.one(order)
-    for n in range(1, order + 1):
-        if a[n] or b[n]:
-            out = out * phi_line(a[n], b[n], n, order)
+    for n, (an, bn) in enumerate(zip(a, b), start=1):
+        if an or bn:
+            out = out * phi_line(an, bn, n, order)
     return out
 
 
-def lambda_adjoint_series(a: SuperSeries) -> TZSeries:
+def lambda_adjoint_series(a: Sequence[GDim]) -> TZSeries:
     """Psi(a), lambda of a(z) tensor adjoint: the product Phi(a, -a)."""
-    return phi_series(a, -a)
+    return phi_series(a, [-c for c in a])

@@ -1,4 +1,4 @@
-"""Exact arithmetic in the graded-dimension ring and its series extensions.
+"""Exact arithmetic in the graded-dimension ring and its one series extension.
 
 The base ring is R = Z[x]/(x^2 - 1), with (a, b) standing for a + b*x.  A
 pair records the dimensions of the even and odd parts of a superspace, so
@@ -6,15 +6,15 @@ multiplication follows the tensor-product rule for superspaces:
 
     (a0, a1) * (b0, b1) = (a0*b0 + a1*b1, a0*b1 + a1*b0).
 
-On top of R live a Laurent polynomial ring and two truncated series rings:
+On top of R live a Laurent polynomial ring and one truncated series ring:
 
-* ``RLaurent``     -- finitely supported Laurent polynomials in t over R,
-* ``SuperSeries``  -- R[[z]] mod z^(N+1),
-* ``TZSeries``     -- R[t, t^-1][[z]] mod z^(N+1).
+* ``RLaurent``  -- finitely supported Laurent polynomials in t over R,
+* ``TZSeries``  -- R[t, t^-1][[z]] mod z^(N+1).
 
-The two series rings share one truncated-series implementation
-(construction, indexing, ring operations, inverse and powers);
-each adds only its own product and the maps that are particular to it.
+A series of graded dimensions, sum_{n>=1} a_n z^n, is not a ring element
+here: the package holds it as the tuple (a_1, ..., a_N) of its GDim
+coefficients.  ``L0`` and ``L2`` read GDim values off an RLaurent
+coefficient.
 
 All values are immutable; every operation returns a fresh value.  Integer
 coefficients are arbitrary precision throughout.
@@ -22,7 +22,7 @@ coefficients are arbitrary precision throughout.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 
 
 class GDim:
@@ -81,28 +81,6 @@ class GDim:
 
     __rmul__ = __mul__
 
-    def is_unit(self) -> bool:
-        """Units of R are +-1 and +-x, i.e. even^2 - odd^2 = +-1."""
-        return abs(self.even * self.even - self.odd * self.odd) == 1
-
-    def inverse(self) -> "GDim":
-        # Every unit of R squares to 1, so a unit is its own inverse.
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self!r} is not a unit of R")
-        return self
-
-    def __pow__(self, k: int) -> "GDim":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GDIM_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def pair(self) -> tuple[int, int]:
         return (self.even, self.odd)
 
@@ -117,149 +95,6 @@ GDIM_X = GDim(0, 1)
 
 def _as_gdim(v: "GDim | int") -> GDim:
     return GDim(v) if isinstance(v, int) else v
-
-
-class _TruncatedSeries:
-    """Truncated series sum_{n=0}^{N} c_n z^n over a coefficient ring.
-
-    The truncation order N is fixed at construction; binary operations
-    insist on equal orders to rule out silent order mixing.  Subclasses fix
-    the coefficient ring through ``_ZERO``, ``_ONE`` and ``_coerce`` and
-    supply the product.
-    """
-
-    __slots__ = ("order", "coeffs")
-    _TERM = "{c}z^{n}"
-
-    @staticmethod
-    def _coerce(c):
-        return c
-
-    def __init__(self, order: int, coeffs: Iterable = ()) -> None:
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        cs = [self._coerce(c) for c in coeffs]
-        if len(cs) > order + 1:
-            raise ValueError("too many coefficients for the truncation order")
-        cs.extend([self._ZERO] * (order + 1 - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def zero(cls, order: int):
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int):
-        return cls(order, [cls._ONE])
-
-    @classmethod
-    def monomial(cls, c, m: int, order: int):
-        if m < 0:
-            raise ValueError("z-degree must be >= 0")
-        if m > order:
-            return cls.zero(order)
-        cs = [cls._ZERO] * (m + 1)
-        cs[m] = c
-        return cls(order, cs)
-
-    def __getitem__(self, n: int):
-        if 0 <= n <= self.order:
-            return self.coeffs[n]
-        raise IndexError(f"z-degree {n} outside truncation order {self.order}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def _check(self, other: "_TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"mismatched truncation orders {self.order} != {other.order}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return type(self)(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return type(self)(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def inverse(self):
-        """Multiplicative inverse; requires an invertible constant term."""
-        inv0 = self.coeffs[0].inverse()
-        out = [self._ZERO] * (self.order + 1)
-        out[0] = inv0
-        for n in range(1, self.order + 1):
-            acc = self._ZERO
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out[n] = -(inv0 * acc)
-        return type(self)(self.order, out)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __str__(self) -> str:
-        parts = [self._TERM.format(c=c, n=n) for n, c in enumerate(self.coeffs) if c]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(order={self.order}, {self})"
-
-
-class SuperSeries(_TruncatedSeries):
-    """R[[z]] mod z^(N+1): a truncated series with GDim coefficients."""
-
-    __slots__ = ()
-    _ZERO = GDIM_ZERO
-    _ONE = GDIM_ONE
-    _coerce = staticmethod(_as_gdim)
-
-    def __mul__(self, other: "SuperSeries") -> "SuperSeries":
-        self._check(other)
-        n = self.order
-        out = [GDIM_ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return SuperSeries(n, out)
-
-    def vanishing_order(self) -> int:
-        """Index of the first nonzero coefficient; order + 1 if none."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return self.order + 1
 
 
 class RLaurent:
@@ -298,18 +133,11 @@ class RLaurent:
     def one(cls) -> "RLaurent":
         return cls({0: GDIM_ONE})
 
-    @classmethod
-    def t_power(cls, e: int, c: GDim | int = GDIM_ONE) -> "RLaurent":
-        return cls({e: c})
-
     def __getitem__(self, e: int) -> GDim:
         for exp, c in self.terms:
             if exp == e:
                 return c
         return GDIM_ZERO
-
-    def items(self) -> Iterator[tuple[int, GDim]]:
-        return iter(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RLaurent):
@@ -349,28 +177,6 @@ class RLaurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "RLaurent":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = RLaurent.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def inverse(self) -> "RLaurent":
-        """Inverse of a single-term Laurent monomial with a unit coefficient.
-
-        The units of R[t, 1/t] are exactly these monomials.
-        """
-        if len(self.terms) != 1:
-            raise ZeroDivisionError("only monomials are inverted in R[t,1/t]")
-        e, c = self.terms[0]
-        return RLaurent({-e: c.inverse()})
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -384,25 +190,67 @@ RLAURENT_ZERO = RLaurent()
 RLAURENT_ONE = RLaurent.one()
 
 
-def t_integer(m: int) -> RLaurent:
-    """The t-integer [m]_t = (t^m - t^-m)/(t - t^-1) = sum t^(m-1-2i)."""
-    if m < 1:
-        raise ValueError("t-integers are defined for m >= 1")
-    return RLaurent({m - 1 - 2 * i: GDIM_ONE for i in range(m)})
+class TZSeries:
+    """R[t, 1/t][[z]] mod z^(N+1): sum_{n=0}^{N} c_n z^n with RLaurent c_n.
 
+    The truncation order N is fixed at construction; binary operations
+    insist on equal orders to rule out silent order mixing.
+    """
 
-class TZSeries(_TruncatedSeries):
-    """R[t, 1/t][[z]] mod z^(N+1): a truncated series with RLaurent coefficients."""
+    __slots__ = ("order", "coeffs")
 
-    __slots__ = ()
-    _ZERO = RLAURENT_ZERO
-    _ONE = RLAURENT_ONE
-    _TERM = "({c})z^{n}"
+    def __init__(self, order: int, coeffs: Iterable[RLaurent] = ()) -> None:
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        cs = list(coeffs)
+        if len(cs) > order + 1:
+            raise ValueError("too many coefficients for the truncation order")
+        cs.extend([RLAURENT_ZERO] * (order + 1 - len(cs)))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TZSeries is immutable")
 
     @classmethod
-    def from_super(cls, f: SuperSeries) -> "TZSeries":
-        """Embed R[[z]] into R[t,1/t][[z]] as t-free series."""
-        return cls(f.order, [RLaurent({0: c}) for c in f.coeffs])
+    def one(cls, order: int) -> "TZSeries":
+        return cls(order, [RLAURENT_ONE])
+
+    def __getitem__(self, n: int) -> RLaurent:
+        if 0 <= n <= self.order:
+            return self.coeffs[n]
+        raise IndexError(f"z-degree {n} outside truncation order {self.order}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TZSeries):
+            return NotImplemented
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
+
+    def _check(self, other: "TZSeries") -> None:
+        if self.order != other.order:
+            raise ValueError(
+                f"mismatched truncation orders {self.order} != {other.order}"
+            )
+
+    def __add__(self, other: "TZSeries") -> "TZSeries":
+        self._check(other)
+        return TZSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self) -> "TZSeries":
+        return TZSeries(self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other: "TZSeries") -> "TZSeries":
+        return self + (-other)
+
+    def __str__(self) -> str:
+        parts = [f"({c})z^{n}" for n, c in enumerate(self.coeffs) if c]
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self) -> str:
+        return f"TZSeries(order={self.order}, {self})"
 
     def __mul__(self, other: "TZSeries") -> "TZSeries":
         # In the split coordinates (p, m) = (e + o, e - o), R is the subring
@@ -457,13 +305,3 @@ def L0(c: RLaurent) -> GDim:
 def L2(c: RLaurent) -> GDim:
     """Res_{t=0} (1 - t) c dt = c_{-1} - c_{-2}."""
     return c[-1] - c[-2]
-
-
-def extract_L0(f: TZSeries) -> SuperSeries:
-    """L0 of every z-coefficient."""
-    return SuperSeries(f.order, [L0(c) for c in f.coeffs])
-
-
-def extract_L2(f: TZSeries) -> SuperSeries:
-    """L2 of every z-coefficient."""
-    return SuperSeries(f.order, [L2(c) for c in f.coeffs])

@@ -30,15 +30,21 @@ zeroes its own degree, and a nonzero residual (a line that disagrees with
 the checked slope) raises ``SolverStepError`` at its first degree.
 ``residual_series`` and ``pair_residuals`` evaluate given series instead,
 such as the dimensions of a constructed algebra.
+
+A series a(z) = sum_{n>=1} a_n z^n is given, and reported in
+``SolveReport.a``, as the tuple (a_1, ..., a_N) of its GDim coefficients.
+A residual is the list of its GDim coefficients at z^0..z^N, and
+``vanishing_order`` reads the degree of its first nonzero one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 from .lambda_ops import lambda_adjoint_series, phi_line, phi_series
-from .rings import GDIM_ZERO, L0, L2, GDim, SuperSeries, TZSeries, extract_L0, extract_L2
+from .rings import GDIM_ONE, GDIM_ZERO, L0, L2, GDim, TZSeries
 
 # Slope of the z^n defects in the n-th unknowns.  Single equation: rows
 # (even, odd) of the residue, columns (even, odd) of a_n.  Pair system:
@@ -68,14 +74,6 @@ class SolveReport:
     b: Optional[tuple[GDim, ...]]
     step_matrix: tuple[tuple[int, ...], ...]  # the slope at every degree
     residual_order: int  # order + 1: the solvers raise on a nonzero residual
-
-    def a_series(self) -> SuperSeries:
-        return SuperSeries(self.order, (GDIM_ZERO,) + self.a)
-
-    def b_series(self) -> SuperSeries:
-        if self.b is None:
-            raise ValueError("report carries no b coefficients")
-        return SuperSeries(self.order, (GDIM_ZERO,) + self.b)
 
 
 def _generators(d1: int, d2: int) -> GDim:
@@ -107,22 +105,31 @@ def _step_matrix(columns: list[list[GDim]], expected) -> tuple[tuple[int, ...], 
     return m
 
 
-def _residual_order(*residuals: SuperSeries) -> int:
+def vanishing_order(coeffs: Sequence[GDim]) -> int:
+    """Index of the first nonzero coefficient; len(coeffs) if none."""
+    for n, c in enumerate(coeffs):
+        if c:
+            return n
+    return len(coeffs)
+
+
+def _residual_order(*residuals: list[GDim]) -> int:
     """Vanishing order of the final residuals; raise at a nonzero degree."""
-    v = min(r.vanishing_order() for r in residuals)
-    if v <= residuals[0].order:
+    v = min(vanishing_order(r) for r in residuals)
+    if v < len(residuals[0]):
         values = ", ".join(str(r[v]) for r in residuals)
         raise SolverStepError(v, f"residual {values} at z^{v} is not zero")
     return v
 
 
-def _single_defect(psi_a: TZSeries, gens: GDim) -> SuperSeries:
+def _single_defect(psi_a: TZSeries, gens: GDim) -> list[GDim]:
     """Res_{t=0} psi * Psi(a) dt per z-degree: L2 + D z L0 of Psi(a)."""
-    return extract_L2(psi_a) + SuperSeries.monomial(gens, 1, psi_a.order) * extract_L0(psi_a)
+    c = psi_a.coeffs
+    return [L2(c[0])] + [L2(c[n]) + gens * L0(c[n - 1]) for n in range(1, len(c))]
 
 
-def residual_series(a: SuperSeries, d1: int, d2: int) -> SuperSeries:
-    """Res_{t=0} psi * Psi(a) dt as a series; callers assert vanishing."""
+def residual_series(a: Sequence[GDim], d1: int, d2: int) -> list[GDim]:
+    """Res_{t=0} psi * Psi(a) dt at z^0..z^N; callers assert vanishing."""
     gens = _generators(d1, d2)
     return _single_defect(lambda_adjoint_series(a), gens)
 
@@ -151,16 +158,19 @@ def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
     )
 
 
-def _pair_defects(phi: TZSeries, gens: GDim) -> tuple[SuperSeries, SuperSeries]:
-    e1 = extract_L0(phi) - SuperSeries.one(phi.order)
-    e2 = extract_L2(phi) + SuperSeries.monomial(gens, 1, phi.order)
+def _pair_defects(phi: TZSeries, gens: GDim) -> tuple[list[GDim], list[GDim]]:
+    e1 = [L0(c) for c in phi.coeffs]
+    e2 = [L2(c) for c in phi.coeffs]
+    e1[0] = e1[0] - GDIM_ONE
+    if phi.order >= 1:
+        e2[1] = e2[1] + gens
     return e1, e2
 
 
 def pair_residuals(
-    a: SuperSeries, b: SuperSeries, d1: int, d2: int
-) -> tuple[SuperSeries, SuperSeries]:
-    """Defects of the two-equation system for given (a, b); zero on solution."""
+    a: Sequence[GDim], b: Sequence[GDim], d1: int, d2: int
+) -> tuple[list[GDim], list[GDim]]:
+    """Defects of the two-equation system at z^0..z^N; zero on a solution."""
     gens = _generators(d1, d2)
     return _pair_defects(phi_series(a, b), gens)
 

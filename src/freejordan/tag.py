@@ -276,13 +276,6 @@ class TagAlgebra:
             for gj in range(start, bisect_right(self._degrees, max_total - d)):
                 yield gi, gj
 
-    def graded_dims(self) -> dict[int, GDim]:
-        out: dict[int, GDim] = {}
-        for el in self.basis:
-            d = out.get(el.degree, GDim(0, 0))
-            out[el.degree] = d + (GDim(1, 0) if el.parity == 0 else GDim(0, 1))
-        return out
-
     def bracket(self, gi: int, gj: int) -> tuple[tuple[int, Fraction], ...]:
         """[basis[gi], basis[gj]] as sparse (index, coefficient) pairs."""
         if self.basis[gi].degree + self.basis[gj].degree > self.max_degree:

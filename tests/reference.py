@@ -3,6 +3,11 @@
 None of these runs in a command: each recomputes by another route what the
 package computes in closed form or through its tables.
 
+* ``t_integer``          -- the t-integer [m]_t as a sum of t-powers;
+* ``t_free``,
+  ``z_monomial``         -- series with t-free coefficients, and c z^m;
+* ``series_power``       -- integer powers of a series, the inverse by the
+                           term-by-term recurrence;
 * ``lambda_direct``      -- lambda of a graded superspace by basis enumeration;
 * ``adjoint_even_line``,
   ``adjoint_odd_line``   -- the adjoint line factors as sums of t-integers;
@@ -12,6 +17,7 @@ package computes in closed form or through its tables.
   ``derivation_of``      -- rational vectors, products and d_{x,y} = [L_x, L_y]
                            through the tables, for any homogeneous vectors;
 * ``jordan_residual``    -- the super Jordan identity through the tables;
+* ``tag_graded_dims``    -- the graded dimensions of the TAG basis, counted;
 * ``project``            -- the class in Bs(J) of an ambient J (x) J vector;
 * ``fraction_brackets``  -- the TAG bracket table summed in Fractions from
                            the rational tables, the route the integer table
@@ -20,7 +26,10 @@ package computes in closed form or through its tables.
 * ``reference_chain_blocks``,
   ``reference_boundary_monomial`` -- the Chevalley-Eilenberg chains by
                            filtering every index tuple, and their boundary
-                           with signs summed factor by factor.
+                           with signs summed factor by factor;
+* ``block_key``,
+  ``block_dim``          -- a chain's block, summed from its factors, and
+                           the dimensions of the blocks at one (r, d).
 """
 
 from __future__ import annotations
@@ -30,24 +39,59 @@ from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from freejordan import linalg
+from freejordan.homology import BlockKey, ChainComplex, Monomial
 from freejordan.jordan import GradedJordanAlgebra, Vector
-from freejordan.rings import (
-    GDIM_ONE,
-    GDIM_ZERO,
-    GDim,
-    RLaurent,
-    SuperSeries,
-    TZSeries,
-    t_integer,
-)
+from freejordan.rings import GDIM_ONE, GDIM_ZERO, GDim, RLaurent, TZSeries
 from freejordan.tag import _KAPPA, _SL2_BRACKET, BsComponent, TagAlgebra
+
+
+def t_integer(m: int) -> RLaurent:
+    """The t-integer [m]_t = (t^m - t^-m)/(t - t^-1) = sum t^(m-1-2i)."""
+    if m < 1:
+        raise ValueError("t-integers are defined for m >= 1")
+    return RLaurent({m - 1 - 2 * i: GDIM_ONE for i in range(m)})
+
+
+def t_free(coeffs: Sequence[GDim], order: int) -> TZSeries:
+    """The series sum_n coeffs[n] z^n, n from 0, with t-free coefficients."""
+    return TZSeries(order, [RLaurent({0: c}) for c in coeffs])
+
+
+def z_monomial(c: RLaurent, m: int, order: int) -> TZSeries:
+    """c z^m, truncated at z^order."""
+    coeffs = [RLaurent.zero()] * (order + 1)
+    if m <= order:
+        coeffs[m] = c
+    return TZSeries(order, coeffs)
+
+
+def series_power(f: TZSeries, k: int) -> TZSeries:
+    """f**k by repeated products.
+
+    For k < 0, f must have constant term 1: its inverse g is built term by
+    term, g_n = -sum_{i=1..n} f_i g_{n-i}, and raised to -k.
+    """
+    if k < 0:
+        if f[0] != RLaurent.one():
+            raise ValueError("only a series with constant term 1 is inverted")
+        g = [RLaurent.one()]
+        for n in range(1, f.order + 1):
+            acc = RLaurent.zero()
+            for i in range(1, n + 1):
+                acc = acc + f[i] * g[n - i]
+            g.append(-acc)
+        f, k = TZSeries(f.order, g), -k
+    out = TZSeries.one(f.order)
+    for _ in range(k):
+        out = out * f
+    return out
 
 
 def adjoint_even_line(m: int, order: int) -> TZSeries:
     """(1 - [2]_t z^m + z^{2m}, 0): lambda of one even vector tensor adjoint."""
     out = TZSeries.one(order)
-    out = out + TZSeries.monomial(-t_integer(2), m, order)
-    out = out + TZSeries.monomial(RLaurent.one(), 2 * m, order)
+    out = out + z_monomial(-t_integer(2), m, order)
+    out = out + z_monomial(RLaurent.one(), 2 * m, order)
     return out
 
 
@@ -67,8 +111,8 @@ def adjoint_odd_line(m: int, order: int) -> TZSeries:
     return TZSeries(order, full)
 
 
-def lambda_direct(pieces: Sequence[tuple[GDim, int]], order: int) -> SuperSeries:
-    """Brute-force lambda of a graded superspace, by basis enumeration.
+def lambda_direct(pieces: Sequence[tuple[GDim, int]], order: int) -> TZSeries:
+    """Brute-force lambda of a graded superspace, by basis enumeration, t-free.
 
     ``pieces`` lists (graded dimension, z-degree) for finitely many graded
     components with nonnegative entries.  Expands every exterior-power
@@ -93,7 +137,6 @@ def lambda_direct(pieces: Sequence[tuple[GDim, int]], order: int) -> SuperSeries
             d = sum(sub)
             if d <= order:
                 ext[d] = ext[d] + (GDIM_ONE if p % 2 == 0 else GDim(-1, 0))
-    ext_series = SuperSeries(order, ext)
 
     # Symmetric powers of the odd part: multisets, enumerated recursively.
     # Each multiset of size q contributes (-1)^q with parity q mod 2.
@@ -112,8 +155,11 @@ def lambda_direct(pieces: Sequence[tuple[GDim, int]], order: int) -> SuperSeries
                 visit(j + 1, d, k)
 
     visit(0, 0, 0)
-    sym_series = SuperSeries(order, sym)
-    return ext_series * sym_series
+    out = [GDIM_ZERO] * (order + 1)
+    for i, e in enumerate(ext):
+        for j in range(order + 1 - i):
+            out[i + j] = out[i + j] + e * sym[j]
+    return t_free(out, order)
 
 
 def is_t_symmetric(c: RLaurent) -> bool:
@@ -196,6 +242,15 @@ def jordan_residual(
         linalg.accumulate(acc, t1, s1)
         linalg.accumulate(acc, t2, -s1 * s2)
     return linalg.sparse_row(acc)
+
+
+def tag_graded_dims(tag: TagAlgebra) -> dict[int, GDim]:
+    """dim of the TAG algebra per z-degree, counted over its basis."""
+    out: dict[int, GDim] = {}
+    for el in tag.basis:
+        d = out.get(el.degree, GDIM_ZERO)
+        out[el.degree] = d + (GDim(1, 0) if el.parity == 0 else GDim(0, 1))
+    return out
 
 
 def project(comp: BsComponent, ambient: dict[int, Fraction]) -> Vector:
@@ -378,3 +433,21 @@ def reference_boundary_monomial(tag: TagAlgebra, mon: tuple[int, ...]) -> dict:
                 new, s2 = ins
                 out[new] = out.get(new, 0) + sign * s2 * c
     return {m: c for m, c in out.items() if c}
+
+
+def block_key(cc: ChainComplex, mon: Monomial) -> BlockKey:
+    """(r, z-degree, weight, parity) of a chain, summed over its factors."""
+    basis = cc.tag.basis
+    d = sum(basis[g].degree for g in mon)
+    w = sum(basis[g].weight for g in mon)
+    par = sum(basis[g].parity for g in mon) % 2
+    return (len(mon), d, w, par)
+
+
+def block_dim(cc: ChainComplex, r: int, d: int) -> dict[tuple[int, int], int]:
+    """Dimensions per (weight, parity) of the chains V_r at z-degree d."""
+    out: dict[tuple[int, int], int] = {}
+    for (rr, dd, w, par), mons in cc.blocks.items():
+        if rr == r and dd == d:
+            out[(w, par)] = len(mons)
+    return out
