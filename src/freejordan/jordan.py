@@ -309,19 +309,19 @@ def relation_row(
 
 
 def build_free_jordan(
-    d1: int, d2: int, max_degree: int, budget: int | None = DEFAULT_BUDGET
+    d1: int, d2: int, max_degree: int, budget: int = DEFAULT_BUDGET
 ) -> GradedJordanAlgebra:
     """Construct the free Jordan superalgebra through the given degree.
 
     ``budget`` caps the relation-matrix entries of one degree: before each
     group of identity instances is expanded, (rows so far + instances in
-    the group) x dim W_n must not exceed it.  ``None`` means no cap.
+    the group) x dim W_n must not exceed it.
     """
     if d1 < 0 or d2 < 0 or d1 + d2 < 1:
         raise ValueError("need d1, d2 >= 0 with d1 + d2 >= 1")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    if budget is not None and budget < 1:
+    if budget < 1:
         raise ValueError("budget must be >= 1")
 
     parities: dict[int, tuple[int, ...]] = {1: (0,) * d1 + (1,) * d2}
@@ -347,12 +347,10 @@ def build_free_jordan(
         for degrees, triples in groups.items():
             s = n - sum(degrees)
             ns = len(parities[s])
-            if budget is not None:
-                projected = (len(rows) + len(triples) * ns) * nw
-                if projected > budget:
-                    raise ResourceBudgetExceeded(
-                        f"degree {n}: relation matrix would exceed budget {budget}"
-                    )
+            if (len(rows) + len(triples) * ns) * nw > budget:
+                raise ResourceBudgetExceeded(
+                    f"degree {n}: relation matrix would exceed budget {budget}"
+                )
             for (x, y, z) in triples:
                 for wu in range(ns):
                     row = relation_row(space, x, y, z, (s, wu))

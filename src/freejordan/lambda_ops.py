@@ -38,7 +38,7 @@ from functools import reduce
 from math import comb
 from operator import mul
 
-from .rings import GDIM_ONE, GDIM_X, GDim, RLaurent, TZSeries
+from .rings import GDIM_ONE, GDIM_X, RLAURENT_ZERO, GDim, RLaurent, TZSeries
 
 
 def _one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
@@ -52,7 +52,7 @@ def _one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
     jmax = order // m
     if k >= 0:
         jmax = min(jmax, k)
-    terms: list[RLaurent] = [RLaurent.zero()] * (order + 1)
+    terms: list[RLaurent] = [RLAURENT_ZERO] * (order + 1)
     for j in range(jmax + 1):
         if k >= 0:
             coef = comb(k, j) * (-1) ** j

@@ -9,6 +9,7 @@ multiplication follows the tensor-product rule for superspaces:
 On top of R live a Laurent polynomial ring and one truncated series ring:
 
 * ``RLaurent``  -- finitely supported Laurent polynomials in t over R,
+                   stored in split coordinates (see the class),
 * ``TZSeries``  -- R[t, t^-1][[z]] mod z^(N+1).
 
 A series of graded dimensions, sum_{n>=1} a_n z^n, is not a ring element
@@ -98,45 +99,30 @@ def _as_gdim(v: "GDim | int") -> GDim:
 
 
 class RLaurent:
-    """Finitely supported Laurent polynomial in t with GDim coefficients."""
+    """Finitely supported Laurent polynomial in t over R.
+
+    A coefficient (e, o) is stored in the split coordinates (p, m) =
+    (e + o, e - o): R is the subring of Z x Z where p = m (mod 2), so an
+    R-product is the two int products p1*p2 and m1*m2, and the Laurent and
+    series products are both ``_convolve``.  ``terms`` holds (exponent, p, m),
+    sorted, with (p, m) != (0, 0); ``c[e]`` reads a coefficient as a GDim.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, GDim | int] | Iterable[tuple[int, GDim | int]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[int, GDim] = {}
-        for e, c in items:
-            c = _as_gdim(c)
-            if c:
-                acc = d.get(e, GDIM_ZERO) + c
-                if acc:
-                    d[e] = acc
-                else:
-                    d.pop(e, None)
-        object.__setattr__(self, "terms", tuple(sorted(d.items())))
-
-    @classmethod
-    def _canonical(cls, terms: tuple[tuple[int, GDim], ...]) -> "RLaurent":
-        """Wrap terms that are already sorted by exponent with no zero coefficient."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
+        gs = [(e, _as_gdim(c)) for e, c in items]
+        split = _sum((e, g.even + g.odd, g.even - g.odd) for e, g in gs)
+        object.__setattr__(self, "terms", split.terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("RLaurent is immutable")
 
-    @classmethod
-    def zero(cls) -> "RLaurent":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "RLaurent":
-        return cls({0: GDIM_ONE})
-
     def __getitem__(self, e: int) -> GDim:
-        for exp, c in self.terms:
+        for exp, p, m in self.terms:
             if exp == e:
-                return c
+                return _gdim(p, m)
         return GDIM_ZERO
 
     def __eq__(self, other: object) -> bool:
@@ -151,43 +137,68 @@ class RLaurent:
         return bool(self.terms)
 
     def __add__(self, other: "RLaurent") -> "RLaurent":
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, GDIM_ZERO) + c
-        return RLaurent(d)
+        return _sum(self.terms + other.terms)
 
     def __neg__(self) -> "RLaurent":
-        return RLaurent([(e, -c) for e, c in self.terms])
+        return self * -1
 
     def __sub__(self, other: "RLaurent") -> "RLaurent":
         return self + (-other)
 
     def __mul__(self, other: "RLaurent | GDim | int") -> "RLaurent":
         if isinstance(other, (GDim, int)):
-            c = _as_gdim(other)
-            return RLaurent([(e, c * a) for e, a in self.terms])
+            other = RLaurent({0: other})
         if not isinstance(other, RLaurent):
             return NotImplemented
-        d: dict[int, GDim] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                d[e] = d.get(e, GDIM_ZERO) + c1 * c2
-        return RLaurent(d)
+        p: dict[int, int] = {}
+        m: dict[int, int] = {}
+        _convolve(p, m, self.terms, other.terms)
+        return _laurent(p, m)
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}t^{e}" for e, c in self.terms)
+        return " + ".join(f"{_gdim(p, m)}t^{e}" for e, p, m in self.terms)
 
     def __repr__(self) -> str:
         return f"RLaurent({self})"
 
 
+def _gdim(p: int, m: int) -> GDim:
+    """The GDim with split coordinates (p, m); p = m (mod 2)."""
+    return GDim((p + m) >> 1, (p - m) >> 1)
+
+
+def _laurent(p: dict[int, int], m: dict[int, int]) -> RLaurent:
+    """The RLaurent with split coordinates p[k], m[k] at t^k."""
+    out = object.__new__(RLaurent)
+    object.__setattr__(out, "terms", tuple((k, p[k], m[k]) for k in sorted(p) if p[k] or m[k]))
+    return out
+
+
+def _sum(terms: Iterable[tuple[int, int, int]]) -> RLaurent:
+    """The RLaurent of split terms, repeated exponents summed."""
+    p: dict[int, int] = {}
+    m: dict[int, int] = {}
+    for e, pe, me in terms:
+        p[e] = p.get(e, 0) + pe
+        m[e] = m.get(e, 0) + me
+    return _laurent(p, m)
+
+
+def _convolve(p: dict[int, int], m: dict[int, int], xs: tuple, ys: tuple) -> None:
+    """Add the Laurent product of the split terms xs and ys into p and m."""
+    for e1, p1, m1 in xs:
+        for e2, p2, m2 in ys:
+            e = e1 + e2
+            p[e] = p.get(e, 0) + p1 * p2
+            m[e] = m.get(e, 0) + m1 * m2
+
+
 RLAURENT_ZERO = RLaurent()
-RLAURENT_ONE = RLaurent.one()
+RLAURENT_ONE = RLaurent({0: GDIM_ONE})
 
 
 class TZSeries:
@@ -253,44 +264,18 @@ class TZSeries:
         return f"TZSeries(order={self.order}, {self})"
 
     def __mul__(self, other: "TZSeries") -> "TZSeries":
-        # In the split coordinates (p, m) = (e + o, e - o), R is the subring
-        # of Z x Z where p = m (mod 2), so one R-product is the two int
-        # products p1*p2 and m1*m2, and the series product is two plain
-        # integer convolutions.
         self._check(other)
         n = self.order
-        ys = [_split(c) for c in other.coeffs]
+        ys = [c.terms for c in other.coeffs]
         ps: list[dict[int, int]] = [{} for _ in range(n + 1)]
         ms: list[dict[int, int]] = [{} for _ in range(n + 1)]
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            xs = _split(a)
             for j in range(n + 1 - i):
-                y = ys[j]
-                if not y:
-                    continue
-                p, m = ps[i + j], ms[i + j]
-                for e1, p1, m1 in xs:
-                    for e2, p2, m2 in y:
-                        e = e1 + e2
-                        p[e] = p.get(e, 0) + p1 * p2
-                        m[e] = m.get(e, 0) + m1 * m2
-        return TZSeries(n, [_unsplit(p, m) for p, m in zip(ps, ms)])
-
-
-def _split(c: RLaurent) -> tuple[tuple[int, int, int], ...]:
-    """The terms (t-exponent, e + o, e - o) of c."""
-    return tuple((k, g.even + g.odd, g.even - g.odd) for k, g in c.terms)
-
-
-def _unsplit(p: dict[int, int], m: dict[int, int]) -> RLaurent:
-    """The RLaurent with split coordinates p[k], m[k] at t^k; p = m (mod 2)."""
-    return RLaurent._canonical(tuple(
-        (k, GDim((p[k] + m[k]) >> 1, (p[k] - m[k]) >> 1))
-        for k in sorted(p)
-        if p[k] or m[k]
-    ))
+                if ys[j]:
+                    _convolve(ps[i + j], ms[i + j], a.terms, ys[j])
+        return TZSeries(n, [_laurent(p, m) for p, m in zip(ps, ms)])
 
 
 def L0(c: RLaurent) -> GDim:

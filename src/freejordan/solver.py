@@ -28,8 +28,8 @@ coefficients, whose line is then multiplied into P.  At the end P is the
 whole product, so the residual of the solution is read off it: each step
 zeroes its own degree, and a nonzero residual (a line that disagrees with
 the checked slope) raises ``SolverStepError`` at its first degree.
-``residual_series`` and ``pair_residuals`` evaluate given series instead,
-such as the dimensions of a constructed algebra.
+``residual_series`` evaluates the single equation on a given series
+instead, such as the dimensions of a constructed algebra.
 
 A series a(z) = sum_{n>=1} a_n z^n is given, and reported in
 ``SolveReport.a``, as the tuple (a_1, ..., a_N) of its GDim coefficients.
@@ -43,6 +43,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
+# phi_series stays importable here: the benchmark's tracer wraps solver.phi_series.
 from .lambda_ops import lambda_adjoint_series, phi_line, phi_series
 from .rings import GDIM_ONE, GDIM_ZERO, L0, L2, GDim, TZSeries
 
@@ -165,14 +166,6 @@ def _pair_defects(phi: TZSeries, gens: GDim) -> tuple[list[GDim], list[GDim]]:
     if phi.order >= 1:
         e2[1] = e2[1] + gens
     return e1, e2
-
-
-def pair_residuals(
-    a: Sequence[GDim], b: Sequence[GDim], d1: int, d2: int
-) -> tuple[list[GDim], list[GDim]]:
-    """Defects of the two-equation system at z^0..z^N; zero on a solution."""
-    gens = _generators(d1, d2)
-    return _pair_defects(phi_series(a, b), gens)
 
 
 def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:

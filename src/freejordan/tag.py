@@ -27,16 +27,15 @@ every sorted in-range basis triple; by graded antisymmetry the other
 orderings follow from these, so both checks are exhaustive.
 
 The layer is built in ints from ``alg.integer_copy()``, J's tables times
-T; ``TagAlgebra`` gives the scales.  ``Fraction`` appears only at the API
-boundary: ``BsComponent.projection``, ``TagAlgebra.bracket`` and
-``structure_constants_json``.
+T; ``TagAlgebra`` gives the scales.  This module imports no ``Fraction``:
+the one rational data it keeps is ``BsComponent.projection``, as
+``linalg.quotient`` returns it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator
 
@@ -205,9 +204,8 @@ class TagAlgebra:
     precomputed for every ordered pair whose total z-degree stays within
     the truncation and stored once, as integers: ``scale`` is the least
     common denominator of all structure constants, and ``brackets[(gi, gj)]``
-    holds ``scale * [basis[gi], basis[gj]]`` with int coefficients.
-    ``bracket`` and ``structure_constants_json`` divide the scale out;
-    the gates and the chain complex read the integer table directly.
+    holds ``scale * [basis[gi], basis[gj]]`` with int coefficients; the
+    gates and the chain complex read this integer table directly.
 
     Everything is built in ints from one integer copy of J's tables, each
     entry times T, the lcm of their denominators: Bs(J) from cyclic rows
@@ -275,12 +273,6 @@ class TagAlgebra:
             start = gi if unordered else 0
             for gj in range(start, bisect_right(self._degrees, max_total - d)):
                 yield gi, gj
-
-    def bracket(self, gi: int, gj: int) -> tuple[tuple[int, Fraction], ...]:
-        """[basis[gi], basis[gj]] as sparse (index, coefficient) pairs."""
-        if self.basis[gi].degree + self.basis[gj].degree > self.max_degree:
-            raise ValueError("bracket degree beyond truncation")
-        return tuple((k, Fraction(c, self.scale)) for k, c in self.brackets.get((gi, gj), ()))
 
     # -- bracket construction -------------------------------------------
 
@@ -422,25 +414,6 @@ class TagAlgebra:
                     )
                 count += 1
         return count
-
-    def structure_constants_json(self) -> dict:
-        """Serializable structure-constant table (rationals as strings)."""
-        return {
-            "basis": [
-                {
-                    "kind": el.kind,
-                    "degree": el.degree,
-                    "parity": el.parity,
-                    "weight": el.weight,
-                    "label": el.label,
-                }
-                for el in self.basis
-            ],
-            "brackets": {
-                f"{i},{j}": [[k, str(Fraction(c, self.scale))] for k, c in terms]
-                for (i, j), terms in sorted(self.brackets.items())
-            },
-        }
 
 
 def build_tag(alg: GradedJordanAlgebra, max_degree: int) -> TagAlgebra:

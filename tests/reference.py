@@ -4,11 +4,15 @@ None of these runs in a command: each recomputes by another route what the
 package computes in closed form or through its tables.
 
 * ``t_integer``          -- the t-integer [m]_t as a sum of t-powers;
+* ``laurent_product``    -- the product of two RLaurents, summed as GDim
+                           products over pairs of exponents;
 * ``t_free``,
   ``z_monomial``         -- series with t-free coefficients, and c z^m;
 * ``series_power``       -- integer powers of a series, the inverse by the
                            term-by-term recurrence;
 * ``lambda_direct``      -- lambda of a graded superspace by basis enumeration;
+* ``pair_residuals``     -- the defects of the two-equation system on given
+                           series a(z), b(z);
 * ``adjoint_even_line``,
   ``adjoint_odd_line``   -- the adjoint line factors as sums of t-integers;
 * ``is_t_symmetric``     -- the t -> 1/t symmetry of an sl2 character;
@@ -22,6 +26,9 @@ package computes in closed form or through its tables.
 * ``fraction_brackets``  -- the TAG bracket table summed in Fractions from
                            the rational tables, the route the integer table
                            replaced;
+* ``bracket``,
+  ``structure_constants_json`` -- one bracket, and the whole table as JSON,
+                           in Fractions: the integer table over its scale;
 * ``fraction_rref``      -- reduced row echelon form by rational elimination;
 * ``reference_chain_blocks``,
   ``reference_boundary_monomial`` -- the Chevalley-Eilenberg chains by
@@ -38,10 +45,11 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from freejordan import linalg
+from freejordan import linalg, solver
 from freejordan.homology import BlockKey, ChainComplex, Monomial
 from freejordan.jordan import GradedJordanAlgebra, Vector
-from freejordan.rings import GDIM_ONE, GDIM_ZERO, GDim, RLaurent, TZSeries
+from freejordan.lambda_ops import phi_series
+from freejordan.rings import GDIM_ONE, GDIM_ZERO, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
 from freejordan.tag import _KAPPA, _SL2_BRACKET, BsComponent, TagAlgebra
 
 
@@ -52,6 +60,15 @@ def t_integer(m: int) -> RLaurent:
     return RLaurent({m - 1 - 2 * i: GDIM_ONE for i in range(m)})
 
 
+def laurent_product(a: RLaurent, b: RLaurent) -> RLaurent:
+    """a * b as a sum of GDim products, one per pair of exponents."""
+    acc: dict[int, GDim] = {}
+    for e1, *_ in a.terms:
+        for e2, *_ in b.terms:
+            acc[e1 + e2] = acc.get(e1 + e2, GDIM_ZERO) + a[e1] * b[e2]
+    return RLaurent(acc)
+
+
 def t_free(coeffs: Sequence[GDim], order: int) -> TZSeries:
     """The series sum_n coeffs[n] z^n, n from 0, with t-free coefficients."""
     return TZSeries(order, [RLaurent({0: c}) for c in coeffs])
@@ -59,7 +76,7 @@ def t_free(coeffs: Sequence[GDim], order: int) -> TZSeries:
 
 def z_monomial(c: RLaurent, m: int, order: int) -> TZSeries:
     """c z^m, truncated at z^order."""
-    coeffs = [RLaurent.zero()] * (order + 1)
+    coeffs = [RLAURENT_ZERO] * (order + 1)
     if m <= order:
         coeffs[m] = c
     return TZSeries(order, coeffs)
@@ -72,11 +89,11 @@ def series_power(f: TZSeries, k: int) -> TZSeries:
     term, g_n = -sum_{i=1..n} f_i g_{n-i}, and raised to -k.
     """
     if k < 0:
-        if f[0] != RLaurent.one():
+        if f[0] != RLAURENT_ONE:
             raise ValueError("only a series with constant term 1 is inverted")
-        g = [RLaurent.one()]
+        g = [RLAURENT_ONE]
         for n in range(1, f.order + 1):
-            acc = RLaurent.zero()
+            acc = RLAURENT_ZERO
             for i in range(1, n + 1):
                 acc = acc + f[i] * g[n - i]
             g.append(-acc)
@@ -91,7 +108,7 @@ def adjoint_even_line(m: int, order: int) -> TZSeries:
     """(1 - [2]_t z^m + z^{2m}, 0): lambda of one even vector tensor adjoint."""
     out = TZSeries.one(order)
     out = out + z_monomial(-t_integer(2), m, order)
-    out = out + z_monomial(RLaurent.one(), 2 * m, order)
+    out = out + z_monomial(RLAURENT_ONE, 2 * m, order)
     return out
 
 
@@ -105,7 +122,7 @@ def adjoint_odd_line(m: int, order: int) -> TZSeries:
         else:
             coeffs.append(t_integer(j + 1) * GDim(0, -1))
         j += 1
-    full = [RLaurent.zero()] * (order + 1)
+    full = [RLAURENT_ZERO] * (order + 1)
     for j, c in enumerate(coeffs):
         full[j * m] = c
     return TZSeries(order, full)
@@ -162,9 +179,16 @@ def lambda_direct(pieces: Sequence[tuple[GDim, int]], order: int) -> TZSeries:
     return t_free(out, order)
 
 
+
+def pair_residuals(
+    a: Sequence[GDim], b: Sequence[GDim], d1: int, d2: int
+) -> tuple[list[GDim], list[GDim]]:
+    """Defects of the two-equation system at z^0..z^N; zero on a solution."""
+    return solver._pair_defects(phi_series(a, b), solver._generators(d1, d2))
+
 def is_t_symmetric(c: RLaurent) -> bool:
     """Whether the coefficient at t^e always equals the one at t^-e."""
-    return all(c[e] == c[-e] for e, _ in c.terms)
+    return all(c[e] == c[-e] for e, _, _ in c.terms)
 
 
 def basis_vector(alg: GradedJordanAlgebra, n: int, idx: int) -> Vector:
@@ -324,6 +348,33 @@ def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
             out[(gi, gj)] = terms
     return out
 
+
+
+def bracket(tag: TagAlgebra, gi: int, gj: int) -> Vector:
+    """[basis[gi], basis[gj]] in Fractions: the integer table over its scale."""
+    if tag.basis[gi].degree + tag.basis[gj].degree > tag.max_degree:
+        raise ValueError("bracket degree beyond truncation")
+    return tuple((k, Fraction(c, tag.scale)) for k, c in tag.brackets.get((gi, gj), ()))
+
+
+def structure_constants_json(tag: TagAlgebra) -> dict:
+    """Serializable structure-constant table (rationals as strings)."""
+    return {
+        "basis": [
+            {
+                "kind": el.kind,
+                "degree": el.degree,
+                "parity": el.parity,
+                "weight": el.weight,
+                "label": el.label,
+            }
+            for el in tag.basis
+        ],
+        "brackets": {
+            f"{i},{j}": [[k, str(Fraction(c, tag.scale))] for k, c in terms]
+            for (i, j), terms in sorted(tag.brackets.items())
+        },
+    }
 
 def _subtract(vec: dict[int, Fraction], f: Fraction, row: dict[int, Fraction], skip: int) -> None:
     """vec -= f * row outside column ``skip``, dropping the zeros."""

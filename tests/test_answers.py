@@ -18,7 +18,7 @@ import pytest
 from freejordan.homology import compute_homology
 from freejordan.jordan import build_free_jordan
 from freejordan.tag import build_tag, inner_rank_diagnostic
-from reference import multiply
+from reference import multiply, structure_constants_json
 
 
 def _pairs(vec):
@@ -54,7 +54,7 @@ def answer_digests(d1, d2, degree, r_max):
     return {
         "algebra": _digest(algebra),
         "bs": _digest(bs),
-        "structure_constants": _digest(tag.structure_constants_json()),
+        "structure_constants": _digest(structure_constants_json(tag)),
         "homology": _digest(compute_homology(tag, r_max, degree).to_json_dict()),
     }
 

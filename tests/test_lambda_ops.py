@@ -6,7 +6,7 @@ from freejordan.lambda_ops import (
     phi_line,
     phi_series,
 )
-from freejordan.rings import GDIM_ONE, GDIM_ZERO, GDim, RLaurent, TZSeries
+from freejordan.rings import GDIM_ONE, GDIM_ZERO, RLAURENT_ONE, GDim, RLaurent, TZSeries
 from reference import (
     adjoint_even_line,
     adjoint_odd_line,
@@ -127,7 +127,7 @@ class TestFactorTable:
         grid = [GDim(e, o) for e in range(-1, 3) for o in range(-1, 3)]
         for n in (1, 2):
             lines = (
-                TZSeries.one(order) - z_monomial(RLaurent.one(), n, order),
+                TZSeries.one(order) - z_monomial(RLAURENT_ONE, n, order),
                 lambda_direct([(GDim(0, 1), n)], order),
                 adjoint_even_line(n, order),
                 adjoint_odd_line(n, order),

@@ -10,10 +10,12 @@ from freejordan.rings import (
     GDim,
     L0,
     L2,
+    RLAURENT_ONE,
+    RLAURENT_ZERO,
     RLaurent,
     TZSeries,
 )
-from reference import is_t_symmetric, t_free, t_integer, z_monomial
+from reference import is_t_symmetric, laurent_product, t_free, t_integer, z_monomial
 
 
 def rand_gdim(rng, lo=-5, hi=5):
@@ -51,20 +53,24 @@ def rand_tz(rng, order, bound):
     ])
 
 
-def laurent_product(f, g):
-    """f * g through RLaurent products, summed per z-degree."""
-    out = [RLaurent.zero()] * (f.order + 1)
+def series_product(f, g):
+    """f * g through the reference Laurent product, summed per z-degree."""
+    out = [RLAURENT_ZERO] * (f.order + 1)
     for i in range(f.order + 1):
         for j in range(f.order + 1 - i):
-            out[i + j] = out[i + j] + f[i] * g[j]
+            out[i + j] = out[i + j] + laurent_product(f[i], g[j])
     return TZSeries(f.order, out)
 
 
 def assert_canonical(f):
+    # Sorted split terms (e, p, m) with (p, m) != (0, 0) and p = m (mod 2),
+    # equal to the RLaurent rebuilt from their GDim values.
     for c in f.coeffs:
-        assert c == RLaurent(c.terms)
-        assert hash(c) == hash(RLaurent(c.terms))
-        assert all(g for _, g in c.terms)
+        rebuilt = RLaurent([(e, c[e]) for e, _, _ in c.terms])
+        assert c == rebuilt
+        assert hash(c) == hash(rebuilt)
+        assert [e for e, _, _ in c.terms] == sorted({e for e, _, _ in c.terms})
+        assert all((p or m) and (p - m) % 2 == 0 for _, p, m in c.terms)
 
 
 class TestGDim:
@@ -100,7 +106,7 @@ class TestGDim:
 class TestRLaurent:
     def test_t_integer(self):
         # [m]_t = t^{m-1} + t^{m-3} + ... + t^{1-m}
-        assert t_integer(1) == RLaurent.one()
+        assert t_integer(1) == RLAURENT_ONE
         assert t_integer(2) == RLaurent({-1: GDIM_ONE, 1: GDIM_ONE})
         assert t_integer(3) == RLaurent({-2: GDIM_ONE, 0: GDIM_ONE, 2: GDIM_ONE})
 
@@ -114,7 +120,7 @@ class TestRLaurent:
         # the coefficients at t^0, t^-1 and t^-2.
         f = RLaurent({-1: GDim(3, 1), 0: GDim(9, 9), 2: GDim(1, 0)})
         assert f[-1] == GDim(3, 1)
-        assert RLaurent.zero()[-1] == GDIM_ZERO
+        assert RLAURENT_ZERO[-1] == GDIM_ZERO
         assert L0(f) == GDim(6, 8)
         assert L2(f) == GDim(3, 1)
 
@@ -122,8 +128,10 @@ class TestRLaurent:
         # Pair lists sum duplicate exponents and drop zeros; any Mapping
         # reads as exponent -> coefficient.
         pairs = [(1, GDim(1, 2)), (0, 3), (1, GDim(-1, -2)), (0, GDim(1, 1))]
-        assert RLaurent(pairs).terms == ((0, GDim(4, 1)),)
-        assert RLaurent(MappingProxyType({2: 1, 0: GDIM_ZERO})).terms == ((2, GDIM_ONE),)
+        # Terms hold the split coordinates (e + o, e - o) of each GDim.
+        assert RLaurent(pairs).terms == ((0, 5, 3),)
+        assert RLaurent(pairs)[0] == GDim(4, 1)
+        assert RLaurent(MappingProxyType({2: 1, 0: GDIM_ZERO})).terms == ((2, 1, 1),)
 
     def test_symmetry(self):
         assert is_t_symmetric(t_integer(5))
@@ -150,7 +158,8 @@ class TestTZSeries:
                 order = rng.randint(0, 5)
                 f, g = rand_tz(rng, order, bound), rand_tz(rng, order, bound)
                 h = f * g
-                assert h == laurent_product(f, g)
+                assert h == series_product(f, g)
+                assert f[0] * g[0] == laurent_product(f[0], g[0])
                 assert_canonical(h)
 
     def test_product_ring_axioms(self):
@@ -168,11 +177,11 @@ class TestTZSeries:
         for _ in range(30):
             c, u, r = (RLaurent({rng.randint(-3, 3): rand_gdim(rng, -2**70, 2**70)
                                  for _ in range(3)}) for _ in range(3))
-            for rest in (r, RLaurent.zero()):
+            for rest in (r, RLAURENT_ZERO):
                 f = TZSeries(2, [c, u + rest])
                 g = TZSeries(2, [c, -u])
                 h = f * g
-                assert h == laurent_product(f, g)
+                assert h == series_product(f, g)
                 assert h[1] == c * rest
                 assert h[2] == -(u + rest) * u
                 assert_canonical(h)

@@ -4,13 +4,12 @@ from freejordan import cli, solver
 from freejordan.rings import GDIM_ZERO, GDim
 from freejordan.solver import (
     SolverStepError,
-    pair_residuals,
     residual_series,
     solve_dims,
     solve_dims_pair,
     vanishing_order,
 )
-from reference import series_power
+from reference import pair_residuals, series_power
 
 
 class TestSolveDims:
