@@ -21,10 +21,16 @@ carries the bracket
 
 where k is the sl2 trace form with k(e,f) = 4 and k(h,h) = 8.  Everything
 is graded: a(x)x has the z-degree of x and h-weight +2/0/-2 for a = e/h/f;
-Bs classes have weight 0.  After construction, anticommutativity is checked
-on every unordered in-range basis pair and the super Jacobi identity on
-every sorted in-range basis triple; by graded antisymmetry the other
-orderings follow from these, so both checks are exhaustive.
+Bs classes have weight 0.  Bs(J) takes one supercommutator row per
+unordered pair and one cyclic row per rotation class of basis triples: the
+cyclic relation is invariant under rotation.  The bracket table is written
+from J's data, not from pairs of TAG basis elements: each product x.y with
+the class of x(x)y gives the 7 nonzero [a(x)x, b(x)y], each column
+d_{x,y}(z) the 6 brackets of {x(x)y} with a(x)z, and each pair of Bs
+classes its bracket.  After construction, anticommutativity is checked on
+every unordered in-range basis pair and the super Jacobi identity on every
+sorted in-range basis triple; by graded antisymmetry the other orderings
+follow from these, so both checks are exhaustive.
 
 The layer is built in ints from ``alg.integer_copy()``, J's tables times
 T; ``TagAlgebra`` gives the scales.  This module imports no ``Fraction``:
@@ -34,10 +40,9 @@ the one rational data it keeps is ``BsComponent.projection``, as
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator
 
 from . import linalg
 from .jordan import GradedJordanAlgebra, Vector
@@ -46,17 +51,19 @@ from .rings import GDim
 # sl2 basis order: e, h, f
 SL2_NAMES = ("e", "h", "f")
 SL2_WEIGHTS = (2, 0, -2)
-# [e,f]=h, [h,e]=2e, [h,f]=-2f; entry (i,j) -> list of (k, coeff)
-_SL2_BRACKET = {
-    (0, 2): ((1, 1),),
-    (2, 0): ((1, -1),),
-    (1, 0): ((0, 2),),
-    (0, 1): ((0, -2),),
-    (1, 2): ((2, -2),),
-    (2, 1): ((2, 2),),
-}
-# Trace form on sl2: k(e,f) = k(f,e) = 4, k(h,h) = 8.
-_KAPPA = {(0, 2): 4, (2, 0): 4, (1, 1): 8}
+# [a(x)x, b(x)y] = coeff c(x)(x.y) + k(a,b)/2 {x(x)y}, where [a,b] = coeff c in
+# sl2 ([e,f] = h, [h,e] = 2e, [h,f] = -2f) and k is the trace form, k(e,f) =
+# k(f,e) = 4 and k(h,h) = 8.  One row (a, b, c, coeff, k(a,b)/4) for each of
+# the 7 pairs with a nonzero bracket; coeff = 0 where [a,b] = 0.
+_SL2_RULES = (
+    (0, 1, 0, -2, 0),  # [e,h] = -2e
+    (0, 2, 1, 1, 1),  # [e,f] = h, k = 4
+    (1, 0, 0, 2, 0),  # [h,e] = 2e
+    (1, 1, 0, 0, 2),  # [h,h] = 0, k = 8
+    (1, 2, 2, -2, 0),  # [h,f] = -2f
+    (2, 0, 1, -1, 1),  # [f,e] = -h, k = 4
+    (2, 1, 2, 2, 0),  # [f,h] = 2f
+)
 
 
 @dataclass
@@ -89,10 +96,7 @@ def build_Bs(alg: GradedJordanAlgebra, max_degree: int) -> dict[int, BsComponent
     """
     if max_degree > alg.max_degree:
         raise ValueError("algebra not built deep enough")
-    out: dict[int, BsComponent] = {}
-    for n in range(2, max_degree + 1):
-        out[n] = _build_bs_degree(alg, n)
-    return out
+    return {n: _build_bs_degree(alg, n) for n in range(2, max_degree + 1)}
 
 
 def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
@@ -110,41 +114,39 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
 
     rows: dict[linalg.SparseRow, None] = {}
 
-    def add_row(terms: list[tuple[int, int]]) -> None:
-        acc: dict[int, int] = {}
+    def add_row(terms):
+        acc = {}
         linalg.accumulate(acc, terms)
         row = linalg.sparse_row(acc)
         if row:
             rows[row] = None
 
-    # Supercommutator relations.
+    # Supercommutator relations, one per unordered coordinate pair: the
+    # row of (j, v, i, u) is this one times a sign.
     for (i, u, j, v) in coords:
-        sign = (-1) ** (par[i][u] * par[j][v])
-        add_row([(index[(i, u, j, v)], 1), (index[(j, v, i, u)], sign)])
+        if (i, u) <= (j, v):
+            sign = (-1) ** (par[i][u] * par[j][v])
+            add_row([(index[(i, u, j, v)], 1), (index[(j, v, i, u)], sign)])
 
-    # Cyclic relations on basis triples.
-    product = alg.multiply_basis
-    for p in range(1, n - 1):
-        for q in range(1, n - p):
-            r = n - p - q
+    # (-1)^{|x||z|} (x.y)(x)z, for basis elements given as (degree, index).
+    def term(x, y, z):
+        (p, xu), (q, yu), (r, zu) = x, y, z
+        sign = (-1) ** (par[p][xu] * par[r][zu])
+        return [(index[(p + q, k, r, zu)], sign * c) for k, c in alg.multiply_basis(p, xu, q, yu)]
+
+    # Cyclic relations on basis triples.  The relation is invariant under
+    # rotation, so only the least rotation of each triple in the (degree,
+    # index) order is expanded: x least, and below z unless x = y = z.
+    elems = [(d, u) for d in range(1, n - 1) for u in range(len(par[d]))]
+    for ix, x in enumerate(elems):
+        for iy in range(ix, len(elems)):
+            y = elems[iy]
+            r = n - x[0] - y[0]
             if r < 1:
-                continue
-            for xu in range(len(par[p])):
-                for yu in range(len(par[q])):
-                    xy = product(p, xu, q, yu)
-                    for zu in range(len(par[r])):
-                        px, py, pz = par[p][xu], par[q][yu], par[r][zu]
-                        yz = product(q, yu, r, zu)
-                        zx = product(r, zu, p, xu)
-                        add_row([
-                            (index[(dd, k, de, unit)], s * c)
-                            for s, dd, vec, de, unit in (
-                                ((-1) ** (px * pz), p + q, xy, r, zu),
-                                ((-1) ** (px * py), q + r, yz, p, xu),
-                                ((-1) ** (py * pz), r + p, zx, q, yu),
-                            )
-                            for k, c in vec
-                        ])
+                break
+            lo = max(bisect_left(elems, (r, 0)), ix + (iy > ix))
+            for z in elems[lo:bisect_left(elems, (r + 1, 0))]:
+                add_row(term(x, y, z) + term(y, z, x) + term(z, x, y))
 
     kept, projection = linalg.quotient(rows, coord_parity)
     return BsComponent(
@@ -210,14 +212,16 @@ class TagAlgebra:
     Everything is built in ints from one integer copy of J's tables, each
     entry times T, the lcm of their denominators: Bs(J) from cyclic rows
     T times the rational ones, the derivation columns at T**2, and the Bs
-    projection read at P, the lcm of its denominators.  Each bracket is
-    summed at S = lcm(2P, P*T**2): the k/2 part carries 2P, the
-    [a,b](x)(x.y) part T, the Bs-on-sl2 part T**2 and the Bs-on-Bs part
-    P*T**2.  With g the gcd of S and every entry, ``scale`` = S // g and
-    each entry is divided by g; as every rational coefficient is an entry
-    over S, S // g is the lcm of their denominators.  Of the integer data
-    only ``_derivations`` outlives construction: the T**2 columns of every
-    Bs class on every degree in range, read by ``inner_rank_diagnostic``.
+    projection read at P, the lcm of its denominators.  At S = lcm(2P,
+    P*T**2) every entry is one J-level vector's entry times a multiplier:
+    the k/2 part of a projection row at P, the [a,b](x)(x.y) part of a
+    product at T, the Bs-on-sl2 part of a derivation column at T**2 and
+    the Bs-on-Bs part of an image at P*T**2.  With g the gcd of S and those
+    entries, ``scale`` = S // g, and each bracket is written once at that
+    scale; as every rational coefficient is an entry over S, S // g is the
+    lcm of their denominators.  Of the integer data only ``_derivations``
+    outlives construction: the T**2 columns of every Bs class on every
+    degree in range, read by ``inner_rank_diagnostic``.
     """
 
     def __init__(self, alg: GradedJordanAlgebra, max_degree: int) -> None:
@@ -228,34 +232,21 @@ class TagAlgebra:
         T, scaled = alg.integer_copy()
         self.bs = build_Bs(scaled, max_degree)
         self.basis: list[TagElement] = []
-        self._sl2_index: dict[tuple[int, int, int], int] = {}
-        self._bs_index: dict[tuple[int, int], int] = {}
+        self._sl2_index: dict[tuple[int, ...], int] = {}  # (a, n, u) -> a(x)J_n[u]
+        self._bs_index: dict[tuple[int, ...], int] = {}  # (n, u) -> Bs_n[u]
         for n in range(1, max_degree + 1):
             for a in range(3):
-                for u in range(alg.dim(n)):
+                for u, p in enumerate(alg.parities[n]):
                     self._sl2_index[(a, n, u)] = len(self.basis)
-                    self.basis.append(TagElement(
-                        kind="sl2",
-                        degree=n,
-                        parity=alg.parities[n][u],
-                        weight=SL2_WEIGHTS[a],
-                        label=f"{SL2_NAMES[a]}(x){alg.labels[n][u]}",
-                        data=(a, u),
-                    ))
-            if n in self.bs:
-                for u in range(len(self.bs[n].parities)):
-                    self._bs_index[(n, u)] = len(self.basis)
-                    self.basis.append(TagElement(
-                        kind="bs",
-                        degree=n,
-                        parity=self.bs[n].parities[u],
-                        weight=0,
-                        label=self.bs[n].labels[u],
-                        data=(u,),
-                    ))
+                    label = f"{SL2_NAMES[a]}(x){alg.labels[n][u]}"
+                    self.basis.append(TagElement("sl2", n, p, SL2_WEIGHTS[a], label, (a, u)))
+            comp = self.bs.get(n)
+            for u, p in enumerate(comp.parities if comp else ()):
+                self._bs_index[(n, u)] = len(self.basis)
+                self.basis.append(TagElement("bs", n, p, 0, comp.labels[u], (u,)))
         self._degrees = [el.degree for el in self.basis]
         # lift (i, u, j, v) of a Bs class + (m,) -> T**2 times d_{x,y} on degree m.
-        self._derivations: dict[tuple[int, int, int, int, int], list[Vector]] = {
+        self._derivations: dict[tuple[int, ...], list[Vector]] = {
             comp.coords[k] + (m,): scaled.derivation(*comp.coords[k], m)
             for n, comp in self.bs.items()
             for k in comp.lifts
@@ -263,122 +254,108 @@ class TagAlgebra:
         }
         self.brackets, self.scale = self._bracket_table(scaled, T)
 
-    def _pairs(self, max_total: int, unordered: bool = False) -> Iterator[tuple[int, int]]:
-        """Basis index pairs whose z-degrees sum to at most ``max_total``.
-
-        The basis is ordered by degree, so the partners of gi are an
-        initial segment of it.  ``unordered`` keeps only gi <= gj.
-        """
-        for gi, d in enumerate(self._degrees):
-            start = gi if unordered else 0
-            for gj in range(start, bisect_right(self._degrees, max_total - d)):
-                yield gi, gj
-
-    # -- bracket construction -------------------------------------------
-
-    # The helpers below map a vector to TAG indices times ``scale``.  Every
-    # vector is sorted and the indices of one (a, degree) or one Bs degree
-    # are consecutive, so each image is sorted too.
-
-    def _sl2_tensor(self, a: int, n: int, vec: Vector, scale: int) -> list[tuple[int, int]]:
-        return [(self._sl2_index[(a, n, u)], scale * c) for u, c in vec]
-
-    def _bs_terms(self, n: int, vec: Vector, scale: int) -> list[tuple[int, int]]:
-        return [(self._bs_index[(n, u)], scale * c) for u, c in vec]
-
-    def _bs_lift(self, el: TagElement) -> tuple[int, int, int, int]:
-        comp = self.bs[el.degree]
-        return comp.coords[comp.lifts[el.data[0]]]
-
-    def _bracket_table(
-        self, scaled: GradedJordanAlgebra, T: int
-    ) -> tuple[dict[tuple[int, int], Vector], int]:
+    def _bracket_table(self, scaled: GradedJordanAlgebra, T: int) -> tuple[dict, int]:
         """Every in-range bracket in ints; returns (brackets, scale).
 
-        See the class docstring for the scales T, P and S.  Inside a degree
-        the sl2 tensors come before the Bs classes, so the k/2 part of an
-        sl2 bracket follows its [a,b](x)(x.y) part, and each bracket but a
-        Bs-on-Bs one is a concatenation of sorted images with no sum.
+        ``at[n]`` holds the first index of e, h, f (x) J_n and of Bs_n.  In
+        a degree the sl2 tensors come before the Bs classes, so every
+        bracket below is sorted as written.
         """
+        N, par, derivations = self.max_degree, scaled.parities, self._derivations
         P = linalg.denominator(vec for comp in self.bs.values() for vec in comp.projection)
         projection = {
             n: [linalg.scaled(vec, P) for vec in comp.projection] for n, comp in self.bs.items()
         }
         S = lcm(2 * P, P * T * T)
-        # Multipliers that bring each part of a bracket to scale S.
-        half_kappa = {key: kap * (S // (2 * P)) for key, kap in _KAPPA.items()}
-        to_s_product = S // T
-        to_s_derivation = S // (T * T)
-        to_s_bs = S // (P * T * T)
+        at = {
+            n: [bisect_left(self._degrees, n) + a * scaled.dim(n) for a in range(4)]
+            for n in range(1, N + 1)
+        }
+        classes = [
+            (n, at[n][3] + q, comp.parities[q], comp.coords[k])
+            for n, comp in self.bs.items() for q, k in enumerate(comp.lifts)
+        ]
+        # [b, z(x)w] = {d(z)(x)w} + (-1)^{|b||z|} {z(x)d(w)}, d of the class b, at P*T**2.
+        images = []
+        for d, gb, pb, lift in classes:
+            for n, gc, _, (p, s, q, t) in classes:
+                if d + n > N:
+                    break
+                index, proj = self.bs[d + n].index, projection[d + n]
+                sign = -1 if pb & par[p][s] else 1
+                image = {}
+                for k, c in derivations[lift + (p,)][s]:
+                    linalg.accumulate(image, proj[index[(d + p, k, q, t)]], c)
+                for k, c in derivations[lift + (q,)][t]:
+                    linalg.accumulate(image, proj[index[(p, s, d + q, k)]], sign * c)
+                if any(image.values()):
+                    images.append(((gb, gc), at[d + n][3], linalg.sparse_row(image)))
+        # Every entry is one of these vectors times its multiplier to S: the
+        # products x.y with i + j <= N, the projection rows (k(e,f)/2 = 2 of
+        # them), the derivation columns and the Bs-on-Bs images.
+        to_s = (S // T, 2 * S // P, S // (T * T), S // (P * T * T))
+        g = gcd(S, *(m * gcd(*(c for vec in vecs for _, c in vec)) for m, vecs in zip(to_s, (
+            [vec for (i, j), tab in scaled.tables.items() if i + j <= N for row in tab for vec in row],
+            [vec for rows in projection.values() for vec in rows],
+            [col for cols in derivations.values() for col in cols],
+            [row for _, _, row in images],
+        ))))
+
+        def rescale(vec, part, offset=0):
+            return [(offset + k, c * to_s[part] // g) for k, c in vec]
+
+        brackets = {}
+        for n in range(2, N + 1):
+            o = at[n]
+            for (i, u, j, v), row in zip(self.bs[n].coords, projection[n]):
+                prod, kap = rescale(scaled.multiply_basis(i, u, j, v), 0), rescale(row, 1, o[3])
+                for a, b, c_idx, coeff, half in _SL2_RULES:
+                    out = [(o[c_idx] + k, coeff * c) for k, c in prod if coeff]
+                    out += [(k, half * c) for k, c in kap if half]
+                    if out:
+                        brackets[(at[i][a] + u, at[j][b] + v)] = tuple(out)
+        for n, gb, pb, lift in classes:
+            for m in range(1, N - n + 1):
+                for w, col in enumerate(derivations[lift + (m,)]):
+                    # [a(x)z, b] = -(-1)^{|b||z|} [b, a(x)z]
+                    neg = not (pb & par[m][w])
+                    for a in range(3 if col else 0):
+                        gs = at[m][a] + w
+                        image = brackets[(gb, gs)] = tuple(rescale(col, 2, at[n + m][a]))
+                        brackets[(gs, gb)] = tuple((k, -c) for k, c in image) if neg else image
+        for key, offset, row in images:
+            brackets[key] = tuple(rescale(row, 3, offset))
 
         grade = [(el.degree, el.weight, el.parity) for el in self.basis]
-        brackets: dict[tuple[int, int], Vector] = {}
-        for gi, gj in self._pairs(self.max_degree):
-            e1, e2 = self.basis[gi], self.basis[gj]
-            n = e1.degree + e2.degree
-            if e1.kind == "sl2" and e2.kind == "sl2":
-                (a, u), (b, v) = e1.data, e2.data
-                i, j = e1.degree, e2.degree
-                out = []
-                for c_idx, coeff in _SL2_BRACKET.get((a, b), ()):
-                    prod = scaled.multiply_basis(i, u, j, v)
-                    out += self._sl2_tensor(c_idx, n, prod, coeff * to_s_product)
-                kap = half_kappa.get((a, b))
-                if kap and n in self.bs:
-                    coord = self.bs[n].index[(i, u, j, v)]
-                    out += self._bs_terms(n, projection[n][coord], kap)
-            elif e1.kind != e2.kind:
-                # [sl2, Bs] = -(-1)^{|x||y|} [Bs, sl2]
-                eb, es, sign = (
-                    (e1, e2, 1) if e1.kind == "bs"
-                    else (e2, e1, -((-1) ** (e1.parity * e2.parity)))
-                )
-                a, w = es.data
-                col = self._derivations[self._bs_lift(eb) + (es.degree,)][w]
-                out = self._sl2_tensor(a, n, col, sign * to_s_derivation)
-            else:
-                # {d(z)(x)w} + (-1)^{|e1||z|} {z(x)d(w)}, d of e1 and z(x)w the lift of e2
-                lift, (p, s, q, t) = self._bs_lift(e1), self._bs_lift(e2)
-                d, index = e1.degree, self.bs[n].index
-                sign = (-1) ** (e1.parity * scaled.parities[p][s])
-                image: dict[int, int] = {}
-                for k, c in self._derivations[lift + (p,)][s]:
-                    linalg.accumulate(image, projection[n][index[(d + p, k, q, t)]], c)
-                for k, c in self._derivations[lift + (q,)][t]:
-                    linalg.accumulate(image, projection[n][index[(p, s, d + q, k)]], sign * c)
-                out = self._bs_terms(n, linalg.sparse_row(image), to_s_bs)
-            if not out:
-                continue
-            want = (n, e1.weight + e2.weight, (e1.parity + e2.parity) % 2)
-            for k, _ in out:
+        for (gi, gj), terms in brackets.items():
+            (d1, w1, p1), (d2, w2, p2) = grade[gi], grade[gj]
+            want = (d1 + d2, w1 + w2, p1 ^ p2)
+            for k, _ in terms:
                 if grade[k] != want:
                     bad = "parity" if grade[k][:2] == want[:2] else "grading"
                     raise AssertionError(f"bracket violates {bad}")
-            brackets[(gi, gj)] = tuple(out)
-        g = S
-        for terms in brackets.values():
-            g = gcd(g, *(c for _, c in terms))
-        if g != 1:
-            for key, terms in brackets.items():
-                brackets[key] = tuple((k, c // g) for k, c in terms)
         return brackets, S // g
 
     # -- self-tests ------------------------------------------------------
 
     def check_anticommutativity(self) -> None:
-        """[x, y] + (-1)^{|x||y|} [y, x] = 0 on every unordered in-range pair.
+        """[x, y] = -(-1)^{|x||y|} [y, x] on every unordered in-range pair.
 
-        Read off the integer table, so each sum is ``scale`` times the
-        rational one, and vanishes exactly when it does.  The condition
-        for (y, x) is (-1)^{|x||y|} times the one for (x, y), so checking
-        gi <= gj reads every table entry, once as [x, y] and once as the
-        partner [y, x].
+        Read off the integer table, so each side is ``scale`` times the
+        rational one, and compared as canonical tuples: sorted, with no
+        zero coefficient, so two are equal exactly when the vectors are.
+        A pair with both brackets zero holds; every other pair has a key
+        in the table, and is compared once, from its first key.
         """
-        for gi, gj in self._pairs(self.max_degree, unordered=True):
-            acc = dict(self.brackets.get((gi, gj), ()))
-            sign = (-1) ** (self.basis[gi].parity * self.basis[gj].parity)
-            linalg.accumulate(acc, self.brackets.get((gj, gi), ()), sign)
-            if any(acc.values()):
+        brackets = self.brackets
+        par = [el.parity for el in self.basis]
+        for (gi, gj), terms in brackets.items():
+            if gi > gj and (gj, gi) in brackets:
+                continue
+            partner = brackets.get((gj, gi), ())
+            if not par[gi] & par[gj]:
+                partner = tuple((k, -c) for k, c in partner)
+            if terms != partner:
                 raise AssertionError(
                     f"anticommutativity fails on ({self.basis[gi].label}, "
                     f"{self.basis[gj].label})"
@@ -397,22 +374,27 @@ class TagAlgebra:
         by -(-1)^{|a||b|+|b||c|+|c||a|}.  So every permutation of a triple
         gives plus or minus the Jacobiator of the sorted triple.
         """
-        count = 0
+        count, N, deg = 0, self.max_degree, self._degrees
         par = [el.parity for el in self.basis]
-        for gi, gj in self._pairs(self.max_degree - 1, unordered=True):
-            top = self.max_degree - self._degrees[gi] - self._degrees[gj]
-            for gk in range(gj, bisect_right(self._degrees, top)):
-                acc: dict[int, int] = {}
-                for a, b, c in ((gi, gj, gk), (gj, gk, gi), (gk, gi, gj)):
-                    sign = (-1) ** (par[a] * par[c])
-                    for m, coeff in self.brackets.get((a, b), ()):
-                        linalg.accumulate(acc, self.brackets.get((m, c), ()), sign * coeff)
-                if any(acc.values()):
-                    raise AssertionError(
-                        f"Jacobi fails on ({self.basis[gi].label}, "
-                        f"{self.basis[gj].label}, {self.basis[gk].label})"
-                    )
-                count += 1
+        rows = [{} for _ in deg]  # rows[a][b] = [a, b]
+        for (a, b), terms in self.brackets.items():
+            rows[a][b] = terms
+        for gi, di in enumerate(deg):
+            for gj in range(gi, bisect_right(deg, N - 1 - di)):
+                for gk in range(gj, bisect_right(deg, N - di - deg[gj])):
+                    acc = {}
+                    for a, b, c in ((gi, gj, gk), (gj, gk, gi), (gk, gi, gj)):
+                        sign = -1 if par[a] & par[c] else 1
+                        for m, coeff in rows[a].get(b, ()):
+                            coeff *= sign
+                            for q, v in rows[m].get(c, ()):
+                                acc[q] = acc.get(q, 0) + coeff * v
+                    if any(acc.values()):
+                        raise AssertionError(
+                            f"Jacobi fails on ({self.basis[gi].label}, "
+                            f"{self.basis[gj].label}, {self.basis[gk].label})"
+                        )
+                    count += 1
         return count
 
 

@@ -23,12 +23,20 @@ package computes in closed form or through its tables.
 * ``jordan_residual``    -- the super Jordan identity through the tables;
 * ``tag_graded_dims``    -- the graded dimensions of the TAG basis, counted;
 * ``project``            -- the class in Bs(J) of an ambient J (x) J vector;
+* ``sl2_tensor``,
+  ``bs_terms``,
+  ``bs_lift``            -- a J vector as a(x)J terms and a Bs vector as Bs
+                           terms of the TAG basis, and the ambient lift of
+                           a Bs class;
 * ``fraction_brackets``  -- the TAG bracket table summed in Fractions from
                            the rational tables, the route the integer table
                            replaced;
 * ``bracket``,
   ``structure_constants_json`` -- one bracket, and the whole table as JSON,
                            in Fractions: the integer table over its scale;
+* ``theta``,
+  ``theta_table``        -- the sl2 mirror e <-> f, h -> -h of the TAG basis
+                           (Bs fixed), and the bracket table carried through it;
 * ``fraction_rref``      -- reduced row echelon form by rational elimination;
 * ``reference_chain_blocks``,
   ``reference_boundary_monomial`` -- the Chevalley-Eilenberg chains by
@@ -42,7 +50,7 @@ package computes in closed form or through its tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
 from freejordan import linalg, solver
@@ -50,7 +58,14 @@ from freejordan.homology import BlockKey, ChainComplex, Monomial
 from freejordan.jordan import GradedJordanAlgebra, Vector
 from freejordan.lambda_ops import phi_series
 from freejordan.rings import GDIM_ONE, GDIM_ZERO, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
-from freejordan.tag import _KAPPA, _SL2_BRACKET, BsComponent, TagAlgebra
+from freejordan.tag import BsComponent, TagAlgebra, TagElement
+
+# sl2 in the basis e, h, f: [a, b] = coeff c as (a, b) -> (c, coeff), and
+# the trace form k(e,f) = k(f,e) = 4, k(h,h) = 8.
+SL2_BRACKET = {
+    (0, 2): (1, 1), (2, 0): (1, -1), (1, 0): (0, 2), (0, 1): (0, -2), (1, 2): (2, -2), (2, 1): (2, 2),
+}
+KAPPA = {(0, 2): 4, (2, 0): 4, (1, 1): 8}
 
 
 def t_integer(m: int) -> RLaurent:
@@ -285,49 +300,61 @@ def project(comp: BsComponent, ambient: dict[int, Fraction]) -> Vector:
     return linalg.sparse_row(acc)
 
 
+def sl2_tensor(tag: TagAlgebra, a: int, n: int, vec: Vector, scale: int) -> Vector:
+    """``scale * a(x)vec`` for a degree-n vector of J, as TAG terms."""
+    return tuple((tag._sl2_index[(a, n, u)], scale * c) for u, c in vec)
+
+
+def bs_terms(tag: TagAlgebra, n: int, vec: Vector, scale: int) -> Vector:
+    """``scale * vec`` for a vector of Bs_n in quotient coordinates, as TAG terms."""
+    return tuple((tag._bs_index[(n, u)], scale * c) for u, c in vec)
+
+
+def bs_lift(tag: TagAlgebra, el: TagElement) -> tuple[int, int, int, int]:
+    """The ambient coordinate (i, u, j, v) that the Bs class ``el`` lifts to."""
+    comp = tag.bs[el.degree]
+    return comp.coords[comp.lifts[el.data[0]]]
+
+
 def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
     """Every nonzero in-range [basis[gi], basis[gj]] with Fraction coefficients.
 
     Each bracket is summed coefficient by coefficient from the rational
-    tables, the Bs projection and ``derivation_of``, with no common scale.
+    tables, the Bs projection and ``derivation_of``, pair of basis elements
+    by pair, with no common scale.
     """
     alg, bs, basis = tag.alg, tag.bs, tag.basis
     derivations: dict[tuple[int, ...], list[Vector]] = {}
 
     def derivation(el, m):
-        comp = bs[el.degree]
-        i, u, j, v = lift = comp.coords[comp.lifts[el.data[0]]]
+        i, u, j, v = lift = bs_lift(tag, el)
         if lift + (m,) not in derivations:
             derivations[lift + (m,)] = derivation_of(
                 alg, i, basis_vector(alg, i, u), j, basis_vector(alg, j, v), m
             )
         return lift, derivations[lift + (m,)]
 
-    def sl2_tensor(a, n, vec):
-        return [(tag._sl2_index[(a, n, u)], c) for u, c in vec]
-
-    def bs_terms(n, vec):
-        return [(tag._bs_index[(n, u)], c) for u, c in vec]
-
     def bs_on_sl2(eb, es):
         a, w = es.data
-        return sl2_tensor(a, eb.degree + es.degree, derivation(eb, es.degree)[1][w])
+        return sl2_tensor(tag, a, eb.degree + es.degree, derivation(eb, es.degree)[1][w], 1)
 
     out = {}
-    for gi, gj in tag._pairs(tag.max_degree):
-        e1, e2 = basis[gi], basis[gj]
+    for (gi, e1), (gj, e2) in product(enumerate(basis), repeat=2):
         n = e1.degree + e2.degree
+        if n > tag.max_degree:
+            continue
         acc: dict[int, Fraction] = {}
         if e1.kind == "sl2" and e2.kind == "sl2":
             (a, u), (b, v) = e1.data, e2.data
             i, j = e1.degree, e2.degree
-            kap = _KAPPA.get((a, b))
+            kap = KAPPA.get((a, b))
             if kap and n in bs:
                 amb = {bs[n].index[(i, u, j, v)]: 1}
-                linalg.accumulate(acc, bs_terms(n, project(bs[n], amb)), Fraction(kap, 2))
-            for c_idx, coeff in _SL2_BRACKET.get((a, b), ()):
+                linalg.accumulate(acc, bs_terms(tag, n, project(bs[n], amb), Fraction(kap, 2)))
+            if (a, b) in SL2_BRACKET:
+                c_idx, coeff = SL2_BRACKET[(a, b)]
                 prod = alg.multiply_basis(i, u, j, v)
-                linalg.accumulate(acc, sl2_tensor(c_idx, n, prod), coeff)
+                linalg.accumulate(acc, sl2_tensor(tag, c_idx, n, prod, coeff))
         elif e1.kind == "bs" and e2.kind == "sl2":
             linalg.accumulate(acc, bs_on_sl2(e1, e2))
         elif e1.kind == "sl2" and e2.kind == "bs":
@@ -335,19 +362,44 @@ def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
             linalg.accumulate(acc, bs_on_sl2(e2, e1), sign)
         else:
             comp = bs[n]
-            (p, s, q, t) = bs[e2.degree].coords[bs[e2.degree].lifts[e2.data[0]]]
+            (p, s, q, t) = bs_lift(tag, e2)
             (i, _, j, _), cols_p = derivation(e1, p)
             _, cols_q = derivation(e1, q)
             sgn = (-1) ** (e1.parity * alg.parities[p][s])
             amb: dict[int, Fraction] = {}
             linalg.accumulate(amb, [(comp.index[(i + j + p, k, q, t)], c) for k, c in cols_p[s]])
             linalg.accumulate(amb, [(comp.index[(p, s, i + j + q, k)], c) for k, c in cols_q[t]], sgn)
-            linalg.accumulate(acc, bs_terms(n, project(comp, amb)))
+            linalg.accumulate(acc, bs_terms(tag, n, project(comp, amb), 1))
         terms = linalg.sparse_row(acc)
         if terms:
             out[(gi, gj)] = terms
     return out
 
+
+def theta(tag: TagAlgebra, g: int) -> tuple[int, int]:
+    """The sl2 mirror of basis element g, as (index, sign).
+
+    e(x)x <-> f(x)x and h(x)x -> -h(x)x, with Bs fixed: the automorphism
+    e <-> f, h -> -h of sl2 tensored with J, which keeps the trace form.
+    """
+    el = tag.basis[g]
+    if el.kind == "bs":
+        return g, 1
+    a, u = el.data
+    return tag._sl2_index[(2 - a, el.degree, u)], -1 if a == 1 else 1
+
+
+def theta_table(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
+    """The bracket table carried through theta: [theta x, theta y] = theta [x, y]."""
+    out = {}
+    for (gi, gj), terms in tag.brackets.items():
+        (ti, si), (tj, sj) = theta(tag, gi), theta(tag, gj)
+        image = []
+        for g, c in terms:
+            k, s = theta(tag, g)
+            image.append((k, si * sj * s * c))
+        out[(ti, tj)] = tuple(sorted(image))
+    return out
 
 
 def bracket(tag: TagAlgebra, gi: int, gj: int) -> Vector:

@@ -17,13 +17,24 @@ from freejordan.tag import (
 from reference import (
     basis_vector,
     bracket,
+    bs_lift,
+    bs_terms,
     derivation_of,
     fraction_brackets,
     multiply,
     project,
     structure_constants_json,
     tag_graded_dims,
+    theta_table,
 )
+
+
+# The number of nonzero in-range brackets of each shape that
+# test_bracket_table_is_integral builds.
+BRACKET_COUNTS = {
+    (1, 1, 4): 279, (2, 0, 5): 1056, (0, 2, 4): 182, (2, 0, 6): 2670, (2, 1, 5): 5233,
+    (1, 0, 1): 0, (0, 1, 2): 3, (3, 0, 3): 360, (0, 1, 6): 3, (1, 2, 4): 1188,
+}
 
 
 def ordered_jacobi_failures(tag):
@@ -179,7 +190,7 @@ class TestTagAlgebra:
         terms = dict(bracket(tag, ge, gf))
         comp = tag.bs[2]
         amb = {comp.index[(1, 0, 1, 0)]: Fraction(2)}
-        expect = dict(tag._bs_terms(2, project(comp, amb), 1))
+        expect = dict(bs_terms(tag, 2, project(comp, amb), 1))
         prod = alg.multiply_basis(1, 0, 1, 0)
         for u, c in prod:
             expect[tag._sl2_index[(1, 2, u)]] = c
@@ -215,7 +226,7 @@ class TestTagAlgebra:
         alg = build_free_jordan(1, 1, 5)
         tag = TagAlgebra(alg, 5)
         for (n, u), gbs in tag._bs_index.items():
-            (i, xu, j, yv) = tag._bs_lift(tag.basis[gbs])
+            (i, xu, j, yv) = bs_lift(tag, tag.basis[gbs])
             for m in range(1, tag.max_degree - n + 1):
                 cols = derivation_of(
                     alg, i, basis_vector(alg, i, xu), j, basis_vector(alg, j, yv), m
@@ -263,6 +274,15 @@ class TestTagAlgebra:
             tag.brackets[(gx, gx)] = ((0, Fraction(1)),)
             with pytest.raises(AssertionError, match="anticommutativity"):
                 tag.check_anticommutativity()
+            del tag.brackets[(gx, gx)]
+            # A bracket stored below the diagonal whose partner is zero.
+            deg = tag._degrees
+            gi, gj = next((gi, gj) for gi in range(len(deg)) for gj in range(gi)
+                          if deg[gi] + deg[gj] <= tag.max_degree
+                          and (gi, gj) not in tag.brackets and (gj, gi) not in tag.brackets)
+            tag.brackets[(gi, gj)] = ((0, 1),)
+            with pytest.raises(AssertionError, match="anticommutativity"):
+                tag.check_anticommutativity()
 
     def test_jacobi_gate_catches_a_doubled_antisymmetric_pair(self):
         # Doubling [gi,gj] and [gj,gi] together keeps anticommutativity, so
@@ -305,22 +325,69 @@ class TestTagAlgebra:
 
     @pytest.mark.parametrize("d1,d2,n,scale", [
         (1, 1, 4, 2), (2, 0, 5, 4), (0, 2, 4, 1), (2, 0, 6, 48), (2, 1, 5, 8),
+        (1, 0, 1, 1), (0, 1, 2, 1), (3, 0, 3, 1), (0, 1, 6, 1), (1, 2, 4, 2),
     ])
     def test_bracket_table_is_integral(self, d1, d2, n, scale):
         # The table stores scale * [x, y] with int coefficients, where scale
         # is the least common denominator of the rational brackets, which
         # fraction_brackets sums in Fractions.  At (2|0)@6 and (2|1)@5 both
-        # the table scale T and the projection scale P exceed 1.
+        # the table scale T and the projection scale P exceed 1.  The edge
+        # shapes have no bracket, no Bs-on-Bs bracket (J_2 = 0 for one odd
+        # generator) or nothing above degree 3.
         tag = TagAlgebra(build_free_jordan(d1, d2, n), n)
         rational = fraction_brackets(tag)
         assert set(tag.brackets) == set(rational)
-        assert all(type(c) is int for terms in tag.brackets.values() for _, c in terms)
+        assert len(tag.brackets) == BRACKET_COUNTS[(d1, d2, n)]
+        # Canonical form, which the tuple comparison of the anticommutativity
+        # gate relies on: strictly increasing indices, nonzero int coefficients.
+        for terms in tag.brackets.values():
+            assert terms and type(terms) is tuple
+            assert all(type(k) is int and type(c) is int and c for k, c in terms)
+            assert all(k1 < k2 for (k1, _), (k2, _) in zip(terms, terms[1:]))
         denominators = [c.denominator for terms in rational.values() for _, c in terms]
         assert tag.scale == math.lcm(*denominators) == scale
         for key, terms in rational.items():
             assert bracket(tag, *key) == terms
             assert all(type(c) is Fraction for _, c in bracket(tag, *key))
             assert tag.brackets[key] == tuple((k, int(c * scale)) for k, c in terms)
+
+    @pytest.mark.parametrize("d1,d2,n", [(1, 1, 6), (0, 2, 6), (2, 0, 6), (2, 1, 5)])
+    def test_sl2_mirror_is_an_automorphism(self, d1, d2, n):
+        # theta: e(x)x <-> f(x)x, h(x)x -> -h(x)x, Bs fixed, maps the table
+        # onto itself exactly: [theta x, theta y] = theta [x, y] on every
+        # stored pair, and no pair outside the table maps into it.
+        tag = TagAlgebra(build_free_jordan(d1, d2, n), n)
+        assert theta_table(tag) == tag.brackets
+
+    def test_grading_gate_catches_a_wrong_parity_term(self, monkeypatch):
+        # One term of the wrong parity, planted in a product of J and then
+        # in a derivation column, is caught while the table is built.
+        alg = build_free_jordan(1, 1, 4)
+        want = (alg.parities[1][0] + alg.parities[3][0]) % 2
+        wrong = alg.parities[4].index(1 - want)
+        vec = alg.tables[(1, 3)][0][0]
+        alg.tables[(1, 3)][0][0] = linalg.sparse_row({**dict(vec), wrong: Fraction(1)})
+        with pytest.raises(AssertionError, match="bracket violates parity"):
+            TagAlgebra(alg, 4)
+        alg.tables[(1, 3)][0][0] = vec
+        TagAlgebra(alg, 4)
+
+        derivation = GradedJordanAlgebra.derivation
+        planted = []
+
+        def plant_once(self, i, u, j, v, m):
+            cols = derivation(self, i, u, j, v, m)
+            want = (self.parities[i][u] + self.parities[j][v] + self.parities[m][0]) % 2
+            wrong = [k for k, p in enumerate(self.parities[i + j + m]) if p != want]
+            if not planted and cols and wrong:
+                cols[0] = linalg.sparse_row({**dict(cols[0]), wrong[0]: 1})
+                planted.append((i, u, j, v, m))
+            return cols
+
+        monkeypatch.setattr(GradedJordanAlgebra, "derivation", plant_once)
+        with pytest.raises(AssertionError, match="bracket violates parity"):
+            TagAlgebra(alg, 4)
+        assert len(planted) == 1
 
     def test_structure_constants_serialize(self):
         import json
