@@ -70,15 +70,17 @@ class ChainComplex:
         The basis is sorted by z-degree, so the factors that still fit under
         ``d_max`` after z-degree d are an initial segment of it, ending at
         ``stop[d]``.  An even factor moves ``start`` past itself, so even
-        factors never repeat.
+        factors never repeat.  The children of a chain go on the stack in
+        reverse, so the first one comes off it first.
         """
         basis = self.tag.basis
         degrees = [el.degree for el in basis]
         stop = [bisect_right(degrees, self.d_max - d) for d in range(self.d_max + 1)]
         grade = [(el.degree, el.weight, el.parity) for el in basis]
         r_max, blocks, index = self.r_max, self.blocks, self.index
-
-        def extend(mon: Monomial, start: int, d: int, w: int, par: int) -> None:
+        stack: list[tuple[Monomial, int, int, int, int]] = [((), 0, 0, 0, 0)]
+        while stack:
+            mon, start, d, w, par = stack.pop()
             key = (len(mon), d, w, par)
             blk = blocks.get(key)
             if blk is None:
@@ -86,13 +88,10 @@ class ChainComplex:
                 index[key] = {}
             index[key][mon] = len(blk)
             blk.append(mon)
-            if len(mon) == r_max:
-                return
-            for g in range(start, stop[d]):
-                dg, wg, pg = grade[g]
-                extend(mon + (g,), g + 1 - pg, d + dg, w + wg, par ^ pg)
-
-        extend((), 0, 0, 0, 0)
+            if len(mon) < r_max:
+                for g in reversed(range(start, stop[d])):
+                    dg, wg, pg = grade[g]
+                    stack.append((mon + (g,), g + 1 - pg, d + dg, w + wg, par ^ pg))
 
     def is_complete(self, r: int, d: int) -> bool:
         """Whether the chain block V_r at z-degree d has every monomial."""

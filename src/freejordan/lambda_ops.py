@@ -1,25 +1,36 @@
-"""Closed forms for the super lambda-operation and the character products.
+"""The super lambda-operation as one exact plethystic exponential.
 
-For a class a = (e, o) z^m the lambda-operation is the alternating sum of
-exterior powers of the even part tensored with symmetric powers of the odd
-part.  On one graded line it has the closed form
+Every character product the solvers take is
 
-    lambda(a z^m) = (1 - z^m)^e * (1/(1 - z^{2m}), -z^m/(1 - z^{2m}))^o,
+    Phi(a, b) = lambda(a(z) [adjoint] + (a + b)(z)),
 
-and on a line tensored with the adjoint sl2 character (t-weights -2,0,2)
+the super lambda-operation of the graded sl2-module whose character is
+A = sum_{n>=1} A_n z^n, A_n = a_n (t^-1 + 1 + t) + b_n.  The adjoint
+character product is Psi(a) = Phi(a, -a), and the plain lambda-operation
+is lambda(c) = Phi(0, c).  lambda of one even vector u = c t^e z^n is
+1 - u and of one odd one 1/(1 + x u), so
 
-    lambda(a z^m [adjoint]) = (1 - [2]_t z^m + z^{2m}, 0)^e *
-        (sum_i [2i+1]_t z^{2im}, -sum_i [2i+2]_t z^{(2i+1)m})^o.
+    Phi = exp(-sum_{k>=1} psi^k(A) / k),
 
-One line factor serves every product: the degree-n factor of
+where the Adams operation psi^k sends t -> t^k and z -> z^k, and on
+R = Z[x]/(x^2 - 1) fixes x for odd k and sends x -> -1 for even k
+(-log(1 + x u) = -sum_k (-1)^(k+1) x^k u^k / k).  In the split coordinates
+(p, m) = (e + o, e - o) of R (``rings.RLaurent``) psi^k keeps (p, m) for
+odd k and makes it (m, m) for even k.  So the log L of Phi has
 
-    Phi(a, b) = lambda(a(z) [adjoint] + (a + b)(z))
+    j L_j = -sum_{n | j} n psi^{j/n}(A_n),
 
-is ``phi_line(a_n, b_n, n, order)``.  The adjoint character product is
-Psi(a) = Phi(a, -a), and the plain lambda-operation is lambda(c) =
-Phi(0, c), whose factors are t-free.  Infinite products over lines n >= 1
-are finite after truncation because the n-th factor is congruent to 1
-mod z^n.
+and Phi = P solves z P' = (z L') P:
+
+    P_0 = 1,    n P_n = sum_{j=1..n} (j L_j) P_{n-j}.
+
+``PhiKernel`` runs this recurrence in ints, on the two split sides apart,
+one z-degree at a time.  Every division by n is exact, because P has
+integer coefficients; a remainder raises ``AssertionError`` and is never
+truncated.  Line n, the contribution of (a_n, b_n), enters only the log
+terms at z^{kn} (``line_log``), so a solver reads the z^n coefficient of
+lines 1..n-1 (``pending``), adds line n, and then completes P_n
+(``advance``) through the same recurrence.
 
 A dimension series a(z) = sum_{n>=1} a_n z^n is passed as the tuple
 (a_1, ..., a_N) of its GDim coefficients; it has no constant term, and its
@@ -34,81 +45,120 @@ Res_{t=0} (t^-1 - 1) c dt and L2(c) = c_{-1} - c_{-2} = Res_{t=0} (1 - t) c dt
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import reduce
-from math import comb
-from operator import mul
 
-from .rings import GDIM_ONE, GDIM_X, RLAURENT_ZERO, GDim, RLaurent, TZSeries
+from .rings import GDim, RLaurent, TZSeries, _sum
 
 
-def _one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
-    """(1 - c * t^texp * z^m) ** k for any integer k, via binomial series.
+def line_log(an: GDim, bn: GDim, n: int, order: int) -> list[tuple[int, int, int, int]]:
+    """Line n's log terms: (j, e, p, m) adds (p, m) t^e to j L_j, j = kn <= order.
 
-    c is 1 or x, so c**j is c for odd j and 1 for even j.  Closed-form
-    expansion keeps factors sparse even for huge exponents:
-    for k >= 0 the sum is finite, for k < 0 it is the generalized binomial
-    series, truncated at z^order either way.
-    """
-    jmax = order // m
-    if k >= 0:
-        jmax = min(jmax, k)
-    terms: list[RLaurent] = [RLAURENT_ZERO] * (order + 1)
-    for j in range(jmax + 1):
-        if k >= 0:
-            coef = comb(k, j) * (-1) ** j
-        else:
-            coef = comb(-k + j - 1, j)
-        terms[j * m] = RLaurent({j * texp: (c if j & 1 else GDIM_ONE) * coef})
-    return TZSeries(order, terms)
-
-
-def phi_line(an: GDim, bn: GDim, n: int, order: int) -> TZSeries:
-    """Degree-n factor of Phi(a, b): lambda of an z^n [adjoint] + (an + bn) z^n.
-
-    Phi is the product of these factors over n >= 1.  Each line is a
-    product of binomials (1 - c t^e z^m)^k, listed below as (c, e, m, k):
-    the plain lines of (an + bn) z^n, then the adjoint lines of an z^n.
-    The t-free lines come first, while the partial product is still t-free
-    and cheap to multiply; each line's sparse binomials are multiplied
-    together before they meet the denser partial product.
+    -n psi^k(A_n) has a_n's split coordinates at t^{+-k} and those of
+    a_n + b_n at t^0, each taken through psi^k and scaled by -n.
     """
     s = an + bn
-    table = (
-        # plain even line: 1 - z^n
-        ((GDIM_ONE, 0, n, s.even),),
-        # plain odd line: (1 - x z^n) / (1 - z^{2n})
-        ((GDIM_ONE, 0, 2 * n, -s.odd), (GDIM_X, 0, n, s.odd)),
-        # adjoint even line: 1 - [2]_t z^n + z^{2n} = (1 - t z^n)(1 - z^n/t)
-        ((GDIM_ONE, 1, n, an.even), (GDIM_ONE, -1, n, an.even)),
-        # adjoint odd line:
-        #   (1 - x t z^n)(1 - x z^n/t) / ((1 - t^2 z^{2n})(1 - z^{2n}/t^2))
-        ((GDIM_ONE, 2, 2 * n, -an.odd), (GDIM_ONE, -2, 2 * n, -an.odd),
-         (GDIM_X, 1, n, an.odd), (GDIM_X, -1, n, an.odd)),
-    )
-    factors = [
-        reduce(mul, [_one_minus_pow(c, e, m, k, order) for c, e, m, k in line])
-        for line in table
-        if line[0][3]
-    ]
-    return reduce(mul, factors) if factors else TZSeries.one(order)
+    ap, am = an.even + an.odd, an.even - an.odd
+    sp, sm = s.even + s.odd, s.even - s.odd
+    out = []
+    for k in range(1, order // n + 1):
+        pa, ps = (ap, sp) if k & 1 else (am, sm)
+        j = k * n
+        out += [(j, 0, -n * ps, -n * sm), (j, k, -n * pa, -n * am), (j, -k, -n * pa, -n * am)]
+    return out
+
+
+class PhiKernel:
+    """Phi mod z^(order+1), built one z-degree at a time from its log.
+
+    ``_p[n]`` and ``_m[n]`` hold the two split sides of the completed
+    coefficient P_n, at t^-n..t^n.  ``_log[j]`` holds j L_j on both sides,
+    t-exponent -> int, summed over the lines added so far.
+    """
+
+    def __init__(self, order: int) -> None:
+        self.order = order
+        self._log: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in range(order + 1)]
+        self._p: list[list[int]] = [[1]]
+        self._m: list[list[int]] = [[1]]
+        self._conv: tuple[list[int], list[int]] | None = None  # sum_{j<n} (j L_j) P_{n-j}
+
+    def add_line(self, an: GDim, bn: GDim, n: int) -> None:
+        """Multiply line n, the factor of (a_n, b_n), into Phi."""
+        if n < len(self._p):
+            raise ValueError(f"line {n} would change the completed z^{n} coefficient")
+        for j, e, p, m in line_log(an, bn, n, self.order):
+            lp, lm = self._log[j]
+            lp[e] = lp.get(e, 0) + p
+            lm[e] = lm.get(e, 0) + m
+
+    def __getitem__(self, n: int) -> RLaurent:
+        """The completed coefficient P_n."""
+        return _sum(zip(range(-n, n + 1), self._p[n], self._m[n]))
+
+    def pending(self) -> RLaurent:
+        """The next coefficient P_n as the lines added so far make it."""
+        n = len(self._p)
+        return _sum(zip(range(-n, n + 1), *self._next()))
+
+    def advance(self) -> None:
+        """Complete the next coefficient P_n from the lines added so far."""
+        p, m = self._next()
+        self._p.append(p)
+        self._m.append(m)
+        self._conv = None
+
+    def series(self) -> TZSeries:
+        """P_0..P_order; what is not completed yet is completed from the lines added so far."""
+        while len(self._p) <= self.order:
+            self.advance()
+        return TZSeries(self.order, [self[n] for n in range(self.order + 1)])
+
+    def _next(self) -> tuple[list[int], list[int]]:
+        """Both sides of P_n = (sum_{j=1..n} (j L_j) P_{n-j}) / n, exactly."""
+        n = len(self._p)
+        if self._conv is None:
+            self._conv = (self._convolve(0, self._p, n), self._convolve(1, self._m, n))
+        out = []
+        for conv, log in zip(self._conv, self._log[n]):
+            acc = conv[:]
+            for e, c in log.items():  # j = n: P_0 = 1
+                acc[n + e] += c
+            side = []
+            for v in acc:
+                q, r = divmod(v, n)
+                if r:
+                    raise AssertionError(f"z^{n} coefficient of Phi is not integral: {v}/{n}")
+                side.append(q)
+            out.append(side)
+        return out[0], out[1]
+
+    def _convolve(self, side: int, coeffs: list[list[int]], n: int) -> list[int]:
+        """sum_{j=1..n-1} (j L_j) P_{n-j} on one side, at t^-n..t^n."""
+        acc = [0] * (2 * n + 1)
+        for j in range(1, n):
+            q = coeffs[n - j]  # t^-(n-j)..t^(n-j)
+            w = len(q)
+            for e, c in self._log[j][side].items():
+                if c:
+                    lo = e + j  # the index of t^(e - (n - j)) in acc
+                    acc[lo:lo + w] = [x + c * v for x, v in zip(acc[lo:lo + w], q)]
+        return acc
 
 
 def phi_series(a: Sequence[GDim], b: Sequence[GDim]) -> TZSeries:
-    """lambda of a(z) tensor adjoint plus b(z), as the explicit product.
+    """lambda of a(z) tensor adjoint plus b(z), through ``PhiKernel``.
 
     ``a`` and ``b`` hold the coefficients of z^1..z^N; the product is
     truncated at that N.
     """
     if len(a) != len(b):
         raise ValueError(f"mismatched truncation orders {len(a)} != {len(b)}")
-    order = len(a)
-    out = TZSeries.one(order)
+    phi = PhiKernel(len(a))
     for n, (an, bn) in enumerate(zip(a, b), start=1):
         if an or bn:
-            out = out * phi_line(an, bn, n, order)
-    return out
+            phi.add_line(an, bn, n)
+    return phi.series()
 
 
 def lambda_adjoint_series(a: Sequence[GDim]) -> TZSeries:
-    """Psi(a), lambda of a(z) tensor adjoint: the product Phi(a, -a)."""
+    """Psi(a), lambda of a(z) tensor adjoint: Phi(a, -a)."""
     return phi_series(a, [-c for c in a])

@@ -223,10 +223,6 @@ class TZSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TZSeries is immutable")
 
-    @classmethod
-    def one(cls, order: int) -> "TZSeries":
-        return cls(order, [RLAURENT_ONE])
-
     def __getitem__(self, n: int) -> RLaurent:
         if 0 <= n <= self.order:
             return self.coeffs[n]

@@ -16,18 +16,20 @@ c_0 - c_{-1} = L0(c) and Res (1 - t) c dt = c_{-1} - c_{-2} = L2(c), the
 multiplicities of the trivial and the adjoint sl2 isotypes in c.  So the
 single equation's z^n residue is L2(Psi_n) + D L0(Psi_{n-1}).
 
-Psi and Phi are products of line factors, the degree-n factor depending
-only on the n-th coefficients and being a series in z^n.  So the unknown
-n-th coefficients enter the z^n equation only through the z^n coefficient
-of their own line, affinely and with a slope that does not depend on n:
--I for the single equation, a fixed signed permutation for the pair.  Both
-solvers read that slope off the closed-form degree-1 line, check it against
-the constant, and then keep one running product P of the lines found so
-far, at the final order: the z^n defect of P alone determines the n-th
-coefficients, whose line is then multiplied into P.  At the end P is the
-whole product, so the residual of the solution is read off it: each step
-zeroes its own degree, and a nonzero residual (a line that disagrees with
-the checked slope) raises ``SolverStepError`` at its first degree.
+Psi and Phi are plethystic exponentials (``lambda_ops``): line n, the
+contribution of the n-th coefficients, enters only their log terms at
+z^{kn}.  So the unknown n-th coefficients enter the z^n equation only
+through the z^n coefficient of their own line, affinely and with a slope
+that does not depend on n: -I for the single equation, a fixed signed
+permutation for the pair.  Both solvers read that slope off the degree-1
+line through the kernel, check it against the constant, and then step one
+``PhiKernel`` at the final order: the z^n coefficient of lines 1..n-1
+(``pending``) determines the n-th coefficients, whose line is then added
+and whose z^n coefficient the kernel completes from its log terms, not
+from the slope.  At the end the kernel holds the whole product, so the
+residual of the solution is read off it: each step zeroes its own degree,
+and a nonzero residual (a line that disagrees with the checked slope)
+raises ``SolverStepError`` at its first degree.
 ``residual_series`` evaluates the single equation on a given series
 instead, such as the dimensions of a constructed algebra.
 
@@ -43,9 +45,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-# phi_series stays importable here: the benchmark's tracer wraps solver.phi_series.
-from .lambda_ops import lambda_adjoint_series, phi_line, phi_series
-from .rings import GDIM_ONE, GDIM_ZERO, L0, L2, GDim, TZSeries
+from .lambda_ops import PhiKernel, lambda_adjoint_series, phi_series
+from .rings import GDIM_ONE, GDIM_ZERO, L0, L2, GDim, RLaurent, TZSeries
 
 # Slope of the z^n defects in the n-th unknowns.  Single equation: rows
 # (even, odd) of the residue, columns (even, odd) of a_n.  Pair system:
@@ -93,6 +94,11 @@ def _check_args(d1: int, d2: int, order: int) -> GDim:
     return gens
 
 
+def _degree_one(an: GDim, bn: GDim) -> RLaurent:
+    """The z^1 coefficient of Phi(a_1 z, b_1 z), read through the kernel."""
+    return phi_series((an,), (bn,))[1]
+
+
 def _step_matrix(columns: list[list[GDim]], expected) -> tuple[tuple[int, ...], ...]:
     """Assemble the slope from per-unknown defect columns and check it.
 
@@ -138,24 +144,25 @@ def residual_series(a: Sequence[GDim], d1: int, d2: int) -> list[GDim]:
 def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
     """Solve the single residue equation for a(z) through z^order."""
     gens = _check_args(d1, d2, order)
-    step = _step_matrix([[L2(phi_line(u, -u, 1, 1)[1])] for u in _UNITS], MINUS_IDENTITY)
-    a: list[GDim] = [GDIM_ZERO]  # index 0 unused
-    prod = TZSeries.one(order)  # lines 1..n-1 of Psi
+    step = _step_matrix([[L2(_degree_one(u, -u))] for u in _UNITS], MINUS_IDENTITY)
+    a: list[GDim] = []
+    psi = PhiKernel(order)  # Psi: lines 1..n-1 at the start of step n
     for n in range(1, order + 1):
-        # The z^n residue is (defect of prod) - a_n.
-        an = L2(prod[n]) + gens * L0(prod[n - 1])
+        # The z^n residue is (defect of lines 1..n-1) - a_n.
+        an = L2(psi.pending()) + gens * L0(psi[n - 1])
         a.append(an)
         if an:
-            prod = prod * phi_line(an, -an, n, order)
+            psi.add_line(an, -an, n)
+        psi.advance()
 
     return SolveReport(
         d1=d1,
         d2=d2,
         order=order,
-        a=tuple(a[1:]),
+        a=tuple(a),
         b=None,
         step_matrix=step,
-        residual_order=_residual_order(_single_defect(prod, gens)),
+        residual_order=_residual_order(_single_defect(psi.series(), gens)),
     )
 
 
@@ -171,27 +178,30 @@ def _pair_defects(phi: TZSeries, gens: GDim) -> tuple[list[GDim], list[GDim]]:
 def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
     """Solve the two-equation system for (a(z), b(z)) through z^order."""
     gens = _check_args(d1, d2, order)
-    lines = [phi_line(u, GDIM_ZERO, 1, 1) for u in _UNITS]
-    lines += [phi_line(GDIM_ZERO, u, 1, 1) for u in _UNITS]
-    step = _step_matrix([[L0(f[1]), L2(f[1])] for f in lines], PAIR_STEP)
-    a: list[GDim] = [GDIM_ZERO]
-    b: list[GDim] = [GDIM_ZERO]
-    prod = TZSeries.one(order)  # lines 1..n-1 of Phi
+    lines = [_degree_one(u, GDIM_ZERO) for u in _UNITS]
+    lines += [_degree_one(GDIM_ZERO, u) for u in _UNITS]
+    step = _step_matrix([[L0(c), L2(c)] for c in lines], PAIR_STEP)
+    a: list[GDim] = []
+    b: list[GDim] = []
+    phi = PhiKernel(order)  # lines 1..n-1 at the start of step n
     for n in range(1, order + 1):
-        # The z^n defects are (L0 of prod) - b_n and (L2 of prod) + D[n=1] - a_n.
-        bn = L0(prod[n])
-        an = L2(prod[n]) + (gens if n == 1 else GDIM_ZERO)
+        # The z^n defects are (L0 of lines 1..n-1) - b_n and
+        # (L2 of lines 1..n-1) + D[n=1] - a_n.
+        c = phi.pending()
+        bn = L0(c)
+        an = L2(c) + (gens if n == 1 else GDIM_ZERO)
         a.append(an)
         b.append(bn)
         if an or bn:
-            prod = prod * phi_line(an, bn, n, order)
+            phi.add_line(an, bn, n)
+        phi.advance()
 
     return SolveReport(
         d1=d1,
         d2=d2,
         order=order,
-        a=tuple(a[1:]),
-        b=tuple(b[1:]),
+        a=tuple(a),
+        b=tuple(b),
         step_matrix=step,
-        residual_order=_residual_order(*_pair_defects(prod, gens)),
+        residual_order=_residual_order(*_pair_defects(phi.series(), gens)),
     )

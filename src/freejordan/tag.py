@@ -232,17 +232,13 @@ class TagAlgebra:
         T, scaled = alg.integer_copy()
         self.bs = build_Bs(scaled, max_degree)
         self.basis: list[TagElement] = []
-        self._sl2_index: dict[tuple[int, ...], int] = {}  # (a, n, u) -> a(x)J_n[u]
-        self._bs_index: dict[tuple[int, ...], int] = {}  # (n, u) -> Bs_n[u]
         for n in range(1, max_degree + 1):
             for a in range(3):
                 for u, p in enumerate(alg.parities[n]):
-                    self._sl2_index[(a, n, u)] = len(self.basis)
                     label = f"{SL2_NAMES[a]}(x){alg.labels[n][u]}"
                     self.basis.append(TagElement("sl2", n, p, SL2_WEIGHTS[a], label, (a, u)))
             comp = self.bs.get(n)
             for u, p in enumerate(comp.parities if comp else ()):
-                self._bs_index[(n, u)] = len(self.basis)
                 self.basis.append(TagElement("bs", n, p, 0, comp.labels[u], (u,)))
         self._degrees = [el.degree for el in self.basis]
         # lift (i, u, j, v) of a Bs class + (m,) -> T**2 times d_{x,y} on degree m.
@@ -365,8 +361,8 @@ class TagAlgebra:
         """Super Jacobi on every sorted in-range basis triple; returns the count.
 
         The Jacobiator of (i, j, k) is the sum over its cyclic rotations
-        (a, b, c) of (-1)^{|a||c|} [[a, b], c], each read off the integer
-        table, so what is summed is ``scale**2`` times the Jacobiator.
+        (a, b, c) of (-1)^{|a||c|} [[a, b], c], read off the integer table:
+        ``scale**2`` times it, and 0 when the three [a, b] are empty.
         Only gi <= gj <= gk is checked, repeats included, and that covers
         every ordered triple once ``check_anticommutativity`` has passed:
         the Jacobiator is invariant under rotation as written, and with
@@ -381,11 +377,17 @@ class TagAlgebra:
             rows[a][b] = terms
         for gi, di in enumerate(deg):
             for gj in range(gi, bisect_right(deg, N - 1 - di)):
-                for gk in range(gj, bisect_right(deg, N - di - deg[gj])):
+                ij = rows[gi].get(gj, ())
+                stop = bisect_right(deg, N - di - deg[gj])
+                count += max(stop - gj, 0)
+                for gk in range(gj, stop):
+                    jk, ki = rows[gj].get(gk, ()), rows[gk].get(gi, ())
+                    if not (ij or jk or ki):
+                        continue
                     acc = {}
-                    for a, b, c in ((gi, gj, gk), (gj, gk, gi), (gk, gi, gj)):
+                    for a, c, terms in ((gi, gk, ij), (gj, gi, jk), (gk, gj, ki)):
                         sign = -1 if par[a] & par[c] else 1
-                        for m, coeff in rows[a].get(b, ()):
+                        for m, coeff in terms:
                             coeff *= sign
                             for q, v in rows[m].get(c, ()):
                                 acc[q] = acc.get(q, 0) + coeff * v
@@ -394,7 +396,6 @@ class TagAlgebra:
                             f"Jacobi fails on ({self.basis[gi].label}, "
                             f"{self.basis[gj].label}, {self.basis[gk].label})"
                         )
-                    count += 1
         return count
 
 

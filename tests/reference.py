@@ -7,9 +7,16 @@ package computes in closed form or through its tables.
 * ``laurent_product``    -- the product of two RLaurents, summed as GDim
                            products over pairs of exponents;
 * ``t_free``,
-  ``z_monomial``         -- series with t-free coefficients, and c z^m;
+  ``z_monomial``,
+  ``series_one``         -- series with t-free coefficients, c z^m, and 1;
 * ``series_power``       -- integer powers of a series, the inverse by the
                            term-by-term recurrence;
+* ``one_minus_pow``,
+  ``phi_line``,
+  ``line_product``       -- Phi(a, b) as the product of its closed-form line
+                           factors, each a product of binomial series
+                           (1 - c t^e z^m)^k, the route the plethystic
+                           exponential replaced;
 * ``lambda_direct``      -- lambda of a graded superspace by basis enumeration;
 * ``pair_residuals``     -- the defects of the two-equation system on given
                            series a(z), b(z);
@@ -23,6 +30,9 @@ package computes in closed form or through its tables.
 * ``jordan_residual``    -- the super Jordan identity through the tables;
 * ``tag_graded_dims``    -- the graded dimensions of the TAG basis, counted;
 * ``project``            -- the class in Bs(J) of an ambient J (x) J vector;
+* ``sl2_index``,
+  ``bs_index``           -- the TAG basis position of a(x)J_n[u] and of
+                           Bs_n[u], read off ``tag.basis``;
 * ``sl2_tensor``,
   ``bs_terms``,
   ``bs_lift``            -- a J vector as a(x)J terms and a Bs vector as Bs
@@ -50,14 +60,18 @@ package computes in closed form or through its tables.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
+from operator import mul
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
 from freejordan import linalg, solver
 from freejordan.homology import BlockKey, ChainComplex, Monomial
 from freejordan.jordan import GradedJordanAlgebra, Vector
 from freejordan.lambda_ops import phi_series
-from freejordan.rings import GDIM_ONE, GDIM_ZERO, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
+from freejordan.rings import GDIM_ONE, GDIM_X, GDIM_ZERO, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
 from freejordan.tag import BsComponent, TagAlgebra, TagElement
 
 # sl2 in the basis e, h, f: [a, b] = coeff c as (a, b) -> (c, coeff), and
@@ -97,6 +111,11 @@ def z_monomial(c: RLaurent, m: int, order: int) -> TZSeries:
     return TZSeries(order, coeffs)
 
 
+def series_one(order: int) -> TZSeries:
+    """The series 1, truncated at z^order."""
+    return z_monomial(RLAURENT_ONE, 0, order)
+
+
 def series_power(f: TZSeries, k: int) -> TZSeries:
     """f**k by repeated products.
 
@@ -113,7 +132,7 @@ def series_power(f: TZSeries, k: int) -> TZSeries:
                 acc = acc + f[i] * g[n - i]
             g.append(-acc)
         f, k = TZSeries(f.order, g), -k
-    out = TZSeries.one(f.order)
+    out = series_one(f.order)
     for _ in range(k):
         out = out * f
     return out
@@ -121,7 +140,7 @@ def series_power(f: TZSeries, k: int) -> TZSeries:
 
 def adjoint_even_line(m: int, order: int) -> TZSeries:
     """(1 - [2]_t z^m + z^{2m}, 0): lambda of one even vector tensor adjoint."""
-    out = TZSeries.one(order)
+    out = series_one(order)
     out = out + z_monomial(-t_integer(2), m, order)
     out = out + z_monomial(RLAURENT_ONE, 2 * m, order)
     return out
@@ -141,6 +160,64 @@ def adjoint_odd_line(m: int, order: int) -> TZSeries:
     for j, c in enumerate(coeffs):
         full[j * m] = c
     return TZSeries(order, full)
+
+
+def one_minus_pow(c: GDim, texp: int, m: int, k: int, order: int) -> TZSeries:
+    """(1 - c * t^texp * z^m) ** k for any integer k, via binomial series.
+
+    c is 1 or x, so c**j is c for odd j and 1 for even j.  For k >= 0 the
+    sum is finite, for k < 0 it is the generalized binomial series,
+    truncated at z^order either way.
+    """
+    jmax = order // m
+    if k >= 0:
+        jmax = min(jmax, k)
+    terms: list[RLaurent] = [RLAURENT_ZERO] * (order + 1)
+    for j in range(jmax + 1):
+        if k >= 0:
+            coef = comb(k, j) * (-1) ** j
+        else:
+            coef = comb(-k + j - 1, j)
+        terms[j * m] = RLaurent({j * texp: (c if j & 1 else GDIM_ONE) * coef})
+    return TZSeries(order, terms)
+
+
+def phi_line(an: GDim, bn: GDim, n: int, order: int) -> TZSeries:
+    """Degree-n factor of Phi(a, b): lambda of an z^n [adjoint] + (an + bn) z^n.
+
+    Each line is a product of binomials (1 - c t^e z^m)^k, listed below as
+    (c, e, m, k): the plain lines of (an + bn) z^n, then the adjoint lines
+    of an z^n.
+    """
+    s = an + bn
+    table = (
+        # plain even line: 1 - z^n
+        ((GDIM_ONE, 0, n, s.even),),
+        # plain odd line: (1 - x z^n) / (1 - z^{2n})
+        ((GDIM_ONE, 0, 2 * n, -s.odd), (GDIM_X, 0, n, s.odd)),
+        # adjoint even line: 1 - [2]_t z^n + z^{2n} = (1 - t z^n)(1 - z^n/t)
+        ((GDIM_ONE, 1, n, an.even), (GDIM_ONE, -1, n, an.even)),
+        # adjoint odd line:
+        #   (1 - x t z^n)(1 - x z^n/t) / ((1 - t^2 z^{2n})(1 - z^{2n}/t^2))
+        ((GDIM_ONE, 2, 2 * n, -an.odd), (GDIM_ONE, -2, 2 * n, -an.odd),
+         (GDIM_X, 1, n, an.odd), (GDIM_X, -1, n, an.odd)),
+    )
+    factors = [
+        reduce(mul, [one_minus_pow(c, e, m, k, order) for c, e, m, k in line])
+        for line in table
+        if line[0][3]
+    ]
+    return reduce(mul, factors) if factors else series_one(order)
+
+
+def line_product(a: Sequence[GDim], b: Sequence[GDim]) -> TZSeries:
+    """Phi(a, b) as the product of ``phi_line`` over the lines n = 1..N."""
+    order = len(a)
+    out = series_one(order)
+    for n, (an, bn) in enumerate(zip(a, b), start=1):
+        if an or bn:
+            out = out * phi_line(an, bn, n, order)
+    return out
 
 
 def lambda_direct(pieces: Sequence[tuple[GDim, int]], order: int) -> TZSeries:
@@ -300,14 +377,42 @@ def project(comp: BsComponent, ambient: dict[int, Fraction]) -> Vector:
     return linalg.sparse_row(acc)
 
 
+_INDEXES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _indexes(tag: TagAlgebra) -> tuple[dict[tuple[int, int, int], int], dict[tuple[int, int], int]]:
+    """(a, n, u) -> position of a(x)J_n[u], and (n, u) -> position of Bs_n[u]."""
+    if tag not in _INDEXES:
+        sl2, bs = {}, {}
+        for g, el in enumerate(tag.basis):
+            if el.kind == "sl2":
+                sl2[(el.data[0], el.degree, el.data[1])] = g
+            else:
+                bs[(el.degree, el.data[0])] = g
+        _INDEXES[tag] = sl2, bs
+    return _INDEXES[tag]
+
+
+def sl2_index(tag: TagAlgebra) -> dict[tuple[int, int, int], int]:
+    """(a, n, u) -> the TAG basis position of a(x)J_n[u]."""
+    return _indexes(tag)[0]
+
+
+def bs_index(tag: TagAlgebra) -> dict[tuple[int, int], int]:
+    """(n, u) -> the TAG basis position of Bs_n[u]."""
+    return _indexes(tag)[1]
+
+
 def sl2_tensor(tag: TagAlgebra, a: int, n: int, vec: Vector, scale: int) -> Vector:
     """``scale * a(x)vec`` for a degree-n vector of J, as TAG terms."""
-    return tuple((tag._sl2_index[(a, n, u)], scale * c) for u, c in vec)
+    index = sl2_index(tag)
+    return tuple((index[(a, n, u)], scale * c) for u, c in vec)
 
 
 def bs_terms(tag: TagAlgebra, n: int, vec: Vector, scale: int) -> Vector:
     """``scale * vec`` for a vector of Bs_n in quotient coordinates, as TAG terms."""
-    return tuple((tag._bs_index[(n, u)], scale * c) for u, c in vec)
+    index = bs_index(tag)
+    return tuple((index[(n, u)], scale * c) for u, c in vec)
 
 
 def bs_lift(tag: TagAlgebra, el: TagElement) -> tuple[int, int, int, int]:
@@ -386,7 +491,7 @@ def theta(tag: TagAlgebra, g: int) -> tuple[int, int]:
     if el.kind == "bs":
         return g, 1
     a, u = el.data
-    return tag._sl2_index[(2 - a, el.degree, u)], -1 if a == 1 else 1
+    return sl2_index(tag)[(2 - a, el.degree, u)], -1 if a == 1 else 1
 
 
 def theta_table(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:

@@ -11,7 +11,6 @@ from freejordan.homology import ChainComplex, compute_homology
 from freejordan.jordan import build_free_jordan
 from freejordan.lambda_ops import (
     lambda_adjoint_series,
-    phi_line,
     phi_series,
 )
 from freejordan.rings import GDIM_ZERO, GDim
@@ -22,7 +21,7 @@ from freejordan.solver import (
     vanishing_order,
 )
 from freejordan.tag import build_tag
-from reference import adjoint_odd_line, basis_vector, jordan_residual, lambda_direct
+from reference import adjoint_odd_line, basis_vector, jordan_residual, lambda_direct, phi_line
 
 
 def report(n: int, text: str) -> None:
@@ -110,6 +109,9 @@ def test_criterion_5_lambda_operation_properties():
         assert plain_lambda(add(a, b)) == plain_lambda(a) * plain_lambda(b)
     for m in (1, 2, 3):
         assert phi_line(GDim(0, 1), GDim(0, -1), m, 30) == adjoint_odd_line(m, 30)
+        one_odd = [GDIM_ZERO] * 30
+        one_odd[m - 1] = GDim(0, 1)
+        assert lambda_adjoint_series(one_odd) == adjoint_odd_line(m, 30)
     for _ in range(10):
         a = tuple(GDim(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(6))
         b = tuple(GDim(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(6))

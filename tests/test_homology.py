@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from freejordan import linalg
@@ -5,7 +7,7 @@ from freejordan.homology import ChainComplex, compute_homology, isotypic_multipl
 from freejordan.jordan import build_free_jordan
 from freejordan.rings import GDim
 from freejordan.tag import build_tag
-from reference import block_dim, block_key, reference_boundary_monomial, reference_chain_blocks
+from reference import block_dim, block_key, reference_boundary_monomial, reference_chain_blocks, sl2_index
 
 
 def tag_for(d1, d2, n):
@@ -77,8 +79,8 @@ class TestChainComplex:
         # is a chain, but of weight lower by 4, so in another block.
         tag = tag_for(1, 1, 3)
         ChainComplex(tag, 3, 3)
-        e_to_f = {g: tag._sl2_index[(2, n, u)]
-                  for (a, n, u), g in tag._sl2_index.items() if a == 0}
+        index = sl2_index(tag)
+        e_to_f = {g: index[(2, n, u)] for (a, n, u), g in index.items() if a == 0}
         key = next(key for key, terms in tag.brackets.items()
                    if key[0] < key[1] and any(k in e_to_f for k, _ in terms))
         tag.brackets[key] = tuple(sorted((e_to_f.get(k, k), c) for k, c in tag.brackets[key]))
@@ -101,6 +103,18 @@ class TestChainComplex:
         # A negative cap would never stop the enumeration.
         with pytest.raises(ValueError):
             ChainComplex(tag_for(0, 1, 5), -1, 5)
+
+    def test_homology_leaves_no_reference_cycles(self):
+        # Everything a report run builds is freed by reference counting, so
+        # the chain blocks do not wait for the cyclic collector.
+        tag = tag_for(0, 2, 5)
+        gc.collect()
+        gc.disable()
+        try:
+            compute_homology(tag, 4, 5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_each_block_is_ranked_once(self, monkeypatch):
         tag = tag_for(1, 1, 4)

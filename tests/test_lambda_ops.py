@@ -1,9 +1,12 @@
 import random
 from itertools import combinations_with_replacement
 
+import pytest
+
+from freejordan import cli, lambda_ops
 from freejordan.lambda_ops import (
+    PhiKernel,
     lambda_adjoint_series,
-    phi_line,
     phi_series,
 )
 from freejordan.rings import GDIM_ONE, GDIM_ZERO, RLAURENT_ONE, GDim, RLaurent, TZSeries
@@ -11,6 +14,9 @@ from reference import (
     adjoint_even_line,
     adjoint_odd_line,
     lambda_direct,
+    line_product,
+    phi_line,
+    series_one,
     series_power,
     t_free,
     t_integer,
@@ -82,21 +88,24 @@ class TestLambdaLine:
 
 
 def adjoint_even_pow(m: int, k: int, order: int) -> TZSeries:
-    """k-th power of the even adjoint line: the factor of Phi at (k, 0), (-k, 0)."""
+    """k-th power of the even adjoint line: the reference factor of Phi at (k, 0), (-k, 0)."""
     return phi_line(GDim(k, 0), GDim(-k, 0), m, order)
 
 
 def adjoint_odd_pow(m: int, k: int, order: int) -> TZSeries:
-    """k-th power of the odd adjoint line: the factor of Phi at (0, k), (0, -k)."""
+    """k-th power of the odd adjoint line: the reference factor of Phi at (0, k), (0, -k)."""
     return phi_line(GDim(0, k), GDim(0, -k), m, order)
 
 
 class TestAdjointLines:
     def test_odd_line_closed_form(self):
-        # The explicit t-integer sum equals the four-factor closed form,
-        # checked deep (order 30).
+        # The explicit t-integer sum equals the four-factor closed form and
+        # the kernel's Psi of one odd vector, checked deep (order 30).
         for m in (1, 2, 3):
             assert adjoint_odd_pow(m, 1, 30) == adjoint_odd_line(m, 30)
+            one_odd = [GDIM_ZERO] * 30
+            one_odd[m - 1] = GDim(0, 1)
+            assert lambda_adjoint_series(one_odd) == adjoint_odd_line(m, 30)
 
     def test_even_line_closed_form(self):
         for m in (1, 2, 3):
@@ -106,7 +115,7 @@ class TestAdjointLines:
         for k in (2, 3, -1, -2):
             direct = adjoint_odd_pow(1, k, 8)
             if k > 0:
-                expect = TZSeries.one(8)
+                expect = series_one(8)
                 for _ in range(k):
                     expect = expect * adjoint_odd_line(1, 8)
             else:
@@ -115,7 +124,7 @@ class TestAdjointLines:
 
     def test_even_times_inverse(self):
         f = adjoint_even_pow(2, 5, 10) * adjoint_even_pow(2, -5, 10)
-        assert f == TZSeries.one(10)
+        assert f == series_one(10)
 
 
 class TestFactorTable:
@@ -127,7 +136,7 @@ class TestFactorTable:
         grid = [GDim(e, o) for e in range(-1, 3) for o in range(-1, 3)]
         for n in (1, 2):
             lines = (
-                TZSeries.one(order) - z_monomial(RLAURENT_ONE, n, order),
+                series_one(order) - z_monomial(RLAURENT_ONE, n, order),
                 lambda_direct([(GDim(0, 1), n)], order),
                 adjoint_even_line(n, order),
                 adjoint_odd_line(n, order),
@@ -141,13 +150,74 @@ class TestFactorTable:
                     assert phi_line(an, bn, n, order) == expect, (an, bn, n)
 
 
+class TestKernel:
+    """The plethystic exponential against the closed-form line product."""
+
+    def test_phi_series_is_the_line_product(self):
+        # Virtual classes included: negative entries in a and in b, so the
+        # generalized binomial series of every line is exercised.
+        rng = random.Random(17)
+        for _ in range(60):
+            order = rng.randint(1, 8)
+            a = tuple(GDim(rng.randint(-2, 3), rng.randint(-2, 3)) for _ in range(order))
+            b = tuple(GDim(rng.randint(-3, 2), rng.randint(-3, 2)) for _ in range(order))
+            assert phi_series(a, b) == line_product(a, b), (a, b)
+
+    def test_doubled_log_terms_square_the_line(self, monkeypatch):
+        # The solver tests plant a wrong line this way.
+        line_log = lambda_ops.line_log
+        monkeypatch.setattr(
+            lambda_ops, "line_log",
+            lambda an, bn, n, order: [(j, e, 2 * p, 2 * m) for j, e, p, m in line_log(an, bn, n, order)],
+        )
+        for an, bn, n in [(GDim(1, 1), GDim(0, 1), 1), (GDim(2, -1), GDim(-1, 3), 2)]:
+            a, b = [GDIM_ZERO] * 6, [GDIM_ZERO] * 6
+            a[n - 1], b[n - 1] = an, bn
+            assert phi_series(a, b) == series_power(phi_line(an, bn, n, 6), 2)
+
+    def test_stepping_equals_the_whole_series(self):
+        # A solver's order of calls: read z^n, add line n, complete z^n.
+        a = (GDim(1, 2), GDim(-1, 0), GDim(0, 3), GDim(2, -1), GDim(1, 1))
+        b = (GDim(0, -1), GDim(2, 2), GDim(-1, 1), GDim(0, 0), GDim(3, 0))
+        whole = phi_series(a, b)
+        phi = PhiKernel(5)
+        for n, (an, bn) in enumerate(zip(a, b), start=1):
+            before = line_product(a[:n - 1] + (GDIM_ZERO,) * (6 - n), b[:n - 1] + (GDIM_ZERO,) * (6 - n))
+            assert phi.pending() == before[n]
+            phi.add_line(an, bn, n)
+            phi.advance()
+            assert phi[n] == whole[n]
+        assert phi.series() == whole
+
+    def test_kernel_refuses_a_line_below_a_completed_degree(self):
+        phi = PhiKernel(3)
+        phi.advance()
+        with pytest.raises(ValueError, match="completed z\\^1"):
+            phi.add_line(GDIM_ONE, GDIM_ZERO, 1)
+        phi.add_line(GDIM_ONE, GDIM_ZERO, 2)
+        assert phi.series() == phi_series((GDIM_ZERO, GDIM_ONE, GDIM_ZERO), (GDIM_ZERO,) * 3)
+
+    def test_non_integral_log_term_raises(self, monkeypatch, capsys):
+        # One stray unit in 2 L_2: 2 P_2 is then odd, and the exact division
+        # by 2 refuses it instead of truncating.
+        line_log = lambda_ops.line_log
+        monkeypatch.setattr(
+            lambda_ops, "line_log",
+            lambda an, bn, n, order: line_log(an, bn, n, order) + ([(2, 0, 1, 1)] if n == 1 < order else []),
+        )
+        with pytest.raises(AssertionError, match="z\\^2 coefficient of Phi is not integral"):
+            phi_series((GDim(1, 0), GDIM_ZERO), (GDIM_ZERO, GDIM_ZERO))
+        assert cli.main(["solve", "--d1", "1", "--d2", "1", "--order", "4"]) == cli.EXIT_INTERNAL
+        assert "not integral" in capsys.readouterr().err
+
+
 def paper_psi(d1: int, d2: int, order: int) -> TZSeries:
     # The paper's residue kernel (d1 z, d2 z) t^-1 + (1 - d1 z, -d2 z) + (-1, 0) t;
     # the solvers read its residue as L2 + D z L0 instead.
     dz = t_free([GDIM_ZERO, GDim(d1, d2)], order)
     t = z_monomial(RLaurent({1: GDIM_ONE}), 0, order)
     t_inv = z_monomial(RLaurent({-1: GDIM_ONE}), 0, order)
-    return dz * t_inv + TZSeries.one(order) - dz - t
+    return dz * t_inv + series_one(order) - dz - t
 
 
 class TestCharacterProducts:

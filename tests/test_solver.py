@@ -1,6 +1,6 @@
 import pytest
 
-from freejordan import cli, solver
+from freejordan import cli, lambda_ops
 from freejordan.rings import GDIM_ZERO, GDim
 from freejordan.solver import (
     SolverStepError,
@@ -9,7 +9,19 @@ from freejordan.solver import (
     solve_dims_pair,
     vanishing_order,
 )
-from reference import pair_residuals, series_power
+from reference import pair_residuals
+
+
+def doubled_lines(monkeypatch, from_degree):
+    """Double the log terms of every line of degree >= from_degree in the
+    kernel: that squares the line, series_power(line, 2) in the reference."""
+    line_log = lambda_ops.line_log
+
+    def doubled(an, bn, n, order):
+        k = 2 if n >= from_degree else 1
+        return [(j, e, k * p, k * m) for j, e, p, m in line_log(an, bn, n, order)]
+
+    monkeypatch.setattr(lambda_ops, "line_log", doubled)
 
 
 class TestSolveDims:
@@ -128,31 +140,27 @@ class TestStepConstant:
     """A line factor whose slope is not the known constant is refused."""
 
     def test_wrong_single_slope(self, monkeypatch, capsys):
-        line = solver.phi_line
-        monkeypatch.setattr(solver, "phi_line", lambda a, b, m, order: series_power(line(a, b, m, order), 2))
+        doubled_lines(monkeypatch, 1)
         with pytest.raises(SolverStepError, match="step linearization"):
             solve_dims(1, 1, 4)
         assert cli.main(["solve", "--d1", "1", "--d2", "1", "--order", "4"]) == cli.EXIT_DISCREPANCY
         assert "solver step failed" in capsys.readouterr().err
 
     def test_wrong_pair_slope(self, monkeypatch):
-        line = solver.phi_line
-        monkeypatch.setattr(solver, "phi_line", lambda a, b, m, order: series_power(line(a, b, m, order), 2))
+        doubled_lines(monkeypatch, 1)
         with pytest.raises(SolverStepError, match="step linearization"):
             solve_dims_pair(1, 1, 4)
 
 
 class TestResidualGate:
     """A line that is wrong only above degree 1 passes the slope check; the
-    residual read off the final product must still refuse it."""
+    residual read off the final product must still refuse it.  The kernel
+    completes each z^n coefficient from the line's own log terms, so a
+    solver that completed it from the slope's prediction would pass here."""
 
     @pytest.fixture(autouse=True)
     def wrong_above_degree_1(self, monkeypatch):
-        line = solver.phi_line
-        monkeypatch.setattr(
-            solver, "phi_line",
-            lambda a, b, m, order: series_power(line(a, b, m, order), 2 if m >= 2 else 1),
-        )
+        doubled_lines(monkeypatch, 2)
 
     def test_single_equation_raises_at_first_nonzero_degree(self):
         with pytest.raises(SolverStepError, match="at z\\^2 is not zero") as exc:

@@ -17,12 +17,14 @@ from freejordan.tag import (
 from reference import (
     basis_vector,
     bracket,
+    bs_index,
     bs_lift,
     bs_terms,
     derivation_of,
     fraction_brackets,
     multiply,
     project,
+    sl2_index,
     structure_constants_json,
     tag_graded_dims,
     theta_table,
@@ -185,23 +187,23 @@ class TestTagAlgebra:
         # [e(x)x, f(x)y] = 2{x(x)y} + h(x)(x.y)
         alg = build_free_jordan(1, 1, 4)
         tag = TagAlgebra(alg, 4)
-        ge = tag._sl2_index[(0, 1, 0)]
-        gf = tag._sl2_index[(2, 1, 0)]
+        ge = sl2_index(tag)[(0, 1, 0)]
+        gf = sl2_index(tag)[(2, 1, 0)]
         terms = dict(bracket(tag, ge, gf))
         comp = tag.bs[2]
         amb = {comp.index[(1, 0, 1, 0)]: Fraction(2)}
         expect = dict(bs_terms(tag, 2, project(comp, amb), 1))
         prod = alg.multiply_basis(1, 0, 1, 0)
         for u, c in prod:
-            expect[tag._sl2_index[(1, 2, u)]] = c
+            expect[sl2_index(tag)[(1, 2, u)]] = c
         assert terms == expect
 
     def test_h_h_bracket_central_element(self):
         # [h(x)y, h(x)y] = 4{y(x)y} for the one-odd-generator algebra.
         alg = build_free_jordan(0, 1, 4)
         tag = TagAlgebra(alg, 4)
-        gh = tag._sl2_index[(1, 1, 0)]
-        gbs = tag._bs_index[(2, 0)]
+        gh = sl2_index(tag)[(1, 1, 0)]
+        gbs = bs_index(tag)[(2, 0)]
         assert bracket(tag, gh, gh) == ((gbs, Fraction(4)),)
 
     def test_each_derivation_matrix_is_built_once(self, monkeypatch):
@@ -225,7 +227,7 @@ class TestTagAlgebra:
         # Bracket rule 2 factors through d_{x,y}.
         alg = build_free_jordan(1, 1, 5)
         tag = TagAlgebra(alg, 5)
-        for (n, u), gbs in tag._bs_index.items():
+        for (n, u), gbs in bs_index(tag).items():
             (i, xu, j, yv) = bs_lift(tag, tag.basis[gbs])
             for m in range(1, tag.max_degree - n + 1):
                 cols = derivation_of(
@@ -233,9 +235,9 @@ class TestTagAlgebra:
                 )
                 for a in range(3):
                     for w in range(alg.dim(m)):
-                        gs = tag._sl2_index[(a, m, w)]
+                        gs = sl2_index(tag)[(a, m, w)]
                         got = dict(bracket(tag, gbs, gs))
-                        expect = {tag._sl2_index[(a, n + m, k)]: c for k, c in cols[w]}
+                        expect = {sl2_index(tag)[(a, n + m, k)]: c for k, c in cols[w]}
                         assert got == expect
 
     def test_weights_are_minus2_0_2(self):
@@ -402,6 +404,6 @@ class TestTagAlgebra:
     def test_bracket_beyond_truncation(self):
         alg = build_free_jordan(1, 1, 3)
         tag = TagAlgebra(alg, 3)
-        g = tag._sl2_index[(0, 2, 0)]
+        g = sl2_index(tag)[(0, 2, 0)]
         with pytest.raises(ValueError):
             bracket(tag, g, g)
