@@ -14,7 +14,9 @@ canonical position with the same rule.  d^2 = 0 is asserted on every block
 as the acceptance gate for this sign convention.
 
 Everything splits into finite blocks by (homological degree r, z-degree d,
-h-weight w, chain parity): the boundary preserves d, w, and parity.  A
+h-weight w, chain parity): the boundary preserves d, w, and parity.  Each
+block numbers its chains, and each boundary term is written straight to
+its chain's position in the block one homological degree lower.  A
 block at (r, d) is complete once d <= d_max and r <= min(r_max, d) (every
 chain factor has z-degree >= 1), which makes truncation artifacts
 explicit rather than silent.
@@ -38,10 +40,13 @@ BlockKey = tuple[int, int, int, int]  # (r, z-degree, weight, parity)
 class ChainComplex:
     """CE chains of a TAG truncation through r <= r_max, z-degree <= d_max.
 
-    The boundary is read off the TAG's integer bracket table, so
-    ``boundary_monomial`` and ``boundaries`` hold ``tag.scale`` times d,
-    with int coefficients.  Ranks do not see the scale, and the d^2 = 0
-    gate sums ``tag.scale**2`` times d^2 in exact integers.
+    ``blocks[key]`` maps each chain of a block to its position, in the
+    order of enumeration.  That position is the chain's column in
+    ``boundaries[key]`` and its row index in the columns of the block one
+    homological degree higher.  The boundary is read off the TAG's integer
+    bracket table, so ``boundaries`` holds ``tag.scale`` times d, with int
+    coefficients.  Ranks do not see the scale, and the d^2 = 0 gate sums
+    ``tag.scale**2`` times d^2 in exact integers.
     """
 
     def __init__(self, tag: TagAlgebra, r_max: int, d_max: int) -> None:
@@ -52,20 +57,22 @@ class ChainComplex:
         self.tag = tag
         self.r_max = r_max
         self.d_max = d_max
-        self.blocks: dict[BlockKey, list[Monomial]] = {}
-        self.index: dict[BlockKey, dict[Monomial, int]] = {}
+        self.blocks: dict[BlockKey, dict[Monomial, int]] = {}
         self._parity = [el.parity for el in tag.basis]
         self._enumerate()
-        self.boundaries: dict[BlockKey, list[linalg.SparseRow]] = {}
-        for key in self.blocks:
-            self.boundaries[key] = self._boundary_block(key)
+        blocks = self.blocks
+        self.boundaries: dict[BlockKey, list[linalg.SparseRow]] = {
+            key: [self._column(mon, target) for mon in blk]
+            for key, blk in blocks.items()
+            for target in [blocks.get((key[0] - 1, *key[1:]), {})]
+        }
         self._check_d_squared()
         self._ranks: dict[BlockKey, int] = {}
 
     # -- chain enumeration ----------------------------------------------
 
     def _enumerate(self) -> None:
-        """Every chain, depth first; a block lists its monomials in that order.
+        """Every chain, depth first; a block numbers its chains in that order.
 
         The basis is sorted by z-degree, so the factors that still fit under
         ``d_max`` after z-degree d are an initial segment of it, ending at
@@ -77,17 +84,15 @@ class ChainComplex:
         degrees = [el.degree for el in basis]
         stop = [bisect_right(degrees, self.d_max - d) for d in range(self.d_max + 1)]
         grade = [(el.degree, el.weight, el.parity) for el in basis]
-        r_max, blocks, index = self.r_max, self.blocks, self.index
+        r_max, blocks = self.r_max, self.blocks
         stack: list[tuple[Monomial, int, int, int, int]] = [((), 0, 0, 0, 0)]
         while stack:
             mon, start, d, w, par = stack.pop()
             key = (len(mon), d, w, par)
             blk = blocks.get(key)
             if blk is None:
-                blk = blocks[key] = []
-                index[key] = {}
-            index[key][mon] = len(blk)
-            blk.append(mon)
+                blk = blocks[key] = {}
+            blk[mon] = len(blk)
             if len(mon) < r_max:
                 for g in reversed(range(start, stop[d])):
                     dg, wg, pg = grade[g]
@@ -99,23 +104,24 @@ class ChainComplex:
 
     # -- boundary --------------------------------------------------------
 
-    def boundary_monomial(self, mon: Monomial) -> dict[Monomial, int]:
-        """tag.scale times d applied to one monomial, as a sparse combination.
+    def _column(self, mon: Monomial, target: dict[Monomial, int]) -> linalg.SparseRow:
+        """tag.scale times d of one chain, at its positions in ``target``.
 
-        Signs are parities.  Moving a_s and then a_t to the front costs
-        s + |a_s|·before[s] and t - 1 + |a_t|·(before[t] - |a_s|), where
-        before[i] counts the odd factors ahead of slot i.  Inserting the
-        bracket term g at position pos of the rest costs
-        pos + |g|·(odd factors of the rest ahead of pos).  A term of the
-        wrong grading gives no chain of the target block, and
-        ``_boundary_block`` raises.
+        ``target`` is the block one homological degree lower with the same
+        z-degree, weight and parity.  Signs are parities.  Moving a_s and
+        then a_t to the front costs s + |a_s|·before[s] and
+        t - 1 + |a_t|·(before[t] - |a_s|), where before[i] counts the odd
+        factors ahead of slot i.  Inserting the bracket term g at position
+        pos of the rest costs pos + |g|·(odd factors of the rest ahead of
+        pos).  Every chain lies in exactly one block, so a term missing
+        from ``target`` has left the block, and raises.
         """
         brackets = self.tag.brackets
         par = self._parity
         pars = [par[g] for g in mon]
         before = [0, *accumulate(pars)]
         r = len(mon)
-        out: dict[Monomial, int] = {}
+        col: dict[int, int] = {}
         for s in range(r):
             ps = pars[s]
             for t in range(s + 1, r):
@@ -135,35 +141,13 @@ class ChainComplex:
                     pg = par[g]
                     if not pg and at < r and mon[at] == g:
                         continue  # an even factor squares to zero
-                    new = rest[:at - 2] + (g,) + rest[at - 2:]
+                    i = target.get(rest[:at - 2] + (g,) + rest[at - 2:])
+                    if i is None:
+                        raise AssertionError("boundary leaves its block")
                     odd = before[at] - ps - pt
                     term = -c if (sign + at + pg * odd) & 1 else c
-                    if new in out:
-                        out[new] += term
-                    else:
-                        out[new] = term
-        return {m: c for m, c in out.items() if c}
-
-    def _boundary_block(self, key: BlockKey) -> list[linalg.SparseRow]:
-        """Sparse boundary columns for a block, rows indexed in V_{r-1}.
-
-        Every chain lies in exactly one block's index, so a term missing
-        from the target block's index has left the block.
-        """
-        r, d, w, par = key
-        if r == 0:
-            return []
-        tindex = self.index.get((r - 1, d, w, par), {})
-        cols = []
-        for mon in self.blocks[key]:
-            col: dict[int, int] = {}
-            for m2, c in self.boundary_monomial(mon).items():
-                i = tindex.get(m2)
-                if i is None:
-                    raise AssertionError("boundary leaves its block")
-                col[i] = c
-            cols.append(linalg.sparse_row(col))
-        return cols
+                    col[i] = col.get(i, 0) + term
+        return linalg.sparse_row(col)
 
     def _check_d_squared(self) -> None:
         for (r, d, w, par), cols in self.boundaries.items():
@@ -205,7 +189,7 @@ class ChainComplex:
             pair = [0, 0]
             for par in (0, 1):
                 key = (r, d, w, par)
-                dim = len(self.blocks.get(key, []))
+                dim = len(self.blocks.get(key, ()))
                 if dim == 0:
                     continue
                 pair[par] = (
@@ -219,7 +203,7 @@ class ChainComplex:
 
     def chain_character(self, d: int) -> RLaurent:
         """sum over r of (-1)^r char V_r at z-degree d, in t^(weight/2)."""
-        if d > self.d_max or self.r_max < d:
+        if not self.is_complete(d, d):
             raise ValueError("chain column incomplete at this z-degree")
         acc: dict[int, GDim] = {}
         for (r, dd, w, par), mons in self.blocks.items():

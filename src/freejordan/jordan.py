@@ -220,8 +220,6 @@ def _pair_coords(parities: dict[int, tuple[int, ...]], n: int) -> list[tuple[int
     coords = []
     for i in range(1, n // 2 + 1):
         j = n - i
-        if i > j:
-            break
         for u in range(len(parities[i])):
             vs = range(len(parities[j])) if i < j else range(u, len(parities[j]))
             for v in vs:

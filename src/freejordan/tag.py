@@ -225,8 +225,6 @@ class TagAlgebra:
     """
 
     def __init__(self, alg: GradedJordanAlgebra, max_degree: int) -> None:
-        if max_degree > alg.max_degree:
-            raise ValueError("algebra not built deep enough")
         self.alg = alg
         self.max_degree = max_degree
         T, scaled = alg.integer_copy()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from freejordan import cli, jordan, tag
 from freejordan.jordan import GradedJordanAlgebra
+from freejordan.rings import GDim
 
 
 def _first_entry(payload):
@@ -21,6 +23,7 @@ MALFORMED = {
     "missing-table": lambda p: p["tables"].pop("1,3"),
     "missing-labels": lambda p: p["labels"]["3"].pop(),
     "missing-degree": lambda p: p["parities"].pop("4"),
+    "format-version": lambda p: p.__setitem__("format_version", 1),
 }
 
 
@@ -214,6 +217,30 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["agree_degrees"] == [1, 2, 3, 4]
         assert payload["mismatches"] == []
+
+    def test_discrepancy_is_reported_in_every_format(self, capsys, monkeypatch):
+        # A solver a_3 one even dimension too high is a conjecture-level
+        # discrepancy: exit 5, named on stderr, in the JSON and the table.
+        solve_dims = cli.solve_dims
+
+        def planted(d1, d2, order):
+            rep = solve_dims(d1, d2, order)
+            a = list(rep.a)
+            a[2] += GDim(1, 0)
+            return dataclasses.replace(rep, a=tuple(a))
+
+        monkeypatch.setattr(cli, "solve_dims", planted)
+        args = ["verify", "--d1", "1", "--d2", "1", "--max-degree", "4"]
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert code == cli.EXIT_DISCREPANCY == 5
+        assert "conjecture-level discrepancy at degrees [3]" in err
+        payload = json.loads(out)
+        assert payload["mismatches"] == [{"degree": 3, "solver": ["3", "2"], "oracle": ["2", "2"]}]
+        assert payload["agree_degrees"] == [1, 2, 4]
+        code, out, err = run(capsys, *args)
+        assert code == cli.EXIT_DISCREPANCY
+        assert "conjecture-level discrepancy at degrees [3]" in err
+        assert "  n=3: MISMATCH solver=(3,2) constructed=(2,2)" in out.splitlines()
 
     def _cached(self, capsys, tmp_path):
         args = ["verify", "--d1", "1", "--d2", "1", "--max-degree", "4",

@@ -2,16 +2,25 @@ import gc
 
 import pytest
 
-from freejordan import linalg
+from freejordan import cli, homology, linalg
 from freejordan.homology import ChainComplex, compute_homology, isotypic_multiplicities
 from freejordan.jordan import build_free_jordan
-from freejordan.rings import GDim
+from freejordan.rings import RLAURENT_ONE, GDim, TZSeries
 from freejordan.tag import build_tag
 from reference import block_dim, block_key, reference_boundary_monomial, reference_chain_blocks, sl2_index
 
 
 def tag_for(d1, d2, n):
     return build_tag(build_free_jordan(d1, d2, n), n)
+
+
+def stored_boundaries(cc):
+    """Each block key and chain with its stored boundary column, read back
+    as a combination of chains through the positions of the block below."""
+    for key, blk in cc.blocks.items():
+        below = list(cc.blocks.get((key[0] - 1, *key[1:]), ()))
+        for mon, col in zip(blk, cc.boundaries[key], strict=True):
+            yield key, mon, {below[i]: c for i, c in col}
 
 
 class TestChainComplex:
@@ -50,29 +59,32 @@ class TestChainComplex:
 
     def test_boundary_preserves_grading(self):
         cc = ChainComplex(tag_for(1, 1, 3), 3, 3)
-        for key, mons in cc.blocks.items():
-            for mon in mons:
-                for m2 in cc.boundary_monomial(mon):
-                    assert block_key(cc, m2) == (key[0] - 1,) + key[1:]
-            # Columns are held as linalg's sparse rows.
-            assert all(col == linalg.sparse_row(dict(col)) for col in cc.boundaries[key])
+        for key, mon, terms in stored_boundaries(cc):
+            assert block_key(cc, mon) == key
+            for m2 in terms:
+                assert block_key(cc, m2) == (key[0] - 1,) + key[1:]
+        # Columns are held as linalg's sparse rows.
+        assert all(col == linalg.sparse_row(dict(col))
+                   for cols in cc.boundaries.values() for col in cols)
 
     @pytest.mark.parametrize("d1,d2", [(1, 1), (0, 2), (2, 0)])
     def test_blocks_match_the_brute_force_enumeration(self, d1, d2):
-        # Same blocks, in the same order, each listing its chains in order.
+        # Same blocks, in the same order, each numbering its chains in order.
         tag = tag_for(d1, d2, 5)
         cc = ChainComplex(tag, 5, 5)
-        assert list(cc.blocks.items()) == list(reference_chain_blocks(tag, 5, 5).items())
-        assert all(cc.index[key] == {m: i for i, m in enumerate(mons)}
-                   for key, mons in cc.blocks.items())
+        ref = reference_chain_blocks(tag, 5, 5)
+        assert [(key, list(blk)) for key, blk in cc.blocks.items()] == list(ref.items())
+        assert all(blk == {m: i for i, m in enumerate(ref[key])}
+                   for key, blk in cc.blocks.items())
 
     def test_boundary_matches_the_reference_signs(self):
         tag = tag_for(1, 1, 5)
         cc = ChainComplex(tag, 5, 5)
-        mons = [mon for mons in cc.blocks.values() for mon in mons]
-        assert sum(1 for mon in mons if cc.boundary_monomial(mon)) > 1000
-        for mon in mons:
-            assert cc.boundary_monomial(mon) == reference_boundary_monomial(tag, mon)
+        nonzero = 0
+        for _key, mon, terms in stored_boundaries(cc):
+            assert terms == reference_boundary_monomial(tag, mon)
+            nonzero += bool(terms)
+        assert nonzero > 1000
 
     def test_block_leak_gate_fires(self):
         # Send one e(x)x term of a bracket to f(x)x: the chain it lands on
@@ -174,6 +186,24 @@ class TestHomologyValues:
     def test_euler_characteristic(self):
         cc = ChainComplex(tag_for(1, 1, 5), 5, 5)
         assert cc.euler_check() == 6
+
+    def test_euler_gate_fires(self, monkeypatch, capsys):
+        # Phi off by t^0 at z^2: the report raises and the CLI exits 4.
+        phi_series = homology.phi_series
+
+        def planted(a, b):
+            phi = phi_series(a, b)
+            coeffs = list(phi.coeffs)
+            coeffs[2] = coeffs[2] + RLAURENT_ONE
+            return TZSeries(phi.order, coeffs)
+
+        monkeypatch.setattr(homology, "phi_series", planted)
+        match = "Euler characteristic mismatch at z-degree 2"
+        with pytest.raises(AssertionError, match=match):
+            compute_homology(tag_for(1, 1, 4), 4, 4)
+        code = cli.main(["homology", "--d1", "1", "--d2", "1", "--rmax", "4", "--dmax", "4"])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert match in capsys.readouterr().err
 
     def test_euler_needs_complete_columns(self):
         cc = ChainComplex(tag_for(1, 1, 4), 2, 4)

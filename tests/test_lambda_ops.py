@@ -162,6 +162,8 @@ class TestKernel:
             a = tuple(GDim(rng.randint(-2, 3), rng.randint(-2, 3)) for _ in range(order))
             b = tuple(GDim(rng.randint(-3, 2), rng.randint(-3, 2)) for _ in range(order))
             assert phi_series(a, b) == line_product(a, b), (a, b)
+        with pytest.raises(ValueError, match="mismatched truncation orders 2 != 1"):
+            phi_series((GDIM_ONE, GDIM_ZERO), (GDIM_ONE,))
 
     def test_doubled_log_terms_square_the_line(self, monkeypatch):
         # The solver tests plant a wrong line this way.

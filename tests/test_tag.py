@@ -132,6 +132,9 @@ class TestBs:
         alg = build_free_jordan(1, 1, 3)
         with pytest.raises(ValueError):
             build_Bs(alg.integer_copy()[1], 4)
+        # The TAG constructor reaches the same guard through build_Bs.
+        with pytest.raises(ValueError, match="algebra not built deep enough"):
+            TagAlgebra(alg, alg.max_degree + 1)
 
 
 class TestDerivations:
