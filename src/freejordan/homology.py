@@ -58,7 +58,6 @@ class ChainComplex:
         self.r_max = r_max
         self.d_max = d_max
         self.blocks: dict[BlockKey, dict[Monomial, int]] = {}
-        self._parity = [el.parity for el in tag.basis]
         self._enumerate()
         blocks = self.blocks
         self.boundaries: dict[BlockKey, list[linalg.SparseRow]] = {
@@ -80,23 +79,21 @@ class ChainComplex:
         factors never repeat.  The children of a chain go on the stack in
         reverse, so the first one comes off it first.
         """
-        basis = self.tag.basis
-        degrees = [el.degree for el in basis]
-        stop = [bisect_right(degrees, self.d_max - d) for d in range(self.d_max + 1)]
-        grade = [(el.degree, el.weight, el.parity) for el in basis]
+        deg, wt, par = self.tag.degrees, self.tag.weights, self.tag.parities
+        stop = [bisect_right(deg, self.d_max - d) for d in range(self.d_max + 1)]
         r_max, blocks = self.r_max, self.blocks
         stack: list[tuple[Monomial, int, int, int, int]] = [((), 0, 0, 0, 0)]
         while stack:
-            mon, start, d, w, par = stack.pop()
-            key = (len(mon), d, w, par)
+            mon, start, d, w, p = stack.pop()
+            key = (len(mon), d, w, p)
             blk = blocks.get(key)
             if blk is None:
                 blk = blocks[key] = {}
             blk[mon] = len(blk)
             if len(mon) < r_max:
                 for g in reversed(range(start, stop[d])):
-                    dg, wg, pg = grade[g]
-                    stack.append((mon + (g,), g + 1 - pg, d + dg, w + wg, par ^ pg))
+                    pg = par[g]
+                    stack.append((mon + (g,), g + 1 - pg, d + deg[g], w + wt[g], p ^ pg))
 
     def is_complete(self, r: int, d: int) -> bool:
         """Whether the chain block V_r at z-degree d has every monomial."""
@@ -116,8 +113,7 @@ class ChainComplex:
         pos).  Every chain lies in exactly one block, so a term missing
         from ``target`` has left the block, and raises.
         """
-        brackets = self.tag.brackets
-        par = self._parity
+        brackets, par = self.tag.brackets, self.tag.parities
         pars = [par[g] for g in mon]
         before = [0, *accumulate(pars)]
         r = len(mon)

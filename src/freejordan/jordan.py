@@ -150,10 +150,12 @@ class GradedJordanAlgebra:
         """Inverse of ``to_json``.
 
         Raises ValueError unless the sha256 matches and the payload is well
-        formed: a parity tuple and as many labels for each degree
-        1..max_degree, and one table for each i <= j with i + j <=
-        max_degree, of dim(i) x dim(j) entries with indices below
-        dim(i + j) and no zero denominator.
+        formed: parities, labels and tables are JSON objects; a tuple of
+        parities 0 or 1 and as many labels for each degree 1..max_degree,
+        with the d1 even and then the d2 odd generators in degree 1; and
+        one table for each i <= j with i + j <= max_degree, of dim(i) x
+        dim(j) entries with indices below dim(i + j) and no zero
+        denominator.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -162,10 +164,16 @@ class GradedJordanAlgebra:
             raise ValueError("cache content does not match its sha256")
         if payload.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
+        if not all(isinstance(payload.get(key), dict) for key in ("parities", "labels", "tables")):
+            raise ValueError("cache parities, labels or tables is not a JSON object")
         max_degree = payload["max_degree"]
         parities = {int(n): tuple(p) for n, p in payload["parities"].items()}
         if set(parities) != set(range(1, max_degree + 1)):
             raise ValueError("cache parities do not cover degrees 1..max_degree")
+        if any(q not in (0, 1) for p in parities.values() for q in p):
+            raise ValueError("cache parity is not 0 or 1")
+        if parities[1] != (0,) * payload["d1"] + (1,) * payload["d2"]:
+            raise ValueError("cache degree-1 parities are not the generators'")
         labels = {int(n): tuple(v) for n, v in payload["labels"].items()}
         if {n: len(v) for n, v in labels.items()} != {n: len(p) for n, p in parities.items()}:
             raise ValueError("cache labels do not match the parities")

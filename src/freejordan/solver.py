@@ -67,14 +67,11 @@ class SolverStepError(Exception):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a solver run: coefficients plus per-step diagnostics."""
+    """Outcome of a solver run: coefficients and the residual's vanishing order."""
 
-    d1: int
-    d2: int
     order: int
     a: tuple[GDim, ...]  # coefficients for n = 1..order
     b: Optional[tuple[GDim, ...]]
-    step_matrix: tuple[tuple[int, ...], ...]  # the slope at every degree
     residual_order: int  # order + 1: the solvers raise on a nonzero residual
 
 
@@ -99,8 +96,8 @@ def _degree_one(an: GDim, bn: GDim) -> RLaurent:
     return phi_series((an,), (bn,))[1]
 
 
-def _step_matrix(columns: list[list[GDim]], expected) -> tuple[tuple[int, ...], ...]:
-    """Assemble the slope from per-unknown defect columns and check it.
+def _check_slope(columns: list[list[GDim]], expected) -> None:
+    """Check the slope read off per-unknown defect columns against ``expected``.
 
     ``columns[j]`` holds the z^1 defects of the degree-1 line whose j-th
     unknown is a unit; every line is a series in z^n, so the same matrix
@@ -109,7 +106,6 @@ def _step_matrix(columns: list[list[GDim]], expected) -> tuple[tuple[int, ...], 
     m = tuple(zip(*[[x for g in col for x in g.pair()] for col in columns]))
     if m != expected:
         raise SolverStepError(1, f"step linearization {m} is not the constant {expected}")
-    return m
 
 
 def vanishing_order(coeffs: Sequence[GDim]) -> int:
@@ -144,7 +140,7 @@ def residual_series(a: Sequence[GDim], d1: int, d2: int) -> list[GDim]:
 def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
     """Solve the single residue equation for a(z) through z^order."""
     gens = _check_args(d1, d2, order)
-    step = _step_matrix([[L2(_degree_one(u, -u))] for u in _UNITS], MINUS_IDENTITY)
+    _check_slope([[L2(_degree_one(u, -u))] for u in _UNITS], MINUS_IDENTITY)
     a: list[GDim] = []
     psi = PhiKernel(order)  # Psi: lines 1..n-1 at the start of step n
     for n in range(1, order + 1):
@@ -156,12 +152,9 @@ def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
         psi.advance()
 
     return SolveReport(
-        d1=d1,
-        d2=d2,
         order=order,
         a=tuple(a),
         b=None,
-        step_matrix=step,
         residual_order=_residual_order(_single_defect(psi.series(), gens)),
     )
 
@@ -180,7 +173,7 @@ def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
     gens = _check_args(d1, d2, order)
     lines = [_degree_one(u, GDIM_ZERO) for u in _UNITS]
     lines += [_degree_one(GDIM_ZERO, u) for u in _UNITS]
-    step = _step_matrix([[L0(c), L2(c)] for c in lines], PAIR_STEP)
+    _check_slope([[L0(c), L2(c)] for c in lines], PAIR_STEP)
     a: list[GDim] = []
     b: list[GDim] = []
     phi = PhiKernel(order)  # lines 1..n-1 at the start of step n
@@ -197,11 +190,8 @@ def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
         phi.advance()
 
     return SolveReport(
-        d1=d1,
-        d2=d2,
         order=order,
         a=tuple(a),
         b=tuple(b),
-        step_matrix=step,
         residual_order=_residual_order(*_pair_defects(phi.series(), gens)),
     )

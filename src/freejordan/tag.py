@@ -22,8 +22,9 @@ carries the bracket
 where k is the sl2 trace form with k(e,f) = 4 and k(h,h) = 8.  Everything
 is graded: a(x)x has the z-degree of x and h-weight +2/0/-2 for a = e/h/f;
 Bs classes have weight 0.  Bs(J) takes one supercommutator row per
-unordered pair and one cyclic row per rotation class of basis triples: the
-cyclic relation is invariant under rotation.  The bracket table is written
+unordered pair and one cyclic row per S3 orbit of basis triples: the
+cyclic relation is invariant under rotation and changes by a sign under a
+transposition.  The bracket table is written
 from J's data, not from pairs of TAG basis elements: each product x.y with
 the class of x(x)y gives the 7 nonzero [a(x)x, b(x)y], each column
 d_{x,y}(z) the 6 brackets of {x(x)y} with a(x)z, and each pair of Bs
@@ -74,7 +75,6 @@ class BsComponent:
     ``coords`` and their positions ``index``.
     """
 
-    degree: int
     coords: list[tuple[int, int, int, int]]  # ambient (i, u, j, v), canonical
     index: dict[tuple[int, int, int, int], int]  # ambient coordinate -> position
     parities: tuple[int, ...]  # of the quotient basis
@@ -134,23 +134,23 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
         sign = (-1) ** (par[p][xu] * par[r][zu])
         return [(index[(p + q, k, r, zu)], sign * c) for k, c in alg.multiply_basis(p, xu, q, yu)]
 
-    # Cyclic relations on basis triples.  The relation is invariant under
-    # rotation, so only the least rotation of each triple in the (degree,
-    # index) order is expanded: x least, and below z unless x = y = z.
+    # Cyclic relations on basis triples.  The relation R(x, y, z) is
+    # invariant under rotation, and as J is supercommutative R(y, x, z) =
+    # (-1)^{|x||y|+|y||z|+|z||x|} R(x, y, z).  So one row per S3 orbit spans
+    # them all: only x <= y <= z in the (degree, index) order is expanded.
     elems = [(d, u) for d in range(1, n - 1) for u in range(len(par[d]))]
     for ix, x in enumerate(elems):
         for iy in range(ix, len(elems)):
             y = elems[iy]
             r = n - x[0] - y[0]
-            if r < 1:
+            if r < y[0]:
                 break
-            lo = max(bisect_left(elems, (r, 0)), ix + (iy > ix))
+            lo = max(bisect_left(elems, (r, 0)), iy)
             for z in elems[lo:bisect_left(elems, (r + 1, 0))]:
                 add_row(term(x, y, z) + term(y, z, x) + term(z, x, y))
 
     kept, projection = linalg.quotient(rows, coord_parity)
     return BsComponent(
-        degree=n,
         coords=coords,
         index=index,
         parities=tuple(coord_parity[k] for k in kept),
@@ -186,28 +186,19 @@ def inner_rank_diagnostic(tag: TagAlgebra, n: int) -> GDim:
     return GDim(linalg.rank(rows[0]), linalg.rank(rows[1]))
 
 
-@dataclass(frozen=True)
-class TagElement:
-    kind: str  # "sl2" or "bs"
-    degree: int  # z-degree
-    parity: int
-    weight: int  # h-weight
-    label: str
-    # sl2: (a, u) with a in 0..2 (e, h, f) and u a J-basis index
-    # bs:  (u,) a Bs quotient basis index
-    data: tuple[int, ...]
-
-
 class TagAlgebra:
     """Truncation of the TAG Lie superalgebra with exact structure constants.
 
     Basis elements are indexed globally, ordered by z-degree, with the
-    sl2-tensor part before the Bs part inside each degree.  Brackets are
-    precomputed for every ordered pair whose total z-degree stays within
-    the truncation and stored once, as integers: ``scale`` is the least
-    common denominator of all structure constants, and ``brackets[(gi, gj)]``
-    holds ``scale * [basis[gi], basis[gj]]`` with int coefficients; the
-    gates and the chain complex read this integer table directly.
+    sl2-tensor part before the Bs part inside each degree: ``at[n]`` holds
+    the first index of e (x) J_n, h (x) J_n, f (x) J_n and Bs_n, and element
+    g has ``degrees[g]``, ``weights[g]`` (h-weight), ``parities[g]`` and
+    ``labels[g]``.  Brackets are precomputed for every ordered pair whose
+    total z-degree stays within the truncation and stored once, as
+    integers: ``scale`` is the least common denominator of all structure
+    constants, and ``brackets[(gi, gj)]`` holds ``scale * [gi, gj]`` with
+    int coefficients; the gates and the chain complex read this integer
+    table directly.
 
     Everything is built in ints from one integer copy of J's tables, each
     entry times T, the lcm of their denominators: Bs(J) from cyclic rows
@@ -229,16 +220,20 @@ class TagAlgebra:
         self.max_degree = max_degree
         T, scaled = alg.integer_copy()
         self.bs = build_Bs(scaled, max_degree)
-        self.basis: list[TagElement] = []
+        self.at: dict[int, tuple[int, ...]] = {}
+        self.degrees, self.weights, self.parities, self.labels = [], [], [], []
         for n in range(1, max_degree + 1):
+            dim, comp = alg.dim(n), self.bs.get(n)
+            self.at[n] = tuple(len(self.degrees) + a * dim for a in range(4))
             for a in range(3):
-                for u, p in enumerate(alg.parities[n]):
-                    label = f"{SL2_NAMES[a]}(x){alg.labels[n][u]}"
-                    self.basis.append(TagElement("sl2", n, p, SL2_WEIGHTS[a], label, (a, u)))
-            comp = self.bs.get(n)
-            for u, p in enumerate(comp.parities if comp else ()):
-                self.basis.append(TagElement("bs", n, p, 0, comp.labels[u], (u,)))
-        self._degrees = [el.degree for el in self.basis]
+                self.weights += [SL2_WEIGHTS[a]] * dim
+                self.parities += alg.parities[n]
+                self.labels += [f"{SL2_NAMES[a]}(x){x}" for x in alg.labels[n]]
+            if comp:
+                self.weights += [0] * len(comp.parities)
+                self.parities += comp.parities
+                self.labels += comp.labels
+            self.degrees += [n] * (len(self.parities) - len(self.degrees))
         # lift (i, u, j, v) of a Bs class + (m,) -> T**2 times d_{x,y} on degree m.
         self._derivations: dict[tuple[int, ...], list[Vector]] = {
             comp.coords[k] + (m,): scaled.derivation(*comp.coords[k], m)
@@ -251,8 +246,7 @@ class TagAlgebra:
     def _bracket_table(self, scaled: GradedJordanAlgebra, T: int) -> tuple[dict, int]:
         """Every in-range bracket in ints; returns (brackets, scale).
 
-        ``at[n]`` holds the first index of e, h, f (x) J_n and of Bs_n.  In
-        a degree the sl2 tensors come before the Bs classes, so every
+        In a degree the sl2 tensors come before the Bs classes, so every
         bracket below is sorted as written.
         """
         N, par, derivations = self.max_degree, scaled.parities, self._derivations
@@ -261,10 +255,7 @@ class TagAlgebra:
             n: [linalg.scaled(vec, P) for vec in comp.projection] for n, comp in self.bs.items()
         }
         S = lcm(2 * P, P * T * T)
-        at = {
-            n: [bisect_left(self._degrees, n) + a * scaled.dim(n) for a in range(4)]
-            for n in range(1, N + 1)
-        }
+        at = self.at
         classes = [
             (n, at[n][3] + q, comp.parities[q], comp.coords[k])
             for n, comp in self.bs.items() for q, k in enumerate(comp.lifts)
@@ -320,14 +311,14 @@ class TagAlgebra:
         for key, offset, row in images:
             brackets[key] = tuple(rescale(row, 3, offset))
 
-        grade = [(el.degree, el.weight, el.parity) for el in self.basis]
+        deg, wt, parity = self.degrees, self.weights, self.parities
         for (gi, gj), terms in brackets.items():
-            (d1, w1, p1), (d2, w2, p2) = grade[gi], grade[gj]
-            want = (d1 + d2, w1 + w2, p1 ^ p2)
+            d, w, p = deg[gi] + deg[gj], wt[gi] + wt[gj], parity[gi] ^ parity[gj]
             for k, _ in terms:
-                if grade[k] != want:
-                    bad = "parity" if grade[k][:2] == want[:2] else "grading"
-                    raise AssertionError(f"bracket violates {bad}")
+                if deg[k] != d or wt[k] != w:
+                    raise AssertionError("bracket violates grading")
+                if parity[k] != p:
+                    raise AssertionError("bracket violates parity")
         return brackets, S // g
 
     # -- self-tests ------------------------------------------------------
@@ -341,8 +332,7 @@ class TagAlgebra:
         A pair with both brackets zero holds; every other pair has a key
         in the table, and is compared once, from its first key.
         """
-        brackets = self.brackets
-        par = [el.parity for el in self.basis]
+        brackets, par = self.brackets, self.parities
         for (gi, gj), terms in brackets.items():
             if gi > gj and (gj, gi) in brackets:
                 continue
@@ -351,8 +341,7 @@ class TagAlgebra:
                 partner = tuple((k, -c) for k, c in partner)
             if terms != partner:
                 raise AssertionError(
-                    f"anticommutativity fails on ({self.basis[gi].label}, "
-                    f"{self.basis[gj].label})"
+                    f"anticommutativity fails on ({self.labels[gi]}, {self.labels[gj]})"
                 )
 
     def check_jacobi(self) -> int:
@@ -368,8 +357,7 @@ class TagAlgebra:
         by -(-1)^{|a||b|+|b||c|+|c||a|}.  So every permutation of a triple
         gives plus or minus the Jacobiator of the sorted triple.
         """
-        count, N, deg = 0, self.max_degree, self._degrees
-        par = [el.parity for el in self.basis]
+        count, N, deg, par = 0, self.max_degree, self.degrees, self.parities
         rows = [{} for _ in deg]  # rows[a][b] = [a, b]
         for (a, b), terms in self.brackets.items():
             rows[a][b] = terms
@@ -390,9 +378,9 @@ class TagAlgebra:
                             for q, v in rows[m].get(c, ()):
                                 acc[q] = acc.get(q, 0) + coeff * v
                     if any(acc.values()):
+                        labels = self.labels
                         raise AssertionError(
-                            f"Jacobi fails on ({self.basis[gi].label}, "
-                            f"{self.basis[gj].label}, {self.basis[gk].label})"
+                            f"Jacobi fails on ({labels[gi]}, {labels[gj]}, {labels[gk]})"
                         )
         return count
 

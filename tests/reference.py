@@ -30,9 +30,11 @@ package computes in closed form or through its tables.
 * ``jordan_residual``    -- the super Jordan identity through the tables;
 * ``tag_graded_dims``    -- the graded dimensions of the TAG basis, counted;
 * ``project``            -- the class in Bs(J) of an ambient J (x) J vector;
+* ``element``            -- the kind ("sl2" or "bs") and data of a TAG basis
+                           element, read off ``tag.at``;
 * ``sl2_index``,
   ``bs_index``           -- the TAG basis position of a(x)J_n[u] and of
-                           Bs_n[u], read off ``tag.basis``;
+                           Bs_n[u], read off ``tag.at``;
 * ``sl2_tensor``,
   ``bs_terms``,
   ``bs_lift``            -- a J vector as a(x)J terms and a Bs vector as Bs
@@ -65,14 +67,13 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from operator import mul
 from typing import Sequence
-from weakref import WeakKeyDictionary
 
 from freejordan import linalg, solver
 from freejordan.homology import BlockKey, ChainComplex, Monomial
 from freejordan.jordan import GradedJordanAlgebra, Vector
 from freejordan.lambda_ops import phi_series
 from freejordan.rings import GDIM_ONE, GDIM_X, GDIM_ZERO, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
-from freejordan.tag import BsComponent, TagAlgebra, TagElement
+from freejordan.tag import BsComponent, TagAlgebra
 
 # sl2 in the basis e, h, f: [a, b] = coeff c as (a, b) -> (c, coeff), and
 # the trace form k(e,f) = k(f,e) = 4, k(h,h) = 8.
@@ -363,9 +364,8 @@ def jordan_residual(
 def tag_graded_dims(tag: TagAlgebra) -> dict[int, GDim]:
     """dim of the TAG algebra per z-degree, counted over its basis."""
     out: dict[int, GDim] = {}
-    for el in tag.basis:
-        d = out.get(el.degree, GDIM_ZERO)
-        out[el.degree] = d + (GDim(1, 0) if el.parity == 0 else GDim(0, 1))
+    for n, p in zip(tag.degrees, tag.parities):
+        out[n] = out.get(n, GDIM_ZERO) + (GDim(1, 0) if p == 0 else GDim(0, 1))
     return out
 
 
@@ -377,81 +377,77 @@ def project(comp: BsComponent, ambient: dict[int, Fraction]) -> Vector:
     return linalg.sparse_row(acc)
 
 
-_INDEXES: WeakKeyDictionary = WeakKeyDictionary()
+def element(tag: TagAlgebra, g: int) -> tuple[str, tuple[int, ...]]:
+    """(kind, data) of basis element g, read off ``tag.at``.
+
+    kind "sl2" with data (a, u) for a(x)J_n[u], a in 0..2 (e, h, f), and
+    kind "bs" with data (u,) for Bs_n[u], where n = ``tag.degrees[g]``.
+    """
+    n = tag.degrees[g]
+    first, bs = tag.at[n][0], tag.at[n][3]
+    if g >= bs:
+        return "bs", (g - bs,)
+    return "sl2", divmod(g - first, tag.alg.dim(n))
 
 
-def _indexes(tag: TagAlgebra) -> tuple[dict[tuple[int, int, int], int], dict[tuple[int, int], int]]:
-    """(a, n, u) -> position of a(x)J_n[u], and (n, u) -> position of Bs_n[u]."""
-    if tag not in _INDEXES:
-        sl2, bs = {}, {}
-        for g, el in enumerate(tag.basis):
-            if el.kind == "sl2":
-                sl2[(el.data[0], el.degree, el.data[1])] = g
-            else:
-                bs[(el.degree, el.data[0])] = g
-        _INDEXES[tag] = sl2, bs
-    return _INDEXES[tag]
+def sl2_index(tag: TagAlgebra, a: int, n: int, u: int) -> int:
+    """The TAG basis position of a(x)J_n[u]."""
+    return tag.at[n][a] + u
 
 
-def sl2_index(tag: TagAlgebra) -> dict[tuple[int, int, int], int]:
-    """(a, n, u) -> the TAG basis position of a(x)J_n[u]."""
-    return _indexes(tag)[0]
-
-
-def bs_index(tag: TagAlgebra) -> dict[tuple[int, int], int]:
-    """(n, u) -> the TAG basis position of Bs_n[u]."""
-    return _indexes(tag)[1]
+def bs_index(tag: TagAlgebra, n: int, u: int) -> int:
+    """The TAG basis position of Bs_n[u]."""
+    return tag.at[n][3] + u
 
 
 def sl2_tensor(tag: TagAlgebra, a: int, n: int, vec: Vector, scale: int) -> Vector:
     """``scale * a(x)vec`` for a degree-n vector of J, as TAG terms."""
-    index = sl2_index(tag)
-    return tuple((index[(a, n, u)], scale * c) for u, c in vec)
+    return tuple((sl2_index(tag, a, n, u), scale * c) for u, c in vec)
 
 
 def bs_terms(tag: TagAlgebra, n: int, vec: Vector, scale: int) -> Vector:
     """``scale * vec`` for a vector of Bs_n in quotient coordinates, as TAG terms."""
-    index = bs_index(tag)
-    return tuple((index[(n, u)], scale * c) for u, c in vec)
+    return tuple((bs_index(tag, n, u), scale * c) for u, c in vec)
 
 
-def bs_lift(tag: TagAlgebra, el: TagElement) -> tuple[int, int, int, int]:
-    """The ambient coordinate (i, u, j, v) that the Bs class ``el`` lifts to."""
-    comp = tag.bs[el.degree]
-    return comp.coords[comp.lifts[el.data[0]]]
+def bs_lift(tag: TagAlgebra, g: int) -> tuple[int, int, int, int]:
+    """The ambient coordinate (i, u, j, v) that the Bs class g lifts to."""
+    comp = tag.bs[tag.degrees[g]]
+    return comp.coords[comp.lifts[element(tag, g)[1][0]]]
 
 
 def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
-    """Every nonzero in-range [basis[gi], basis[gj]] with Fraction coefficients.
+    """Every nonzero in-range [gi, gj] of basis elements, with Fraction coefficients.
 
     Each bracket is summed coefficient by coefficient from the rational
     tables, the Bs projection and ``derivation_of``, pair of basis elements
     by pair, with no common scale.
     """
-    alg, bs, basis = tag.alg, tag.bs, tag.basis
+    alg, bs, deg, par = tag.alg, tag.bs, tag.degrees, tag.parities
     derivations: dict[tuple[int, ...], list[Vector]] = {}
 
-    def derivation(el, m):
-        i, u, j, v = lift = bs_lift(tag, el)
+    def derivation(gb, m):
+        i, u, j, v = lift = bs_lift(tag, gb)
         if lift + (m,) not in derivations:
             derivations[lift + (m,)] = derivation_of(
                 alg, i, basis_vector(alg, i, u), j, basis_vector(alg, j, v), m
             )
         return lift, derivations[lift + (m,)]
 
-    def bs_on_sl2(eb, es):
-        a, w = es.data
-        return sl2_tensor(tag, a, eb.degree + es.degree, derivation(eb, es.degree)[1][w], 1)
+    def bs_on_sl2(gb, gs):
+        a, w = element(tag, gs)[1]
+        return sl2_tensor(tag, a, deg[gb] + deg[gs], derivation(gb, deg[gs])[1][w], 1)
 
     out = {}
-    for (gi, e1), (gj, e2) in product(enumerate(basis), repeat=2):
-        n = e1.degree + e2.degree
+    for gi, gj in product(range(len(deg)), repeat=2):
+        i, j = deg[gi], deg[gj]
+        n = i + j
         if n > tag.max_degree:
             continue
+        (k1, x1), (k2, x2) = element(tag, gi), element(tag, gj)
         acc: dict[int, Fraction] = {}
-        if e1.kind == "sl2" and e2.kind == "sl2":
-            (a, u), (b, v) = e1.data, e2.data
-            i, j = e1.degree, e2.degree
+        if k1 == "sl2" and k2 == "sl2":
+            (a, u), (b, v) = x1, x2
             kap = KAPPA.get((a, b))
             if kap and n in bs:
                 amb = {bs[n].index[(i, u, j, v)]: 1}
@@ -460,17 +456,17 @@ def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
                 c_idx, coeff = SL2_BRACKET[(a, b)]
                 prod = alg.multiply_basis(i, u, j, v)
                 linalg.accumulate(acc, sl2_tensor(tag, c_idx, n, prod, coeff))
-        elif e1.kind == "bs" and e2.kind == "sl2":
-            linalg.accumulate(acc, bs_on_sl2(e1, e2))
-        elif e1.kind == "sl2" and e2.kind == "bs":
-            sign = -((-1) ** (e1.parity * e2.parity))
-            linalg.accumulate(acc, bs_on_sl2(e2, e1), sign)
+        elif k1 == "bs" and k2 == "sl2":
+            linalg.accumulate(acc, bs_on_sl2(gi, gj))
+        elif k1 == "sl2" and k2 == "bs":
+            sign = -((-1) ** (par[gi] * par[gj]))
+            linalg.accumulate(acc, bs_on_sl2(gj, gi), sign)
         else:
             comp = bs[n]
-            (p, s, q, t) = bs_lift(tag, e2)
-            (i, _, j, _), cols_p = derivation(e1, p)
-            _, cols_q = derivation(e1, q)
-            sgn = (-1) ** (e1.parity * alg.parities[p][s])
+            (p, s, q, t) = bs_lift(tag, gj)
+            (i, _, j, _), cols_p = derivation(gi, p)
+            _, cols_q = derivation(gi, q)
+            sgn = (-1) ** (par[gi] * alg.parities[p][s])
             amb: dict[int, Fraction] = {}
             linalg.accumulate(amb, [(comp.index[(i + j + p, k, q, t)], c) for k, c in cols_p[s]])
             linalg.accumulate(amb, [(comp.index[(p, s, i + j + q, k)], c) for k, c in cols_q[t]], sgn)
@@ -487,11 +483,11 @@ def theta(tag: TagAlgebra, g: int) -> tuple[int, int]:
     e(x)x <-> f(x)x and h(x)x -> -h(x)x, with Bs fixed: the automorphism
     e <-> f, h -> -h of sl2 tensored with J, which keeps the trace form.
     """
-    el = tag.basis[g]
-    if el.kind == "bs":
+    kind, data = element(tag, g)
+    if kind == "bs":
         return g, 1
-    a, u = el.data
-    return sl2_index(tag)[(2 - a, el.degree, u)], -1 if a == 1 else 1
+    a, u = data
+    return sl2_index(tag, 2 - a, tag.degrees[g], u), -1 if a == 1 else 1
 
 
 def theta_table(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
@@ -508,8 +504,8 @@ def theta_table(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
 
 
 def bracket(tag: TagAlgebra, gi: int, gj: int) -> Vector:
-    """[basis[gi], basis[gj]] in Fractions: the integer table over its scale."""
-    if tag.basis[gi].degree + tag.basis[gj].degree > tag.max_degree:
+    """[gi, gj] of basis elements in Fractions: the integer table over its scale."""
+    if tag.degrees[gi] + tag.degrees[gj] > tag.max_degree:
         raise ValueError("bracket degree beyond truncation")
     return tuple((k, Fraction(c, tag.scale)) for k, c in tag.brackets.get((gi, gj), ()))
 
@@ -519,13 +515,13 @@ def structure_constants_json(tag: TagAlgebra) -> dict:
     return {
         "basis": [
             {
-                "kind": el.kind,
-                "degree": el.degree,
-                "parity": el.parity,
-                "weight": el.weight,
-                "label": el.label,
+                "kind": element(tag, g)[0],
+                "degree": tag.degrees[g],
+                "parity": tag.parities[g],
+                "weight": tag.weights[g],
+                "label": tag.labels[g],
             }
-            for el in tag.basis
+            for g in range(len(tag.degrees))
         ],
         "brackets": {
             f"{i},{j}": [[k, str(Fraction(c, tag.scale))] for k, c in terms]
@@ -577,25 +573,25 @@ def reference_chain_blocks(tag: TagAlgebra, r_max: int, d_max: int) -> dict:
     grouped by (length, z-degree, weight, parity) and listed in tuple
     order; the blocks come in the order of their first chain.
     """
-    basis = tag.basis
+    deg, wt, par = tag.degrees, tag.weights, tag.parities
     chains = []
     for r in range(r_max + 1):
         # Every factor has z-degree >= 1, so a longer tuple cannot fit
         # with a factor above d_max - (r - 1); dropping those only saves time.
-        pool = [g for g, el in enumerate(basis) if el.degree <= d_max - max(r - 1, 0)]
+        pool = [g for g, n in enumerate(deg) if n <= d_max - max(r - 1, 0)]
         for mon in combinations_with_replacement(pool, r):
-            if sum(basis[g].degree for g in mon) > d_max:
+            if sum(deg[g] for g in mon) > d_max:
                 continue
-            if any(a == b and basis[a].parity == 0 for a, b in zip(mon, mon[1:])):
+            if any(a == b and par[a] == 0 for a, b in zip(mon, mon[1:])):
                 continue
             chains.append(mon)
     blocks: dict = {}
     for mon in sorted(chains):
         key = (
             len(mon),
-            sum(basis[g].degree for g in mon),
-            sum(basis[g].weight for g in mon),
-            sum(basis[g].parity for g in mon) % 2,
+            sum(deg[g] for g in mon),
+            sum(wt[g] for g in mon),
+            sum(par[g] for g in mon) % 2,
         )
         blocks.setdefault(key, []).append(mon)
     return blocks
@@ -609,15 +605,15 @@ def reference_boundary_monomial(tag: TagAlgebra, mon: tuple[int, ...]) -> dict:
     of the rest, each step with the adjacent swap rule
     x ^ y = -(-1)^{|x||y|} y ^ x.
     """
-    basis = tag.basis
+    par = tag.parities
 
     def insert(g, rest):
-        pg = basis[g].parity
+        pg = par[g]
         sign = 1
         pos = 0
         for h in rest:
             if h < g:
-                sign *= -((-1) ** (pg * basis[h].parity))
+                sign *= -((-1) ** (pg * par[h]))
                 pos += 1
             else:
                 break
@@ -627,7 +623,7 @@ def reference_boundary_monomial(tag: TagAlgebra, mon: tuple[int, ...]) -> dict:
 
     out: dict = {}
     r = len(mon)
-    pars = [basis[g].parity for g in mon]
+    pars = [par[g] for g in mon]
     for s in range(r):
         for t in range(s + 1, r):
             terms = tag.brackets.get((mon[s], mon[t]), ())
@@ -645,10 +641,10 @@ def reference_boundary_monomial(tag: TagAlgebra, mon: tuple[int, ...]) -> dict:
 
 def block_key(cc: ChainComplex, mon: Monomial) -> BlockKey:
     """(r, z-degree, weight, parity) of a chain, summed over its factors."""
-    basis = cc.tag.basis
-    d = sum(basis[g].degree for g in mon)
-    w = sum(basis[g].weight for g in mon)
-    par = sum(basis[g].parity for g in mon) % 2
+    tag = cc.tag
+    d = sum(tag.degrees[g] for g in mon)
+    w = sum(tag.weights[g] for g in mon)
+    par = sum(tag.parities[g] for g in mon) % 2
     return (len(mon), d, w, par)
 
 

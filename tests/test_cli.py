@@ -24,6 +24,9 @@ MALFORMED = {
     "missing-labels": lambda p: p["labels"]["3"].pop(),
     "missing-degree": lambda p: p["parities"].pop("4"),
     "format-version": lambda p: p.__setitem__("format_version", 1),
+    "parities-not-an-object": lambda p: p.__setitem__("parities", list(p["parities"].values())),
+    "parity-out-of-range": lambda p: p["parities"]["2"].__setitem__(0, 2),
+    "generator-parities": lambda p: p["parities"].__setitem__("1", [0, 0]),
 }
 
 

@@ -91,8 +91,8 @@ class TestChainComplex:
         # is a chain, but of weight lower by 4, so in another block.
         tag = tag_for(1, 1, 3)
         ChainComplex(tag, 3, 3)
-        index = sl2_index(tag)
-        e_to_f = {g: index[(2, n, u)] for (a, n, u), g in index.items() if a == 0}
+        e_to_f = {sl2_index(tag, 0, n, u): sl2_index(tag, 2, n, u)
+                  for n in tag.at for u in range(tag.alg.dim(n))}
         key = next(key for key, terms in tag.brackets.items()
                    if key[0] < key[1] and any(k in e_to_f for k, _ in terms))
         tag.brackets[key] = tuple(sorted((e_to_f.get(k, k), c) for k, c in tag.brackets[key]))

@@ -1,6 +1,6 @@
 import math
-import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -45,9 +45,8 @@ def ordered_jacobi_failures(tag):
     Sums (-1)^{|a||c|} [[a,b],c] over the cyclic rotations with plain dict
     arithmetic, independently of ``check_jacobi``.
     """
-    deg = [el.degree for el in tag.basis]
-    par = [el.parity for el in tag.basis]
-    n = len(tag.basis)
+    deg, par, labels = tag.degrees, tag.parities, tag.labels
+    n = len(deg)
     failing = set()
     for i in range(n):
         for j in range(n):
@@ -62,8 +61,7 @@ def ordered_jacobi_failures(tag):
                             acc[q] = acc.get(q, 0) + sign * coeff * v
                 if any(acc.values()):
                     failing.add(
-                        f"Jacobi fails on ({tag.basis[i].label}, "
-                        f"{tag.basis[j].label}, {tag.basis[k].label})"
+                        f"Jacobi fails on ({labels[i]}, {labels[j]}, {labels[k]})"
                     )
     return failing
 
@@ -94,30 +92,34 @@ class TestBs:
                 assert project(comp, amb) == ()
 
     def test_cyclic_relation_holds(self):
-        alg = build_free_jordan(0, 2, 4)
-        bs = build_Bs(alg.integer_copy()[1], 4)
-        rng = random.Random(23)
-        for _ in range(30):
-            # random basis triple with total degree 4
-            p, q, r = rng.choice([(1, 1, 2), (1, 2, 1), (2, 1, 1)])
-            comp = bs[4]
-            xu = rng.randrange(alg.dim(p))
-            yu = rng.randrange(alg.dim(q))
-            zu = rng.randrange(alg.dim(r))
-            px, py, pz = alg.parities[p][xu], alg.parities[q][yu], alg.parities[r][zu]
-            amb = {}
-            for s, (da, vec, db, w) in (
-                ((-1) ** (px * pz),
-                 (p + q, alg.multiply_basis(p, xu, q, yu), r, zu)),
-                ((-1) ** (px * py),
-                 (q + r, alg.multiply_basis(q, yu, r, zu), p, xu)),
-                ((-1) ** (py * pz),
-                 (r + p, alg.multiply_basis(r, zu, p, xu), q, yu)),
-            ):
-                for k, c in vec:
-                    pos = comp.index[(da, k, db, w)]
-                    amb[pos] = amb.get(pos, 0) + s * c
-            assert project(comp, amb) == ()
+        # Every ordered basis triple of every degree: build_Bs expands only
+        # x <= y <= z, so this checks the S3 reduction against each ordering.
+        for d1, d2, triples in [(1, 1, 104), (0, 2, 50)]:
+            alg = build_free_jordan(d1, d2, 5)
+            bs = build_Bs(alg.integer_copy()[1], 5)
+            elems = [(d, u) for d in range(1, 4) for u in range(alg.dim(d))]
+            checked = 0
+            for x, y, z in product(elems, repeat=3):
+                (p, xu), (q, yu), (r, zu) = x, y, z
+                if p + q + r > 5:
+                    continue
+                comp = bs[p + q + r]
+                px, py, pz = alg.parities[p][xu], alg.parities[q][yu], alg.parities[r][zu]
+                amb = {}
+                for s, (da, vec, db, w) in (
+                    ((-1) ** (px * pz),
+                     (p + q, alg.multiply_basis(p, xu, q, yu), r, zu)),
+                    ((-1) ** (px * py),
+                     (q + r, alg.multiply_basis(q, yu, r, zu), p, xu)),
+                    ((-1) ** (py * pz),
+                     (r + p, alg.multiply_basis(r, zu, p, xu), q, yu)),
+                ):
+                    for k, c in vec:
+                        pos = comp.index[(da, k, db, w)]
+                        amb[pos] = amb.get(pos, 0) + s * c
+                assert project(comp, amb) == (), (d1, d2, x, y, z)
+                checked += 1
+            assert checked == triples, (d1, d2)
 
     def test_matches_pair_solver(self):
         # Conjecture-level agreement of Bs dimensions with the b-series.
@@ -190,23 +192,23 @@ class TestTagAlgebra:
         # [e(x)x, f(x)y] = 2{x(x)y} + h(x)(x.y)
         alg = build_free_jordan(1, 1, 4)
         tag = TagAlgebra(alg, 4)
-        ge = sl2_index(tag)[(0, 1, 0)]
-        gf = sl2_index(tag)[(2, 1, 0)]
+        ge = sl2_index(tag, 0, 1, 0)
+        gf = sl2_index(tag, 2, 1, 0)
         terms = dict(bracket(tag, ge, gf))
         comp = tag.bs[2]
         amb = {comp.index[(1, 0, 1, 0)]: Fraction(2)}
         expect = dict(bs_terms(tag, 2, project(comp, amb), 1))
         prod = alg.multiply_basis(1, 0, 1, 0)
         for u, c in prod:
-            expect[sl2_index(tag)[(1, 2, u)]] = c
+            expect[sl2_index(tag, 1, 2, u)] = c
         assert terms == expect
 
     def test_h_h_bracket_central_element(self):
         # [h(x)y, h(x)y] = 4{y(x)y} for the one-odd-generator algebra.
         alg = build_free_jordan(0, 1, 4)
         tag = TagAlgebra(alg, 4)
-        gh = sl2_index(tag)[(1, 1, 0)]
-        gbs = bs_index(tag)[(2, 0)]
+        gh = sl2_index(tag, 1, 1, 0)
+        gbs = bs_index(tag, 2, 0)
         assert bracket(tag, gh, gh) == ((gbs, Fraction(4)),)
 
     def test_each_derivation_matrix_is_built_once(self, monkeypatch):
@@ -230,23 +232,24 @@ class TestTagAlgebra:
         # Bracket rule 2 factors through d_{x,y}.
         alg = build_free_jordan(1, 1, 5)
         tag = TagAlgebra(alg, 5)
-        for (n, u), gbs in bs_index(tag).items():
-            (i, xu, j, yv) = bs_lift(tag, tag.basis[gbs])
-            for m in range(1, tag.max_degree - n + 1):
-                cols = derivation_of(
-                    alg, i, basis_vector(alg, i, xu), j, basis_vector(alg, j, yv), m
-                )
-                for a in range(3):
-                    for w in range(alg.dim(m)):
-                        gs = sl2_index(tag)[(a, m, w)]
-                        got = dict(bracket(tag, gbs, gs))
-                        expect = {sl2_index(tag)[(a, n + m, k)]: c for k, c in cols[w]}
-                        assert got == expect
+        for n, comp in tag.bs.items():
+            for u in range(len(comp.lifts)):
+                gbs = bs_index(tag, n, u)
+                (i, xu, j, yv) = bs_lift(tag, gbs)
+                for m in range(1, tag.max_degree - n + 1):
+                    cols = derivation_of(
+                        alg, i, basis_vector(alg, i, xu), j, basis_vector(alg, j, yv), m
+                    )
+                    for a in range(3):
+                        for w in range(alg.dim(m)):
+                            got = dict(bracket(tag, gbs, sl2_index(tag, a, m, w)))
+                            expect = {sl2_index(tag, a, n + m, k): c for k, c in cols[w]}
+                            assert got == expect
 
     def test_weights_are_minus2_0_2(self):
         alg = build_free_jordan(0, 2, 4)
         tag = build_tag(alg, 4)
-        assert {el.weight for el in tag.basis} <= {-2, 0, 2}
+        assert set(tag.weights) <= {-2, 0, 2}
 
     def test_self_tests_pass(self):
         # build_tag runs exhaustive anticommutativity and Jacobi checks;
@@ -265,7 +268,7 @@ class TestTagAlgebra:
         for d1, d2, below in [(1, 1, 138), (0, 2, 90)]:
             tag = TagAlgebra(build_free_jordan(d1, d2, 4), 4)
             keys = [(gi, gj) for gi, gj in tag.brackets
-                    if gi != gj or tag.basis[gi].parity == 0]
+                    if gi != gj or tag.parities[gi] == 0]
             assert sum(gi > gj for gi, gj in keys) == below, (d1, d2)
             for key in keys:
                 terms = tag.brackets[key]
@@ -274,14 +277,14 @@ class TestTagAlgebra:
                     tag.check_anticommutativity()
                 tag.brackets[key] = terms
             # An even [x,x] is zero, so it is not in the table; plant one.
-            gx = next(g for g, el in enumerate(tag.basis)
-                      if el.parity == 0 and 2 * el.degree <= tag.max_degree)
+            gx = next(g for g, (n, p) in enumerate(zip(tag.degrees, tag.parities))
+                      if p == 0 and 2 * n <= tag.max_degree)
             tag.brackets[(gx, gx)] = ((0, Fraction(1)),)
             with pytest.raises(AssertionError, match="anticommutativity"):
                 tag.check_anticommutativity()
             del tag.brackets[(gx, gx)]
             # A bracket stored below the diagonal whose partner is zero.
-            deg = tag._degrees
+            deg = tag.degrees
             gi, gj = next((gi, gj) for gi in range(len(deg)) for gj in range(gi)
                           if deg[gi] + deg[gj] <= tag.max_degree
                           and (gi, gj) not in tag.brackets and (gj, gi) not in tag.brackets)
@@ -295,7 +298,7 @@ class TestTagAlgebra:
         tag = TagAlgebra(build_free_jordan(1, 1, 4), 4)
         gi, gj = next(
             (gi, gj) for gi, gj in tag.brackets
-            if gi < gj and tag.basis[gi].degree + tag.basis[gj].degree < tag.max_degree
+            if gi < gj and tag.degrees[gi] + tag.degrees[gj] < tag.max_degree
         )
         for key in ((gi, gj), (gj, gi)):
             tag.brackets[key] = tuple((k, 2 * c) for k, c in tag.brackets[key])
@@ -310,7 +313,7 @@ class TestTagAlgebra:
         # failing triple.
         tag = TagAlgebra(build_free_jordan(d1, d2, 4), 4)
         pairs = [(gi, gj) for gi, gj in tag.brackets
-                 if gi < gj and tag._degrees[gi] + tag._degrees[gj] < tag.max_degree]
+                 if gi < gj and tag.degrees[gi] + tag.degrees[gj] < tag.max_degree]
         assert len(pairs) == npairs
         caught = 0
         for gi, gj in pairs:
@@ -402,11 +405,11 @@ class TestTagAlgebra:
         payload = structure_constants_json(tag)
         text = json.dumps(payload)
         assert json.loads(text) == payload
-        assert len(payload["basis"]) == len(tag.basis)
+        assert len(payload["basis"]) == len(tag.degrees)
 
     def test_bracket_beyond_truncation(self):
         alg = build_free_jordan(1, 1, 3)
         tag = TagAlgebra(alg, 3)
-        g = sl2_index(tag)[(0, 2, 0)]
+        g = sl2_index(tag, 0, 2, 0)
         with pytest.raises(ValueError):
             bracket(tag, g, g)
