@@ -37,7 +37,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby, product
 
 from . import linalg
 from .rings import GDim
@@ -154,8 +154,8 @@ class GradedJordanAlgebra:
         parities 0 or 1 and as many labels for each degree 1..max_degree,
         with the d1 even and then the d2 odd generators in degree 1; and
         one table for each i <= j with i + j <= max_degree, of dim(i) x
-        dim(j) entries with indices below dim(i + j) and no zero
-        denominator.
+        dim(j) entries with indices below dim(i + j), no zero denominator,
+        and every term of the parity |x_u| + |y_v| of its entry.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -210,7 +210,11 @@ def _digest(payload: dict) -> str:
 def _read_table(
     tab: list, parities: dict[int, tuple[int, ...]], i: int, j: int
 ) -> list[list[Vector]]:
-    """The cached (i, j) table as held; ValueError unless its shape fits ``parities``."""
+    """The cached (i, j) table as held; ValueError unless it fits ``parities``.
+
+    It must be dim(i) x dim(j), with indices below dim(i + j), and each term
+    of the entry x_u.y_v must have the parity |x_u| + |y_v|.
+    """
     if len(tab) != len(parities[i]) or any(len(row) != len(parities[j]) for row in tab):
         raise ValueError(f"cache table ({i}, {j}) is not dim({i}) x dim({j})")
     try:
@@ -220,6 +224,10 @@ def _read_table(
     dim = len(parities[i + j])
     if any(not 0 <= k < dim for row in out for vec in row for k, _ in vec):
         raise ValueError(f"cache table ({i}, {j}) holds an index beyond dim({i + j})")
+    pk = parities[i + j]
+    if any(pk[k] != pu ^ pv for pu, row in zip(parities[i], out)
+           for pv, vec in zip(parities[j], row) for k, _ in vec):
+        raise ValueError(f"cache table ({i}, {j}) holds a term of the wrong parity")
     return out
 
 
@@ -343,15 +351,19 @@ def build_free_jordan(
 
         # Top-level super Jordan instances with total degree n, one per S3
         # orbit of (x, y, z): the other orderings give the same row up to sign.
-        basis = [(d, u) for d in range(1, n - 2) for u in range(len(parities[d]))]
-        groups: dict[tuple[int, ...], list[tuple[tuple[int, int], ...]]] = {}
-        for triple in combinations_with_replacement(basis, 3):
-            degrees = tuple(d for d, _ in triple)
-            if sum(degrees) < n:
-                groups.setdefault(degrees, []).append(triple)
+        # Grouped by degrees d1 <= d2 <= d3, each group x <= y <= z in the
+        # (degree, index) order: a run of r equal degrees takes its r
+        # elements with replacement.
         rows: dict[linalg.SparseRow, None] = {}
-        for degrees, triples in groups.items():
+        for degrees in combinations_with_replacement(range(1, n - 2), 3):
             s = n - sum(degrees)
+            if s < 1:
+                continue
+            runs = [
+                combinations_with_replacement([(d, u) for u in range(len(parities[d]))], len(list(g)))
+                for d, g in groupby(degrees)
+            ]
+            triples = [sum(t, ()) for t in product(*runs)]
             ns = len(parities[s])
             if (len(rows) + len(triples) * ns) * nw > budget:
                 raise ResourceBudgetExceeded(

@@ -27,9 +27,13 @@ and Phi = P solves z P' = (z L') P:
 ``PhiKernel`` runs this recurrence in ints, on the two split sides apart,
 one z-degree at a time.  Every division by n is exact, because P has
 integer coefficients; a remainder raises ``AssertionError`` and is never
-truncated.  Line n, the contribution of (a_n, b_n), enters only the log
-terms at z^{kn} (``line_log``), so a solver reads the z^n coefficient of
-lines 1..n-1 (``pending``), adds line n, and then completes P_n
+truncated.  P is an sl2 character, symmetric under t -> 1/t (Kashuba--
+Mathieu): psi^k(A_n) puts equal terms at t^k and t^-k, so each L_j is
+symmetric, and then each P_n, by induction on n.  So the kernel computes
+P_n only at t^-n..t^0 and mirrors that half onto t^1..t^n.  Line n, the
+contribution of (a_n, b_n), enters only the log terms at z^{kn}
+(``line_log``), so a solver reads the residues of the z^n coefficient of
+lines 1..n-1 (``pending_residues``), adds line n, and then completes P_n
 (``advance``) through the same recurrence.
 
 A dimension series a(z) = sum_{n>=1} a_n z^n is passed as the tuple
@@ -40,13 +44,15 @@ length N is the truncation order of the product.  Every product is a
 The solvers read these products through L0(c) = c_0 - c_{-1} =
 Res_{t=0} (t^-1 - 1) c dt and L2(c) = c_{-1} - c_{-2} = Res_{t=0} (1 - t) c dt
 (``rings``), the multiplicities of the trivial and adjoint sl2 isotypes.
+Both lie in the computed half, so the kernel reads them off its int sides
+(``residues``, ``pending_residues``) without building a coefficient.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .rings import GDim, RLaurent, TZSeries, _sum
+from .rings import GDim, RLaurent, TZSeries, _gdim, _sum
 
 
 def line_log(an: GDim, bn: GDim, n: int, order: int) -> list[tuple[int, int, int, int]]:
@@ -70,8 +76,11 @@ class PhiKernel:
     """Phi mod z^(order+1), built one z-degree at a time from its log.
 
     ``_p[n]`` and ``_m[n]`` hold the two split sides of the completed
-    coefficient P_n, at t^-n..t^n.  ``_log[j]`` holds j L_j on both sides,
-    t-exponent -> int, summed over the lines added so far.
+    coefficient P_n, at t^-n..t^n: t^-n..t^0 is computed, and t^1..t^n is
+    its mirror image.  ``_log[j]`` holds j L_j on both sides, t-exponent ->
+    int, summed over the lines added so far; it is final once P_j is
+    completed, and ``_next`` asserts then that it is t-symmetric, so each
+    mirror image is exact.
     """
 
     def __init__(self, order: int) -> None:
@@ -94,16 +103,19 @@ class PhiKernel:
         """The completed coefficient P_n."""
         return _sum(zip(range(-n, n + 1), self._p[n], self._m[n]))
 
-    def pending(self) -> RLaurent:
-        """The next coefficient P_n as the lines added so far make it."""
-        n = len(self._p)
-        return _sum(zip(range(-n, n + 1), *self._next()))
+    def residues(self, n: int) -> tuple[GDim, GDim]:
+        """(L0, L2) of the completed coefficient P_n."""
+        return _residues(self._p[n], self._m[n], n)
+
+    def pending_residues(self) -> tuple[GDim, GDim]:
+        """(L0, L2) of the next coefficient P_n as the lines added so far make it."""
+        return _residues(*self._next(), len(self._p))
 
     def advance(self) -> None:
         """Complete the next coefficient P_n from the lines added so far."""
         p, m = self._next()
-        self._p.append(p)
-        self._m.append(m)
+        self._p.append(p + p[-2::-1])
+        self._m.append(m + m[-2::-1])
         self._conv = None
 
     def series(self) -> TZSeries:
@@ -113,7 +125,7 @@ class PhiKernel:
         return TZSeries(self.order, [self[n] for n in range(self.order + 1)])
 
     def _next(self) -> tuple[list[int], list[int]]:
-        """Both sides of P_n = (sum_{j=1..n} (j L_j) P_{n-j}) / n, exactly."""
+        """Both sides of P_n = (sum_{j=1..n} (j L_j) P_{n-j}) / n at t^-n..t^0, exactly."""
         n = len(self._p)
         if self._conv is None:
             self._conv = (self._convolve(0, self._p, n), self._convolve(1, self._m, n))
@@ -121,7 +133,10 @@ class PhiKernel:
         for conv, log in zip(self._conv, self._log[n]):
             acc = conv[:]
             for e, c in log.items():  # j = n: P_0 = 1
-                acc[n + e] += c
+                if log.get(-e, 0) != c:
+                    raise AssertionError(f"z^{n} log term of Phi at t^{e} is not t-symmetric")
+                if e <= 0:
+                    acc[n + e] += c
             side = []
             for v in acc:
                 q, r = divmod(v, n)
@@ -132,16 +147,28 @@ class PhiKernel:
         return out[0], out[1]
 
     def _convolve(self, side: int, coeffs: list[list[int]], n: int) -> list[int]:
-        """sum_{j=1..n-1} (j L_j) P_{n-j} on one side, at t^-n..t^n."""
-        acc = [0] * (2 * n + 1)
+        """sum_{j=1..n-1} (j L_j) P_{n-j} on one side, at t^-n..t^0."""
+        acc = [0] * (n + 1)
         for j in range(1, n):
             q = coeffs[n - j]  # t^-(n-j)..t^(n-j)
             w = len(q)
             for e, c in self._log[j][side].items():
-                if c:
-                    lo = e + j  # the index of t^(e - (n - j)) in acc
+                lo = e + j  # the index of t^(e - (n - j)) in acc
+                if c and lo <= n:  # the slice stops at t^0
                     acc[lo:lo + w] = [x + c * v for x, v in zip(acc[lo:lo + w], q)]
         return acc
+
+
+def _residues(p: list[int], m: list[int], n: int) -> tuple[GDim, GDim]:
+    """(L0, L2) of the coefficient whose split sides hold t^0 at index n.
+
+    L0 = c_0 - c_{-1} and L2 = c_{-1} - c_{-2}, side by side; an index
+    below 0 holds 0.
+    """
+    lo = max(n - 2, 0)
+    p2, p1, p0 = ([0, 0] + p[lo:n + 1])[-3:]
+    m2, m1, m0 = ([0, 0] + m[lo:n + 1])[-3:]
+    return _gdim(p0 - p1, m0 - m1), _gdim(p1 - p2, m1 - m2)
 
 
 def phi_series(a: Sequence[GDim], b: Sequence[GDim]) -> TZSeries:

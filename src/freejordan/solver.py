@@ -23,13 +23,16 @@ through the z^n coefficient of their own line, affinely and with a slope
 that does not depend on n: -I for the single equation, a fixed signed
 permutation for the pair.  Both solvers read that slope off the degree-1
 line through the kernel, check it against the constant, and then step one
-``PhiKernel`` at the final order: the z^n coefficient of lines 1..n-1
-(``pending``) determines the n-th coefficients, whose line is then added
-and whose z^n coefficient the kernel completes from its log terms, not
-from the slope.  At the end the kernel holds the whole product, so the
-residual of the solution is read off it: each step zeroes its own degree,
-and a nonzero residual (a line that disagrees with the checked slope)
-raises ``SolverStepError`` at its first degree.
+``PhiKernel`` at the final order: the residues of the z^n coefficient of
+lines 1..n-1 (``pending_residues``) determine the n-th coefficients, whose
+line is then added and whose z^n coefficient the kernel completes from its
+log terms, not from the slope.  At the end the kernel holds the whole
+product, so the residual of the solution is read off it: each step zeroes
+its own degree, and a nonzero residual (a line that disagrees with the
+checked slope) raises ``SolverStepError`` at its first degree.  Every
+coefficient is t-symmetric, and L0 and L2 read only t^-2..t^0, so the
+kernel computes only the t^-n..t^0 half of each, and the loop reads the
+residues off its int sides (``residues``) and builds no series.
 ``residual_series`` evaluates the single equation on a given series
 instead, such as the dimensions of a constructed algebra.
 
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lambda_ops import PhiKernel, lambda_adjoint_series, phi_series
-from .rings import GDIM_ONE, GDIM_ZERO, L0, L2, GDim, RLaurent, TZSeries
+from .rings import GDIM_ONE, GDIM_ZERO, L0, L2, GDim, RLaurent
 
 # Slope of the z^n defects in the n-th unknowns.  Single equation: rows
 # (even, odd) of the residue, columns (even, odd) of a_n.  Pair system:
@@ -125,16 +128,15 @@ def _residual_order(*residuals: list[GDim]) -> int:
     return v
 
 
-def _single_defect(psi_a: TZSeries, gens: GDim) -> list[GDim]:
-    """Res_{t=0} psi * Psi(a) dt per z-degree: L2 + D z L0 of Psi(a)."""
-    c = psi_a.coeffs
-    return [L2(c[0])] + [L2(c[n]) + gens * L0(c[n - 1]) for n in range(1, len(c))]
+def _single_defect(res: Sequence[tuple[GDim, GDim]], gens: GDim) -> list[GDim]:
+    """Res_{t=0} psi * Psi(a) dt per z-degree: L2 + D z L0, from (L0, L2) of each Psi_n."""
+    return [res[0][1]] + [res[n][1] + gens * res[n - 1][0] for n in range(1, len(res))]
 
 
 def residual_series(a: Sequence[GDim], d1: int, d2: int) -> list[GDim]:
     """Res_{t=0} psi * Psi(a) dt at z^0..z^N; callers assert vanishing."""
     gens = _generators(d1, d2)
-    return _single_defect(lambda_adjoint_series(a), gens)
+    return _single_defect([(L0(c), L2(c)) for c in lambda_adjoint_series(a).coeffs], gens)
 
 
 def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
@@ -145,25 +147,27 @@ def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
     psi = PhiKernel(order)  # Psi: lines 1..n-1 at the start of step n
     for n in range(1, order + 1):
         # The z^n residue is (defect of lines 1..n-1) - a_n.
-        an = L2(psi.pending()) + gens * L0(psi[n - 1])
+        an = psi.pending_residues()[1] + gens * psi.residues(n - 1)[0]
         a.append(an)
         if an:
             psi.add_line(an, -an, n)
         psi.advance()
 
+    residues = [psi.residues(n) for n in range(order + 1)]
     return SolveReport(
         order=order,
         a=tuple(a),
         b=None,
-        residual_order=_residual_order(_single_defect(psi.series(), gens)),
+        residual_order=_residual_order(_single_defect(residues, gens)),
     )
 
 
-def _pair_defects(phi: TZSeries, gens: GDim) -> tuple[list[GDim], list[GDim]]:
-    e1 = [L0(c) for c in phi.coeffs]
-    e2 = [L2(c) for c in phi.coeffs]
+def _pair_defects(res: Sequence[tuple[GDim, GDim]], gens: GDim) -> tuple[list[GDim], list[GDim]]:
+    """The pair system's defects per z-degree, from (L0, L2) of each Phi_n."""
+    e1 = [r0 for r0, _ in res]
+    e2 = [r2 for _, r2 in res]
     e1[0] = e1[0] - GDIM_ONE
-    if phi.order >= 1:
+    if len(res) > 1:
         e2[1] = e2[1] + gens
     return e1, e2
 
@@ -180,18 +184,18 @@ def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
     for n in range(1, order + 1):
         # The z^n defects are (L0 of lines 1..n-1) - b_n and
         # (L2 of lines 1..n-1) + D[n=1] - a_n.
-        c = phi.pending()
-        bn = L0(c)
-        an = L2(c) + (gens if n == 1 else GDIM_ZERO)
+        bn, an = phi.pending_residues()
+        an = an + (gens if n == 1 else GDIM_ZERO)
         a.append(an)
         b.append(bn)
         if an or bn:
             phi.add_line(an, bn, n)
         phi.advance()
 
+    residues = [phi.residues(n) for n in range(order + 1)]
     return SolveReport(
         order=order,
         a=tuple(a),
         b=tuple(b),
-        residual_order=_residual_order(*_pair_defects(phi.series(), gens)),
+        residual_order=_residual_order(*_pair_defects(residues, gens)),
     )

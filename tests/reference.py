@@ -72,7 +72,7 @@ from freejordan import linalg, solver
 from freejordan.homology import BlockKey, ChainComplex, Monomial
 from freejordan.jordan import GradedJordanAlgebra, Vector
 from freejordan.lambda_ops import phi_series
-from freejordan.rings import GDIM_ONE, GDIM_X, GDIM_ZERO, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
+from freejordan.rings import GDIM_ONE, GDIM_X, GDIM_ZERO, L0, L2, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
 from freejordan.tag import BsComponent, TagAlgebra
 
 # sl2 in the basis e, h, f: [a, b] = coeff c as (a, b) -> (c, coeff), and
@@ -277,7 +277,9 @@ def pair_residuals(
     a: Sequence[GDim], b: Sequence[GDim], d1: int, d2: int
 ) -> tuple[list[GDim], list[GDim]]:
     """Defects of the two-equation system at z^0..z^N; zero on a solution."""
-    return solver._pair_defects(phi_series(a, b), solver._generators(d1, d2))
+    residues = [(L0(c), L2(c)) for c in phi_series(a, b).coeffs]
+    return solver._pair_defects(residues, solver._generators(d1, d2))
+
 
 def is_t_symmetric(c: RLaurent) -> bool:
     """Whether the coefficient at t^e always equals the one at t^-e."""

@@ -14,6 +14,16 @@ def _first_entry(payload):
     return vec[0]
 
 
+def _wrong_parity_term(payload):
+    """Add to x_0.y_0 in the (1, 3) table a term of the other parity."""
+    par = payload["parities"]
+    vec = payload["tables"]["1,3"][0][0]
+    want = par["1"][0] ^ par["3"][0]
+    k = next(k for k, q in enumerate(par["4"]) if q != want)
+    vec.append([k, "1"])
+    vec.sort(key=lambda term: term[0])
+
+
 # Edits of a cached (1|1)@4 payload that keep it valid JSON of the right shape
 # at the top level; the sha256 is recomputed after each.
 MALFORMED = {
@@ -27,6 +37,7 @@ MALFORMED = {
     "parities-not-an-object": lambda p: p.__setitem__("parities", list(p["parities"].values())),
     "parity-out-of-range": lambda p: p["parities"]["2"].__setitem__(0, 2),
     "generator-parities": lambda p: p["parities"].__setitem__("1", [0, 0]),
+    "term-parity": _wrong_parity_term,
 }
 
 
@@ -290,6 +301,20 @@ class TestVerifyCommand:
         code, out, err = run(capsys, *args)
         assert code == 0 and "Traceback" not in err
         assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
+        assert path.read_text() == fresh
+
+    def test_term_of_the_wrong_parity_is_rebuilt_by_oracle(self, capsys, tmp_path):
+        # The TAG layer asserts the parity of every bracket, so a cache that
+        # reached it would stop oracle with an internal error.
+        args, path = self._cached(capsys, tmp_path)
+        fresh = path.read_text()
+        payload = json.loads(fresh)
+        del payload["sha256"]
+        _wrong_parity_term(payload)
+        payload["sha256"] = jordan._digest(payload)
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "oracle", *args[1:])
+        assert code == 0 and "Traceback" not in err
         assert path.read_text() == fresh
 
     def test_edited_parity_in_cache_is_rebuilt(self, capsys, tmp_path):

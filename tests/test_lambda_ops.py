@@ -1,3 +1,4 @@
+import copy
 import random
 from itertools import combinations_with_replacement
 
@@ -9,7 +10,7 @@ from freejordan.lambda_ops import (
     lambda_adjoint_series,
     phi_series,
 )
-from freejordan.rings import GDIM_ONE, GDIM_ZERO, RLAURENT_ONE, GDim, RLaurent, TZSeries
+from freejordan.rings import GDIM_ONE, GDIM_ZERO, L0, L2, RLAURENT_ONE, GDim, RLaurent, TZSeries
 from reference import (
     adjoint_even_line,
     adjoint_odd_line,
@@ -185,11 +186,32 @@ class TestKernel:
         phi = PhiKernel(5)
         for n, (an, bn) in enumerate(zip(a, b), start=1):
             before = line_product(a[:n - 1] + (GDIM_ZERO,) * (6 - n), b[:n - 1] + (GDIM_ZERO,) * (6 - n))
-            assert phi.pending() == before[n]
+            ahead = copy.deepcopy(phi)  # completes z^n without line n
+            ahead.advance()
+            assert ahead[n] == before[n]
             phi.add_line(an, bn, n)
             phi.advance()
             assert phi[n] == whole[n]
         assert phi.series() == whole
+
+    def test_residues_equal_the_line_products(self):
+        # The solvers' reads: (L0, L2) of z^n before line n is added, and of
+        # z^n once completed, on random virtual classes.
+        rng = random.Random(23)
+        for _ in range(30):
+            order = rng.randint(1, 9)
+            a = tuple(GDim(rng.randint(-2, 3), rng.randint(-2, 3)) for _ in range(order))
+            b = tuple(GDim(rng.randint(-3, 2), rng.randint(-3, 2)) for _ in range(order))
+            phi = PhiKernel(order)
+            for n in range(1, order + 1):
+                pad = (GDIM_ZERO,) * (order + 1 - n)
+                before = line_product(a[:n - 1] + pad, b[:n - 1] + pad)[n]
+                assert phi.pending_residues() == (L0(before), L2(before)), (a, b, n)
+                phi.add_line(a[n - 1], b[n - 1], n)
+                phi.advance()
+                after = line_product(a[:n] + pad[1:], b[:n] + pad[1:])[n]
+                assert phi.residues(n) == (L0(after), L2(after)), (a, b, n)
+            assert phi.residues(0) == (GDIM_ONE, GDIM_ZERO)
 
     def test_kernel_refuses_a_line_below_a_completed_degree(self):
         phi = PhiKernel(3)
@@ -211,6 +233,19 @@ class TestKernel:
             phi_series((GDim(1, 0), GDIM_ZERO), (GDIM_ZERO, GDIM_ZERO))
         assert cli.main(["solve", "--d1", "1", "--d2", "1", "--order", "4"]) == cli.EXIT_INTERNAL
         assert "not integral" in capsys.readouterr().err
+
+
+    def test_asymmetric_log_term_raises(self, monkeypatch):
+        # The kernel computes t^-n..t^0 and mirrors it, which is exact only
+        # for a t-symmetric log; a stray t^1 term in 2 L_2 is refused, not
+        # mirrored.
+        line_log = lambda_ops.line_log
+        monkeypatch.setattr(
+            lambda_ops, "line_log",
+            lambda an, bn, n, order: line_log(an, bn, n, order) + ([(2, 1, 2, 2)] if n == 1 < order else []),
+        )
+        with pytest.raises(AssertionError, match="z\\^2 log term of Phi at t\\^1 is not t-symmetric"):
+            phi_series((GDim(1, 0), GDIM_ZERO), (GDIM_ZERO, GDIM_ZERO))
 
 
 def paper_psi(d1: int, d2: int, order: int) -> TZSeries:
