@@ -285,17 +285,22 @@ class TestVerifyCommand:
         alg = GradedJordanAlgebra.from_json(path.read_text())
         assert alg.max_degree == 4
 
+    @staticmethod
+    def _edit_and_reseal(path, edit):
+        """Apply ``edit`` to the cached payload and recompute its sha256."""
+        payload = json.loads(path.read_text())
+        del payload["sha256"]
+        edit(payload)
+        payload["sha256"] = jordan._digest(payload)
+        path.write_text(json.dumps(payload))
+
     @pytest.mark.parametrize("edit", sorted(MALFORMED))
     def test_malformed_cache_with_a_valid_sha256_is_rebuilt(self, capsys, tmp_path, edit):
         # The sha256 is recomputed over the edited payload, so only the
         # checks of from_json stand between it and the TAG layer.
         args, path = self._cached(capsys, tmp_path)
         fresh = path.read_text()
-        payload = json.loads(fresh)
-        del payload["sha256"]
-        MALFORMED[edit](payload)
-        payload["sha256"] = jordan._digest(payload)
-        path.write_text(json.dumps(payload))
+        self._edit_and_reseal(path, MALFORMED[edit])
         with pytest.raises(ValueError):
             GradedJordanAlgebra.from_json(path.read_text())
         code, out, err = run(capsys, *args)
@@ -308,11 +313,7 @@ class TestVerifyCommand:
         # reached it would stop oracle with an internal error.
         args, path = self._cached(capsys, tmp_path)
         fresh = path.read_text()
-        payload = json.loads(fresh)
-        del payload["sha256"]
-        _wrong_parity_term(payload)
-        payload["sha256"] = jordan._digest(payload)
-        path.write_text(json.dumps(payload))
+        self._edit_and_reseal(path, MALFORMED["term-parity"])
         code, out, err = run(capsys, "oracle", *args[1:])
         assert code == 0 and "Traceback" not in err
         assert path.read_text() == fresh

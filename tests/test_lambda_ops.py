@@ -234,7 +234,6 @@ class TestKernel:
         assert cli.main(["solve", "--d1", "1", "--d2", "1", "--order", "4"]) == cli.EXIT_INTERNAL
         assert "not integral" in capsys.readouterr().err
 
-
     def test_asymmetric_log_term_raises(self, monkeypatch):
         # The kernel computes t^-n..t^0 and mirrors it, which is exact only
         # for a t-symmetric log; a stray t^1 term in 2 L_2 is refused, not
