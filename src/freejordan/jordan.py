@@ -231,49 +231,35 @@ def _read_table(
     return out
 
 
-def _pair_coords(parities: dict[int, tuple[int, ...]], n: int) -> list[tuple[int, int, int, int]]:
-    """Canonical W_n coordinates (i, u, j, v): parity even-first, then shape."""
-    coords = []
-    for i in range(1, n // 2 + 1):
-        j = n - i
-        for u in range(len(parities[i])):
-            vs = range(len(parities[j])) if i < j else range(u, len(parities[j]))
-            for v in vs:
-                if i == j and u == v and parities[i][u] == 1:
-                    continue  # odd squares vanish in characteristic 0
-                coords.append((i, u, j, v))
-    par = lambda c: (parities[c[0]][c[1]] + parities[c[2]][c[3]]) % 2
-    coords.sort(key=lambda c: (par(c), c))
-    return coords
-
-
 class PairSpace:
     """The pair space W_n over an algebra built through degree n - 1.
 
-    Holds the canonical coordinates of W_n and the top-level product of two
-    basis elements into them; reduced products come from ``alg``, whose
-    tables hold ints (``integer_copy``).
+    ``coords`` holds one (i, u, j, v) per unordered pair of basis elements,
+    the earlier in (degree, index) order first, without the odd squares
+    (u.u = 0 for odd u), sorted parity even-first and then by shape.
+    ``index`` maps every ordered pair to (coordinate, sign), the top-level
+    product as x.y = (-1)^{|x||y|} y.x; an odd square has sign 0.  Reduced
+    products come from ``alg``, whose tables hold ints (``integer_copy``).
     """
 
     def __init__(self, alg: GradedJordanAlgebra, n: int) -> None:
         self.alg = alg
-        self.parities = alg.parities
-        self.coords = _pair_coords(alg.parities, n)
-        self.index = {c: k for k, c in enumerate(self.coords)}
-        self.coord_parity = [
-            (self.parities[i][u] + self.parities[j][v]) % 2 for (i, u, j, v) in self.coords
-        ]
-
-    def outer(self, i: int, u: int, j: int, v: int) -> tuple[int, int] | None:
-        """W_n coordinate and sign of the top-level product of two basis elements."""
-        sign = 1
-        if i > j or (i == j and u > v):
-            if self.parities[i][u] & self.parities[j][v]:
-                sign = -1
-            i, u, j, v = j, v, i, u
-        if i == j and u == v and self.parities[i][u] == 1:
-            return None
-        return self.index[(i, u, j, v)], sign
+        par = self.parities = alg.parities
+        index = self.index = {
+            (i, u, n - i, v): (0, 0)
+            for i in range(1, n)
+            for u in range(len(par[i]))
+            for v in range(len(par[n - i]))
+        }
+        cpar = lambda c: (par[c[0]][c[1]] + par[c[2]][c[3]]) % 2
+        self.coords = sorted(
+            (c for c in index if c[:2] < c[2:] or c[:2] == c[2:] and not par[c[0]][c[1]]),
+            key=lambda c: (cpar(c), c),
+        )
+        for k, (i, u, j, v) in enumerate(self.coords):
+            index[(j, v, i, u)] = (k, -1 if par[i][u] & par[j][v] else 1)
+            index[(i, u, j, v)] = (k, 1)
+        self.coord_parity = [cpar(c) for c in self.coords]
 
 
 def relation_row(
@@ -293,7 +279,7 @@ def relation_row(
     Every term is a product of two table entries, so over tables T times
     the rational ones the row is T**2 times the rational instance.
     """
-    par = space.parities
+    par, index = space.parities, space.index
     product = space.alg.multiply_basis
     s, wu = w
     acc: dict[int, int] = {}
@@ -308,17 +294,13 @@ def relation_row(
         # (a.b).(c.w)
         for b, cb in product(dk, uk, s, wu):
             for a, ca in ab:
-                hit = space.outer(dab, a, dk + s, b)
-                if hit is not None:
-                    k, sign = hit
-                    acc[k] = acc.get(k, 0) + (s1 * sign) * ca * cb
+                k, sign = index[(dab, a, dk + s, b)]
+                acc[k] = acc.get(k, 0) + (s1 * sign) * ca * cb
         # c.((a.b).w)
         for a, ca in ab:
             for b, cb in product(dab, a, s, wu):
-                hit = space.outer(dk, uk, dab + s, b)
-                if hit is not None:
-                    k, sign = hit
-                    acc[k] = acc.get(k, 0) - (s12 * sign) * ca * cb
+                k, sign = index[(dk, uk, dab + s, b)]
+                acc[k] = acc.get(k, 0) - (s12 * sign) * ca * cb
     return linalg.sparse_row(acc)
 
 
@@ -382,22 +364,18 @@ def build_free_jordan(
             f"({labels[i][u]}.{labels[j][v]})"
             for (i, u, j, v) in (space.coords[k] for k in kept)
         )
+
+        def entry(k, sign):
+            if sign == 1:
+                return projection[k]
+            return tuple((q, -c) for q, c in projection[k]) if sign else ()
+
         for i in range(1, n // 2 + 1):
             j = n - i
-            tab = []
-            for u in range(len(parities[i])):
-                row_tab = []
-                for v in range(len(parities[j])):
-                    hit = space.outer(i, u, j, v)
-                    if hit is None:
-                        row_tab.append(())
-                    else:
-                        k, sgn = hit
-                        row_tab.append(
-                            projection[k] if sgn == 1 else tuple((q, -c) for q, c in projection[k])
-                        )
-                tab.append(row_tab)
-            tables[(i, j)] = tab
+            tables[(i, j)] = [
+                [entry(*space.index[(i, u, j, v)]) for v in range(len(parities[j]))]
+                for u in range(len(parities[i]))
+            ]
 
         alg = GradedJordanAlgebra(d1, d2, n, dict(parities), dict(labels), tables)
 

@@ -21,17 +21,14 @@ carries the bracket
 
 where k is the sl2 trace form with k(e,f) = 4 and k(h,h) = 8.  Everything
 is graded: a(x)x has the z-degree of x and h-weight +2/0/-2 for a = e/h/f;
-Bs classes have weight 0.  Bs(J) takes one supercommutator row per
-unordered pair and one cyclic row per S3 orbit of basis triples: the
-cyclic relation is invariant under rotation and changes by a sign under a
-transposition.  The bracket table is written
-from J's data, not from pairs of TAG basis elements: each product x.y with
-the class of x(x)y gives the 7 nonzero [a(x)x, b(x)y], each column
+Bs classes have weight 0.  The supercommutators leave the super exterior
+square of J, one coordinate per unordered pair, so Bs(J) reduces only the
+cyclic rows, one per S3 orbit of basis triples.  The bracket table is
+written from J's data, not from pairs of TAG basis elements: each product
+x.y with the class of x(x)y gives the 7 nonzero [a(x)x, b(x)y], each column
 d_{x,y}(z) the 6 brackets of {x(x)y} with a(x)z, and each pair of Bs
-classes its bracket.  After construction, anticommutativity is checked on
-every unordered in-range basis pair and the super Jacobi identity on every
-sorted in-range basis triple; by graded antisymmetry the other orderings
-follow from these, so both checks are exhaustive.
+classes its bracket.  After construction, exhaustive gates check
+anticommutativity and the super Jacobi identity.
 
 The layer is built in ints from ``alg.integer_copy()``, J's tables times
 T; ``TagAlgebra`` gives the scales.  This module imports no ``Fraction``:
@@ -71,15 +68,18 @@ _SL2_RULES = (
 class BsComponent:
     """One z-degree of Bs(J): quotient basis and ambient projection.
 
-    The ambient space is J (x) J in that degree, with coordinates
-    ``coords`` and their positions ``index``.
+    The ambient space is J's super exterior square in that degree: one
+    (i, u, j, v) in ``coords`` per unordered pair, the later element first,
+    odd squares kept and even ones dropped.  ``index`` maps every ordered
+    pair to (position, sign), as x(x)y = -(-1)^{|x||y|} y(x)x; an even
+    square has sign 0.
     """
 
     coords: list[tuple[int, int, int, int]]  # ambient (i, u, j, v), canonical
-    index: dict[tuple[int, int, int, int], int]  # ambient coordinate -> position
+    index: dict[tuple[int, int, int, int], tuple[int, int]]  # pair -> (position, sign)
     parities: tuple[int, ...]  # of the quotient basis
     labels: tuple[str, ...]
-    lifts: tuple[int, ...]  # ambient coordinate index of each quotient basis elt
+    lifts: tuple[int, ...]  # position in coords of each quotient basis element
     projection: list[Vector]  # ambient index -> quotient coordinates
 
     @property
@@ -101,15 +101,20 @@ def build_Bs(alg: GradedJordanAlgebra, max_degree: int) -> dict[int, BsComponent
 
 def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
     par = alg.parities
-    coords = [
-        (i, u, n - i, v)
+    index = {
+        (i, u, n - i, v): (0, 0)
         for i in range(1, n)
         for u in range(len(par[i]))
         for v in range(len(par[n - i]))
-    ]
+    }
     cpar = lambda c: (par[c[0]][c[1]] + par[c[2]][c[3]]) % 2
-    coords.sort(key=lambda c: (cpar(c), c))
-    index = {c: k for k, c in enumerate(coords)}
+    coords = sorted(
+        (c for c in index if c[:2] > c[2:] or c[:2] == c[2:] and par[c[0]][c[1]]),
+        key=lambda c: (cpar(c), c),
+    )
+    for k, (i, u, j, v) in enumerate(coords):
+        index[(j, v, i, u)] = (k, 1 if par[i][u] & par[j][v] else -1)
+        index[(i, u, j, v)] = (k, 1)
     coord_parity = [cpar(c) for c in coords]
 
     rows: dict[linalg.SparseRow, None] = {}
@@ -121,18 +126,12 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
         if row:
             rows[row] = None
 
-    # Supercommutator relations, one per unordered coordinate pair: the
-    # row of (j, v, i, u) is this one times a sign.
-    for (i, u, j, v) in coords:
-        if (i, u) <= (j, v):
-            sign = (-1) ** (par[i][u] * par[j][v])
-            add_row([(index[(i, u, j, v)], 1), (index[(j, v, i, u)], sign)])
-
     # (-1)^{|x||z|} (x.y)(x)z, for basis elements given as (degree, index).
     def term(x, y, z):
         (p, xu), (q, yu), (r, zu) = x, y, z
         sign = (-1) ** (par[p][xu] * par[r][zu])
-        return [(index[(p + q, k, r, zu)], sign * c) for k, c in alg.multiply_basis(p, xu, q, yu)]
+        return [(k, sign * s * c) for w, c in alg.multiply_basis(p, xu, q, yu)
+                for k, s in [index[(p + q, w, r, zu)]]]
 
     # Cyclic relations on basis triples.  The relation R(x, y, z) is
     # invariant under rotation, and as J is supercommutative R(y, x, z) =
@@ -268,16 +267,16 @@ class TagAlgebra:
                     break
                 index, proj = self.bs[d + n].index, projection[d + n]
                 sign = -1 if pb & par[p][s] else 1
+                terms = [((d + p, k, q, t), c) for k, c in derivations[lift + (p,)][s]]
+                terms += [((p, s, d + q, k), sign * c) for k, c in derivations[lift + (q,)][t]]
                 image = {}
-                for k, c in derivations[lift + (p,)][s]:
-                    linalg.accumulate(image, proj[index[(d + p, k, q, t)]], c)
-                for k, c in derivations[lift + (q,)][t]:
-                    linalg.accumulate(image, proj[index[(p, s, d + q, k)]], sign * c)
+                for key, c in terms:
+                    k, e = index[key]
+                    if e:
+                        linalg.accumulate(image, proj[k], e * c)
                 if any(image.values()):
                     images.append(((gb, gc), at[d + n][3], linalg.sparse_row(image)))
-        # Every entry is one of these vectors times its multiplier to S: the
-        # products x.y with i + j <= N, the projection rows (k(e,f)/2 = 2 of
-        # them), the derivation columns and the Bs-on-Bs images.
+        # Each entry is a vector entry below times its multiplier to S.
         to_s = (S // T, 2 * S // P, S // (T * T), S // (P * T * T))
         g = gcd(S, *(m * gcd(*(c for vec in vecs for _, c in vec)) for m, vecs in zip(to_s, (
             [vec for (i, j), tab in scaled.tables.items() if i + j <= N for row in tab for vec in row],
@@ -292,11 +291,13 @@ class TagAlgebra:
         brackets = {}
         for n in range(2, N + 1):
             o = at[n]
-            for (i, u, j, v), row in zip(self.bs[n].coords, projection[n]):
-                prod, kap = rescale(scaled.multiply_basis(i, u, j, v), 0), rescale(row, 1, o[3])
+            # Every ordered pair: an even square has class 0 but a product.
+            for (i, u, j, v), (q, e) in self.bs[n].index.items():
+                prod = rescale(scaled.multiply_basis(i, u, j, v), 0)
+                kap = rescale(projection[n][q], 1, o[3]) if e else ()
                 for a, b, c_idx, coeff, half in _SL2_RULES:
                     out = [(o[c_idx] + k, coeff * c) for k, c in prod if coeff]
-                    out += [(k, half * c) for k, c in kap if half]
+                    out += [(k, e * half * c) for k, c in kap if half]
                     if out:
                         brackets[(at[i][a] + u, at[j][b] + v)] = tuple(out)
         for n, gb, pb, lift in classes:

@@ -29,6 +29,10 @@ package computes in closed form or through its tables.
                            through the tables, for any homogeneous vectors;
 * ``jordan_residual``    -- the super Jordan identity through the tables;
 * ``tag_graded_dims``    -- the graded dimensions of the TAG basis, counted;
+* ``unfold``,
+  ``bs_json``            -- Bs(J) over every ordered pair of J (x) J, as it was
+                           held before its coordinates were folded to the
+                           super exterior square, and all its degrees as JSON;
 * ``project``            -- the class in Bs(J) of an ambient J (x) J vector;
 * ``element``            -- the kind ("sl2" or "bs") and data of a TAG basis
                            element, read off ``tag.at``;
@@ -371,8 +375,49 @@ def tag_graded_dims(tag: TagAlgebra) -> dict[int, GDim]:
     return out
 
 
+def unfold(comp: BsComponent, parities: dict[int, tuple[int, ...]]) -> BsComponent:
+    """``comp`` with every ordered pair of J (x) J as its own coordinate.
+
+    The coordinates are sorted parity-first and then by shape, each with
+    sign 1 in ``index``.  A pair that ``comp`` holds as a multiple of its
+    partner, x(x)y = -(-1)^{|x||y|} y(x)x, projects to that multiple of the
+    partner's class, an even square to (), and the lifts are positions
+    among these coordinates.
+    """
+    cpar = lambda c: (parities[c[0]][c[1]] + parities[c[2]][c[3]]) % 2
+    coords = sorted(comp.index, key=lambda c: (cpar(c), c))
+    index = {c: (k, 1) for k, c in enumerate(coords)}
+    projection = []
+    for c in coords:
+        k, s = comp.index[c]
+        projection.append(tuple((q, s * x) for q, x in comp.projection[k]) if s else ())
+    return BsComponent(
+        coords=coords,
+        index=index,
+        parities=comp.parities,
+        labels=comp.labels,
+        lifts=tuple(index[comp.coords[k]][0] for k in comp.lifts),
+        projection=projection,
+    )
+
+
+def bs_json(tag: TagAlgebra) -> dict:
+    """Every degree of ``tag.bs``, unfolded, with coefficients as strings."""
+    out = {}
+    for n, comp in sorted(tag.bs.items()):
+        comp = unfold(comp, tag.alg.parities)
+        out[str(n)] = {
+            "coords": [list(c) for c in comp.coords],
+            "parities": list(comp.parities),
+            "labels": list(comp.labels),
+            "lifts": list(comp.lifts),
+            "projection": [[[k, str(c)] for k, c in vec] for vec in comp.projection],
+        }
+    return out
+
+
 def project(comp: BsComponent, ambient: dict[int, Fraction]) -> Vector:
-    """Class of the ambient vector ``{position: coefficient}`` in Bs(J)."""
+    """Class in Bs(J) of ``{position: coefficient}`` over ``unfold(comp)``'s coordinates."""
     acc: dict[int, Fraction] = {}
     for k, c in ambient.items():
         linalg.accumulate(acc, comp.projection[k], c)
@@ -425,7 +470,8 @@ def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
     tables, the Bs projection and ``derivation_of``, pair of basis elements
     by pair, with no common scale.
     """
-    alg, bs, deg, par = tag.alg, tag.bs, tag.degrees, tag.parities
+    alg, deg, par = tag.alg, tag.degrees, tag.parities
+    bs = {n: unfold(comp, alg.parities) for n, comp in tag.bs.items()}
     derivations: dict[tuple[int, ...], list[Vector]] = {}
 
     def derivation(gb, m):
@@ -452,7 +498,7 @@ def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
             (a, u), (b, v) = x1, x2
             kap = KAPPA.get((a, b))
             if kap and n in bs:
-                amb = {bs[n].index[(i, u, j, v)]: 1}
+                amb = {bs[n].index[(i, u, j, v)][0]: 1}
                 linalg.accumulate(acc, bs_terms(tag, n, project(bs[n], amb), Fraction(kap, 2)))
             if (a, b) in SL2_BRACKET:
                 c_idx, coeff = SL2_BRACKET[(a, b)]
@@ -470,8 +516,8 @@ def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
             _, cols_q = derivation(gi, q)
             sgn = (-1) ** (par[gi] * alg.parities[p][s])
             amb: dict[int, Fraction] = {}
-            linalg.accumulate(amb, [(comp.index[(i + j + p, k, q, t)], c) for k, c in cols_p[s]])
-            linalg.accumulate(amb, [(comp.index[(p, s, i + j + q, k)], c) for k, c in cols_q[t]], sgn)
+            linalg.accumulate(amb, [(comp.index[(i + j + p, k, q, t)][0], c) for k, c in cols_p[s]])
+            linalg.accumulate(amb, [(comp.index[(p, s, i + j + q, k)][0], c) for k, c in cols_q[t]], sgn)
             linalg.accumulate(acc, bs_terms(tag, n, project(comp, amb), 1))
         terms = linalg.sparse_row(acc)
         if terms:

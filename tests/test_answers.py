@@ -5,7 +5,9 @@ TAG bracket and the homology, each in a form that does not depend on how
 vectors are held: a vector is the list of its nonzero
 ``[index, str(coefficient)]`` pairs.  They were recorded from the
 dense-vector implementation, so they also pin that the sparse one gives
-the same answers bit for bit.
+the same answers bit for bit.  Bs(J) is hashed as ``reference.bs_json``
+unfolds it over every ordered pair of J (x) J, the form it was held in
+when its digests were recorded.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ import pytest
 from freejordan.homology import compute_homology
 from freejordan.jordan import build_free_jordan
 from freejordan.tag import build_tag, inner_rank_diagnostic
-from reference import multiply, structure_constants_json
+from reference import bs_json, multiply, structure_constants_json
 
 
 def _pairs(vec):
@@ -41,19 +43,9 @@ def answer_digests(d1, d2, degree, r_max):
             for (i, j), tab in sorted(alg.tables.items())
         },
     }
-    bs = {
-        str(n): {
-            "coords": [list(c) for c in comp.coords],
-            "parities": list(comp.parities),
-            "labels": list(comp.labels),
-            "lifts": list(comp.lifts),
-            "projection": [_pairs(vec) for vec in comp.projection],
-        }
-        for n, comp in sorted(tag.bs.items())
-    }
     return {
         "algebra": _digest(algebra),
-        "bs": _digest(bs),
+        "bs": _digest(bs_json(tag)),
         "structure_constants": _digest(structure_constants_json(tag)),
         "homology": _digest(compute_homology(tag, r_max, degree).to_json_dict()),
     }

@@ -9,7 +9,6 @@ from freejordan.jordan import (
     GradedJordanAlgebra,
     PairSpace,
     ResourceBudgetExceeded,
-    _pair_coords,
     build_free_jordan,
     cache_key,
     relation_row,
@@ -108,7 +107,7 @@ class TestAlgebraStructure:
         # For one even generator the degree-4 pair space is 2-dimensional
         # but the quotient is a line: the identity actually cuts.
         alg = build_free_jordan(1, 0, 4)
-        assert len(_pair_coords(alg.parities, 4)) == 2
+        assert len(PairSpace(alg, 4).coords) == 2
         assert alg.dim(4) == 1
 
     def test_odd_squares_vanish(self):
@@ -139,6 +138,51 @@ class TestConjectureAgreement:
 
     def test_two_odd_generators_match_solver(self):
         self._assert_agreement(0, 2, 8)
+
+
+class TestPairSpace:
+    def test_index_follows_the_swap_rule(self):
+        # Written out as the pair space held it before ``index`` covered
+        # every ordered pair: the coordinates are the pairs (i, u) <= (j, v)
+        # without the odd squares, parity even-first and then by shape; a
+        # pair in the other order is its swap times (-1)^{|x||y|}, and an
+        # odd square has no coordinate.
+        alg = build_free_jordan(1, 2, 4)
+        par = alg.parities
+        odd_squares, signs = 0, set()
+        for n in range(2, 6):
+            space = PairSpace(alg, n)
+            coords = sorted(
+                ((i, u, n - i, v) for i in range(1, n // 2 + 1) for u in range(alg.dim(i))
+                 for v in range(u if 2 * i == n else 0, alg.dim(n - i))
+                 if not (2 * i == n and u == v and par[i][u])),
+                key=lambda c: ((par[c[0]][c[1]] + par[c[2]][c[3]]) % 2, c),
+            )
+            assert space.coords == coords, n
+
+            def swap_rule(i, u, j, v):
+                sign = 1
+                if (i, u) > (j, v):
+                    sign = -1 if par[i][u] & par[j][v] else 1
+                    i, u, j, v = j, v, i, u
+                if (i, u) == (j, v) and par[i][u]:
+                    return None
+                return coords.index((i, u, j, v)), sign
+
+            pairs = [(i, u, n - i, v) for i in range(1, n) for u in range(alg.dim(i))
+                     for v in range(alg.dim(n - i))]
+            assert sorted(space.index) == sorted(pairs), n
+            for pair in pairs:
+                want = swap_rule(*pair)
+                if want is None:
+                    odd_squares += 1
+                    assert space.index[pair][1] == 0, pair
+                else:
+                    assert space.index[pair] == want, pair
+                    signs.add(want[1])
+        # y1.y1 and y2.y2 in degree 2, and the squares of x.y1 and x.y2 in 4.
+        assert odd_squares == 4
+        assert signs == {1, -1}
 
 
 class TestRelationRows:
