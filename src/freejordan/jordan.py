@@ -212,8 +212,9 @@ def _read_table(
 ) -> list[list[Vector]]:
     """The cached (i, j) table as held; ValueError unless it fits ``parities``.
 
-    It must be dim(i) x dim(j), with indices below dim(i + j), and each term
-    of the entry x_u.y_v must have the parity |x_u| + |y_v|.
+    It must be dim(i) x dim(j), each entry a ``Vector`` as held (indices
+    strictly increasing and below dim(i + j), no zero coefficient), and each
+    term of the entry x_u.y_v must have the parity |x_u| + |y_v|.
     """
     if len(tab) != len(parities[i]) or any(len(row) != len(parities[j]) for row in tab):
         raise ValueError(f"cache table ({i}, {j}) is not dim({i}) x dim({j})")
@@ -224,6 +225,10 @@ def _read_table(
     dim = len(parities[i + j])
     if any(not 0 <= k < dim for row in out for vec in row for k, _ in vec):
         raise ValueError(f"cache table ({i}, {j}) holds an index beyond dim({i + j})")
+    if any(not c for row in out for vec in row for _, c in vec):
+        raise ValueError(f"cache table ({i}, {j}) holds a zero coefficient")
+    if any(k >= l for row in out for vec in row for (k, _), (l, _) in zip(vec, vec[1:])):
+        raise ValueError(f"cache table ({i}, {j}) holds terms out of order or repeated")
     pk = parities[i + j]
     if any(pk[k] != pu ^ pv for pu, row in zip(parities[i], out)
            for pv, vec in zip(parities[j], row) for k, _ in vec):

@@ -36,6 +36,17 @@ contribution of (a_n, b_n), enters only the log terms at z^{kn}
 lines 1..n-1 (``pending_residues``), adds line n, and then completes P_n
 (``advance``) through the same recurrence.
 
+The sum over j < n is taken on packed ints (Kronecker substitution;
+Harvey, J. Symbolic Comput. 44, 2009).  Each completed side of P_k is
+held once as the int sum_i c_i 2^(B i) of its coefficients c_i at
+t^-k..t^k, exact for any width B.  A term c t^e of j L_j then adds
+c P_{n-j} shifted by e + j digits, one C-level multiply, shift and add,
+and the n + 1 digits of the sum at t^-n..t^0 are read back.  Each such
+digit is a coefficient of the sum, at most sum_j |j L_j|_1 max|P_{n-j}|
+in absolute value; signed digits below 2^(B-1) decode uniquely, so the
+kernel widens B, and repacks every cached P_k, whenever that bound
+reaches 2^(B-1).  Nothing is truncated and no float is taken.
+
 A dimension series a(z) = sum_{n>=1} a_n z^n is passed as the tuple
 (a_1, ..., a_N) of its GDim coefficients; it has no constant term, and its
 length N is the truncation order of the product.  Every product is a
@@ -51,6 +62,7 @@ Both lie in the computed half, so the kernel reads them off its int sides
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul
 
 from .rings import GDim, RLaurent, TZSeries, _gdim, _sum
 
@@ -75,88 +87,159 @@ def line_log(an: GDim, bn: GDim, n: int, order: int) -> list[tuple[int, int, int
 class PhiKernel:
     """Phi mod z^(order+1), built one z-degree at a time from its log.
 
-    ``_p[n]`` and ``_m[n]`` hold the two split sides of the completed
-    coefficient P_n, at t^-n..t^n: t^-n..t^0 is computed, and t^1..t^n is
-    its mirror image.  ``_log[j]`` holds j L_j on both sides, t-exponent ->
-    int, summed over the lines added so far; it is final once P_j is
-    completed, and ``_next`` asserts then that it is t-symmetric, so each
-    mirror image is exact.
+    ``_p`` and ``_m`` are the two split sides, each a ``_Side``; a line's
+    log terms (``line_log``) go to both, and every step runs on each side
+    apart: the sum over j < n on packed ints, then the j = n log terms and
+    the exact division by n on the n + 1 ints at t^-n..t^0, mirrored onto
+    t^1..t^n once P_n is completed.
     """
 
     def __init__(self, order: int) -> None:
         self.order = order
-        self._log: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in range(order + 1)]
-        self._p: list[list[int]] = [[1]]
-        self._m: list[list[int]] = [[1]]
-        self._conv: tuple[list[int], list[int]] | None = None  # sum_{j<n} (j L_j) P_{n-j}
+        self._p = _Side(order)
+        self._m = _Side(order)
 
     def add_line(self, an: GDim, bn: GDim, n: int) -> None:
         """Multiply line n, the factor of (a_n, b_n), into Phi."""
-        if n < len(self._p):
+        if n < len(self._p.coeffs):
             raise ValueError(f"line {n} would change the completed z^{n} coefficient")
+        plog, mlog = self._p.log, self._m.log
         for j, e, p, m in line_log(an, bn, n, self.order):
-            lp, lm = self._log[j]
+            lp, lm = plog[j], mlog[j]
             lp[e] = lp.get(e, 0) + p
             lm[e] = lm.get(e, 0) + m
 
     def __getitem__(self, n: int) -> RLaurent:
         """The completed coefficient P_n."""
-        return _sum(zip(range(-n, n + 1), self._p[n], self._m[n]))
+        return _sum(zip(range(-n, n + 1), self._p.coeffs[n], self._m.coeffs[n]))
 
     def residues(self, n: int) -> tuple[GDim, GDim]:
         """(L0, L2) of the completed coefficient P_n."""
-        return _residues(self._p[n], self._m[n], n)
+        return _residues(self._p.coeffs[n], self._m.coeffs[n], n)
 
     def pending_residues(self) -> tuple[GDim, GDim]:
         """(L0, L2) of the next coefficient P_n as the lines added so far make it."""
-        return _residues(*self._next(), len(self._p))
+        n = len(self._p.coeffs)
+        lo = max(n - 2, 0)  # only t^-2..t^0 are read
+        return _residues(self._p.digits(n, lo), self._m.digits(n, lo), n - lo)
 
     def advance(self) -> None:
         """Complete the next coefficient P_n from the lines added so far."""
-        p, m = self._next()
-        self._p.append(p + p[-2::-1])
-        self._m.append(m + m[-2::-1])
-        self._conv = None
+        n = len(self._p.coeffs)
+        self._p.complete(n)
+        self._m.complete(n)
 
     def series(self) -> TZSeries:
         """P_0..P_order; what is not completed yet is completed from the lines added so far."""
-        while len(self._p) <= self.order:
+        while len(self._p.coeffs) <= self.order:
             self.advance()
         return TZSeries(self.order, [self[n] for n in range(self.order + 1)])
 
-    def _next(self) -> tuple[list[int], list[int]]:
-        """Both sides of P_n = (sum_{j=1..n} (j L_j) P_{n-j}) / n at t^-n..t^0, exactly."""
-        n = len(self._p)
-        if self._conv is None:
-            self._conv = (self._convolve(0, self._p, n), self._convolve(1, self._m, n))
-        out = []
-        for conv, log in zip(self._conv, self._log[n]):
-            acc = conv[:]
-            for e, c in log.items():  # j = n: P_0 = 1
-                if log.get(-e, 0) != c:
-                    raise AssertionError(f"z^{n} log term of Phi at t^{e} is not t-symmetric")
-                if e <= 0:
-                    acc[n + e] += c
-            side = []
-            for v in acc:
-                q, r = divmod(v, n)
-                if r:
-                    raise AssertionError(f"z^{n} coefficient of Phi is not integral: {v}/{n}")
-                side.append(q)
-            out.append(side)
-        return out[0], out[1]
 
-    def _convolve(self, side: int, coeffs: list[list[int]], n: int) -> list[int]:
-        """sum_{j=1..n-1} (j L_j) P_{n-j} on one side, at t^-n..t^0."""
-        acc = [0] * (n + 1)
+class _Side:
+    """One split side of Phi: its log and its completed coefficients.
+
+    ``log[j]`` holds j L_j, t-exponent -> int, summed over the lines added
+    so far.  ``coeffs[k]`` holds the completed P_k at t^-k..t^k: t^-k..t^0
+    is computed, and t^1..t^k is its mirror image.  Each completed P_k is
+    also held packed, ``packed[k] = sum_i coeffs[k][i] 2^(width i)``, with
+    ``tops[k] = max |P_k|``.  L_j is final once P_j is completed; then
+    ``complete`` has asserted that it is t-symmetric, so each mirror image
+    is exact, and it is held as ``terms[j]``, one (j - e, j + e, c) per
+    nonzero c t^e with e >= 0, and ``norms[j]``, the sum of its |c|.
+    ``conv`` holds sum_{j<n} (j L_j) P_{n-j} at t^-n..t^0 until P_n is
+    completed: it does not depend on line n.
+    """
+
+    def __init__(self, order: int) -> None:
+        self.log: list[dict[int, int]] = [{} for _ in range(order + 1)]
+        self.coeffs: list[list[int]] = [[1]]
+        self.width = _WIDTH_STEP
+        self.packed = [1]
+        self.tops = [1]
+        self.terms: list[list[tuple[int, int, int]]] = [[]]
+        self.norms = [0]
+        self.conv: list[int] | None = None
+
+    def digits(self, n: int, lo: int) -> list[int]:
+        """P_n = (sum_{j=1..n} (j L_j) P_{n-j}) / n at t^(lo-n)..t^0, exactly."""
+        if self.conv is None:
+            self.conv = self._convolve(n)
+        conv, log = self.conv, self.log[n]  # j = n: P_0 = 1
+        out = []
+        for i in range(lo, n + 1):
+            v = conv[i] + log.get(i - n, 0)
+            q, r = divmod(v, n)
+            if r:
+                raise AssertionError(f"z^{n} coefficient of Phi is not integral: {v}/{n}")
+            out.append(q)
+        return out
+
+    def complete(self, n: int) -> None:
+        """Complete P_n from the lines added so far; L_n is final from here on."""
+        log = self.log[n]
+        for e, c in log.items():
+            if log.get(-e, 0) != c:
+                raise AssertionError(f"z^{n} log term of Phi at t^{e} is not t-symmetric")
+        half = self.digits(n, 0)
+        self.coeffs.append(half + half[-2::-1])
+        self.packed.append(_pack(self.coeffs[n], self.width))
+        self.tops.append(max(map(abs, half)))
+        self.terms.append([(n - e, n + e, c) for e, c in log.items() if e >= 0 and c])
+        self.norms.append(sum(map(abs, log.values())))
+        self.conv = None
+
+    def _convolve(self, n: int) -> list[int]:
+        """sum_{j=1..n-1} (j L_j) P_{n-j} at t^-n..t^0, summed as one packed int.
+
+        The term c t^e of j L_j adds c P_{n-j} from index e + j of t^-n..t^0
+        on, so it adds c packed[n-j] shifted by e + j digits; the equal term
+        at t^-e shares the product.  A term from index n + 1 on adds nothing
+        below t^1.  Digit i of the sum is the t^(i-n) coefficient, at most
+        sum_j norms[j] tops[n-j] in absolute value; before summing, the
+        width is widened, and every packed P_k repacked, until that bound is
+        below 2^(width-1), where ``_unpack`` reads each digit exactly.
+        """
+        bound = sum(map(mul, self.norms[1:n], self.tops[n - 1:0:-1]))
+        if bound.bit_length() >= self.width:
+            self.width = -(-(bound.bit_length() + 1) // _WIDTH_STEP) * _WIDTH_STEP
+            self.packed = [_pack(c, self.width) for c in self.coeffs]
+        width, packed = self.width, self.packed
+        acc = 0
         for j in range(1, n):
-            q = coeffs[n - j]  # t^-(n-j)..t^(n-j)
-            w = len(q)
-            for e, c in self._log[j][side].items():
-                lo = e + j  # the index of t^(e - (n - j)) in acc
-                if c and lo <= n:  # the slice stops at t^0
-                    acc[lo:lo + w] = [x + c * v for x, v in zip(acc[lo:lo + w], q)]
-        return acc
+            q = packed[n - j]
+            for lo, hi, c in self.terms[j]:
+                x = c * q
+                acc += x << width * lo
+                if lo < hi <= n:
+                    acc += x << width * hi
+        return _unpack(acc, width, n + 1)
+
+
+# The packed digit width starts at, and grows by whole multiples of, 32 bits.
+_WIDTH_STEP = 32
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum_i coeffs[i] 2^(width i), exactly for any ints."""
+    out = 0
+    for c in reversed(coeffs):
+        out = (out << width) + c
+    return out
+
+
+def _unpack(x: int, width: int, count: int) -> list[int]:
+    """The digits d_0..d_{count-1} of x = sum_i d_i 2^(width i), each |d_i| < 2^(width-1).
+
+    Adding 2^(width-1) to each of these digits makes it lie in [0, 2^width)
+    without a carry, so it is read off by a shift and a mask; what x holds
+    from digit count on is a multiple of 2^(width count) and changes none
+    of them.
+    """
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    x += half * (((1 << width * count) - 1) // mask)  # half at digits 0..count-1
+    return [(x >> width * i & mask) - half for i in range(count)]
 
 
 def _residues(p: list[int], m: list[int], n: int) -> tuple[GDim, GDim]:

@@ -24,6 +24,11 @@ def _wrong_parity_term(payload):
     vec.sort(key=lambda term: term[0])
 
 
+def _edit_terms(edit):
+    """Apply ``edit`` to the two-term entry x_0.y_2 of the (1, 3) table."""
+    return lambda payload: edit(payload["tables"]["1,3"][0][2])
+
+
 # Edits of a cached (1|1)@4 payload that keep it valid JSON of the right shape
 # at the top level; the sha256 is recomputed after each.
 MALFORMED = {
@@ -38,6 +43,12 @@ MALFORMED = {
     "parity-out-of-range": lambda p: p["parities"]["2"].__setitem__(0, 2),
     "generator-parities": lambda p: p["parities"].__setitem__("1", [0, 0]),
     "term-parity": _wrong_parity_term,
+    # The three breaches of the held Vector form: a repeated index, an
+    # explicit zero coefficient (index 4 has the entry's parity), and terms
+    # out of order.
+    "repeated-index": _edit_terms(lambda vec: vec.append(list(vec[-1]))),
+    "zero-coefficient": _edit_terms(lambda vec: vec.insert(1, [4, "0"])),
+    "unsorted-terms": _edit_terms(list.reverse),
 }
 
 
@@ -308,12 +319,15 @@ class TestVerifyCommand:
         assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
         assert path.read_text() == fresh
 
-    def test_term_of_the_wrong_parity_is_rebuilt_by_oracle(self, capsys, tmp_path):
-        # The TAG layer asserts the parity of every bracket, so a cache that
-        # reached it would stop oracle with an internal error.
+    @pytest.mark.parametrize("edit", ["term-parity", "repeated-index", "zero-coefficient", "unsorted-terms"])
+    def test_malformed_terms_are_rebuilt_by_oracle(self, capsys, tmp_path, edit):
+        # A cache that reached the TAG layer would stop oracle with an
+        # internal error: its parity assertion on a term of the wrong
+        # parity, its Jacobi gate on a repeated index or a zero coefficient.
+        # Unsorted terms passed it silently.
         args, path = self._cached(capsys, tmp_path)
         fresh = path.read_text()
-        self._edit_and_reseal(path, MALFORMED["term-parity"])
+        self._edit_and_reseal(path, MALFORMED[edit])
         code, out, err = run(capsys, "oracle", *args[1:])
         assert code == 0 and "Traceback" not in err
         assert path.read_text() == fresh

@@ -213,6 +213,56 @@ class TestKernel:
                 assert phi.residues(n) == (L0(after), L2(after)), (a, b, n)
             assert phi.residues(0) == (GDIM_ONE, GDIM_ZERO)
 
+    @staticmethod
+    def _wide_classes(seed, order):
+        # Virtual classes of both signs with entries beyond 2^64: the packed
+        # width starts at one word and is widened many times in a run.
+        rng = random.Random(seed)
+
+        def big():
+            return rng.choice((-1, 1)) * rng.randint(2**64, 2**66)
+
+        a = tuple(GDim(big(), big()) for _ in range(order))
+        b = tuple(GDim(big(), big()) for _ in range(order))
+        return a, b
+
+    def test_wide_entries_match_the_line_product(self):
+        # phi_series, pending_residues and residues against the line product
+        # at order 20, through every widening of the packed digits.
+        order = 20
+        a, b = self._wide_classes(29, order)
+        expect = series_one(order)  # lines 1..n-1 at the start of step n
+        phi = PhiKernel(order)
+        widths = {phi._p.width}
+        for n in range(1, order + 1):
+            assert phi.pending_residues() == (L0(expect[n]), L2(expect[n])), n
+            phi.add_line(a[n - 1], b[n - 1], n)
+            expect = expect * phi_line(a[n - 1], b[n - 1], n, order)
+            phi.advance()
+            widths.add(phi._p.width)
+            assert phi[n] == expect[n], n
+            assert phi.residues(n) == (L0(expect[n]), L2(expect[n])), n
+        assert len(widths) > 3
+        assert phi.series() == expect == line_product(a, b) == phi_series(a, b)
+
+    def test_a_copy_taken_before_a_widening_continues(self):
+        order = 20
+        a, b = self._wide_classes(31, order)
+        phi = PhiKernel(order)
+        for n in range(1, 6):
+            phi.add_line(a[n - 1], b[n - 1], n)
+            phi.advance()
+        ahead = copy.deepcopy(phi)
+        width = phi._p.width
+        for n in range(6, order + 1):
+            phi.add_line(a[n - 1], b[n - 1], n)
+        assert phi.series() == line_product(a, b)
+        assert phi._p.width > width == ahead._p.width
+        for n in range(6, order + 1):
+            ahead.add_line(a[n - 1], b[n - 1], n)
+            ahead.advance()
+        assert ahead.series() == phi.series()
+
     def test_kernel_refuses_a_line_below_a_completed_degree(self):
         phi = PhiKernel(3)
         phi.advance()
