@@ -67,7 +67,7 @@ def _load_or_build(d1: int, d2: int, n: int, budget, cache: Path | None) -> Grad
     if path:
         try:
             alg = GradedJordanAlgebra.from_json(path.read_text())
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             pass  # absent, unreadable or altered cache: a miss, rebuilt and rewritten below
         else:
             if (alg.d1, alg.d2, alg.max_degree) == (d1, d2, n):
@@ -261,15 +261,16 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rmax", dest="r_max", type=int, required=True,
                            help="top homological degree")
             p.add_argument("--dmax", dest="d_max", type=int, required=True, help="top z-degree")
-        p.add_argument("--cache-dir", default=None, help=f"cache directory (or ${CACHE_ENV})")
         p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=DEFAULT_BUDGET,
-            help="max relation-matrix entries per construction degree, counted as "
-            "(relation rows so far + identity instances about to be expanded) x dim W_n",
-        )
+        if max_degree or homology:  # the subcommands that construct the algebra
+            p.add_argument("--cache-dir", default=None, help=f"cache directory (or ${CACHE_ENV})")
+            p.add_argument(
+                "--budget",
+                type=int,
+                default=DEFAULT_BUDGET,
+                help="max relation-matrix entries per construction degree, counted as "
+                "(relation rows so far + identity instances about to be expanded) x dim W_n",
+            )
 
     p = sub.add_parser("solve", help="solve the residue equation for the dimension series")
     common(p, order=True)
@@ -299,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.d1 < 0 or args.d2 < 0 or args.d1 + args.d2 < 1:
             parser.error("need d1, d2 >= 0 with d1 + d2 >= 1")
-        if args.budget < 1:
+        if getattr(args, "budget", 1) < 1:
             parser.error("--budget must be >= 1")
         for name, least in _MINIMUM.items():
             if getattr(args, name, least) < least:

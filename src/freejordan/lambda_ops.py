@@ -32,9 +32,10 @@ Mathieu): psi^k(A_n) puts equal terms at t^k and t^-k, so each L_j is
 symmetric, and then each P_n, by induction on n.  So the kernel computes
 P_n only at t^-n..t^0 and mirrors that half onto t^1..t^n.  Line n, the
 contribution of (a_n, b_n), enters only the log terms at z^{kn}
-(``line_log``), so a solver reads the residues of the z^n coefficient of
-lines 1..n-1 (``pending_residues``), adds line n, and then completes P_n
-(``advance``) through the same recurrence.
+(``line_log``), so P_n is final once line n is known.  The kernel takes
+one line per degree (``add``): line n adds its log terms and completes
+P_n.  A solver reads the residues of the z^n coefficient of lines
+1..n-1 (``pending_residues``) before it adds line n.
 
 The sum over j < n is taken on packed ints (Kronecker substitution;
 Harvey, J. Symbolic Comput. 44, 2009).  Each completed side of P_k is
@@ -87,11 +88,12 @@ def line_log(an: GDim, bn: GDim, n: int, order: int) -> list[tuple[int, int, int
 class PhiKernel:
     """Phi mod z^(order+1), built one z-degree at a time from its log.
 
-    ``_p`` and ``_m`` are the two split sides, each a ``_Side``; a line's
-    log terms (``line_log``) go to both, and every step runs on each side
-    apart: the sum over j < n on packed ints, then the j = n log terms and
-    the exact division by n on the n + 1 ints at t^-n..t^0, mirrored onto
-    t^1..t^n once P_n is completed.
+    Each ``add`` takes the line of the next degree n = 1..order and
+    completes P_n.  ``_p`` and ``_m`` are the two split sides, each a
+    ``_Side``; a line's log terms (``line_log``) go to both, and every step
+    runs on each side apart: the sum over j < n on packed ints, then the
+    j = n log terms and the exact division by n on the n + 1 ints at
+    t^-n..t^0, mirrored onto t^1..t^n.
     """
 
     def __init__(self, order: int) -> None:
@@ -99,15 +101,17 @@ class PhiKernel:
         self._p = _Side(order)
         self._m = _Side(order)
 
-    def add_line(self, an: GDim, bn: GDim, n: int) -> None:
-        """Multiply line n, the factor of (a_n, b_n), into Phi."""
-        if n < len(self._p.coeffs):
-            raise ValueError(f"line {n} would change the completed z^{n} coefficient")
-        plog, mlog = self._p.log, self._m.log
-        for j, e, p, m in line_log(an, bn, n, self.order):
-            lp, lm = plog[j], mlog[j]
-            lp[e] = lp.get(e, 0) + p
-            lm[e] = lm.get(e, 0) + m
+    def add(self, an: GDim, bn: GDim) -> None:
+        """Multiply line n, the factor of (a_n, b_n), into Phi for the next degree n; complete P_n."""
+        n = len(self._p.coeffs)
+        if an or bn:
+            plog, mlog = self._p.log, self._m.log
+            for j, e, p, m in line_log(an, bn, n, self.order):
+                lp, lm = plog[j], mlog[j]
+                lp[e] = lp.get(e, 0) + p
+                lm[e] = lm.get(e, 0) + m
+        self._p.complete(n)
+        self._m.complete(n)
 
     def __getitem__(self, n: int) -> RLaurent:
         """The completed coefficient P_n."""
@@ -123,16 +127,8 @@ class PhiKernel:
         lo = max(n - 2, 0)  # only t^-2..t^0 are read
         return _residues(self._p.digits(n, lo), self._m.digits(n, lo), n - lo)
 
-    def advance(self) -> None:
-        """Complete the next coefficient P_n from the lines added so far."""
-        n = len(self._p.coeffs)
-        self._p.complete(n)
-        self._m.complete(n)
-
     def series(self) -> TZSeries:
-        """P_0..P_order; what is not completed yet is completed from the lines added so far."""
-        while len(self._p.coeffs) <= self.order:
-            self.advance()
+        """P_0..P_order, once all ``order`` lines are added."""
         return TZSeries(self.order, [self[n] for n in range(self.order + 1)])
 
 
@@ -263,9 +259,8 @@ def phi_series(a: Sequence[GDim], b: Sequence[GDim]) -> TZSeries:
     if len(a) != len(b):
         raise ValueError(f"mismatched truncation orders {len(a)} != {len(b)}")
     phi = PhiKernel(len(a))
-    for n, (an, bn) in enumerate(zip(a, b), start=1):
-        if an or bn:
-            phi.add_line(an, bn, n)
+    for an, bn in zip(a, b):
+        phi.add(an, bn)
     return phi.series()
 
 

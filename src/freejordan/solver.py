@@ -24,17 +24,18 @@ that does not depend on n: -I for the single equation, a fixed signed
 permutation for the pair.  Both solvers read that slope off the degree-1
 line through the kernel, check it against the constant, and then step one
 ``PhiKernel`` at the final order: the residues of the z^n coefficient of
-lines 1..n-1 (``pending_residues``) determine the n-th coefficients, whose
-line is then added and whose z^n coefficient the kernel completes from its
-log terms, not from the slope.  At the end the kernel holds the whole
-product, so the residual of the solution is read off it: each step zeroes
-its own degree, and a nonzero residual (a line that disagrees with the
-checked slope) raises ``SolverStepError`` at its first degree.  Every
-coefficient is t-symmetric, and L0 and L2 read only t^-2..t^0, so the
-kernel computes only the t^-n..t^0 half of each, and the loop reads the
-residues off its int sides (``residues``) and builds no series.
-``residual_series`` evaluates the single equation on a given series
-instead, such as the dimensions of a constructed algebra.
+lines 1..n-1 (``pending_residues``) determine the n-th coefficients, and
+``add`` takes their line and completes the z^n coefficient from its log
+terms, not from the slope.  At the end the kernel holds the whole product,
+so the residual of the solution is read off it: each step zeroes its own
+degree, and a nonzero residual (a line that disagrees with the checked
+slope) raises ``SolverStepError`` at its first degree.  Every coefficient
+is t-symmetric, and L0 and L2 read only t^-2..t^0, so the kernel computes
+only the t^-n..t^0 half of each, and the residues are read off its int
+sides (``residues``); no series is built.  ``residual_series`` evaluates
+the single equation on a given series instead, such as the dimensions of
+a constructed algebra: it adds that series' lines to a kernel one by one
+and reads the residues off it in the same way.
 
 A series a(z) = sum_{n>=1} a_n z^n is given, and reported in
 ``SolveReport.a``, as the tuple (a_1, ..., a_N) of its GDim coefficients.
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lambda_ops import PhiKernel, lambda_adjoint_series, phi_series
-from .rings import GDIM_ONE, GDIM_ZERO, L0, L2, GDim, RLaurent
+from .rings import GDIM_ONE, GDIM_ZERO, L0, L2, GDim
 
 # Slope of the z^n defects in the n-th unknowns.  Single equation: rows
 # (even, odd) of the residue, columns (even, odd) of a_n.  Pair system:
@@ -94,11 +95,6 @@ def _check_args(d1: int, d2: int, order: int) -> GDim:
     return gens
 
 
-def _degree_one(an: GDim, bn: GDim) -> RLaurent:
-    """The z^1 coefficient of Phi(a_1 z, b_1 z), read through the kernel."""
-    return phi_series((an,), (bn,))[1]
-
-
 def _check_slope(columns: list[list[GDim]], expected) -> None:
     """Check the slope read off per-unknown defect columns against ``expected``.
 
@@ -136,22 +132,23 @@ def _single_defect(res: Sequence[tuple[GDim, GDim]], gens: GDim) -> list[GDim]:
 def residual_series(a: Sequence[GDim], d1: int, d2: int) -> list[GDim]:
     """Res_{t=0} psi * Psi(a) dt at z^0..z^N; callers assert vanishing."""
     gens = _generators(d1, d2)
-    return _single_defect([(L0(c), L2(c)) for c in lambda_adjoint_series(a).coeffs], gens)
+    psi = PhiKernel(len(a))
+    for an in a:
+        psi.add(an, -an)
+    return _single_defect([psi.residues(n) for n in range(len(a) + 1)], gens)
 
 
 def solve_dims(d1: int, d2: int, order: int) -> SolveReport:
     """Solve the single residue equation for a(z) through z^order."""
     gens = _check_args(d1, d2, order)
-    _check_slope([[L2(_degree_one(u, -u))] for u in _UNITS], MINUS_IDENTITY)
+    _check_slope([[L2(lambda_adjoint_series((u,))[1])] for u in _UNITS], MINUS_IDENTITY)
     a: list[GDim] = []
     psi = PhiKernel(order)  # Psi: lines 1..n-1 at the start of step n
     for n in range(1, order + 1):
         # The z^n residue is (defect of lines 1..n-1) - a_n.
         an = psi.pending_residues()[1] + gens * psi.residues(n - 1)[0]
         a.append(an)
-        if an:
-            psi.add_line(an, -an, n)
-        psi.advance()
+        psi.add(an, -an)
 
     residues = [psi.residues(n) for n in range(order + 1)]
     return SolveReport(
@@ -175,8 +172,8 @@ def _pair_defects(res: Sequence[tuple[GDim, GDim]], gens: GDim) -> tuple[list[GD
 def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
     """Solve the two-equation system for (a(z), b(z)) through z^order."""
     gens = _check_args(d1, d2, order)
-    lines = [_degree_one(u, GDIM_ZERO) for u in _UNITS]
-    lines += [_degree_one(GDIM_ZERO, u) for u in _UNITS]
+    lines = [phi_series((u,), (GDIM_ZERO,))[1] for u in _UNITS]
+    lines += [phi_series((GDIM_ZERO,), (u,))[1] for u in _UNITS]
     _check_slope([[L0(c), L2(c)] for c in lines], PAIR_STEP)
     a: list[GDim] = []
     b: list[GDim] = []
@@ -188,9 +185,7 @@ def solve_dims_pair(d1: int, d2: int, order: int) -> SolveReport:
         an = an + (gens if n == 1 else GDIM_ZERO)
         a.append(an)
         b.append(bn)
-        if an or bn:
-            phi.add_line(an, bn, n)
-        phi.advance()
+        phi.add(an, bn)
 
     residues = [phi.residues(n) for n in range(order + 1)]
     return SolveReport(

@@ -18,8 +18,12 @@ package computes in closed form or through its tables.
                            (1 - c t^e z^m)^k, the route the plethystic
                            exponential replaced;
 * ``lambda_direct``      -- lambda of a graded superspace by basis enumeration;
-* ``pair_residuals``     -- the defects of the two-equation system on given
-                           series a(z), b(z);
+* ``single_residuals``,
+  ``pair_residuals``     -- the residue of the single equation and the
+                           defects of the two-equation system on given
+                           series, read off the whole product series, the
+                           route the kernel's residues replaced for the
+                           single equation;
 * ``adjoint_even_line``,
   ``adjoint_odd_line``   -- the adjoint line factors as sums of t-integers;
 * ``is_t_symmetric``     -- the t -> 1/t symmetry of an sl2 character;
@@ -75,7 +79,7 @@ from typing import Sequence
 from freejordan import linalg, solver
 from freejordan.homology import BlockKey, ChainComplex, Monomial
 from freejordan.jordan import GradedJordanAlgebra, Vector
-from freejordan.lambda_ops import phi_series
+from freejordan.lambda_ops import lambda_adjoint_series, phi_series
 from freejordan.rings import GDIM_ONE, GDIM_X, GDIM_ZERO, L0, L2, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
 from freejordan.tag import BsComponent, TagAlgebra
 
@@ -275,6 +279,13 @@ def lambda_direct(pieces: Sequence[tuple[GDim, int]], order: int) -> TZSeries:
             out[i + j] = out[i + j] + e * sym[j]
     return t_free(out, order)
 
+
+def single_residuals(a: Sequence[GDim], d1: int, d2: int) -> list[GDim]:
+    """Res_{t=0} psi * Psi(a) dt at z^0..z^N, read off the whole series Psi(a):
+    L2 + D z L0, psi = (1 - t) + D z (t^-1 - 1)."""
+    gens = solver._generators(d1, d2)
+    psi = lambda_adjoint_series(a).coeffs
+    return [L2(psi[0])] + [L2(psi[n]) + gens * L0(psi[n - 1]) for n in range(1, len(psi))]
 
 
 def pair_residuals(

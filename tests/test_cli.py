@@ -117,6 +117,15 @@ class TestExitCodes:
         assert code == cli.EXIT_INTERNAL
         assert "usage error" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "solve-ab"])
+    @pytest.mark.parametrize("flag", [["--budget", "7"], ["--cache-dir", "cache"]], ids=["budget", "cache-dir"])
+    def test_construction_flags_are_refused(self, capsys, command, flag):
+        # The solvers construct nothing, so they take neither flag.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--d1", "1", "--d2", "0", "--order", "3", *flag])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
 
 class TestSolveAbCommand:
     def test_golden(self, capsys):
@@ -285,8 +294,11 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["agree_degrees"] == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("corrupt", [lambda text: text[:100], lambda text: "[]"],
-                             ids=["truncated", "not-an-object"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[:100],
+        lambda text: "[]",
+        lambda text: "[" * 100000 + "]" * 100000,  # json.loads raises RecursionError
+    ], ids=["truncated", "not-an-object", "deeply-nested"])
     def test_corrupt_cache_is_rebuilt(self, capsys, tmp_path, corrupt):
         args, path = self._cached(capsys, tmp_path)
         path.write_text(corrupt(path.read_text()))

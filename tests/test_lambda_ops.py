@@ -179,7 +179,8 @@ class TestKernel:
             assert phi_series(a, b) == series_power(phi_line(an, bn, n, 6), 2)
 
     def test_stepping_equals_the_whole_series(self):
-        # A solver's order of calls: read z^n, add line n, complete z^n.
+        # A solver's order of calls: read z^n, then add line n, which
+        # completes z^n.
         a = (GDim(1, 2), GDim(-1, 0), GDim(0, 3), GDim(2, -1), GDim(1, 1))
         b = (GDim(0, -1), GDim(2, 2), GDim(-1, 1), GDim(0, 0), GDim(3, 0))
         whole = phi_series(a, b)
@@ -187,10 +188,9 @@ class TestKernel:
         for n, (an, bn) in enumerate(zip(a, b), start=1):
             before = line_product(a[:n - 1] + (GDIM_ZERO,) * (6 - n), b[:n - 1] + (GDIM_ZERO,) * (6 - n))
             ahead = copy.deepcopy(phi)  # completes z^n without line n
-            ahead.advance()
+            ahead.add(GDIM_ZERO, GDIM_ZERO)
             assert ahead[n] == before[n]
-            phi.add_line(an, bn, n)
-            phi.advance()
+            phi.add(an, bn)
             assert phi[n] == whole[n]
         assert phi.series() == whole
 
@@ -207,8 +207,7 @@ class TestKernel:
                 pad = (GDIM_ZERO,) * (order + 1 - n)
                 before = line_product(a[:n - 1] + pad, b[:n - 1] + pad)[n]
                 assert phi.pending_residues() == (L0(before), L2(before)), (a, b, n)
-                phi.add_line(a[n - 1], b[n - 1], n)
-                phi.advance()
+                phi.add(a[n - 1], b[n - 1])
                 after = line_product(a[:n] + pad[1:], b[:n] + pad[1:])[n]
                 assert phi.residues(n) == (L0(after), L2(after)), (a, b, n)
             assert phi.residues(0) == (GDIM_ONE, GDIM_ZERO)
@@ -236,9 +235,8 @@ class TestKernel:
         widths = {phi._p.width}
         for n in range(1, order + 1):
             assert phi.pending_residues() == (L0(expect[n]), L2(expect[n])), n
-            phi.add_line(a[n - 1], b[n - 1], n)
+            phi.add(a[n - 1], b[n - 1])
             expect = expect * phi_line(a[n - 1], b[n - 1], n, order)
-            phi.advance()
             widths.add(phi._p.width)
             assert phi[n] == expect[n], n
             assert phi.residues(n) == (L0(expect[n]), L2(expect[n])), n
@@ -249,27 +247,17 @@ class TestKernel:
         order = 20
         a, b = self._wide_classes(31, order)
         phi = PhiKernel(order)
-        for n in range(1, 6):
-            phi.add_line(a[n - 1], b[n - 1], n)
-            phi.advance()
+        for an, bn in zip(a[:5], b[:5]):
+            phi.add(an, bn)
         ahead = copy.deepcopy(phi)
         width = phi._p.width
-        for n in range(6, order + 1):
-            phi.add_line(a[n - 1], b[n - 1], n)
+        for an, bn in zip(a[5:], b[5:]):
+            phi.add(an, bn)
         assert phi.series() == line_product(a, b)
         assert phi._p.width > width == ahead._p.width
-        for n in range(6, order + 1):
-            ahead.add_line(a[n - 1], b[n - 1], n)
-            ahead.advance()
+        for an, bn in zip(a[5:], b[5:]):
+            ahead.add(an, bn)
         assert ahead.series() == phi.series()
-
-    def test_kernel_refuses_a_line_below_a_completed_degree(self):
-        phi = PhiKernel(3)
-        phi.advance()
-        with pytest.raises(ValueError, match="completed z\\^1"):
-            phi.add_line(GDIM_ONE, GDIM_ZERO, 1)
-        phi.add_line(GDIM_ONE, GDIM_ZERO, 2)
-        assert phi.series() == phi_series((GDIM_ZERO, GDIM_ONE, GDIM_ZERO), (GDIM_ZERO,) * 3)
 
     def test_non_integral_log_term_raises(self, monkeypatch, capsys):
         # One stray unit in 2 L_2: 2 P_2 is then odd, and the exact division

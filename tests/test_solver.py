@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from freejordan import cli, lambda_ops
@@ -9,7 +13,7 @@ from freejordan.solver import (
     solve_dims_pair,
     vanishing_order,
 )
-from reference import pair_residuals
+from reference import pair_residuals, single_residuals
 
 
 def doubled_lines(monkeypatch, from_degree):
@@ -90,6 +94,43 @@ class TestResidualSeries:
         assert res == [GDIM_ZERO] * 7
         rep = solve_dims_pair(1, 1, 6)
         assert pair_residuals(rep.a, rep.b, 1, 1) == ([GDIM_ZERO] * 7, [GDIM_ZERO] * 7)
+
+    def test_equals_the_whole_series_route_on_virtual_classes(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            order = rng.randint(1, 12)
+            a = [GDim(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(order)]
+            d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
+            assert residual_series(a, d1, d2) == single_residuals(a, d1, d2), (a, d1, d2)
+
+    def test_equals_the_whole_series_route_on_perturbed_solutions(self):
+        for d1, d2, order in [(1, 1, 8), (0, 2, 9), (2, 0, 10), (2, 1, 7)]:
+            a = list(solve_dims(d1, d2, order).a)
+            for k in range(1, order + 1):
+                wrong = a[:k - 1] + [a[k - 1] + GDim(1, -1)] + a[k:]
+                res = residual_series(wrong, d1, d2)
+                assert res == single_residuals(wrong, d1, d2), (d1, d2, k)
+                assert vanishing_order(res) == k
+
+    # sha256 of the residual of a solution with a_k raised by (1, -1), deep
+    # enough that the kernel's packed width grows; recorded before the
+    # residual was read off the kernel's ints.
+    DEEP_RESIDUALS = {
+        (2, 1, 30, 10): "c32ed31c812d09b6c6635d48451bb91c9cff048b00b93c70369958826271f2b9",
+        (0, 3, 30, 7): "355222d5e1475f735258a954268e51874990277ab65f487cc84bf4ea1152e5e9",
+        (3, 0, 40, 12): "7a7595e58945b8b1322d8cae87a6446397fe711cf1e9675b4722cbe8c0215f4b",
+        (1, 2, 40, 5): "db83ec08e1568fd7447ce10398ecf35189ebf1ae06f0cba43b509b0b100c589d",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_RESIDUALS), ids=lambda s: "-".join(map(str, s)))
+    def test_deep_residual_is_pinned(self, shape):
+        d1, d2, order, k = shape
+        a = list(solve_dims(d1, d2, order).a)
+        a[k - 1] += GDim(1, -1)
+        res = residual_series(a, d1, d2)
+        text = json.dumps([[str(g.even), str(g.odd)] for g in res], separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DEEP_RESIDUALS[shape]
+        assert vanishing_order(res) == k
 
     def test_negative_generator_count_is_refused(self):
         a = solve_dims(1, 1, 3).a
