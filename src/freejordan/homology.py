@@ -3,15 +3,17 @@
 Chains with trivial coefficients form the super exterior algebra
 Lambda(g_even) (x) S(g_odd); a degree-r monomial is a weakly increasing
 tuple of basis indices in which even indices may not repeat.  The boundary
-extracts each pair of factors with Koszul signs and replaces it by its
-bracket:
+recurses on the smallest factor a of a chain a ^ w:
 
-    d(a_1 ... a_r) = sum over s < t of +- [a_s, a_t] ^ a_1 ... a_s^ ... a_t^ ... a_r
+    d(a ^ w) = -a ^ dw + sum over t of +- [a, w_t] ^ (w without w_t)
 
-where the sign moves a_s and then a_t to the front through the adjacent
-swap rule x ^ y = -(-1)^{|x||y|} y ^ x, and the bracket is re-inserted in
-canonical position with the same rule.  d^2 = 0 is asserted on every block
-as the acceptance gate for this sign convention.
+where +- moves w_t to the front through the adjacent swap rule
+x ^ y = -(-1)^{|x||y|} y ^ x and re-inserts the bracket in canonical
+position with the same rule.  The sign of a ^ dw is -1: a pair of factors
+of w passes a twice to the front, at |a|(|w_s| + |w_t|), and their
+bracket, which sorts after a, passes it once back, at 1 + |a||[w_s, w_t]|.
+d^2 = 0 is asserted on every block as the acceptance gate for this sign
+convention.
 
 Everything splits into finite blocks by (homological degree r, z-degree d,
 h-weight w, chain parity): the boundary preserves d, w, and parity.  Each
@@ -43,10 +45,11 @@ class ChainComplex:
     ``blocks[key]`` maps each chain of a block to its position, in the
     order of enumeration.  That position is the chain's column in
     ``boundaries[key]`` and its row index in the columns of the block one
-    homological degree higher.  The boundary is read off the TAG's integer
-    bracket table, so ``boundaries`` holds ``tag.scale`` times d, with int
-    coefficients.  Ranks do not see the scale, and the d^2 = 0 gate sums
-    ``tag.scale**2`` times d^2 in exact integers.
+    homological degree higher.  A chain's column is its tail's, carried
+    over by a head map, plus its r - 1 head brackets, read off the TAG's
+    integer bracket table, so ``boundaries`` holds ``tag.scale`` times d,
+    with int coefficients.  Ranks do not see the scale, and the d^2 = 0
+    gate sums ``tag.scale**2`` times d^2 in exact integers.
     """
 
     def __init__(self, tag: TagAlgebra, r_max: int, d_max: int) -> None:
@@ -59,12 +62,7 @@ class ChainComplex:
         self.d_max = d_max
         self.blocks: dict[BlockKey, dict[Monomial, int]] = {}
         self._enumerate()
-        blocks = self.blocks
-        self.boundaries: dict[BlockKey, list[linalg.SparseRow]] = {
-            key: [self._column(mon, target) for mon in blk]
-            for key, blk in blocks.items()
-            for target in [blocks.get((key[0] - 1, *key[1:]), {})]
-        }
+        self.boundaries = self._boundaries()
         self._check_d_squared()
         self._ranks: dict[BlockKey, int] = {}
 
@@ -101,49 +99,65 @@ class ChainComplex:
 
     # -- boundary --------------------------------------------------------
 
-    def _column(self, mon: Monomial, target: dict[Monomial, int]) -> linalg.SparseRow:
-        """tag.scale times d of one chain, at its positions in ``target``.
+    def _boundaries(self) -> dict[BlockKey, list[linalg.SparseRow]]:
+        """tag.scale times d of every chain, block by block as r grows.
 
-        ``target`` is the block one homological degree lower with the same
-        z-degree, weight and parity.  Signs are parities.  Moving a_s and
-        then a_t to the front costs s + |a_s|·before[s] and
-        t - 1 + |a_t|·(before[t] - |a_s|), where before[i] counts the odd
-        factors ahead of slot i.  Inserting the bracket term g at position
-        pos of the rest costs pos + |g|·(odd factors of the rest ahead of
-        pos).  Every chain lies in exactly one block, so a term missing
-        from ``target`` has left the block, and raises.
+        -a ^ dw is the tail's column, negated and moved by ``heads[a, key]``,
+        which sends a chain's position in block ``key`` to that of a
+        prefixed to it, and fills as each tail is found.  The [a, w_t] term
+        costs t - 1 + |w_t|·(odd factors of w ahead of w_t) to move, and
+        pos + |g|·(odd factors ahead of pos) to insert its term g at
+        position pos of the rest.  A tail, or a term of dw, missing from the
+        blocks is a fault in them; a bracket term missing from the target
+        block has left its block.  Each raises.
         """
-        brackets, par = self.tag.brackets, self.tag.parities
-        pars = [par[g] for g in mon]
-        before = [0, *accumulate(pars)]
-        r = len(mon)
-        col: dict[int, int] = {}
-        for s in range(r):
-            ps = pars[s]
-            for t in range(s + 1, r):
-                # Each unordered slot pair appears exactly once; repeated odd
-                # factors contribute once per pair of slots, as S(g_odd)
-                # requires.
-                terms = brackets.get((mon[s], mon[t]))
-                if not terms:
-                    continue
-                pt = pars[t]
-                sign = s + t - 1 + ps * before[s] + pt * (before[t] - ps)
-                rest = mon[:s] + mon[s + 1:t] + mon[t + 1:]
-                for g, c in terms:
-                    # g sits at z-degree deg a_s + deg a_t, above both, so it
-                    # sorts after both: at position at - 2 of the rest.
-                    at = bisect_left(mon, g)
-                    pg = par[g]
-                    if not pg and at < r and mon[at] == g:
-                        continue  # an even factor squares to zero
-                    i = target.get(rest[:at - 2] + (g,) + rest[at - 2:])
-                    if i is None:
-                        raise AssertionError("boundary leaves its block")
-                    odd = before[at] - ps - pt
-                    term = -c if (sign + at + pg * odd) & 1 else c
-                    col[i] = col.get(i, 0) + term
-        return linalg.sparse_row(col)
+        blocks, brackets = self.blocks, self.tag.brackets
+        deg, wt, par = self.tag.degrees, self.tag.weights, self.tag.parities
+        # The empty chain's block sorts first, and has no boundary.
+        cols: dict[BlockKey, list[linalg.SparseRow]] = {(0, 0, 0, 0): [()]}
+        heads: dict[tuple[int, BlockKey], dict[int, int]] = {}
+        for key in sorted(blocks)[1:]:
+            r, d, w, p = key
+            target = blocks.get((r - 1, d, w, p), {})
+            out = cols[key] = []
+            a = None
+            for mon, j in blocks[key].items():
+                if mon[0] != a:  # the chains of one head come together
+                    a, pa = mon[0], par[mon[0]]
+                    tail = (r - 1, d - deg[a], w - wt[a], p ^ pa)
+                    tails, tail_cols = blocks.get(tail, {}), cols.get(tail)
+                    fill = heads.setdefault((a, tail), {})
+                    head = heads.get((a, (r - 2, *tail[1:])), {})
+                i = tails.get(mon[1:])
+                if i is None:
+                    raise AssertionError(f"the tail of chain {mon} is not in block {tail}")
+                fill[i] = j
+                try:
+                    col = {head[k]: -c for k, c in tail_cols[i]}
+                except KeyError:
+                    raise AssertionError(f"a term of d{mon[1:]} has no head {a}") from None
+                pars = [par[g] for g in mon]
+                before = [0, *accumulate(pars)]
+                for t in range(1, r):
+                    terms = brackets.get((a, mon[t]))
+                    if not terms:
+                        continue
+                    pt = pars[t]
+                    sign = t - 1 + pt * (before[t] - pa)
+                    for g, c in terms:
+                        # g sorts after w_t, at position at - 2 of the rest.
+                        at = bisect_left(mon, g)
+                        pg = par[g]
+                        if not pg and at < r and mon[at] == g:
+                            continue  # an even factor squares to zero
+                        k = target.get(mon[1:t] + mon[t + 1:at] + (g,) + mon[at:])
+                        if k is None:
+                            raise AssertionError("boundary leaves its block")
+                        odd = before[at] - pa - pt
+                        term = -c if (sign + at + pg * odd) & 1 else c
+                        col[k] = col.get(k, 0) + term
+                out.append(linalg.sparse_row(col))
+        return {key: cols[key] for key in blocks}
 
     def _check_d_squared(self) -> None:
         for (r, d, w, par), cols in self.boundaries.items():

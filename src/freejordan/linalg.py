@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 SparseRow = tuple[tuple[int, Fraction | int], ...]
@@ -49,7 +50,7 @@ def accumulate(acc: dict[int, int], row: SparseRow, scale: int = 1) -> None:
 
 def sparse_row(acc: dict[int, Fraction | int]) -> SparseRow:
     """The nonzero entries of ``acc``, sorted by index."""
-    return tuple(sorted((k, c) for k, c in acc.items() if c))
+    return tuple(sorted(filter(itemgetter(1), acc.items())))
 
 
 def denominator(rows: Iterable[SparseRow]) -> int:

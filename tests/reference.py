@@ -62,6 +62,8 @@ package computes in closed form or through its tables.
   ``reference_boundary_monomial`` -- the Chevalley-Eilenberg chains by
                            filtering every index tuple, and their boundary
                            with signs summed factor by factor;
+* ``pair_boundaries``    -- every boundary column of a chain complex by the
+                           pair formula, one bracket per pair of factors;
 * ``block_key``,
   ``block_dim``          -- a chain's block, summed from its factors, and
                            the dimensions of the blocks at one (r, d).
@@ -69,9 +71,10 @@ package computes in closed form or through its tables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb
 from operator import mul
 from typing import Sequence
@@ -696,6 +699,45 @@ def reference_boundary_monomial(tag: TagAlgebra, mon: tuple[int, ...]) -> dict:
                 new, s2 = ins
                 out[new] = out.get(new, 0) + sign * s2 * c
     return {m: c for m, c in out.items() if c}
+
+
+def pair_boundaries(cc: ChainComplex) -> dict[BlockKey, list[linalg.SparseRow]]:
+    """``cc.boundaries`` rebuilt by the pair formula, in the same positions.
+
+    Each pair of slots s < t of a chain is replaced by its bracket, so a
+    repeated odd factor contributes once per pair of slots.  Moving a_s
+    and then a_t to the front costs s + |a_s|·before[s] and
+    t - 1 + |a_t|·(before[t] - |a_s|), where before[i] counts the odd
+    factors ahead of slot i.  Inserting the bracket term g at position pos
+    of the rest costs pos + |g|·(odd factors of the rest ahead of pos).
+    """
+    brackets, par = cc.tag.brackets, cc.tag.parities
+
+    def column(mon, target):
+        pars = [par[g] for g in mon]
+        before = [0, *accumulate(pars)]
+        r = len(mon)
+        col: dict[int, int] = {}
+        for s in range(r):
+            ps = pars[s]
+            for t in range(s + 1, r):
+                pt = pars[t]
+                sign = s + t - 1 + ps * before[s] + pt * (before[t] - ps)
+                rest = mon[:s] + mon[s + 1:t] + mon[t + 1:]
+                for g, c in brackets.get((mon[s], mon[t]), ()):
+                    # g sorts after both factors: at position at - 2 of the rest.
+                    at = bisect_left(mon, g)
+                    pg = par[g]
+                    if not pg and at < r and mon[at] == g:
+                        continue
+                    i = target[rest[:at - 2] + (g,) + rest[at - 2:]]
+                    odd = before[at] - ps - pt
+                    col[i] = col.get(i, 0) + (-c if (sign + at + pg * odd) & 1 else c)
+        return linalg.sparse_row(col)
+
+    return {key: [column(mon, target) for mon in blk]
+            for key, blk in cc.blocks.items()
+            for target in [cc.blocks.get((key[0] - 1, *key[1:]), {})]}
 
 
 def block_key(cc: ChainComplex, mon: Monomial) -> BlockKey:

@@ -7,7 +7,8 @@ from freejordan.homology import ChainComplex, compute_homology, isotypic_multipl
 from freejordan.jordan import build_free_jordan
 from freejordan.rings import RLAURENT_ONE, GDim, TZSeries
 from freejordan.tag import build_tag
-from reference import block_dim, block_key, reference_boundary_monomial, reference_chain_blocks, sl2_index
+from reference import (block_dim, block_key, pair_boundaries, reference_boundary_monomial,
+                       reference_chain_blocks, sl2_index)
 
 
 def tag_for(d1, d2, n):
@@ -78,13 +79,47 @@ class TestChainComplex:
                    for key, blk in cc.blocks.items())
 
     def test_boundary_matches_the_reference_signs(self):
-        tag = tag_for(1, 1, 5)
-        cc = ChainComplex(tag, 5, 5)
-        nonzero = 0
-        for _key, mon, terms in stored_boundaries(cc):
-            assert terms == reference_boundary_monomial(tag, mon)
-            nonzero += bool(terms)
-        assert nonzero > 1000
+        # (0|2) chains repeat odd heads, the S(g_odd) side; (2|0) has even
+        # generators only.
+        for d1, d2 in [(1, 1), (0, 2), (2, 0)]:
+            tag = tag_for(d1, d2, 5)
+            cc = ChainComplex(tag, 5, 5)
+            nonzero = 0
+            for _key, mon, terms in stored_boundaries(cc):
+                assert terms == reference_boundary_monomial(tag, mon), (d1, d2, mon)
+                nonzero += bool(terms)
+            assert nonzero > 1000, (d1, d2)
+
+    def test_boundary_matches_the_pair_formula(self):
+        # Built from tails, each column equals the one that brackets every
+        # pair of factors, position for position.
+        cc = ChainComplex(tag_for(2, 1, 4), 4, 4)
+        assert cc.boundaries == pair_boundaries(cc)
+
+    @staticmethod
+    def drop_one_generator_chain(monkeypatch):
+        """Make the enumeration lose the last z-degree-1 chain (b,), which
+        is the tail of (0, b), and renumber its block."""
+        enumerate_chains = ChainComplex._enumerate
+
+        def lossy(cc):
+            enumerate_chains(cc)
+            b = max(g for g, n in enumerate(cc.tag.degrees) if n == 1)
+            key = block_key(cc, (b,))
+            cc.blocks[key] = {m: i for i, m in enumerate(m for m in cc.blocks[key] if m != (b,))}
+
+        monkeypatch.setattr(ChainComplex, "_enumerate", lossy)
+
+    def test_missing_tail_is_a_fault(self, monkeypatch):
+        self.drop_one_generator_chain(monkeypatch)
+        with pytest.raises(AssertionError, match="tail of chain"):
+            ChainComplex(tag_for(1, 1, 3), 3, 3)
+
+    def test_missing_tail_exits_4(self, monkeypatch, capsys):
+        self.drop_one_generator_chain(monkeypatch)
+        code = cli.main(["homology", "--d1", "1", "--d2", "1", "--rmax", "3", "--dmax", "3"])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "tail of chain" in capsys.readouterr().err
 
     def test_block_leak_gate_fires(self):
         # Send one e(x)x term of a bracket to f(x)x: the chain it lands on
