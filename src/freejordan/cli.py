@@ -145,6 +145,7 @@ def cmd_solve_ab(args) -> int:
 def cmd_oracle(args) -> int:
     alg = _load_or_build(args.d1, args.d2, args.max_degree, args.budget, _cache_dir(args))
     tag = build_tag(alg, args.max_degree)
+    tag.check_jacobi()
     res = residual_series(alg.graded_dims(), args.d1, args.d2)
     bs_dims = {n: tag.bs[n].dim for n in sorted(tag.bs)}
     inn = {n: inner_rank_diagnostic(tag, n) for n in range(2, args.max_degree)}

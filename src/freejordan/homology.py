@@ -22,6 +22,13 @@ its chain's position in the block one homological degree lower.  A
 block at (r, d) is complete once d <= d_max and r <= min(r_max, d) (every
 chain factor has z-degree >= 1), which makes truncation artifacts
 explicit rather than silent.
+
+The boundary commutes with sl2 once ``sl2.check_sl2`` has passed, and
+every chain block is a weight space of a finite-dimensional sl2-module
+(Kashuba--Mathieu).  So the ranks are taken mod 13 on the weights w >= 0
+only, top down, and certified exact on the highest-weight spaces by
+d^2 = 0 (``ChainComplex._rank_column``); a block the certificate does not
+cover is ranked over Q.  The rank at -w is the rank at w.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from . import linalg
-from .lambda_ops import phi_series
-from .rings import GDIM_ZERO, GDim, RLaurent
+from .lambda_ops import PhiKernel
+from .rings import GDIM_ZERO, GDim
+from .sl2 import check_sl2
 from .tag import TagAlgebra
 
 Monomial = tuple[int, ...]
@@ -50,6 +58,14 @@ class ChainComplex:
     integer bracket table, so ``boundaries`` holds ``tag.scale`` times d,
     with int coefficients.  Ranks do not see the scale, and the d^2 = 0
     gate sums ``tag.scale**2`` times d^2 in exact integers.
+
+    Construction runs three gates, each raising ``AssertionError``: the
+    block-leak gate as the boundary is built, then ``sl2.check_sl2``
+    through ``d_max``, the premise of the rank certificate, then d^2 = 0
+    on every block.  On the r = 3 blocks d^2 = 0 is the super Jacobi
+    identity on every sorted triple of total z-degree <= d_max (a repeated
+    even factor, the one triple that is not a chain, is trivial once
+    anticommutativity holds).
     """
 
     def __init__(self, tag: TagAlgebra, r_max: int, d_max: int) -> None:
@@ -63,8 +79,10 @@ class ChainComplex:
         self.blocks: dict[BlockKey, dict[Monomial, int]] = {}
         self._enumerate()
         self.boundaries = self._boundaries()
+        check_sl2(tag, d_max)
         self._check_d_squared()
-        self._ranks: dict[BlockKey, int] = {}
+        # (z-degree, parity) -> (r, weight) -> rank, one column at a time.
+        self._ranks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
     # -- chain enumeration ----------------------------------------------
 
@@ -102,22 +120,28 @@ class ChainComplex:
     def _boundaries(self) -> dict[BlockKey, list[linalg.SparseRow]]:
         """tag.scale times d of every chain, block by block as r grows.
 
-        -a ^ dw is the tail's column, negated and moved by ``heads[a, key]``,
-        which sends a chain's position in block ``key`` to that of a
-        prefixed to it, and fills as each tail is found.  The [a, w_t] term
-        costs t - 1 + |w_t|·(odd factors of w ahead of w_t) to move, and
-        pos + |g|·(odd factors ahead of pos) to insert its term g at
-        position pos of the rest.  A tail, or a term of dw, missing from the
-        blocks is a fault in them; a bracket term missing from the target
-        block has left its block.  Each raises.
+        -a ^ dw is the tail's column, negated and moved by a head map, which
+        sends a chain's position in the tail's block to that of a prefixed
+        to it, and fills as each tail is found.  The maps filled at level r
+        are read at level r + 1 only, so only those of two levels are kept.
+        The [a, w_t] term costs t - 1 + |w_t|·(odd factors of w ahead of
+        w_t) to move, and pos + |g|·(odd factors ahead of pos) to insert its
+        term g at position pos of the rest.  A tail, or a term of dw,
+        missing from the blocks is a fault in them; a bracket term missing
+        from the target block has left its block.  Each raises.
         """
         blocks, brackets = self.blocks, self.tag.brackets
         deg, wt, par = self.tag.degrees, self.tag.weights, self.tag.parities
         # The empty chain's block sorts first, and has no boundary.
         cols: dict[BlockKey, list[linalg.SparseRow]] = {(0, 0, 0, 0): [()]}
+        # (a, tail block) -> head map, filled at this level and one level down.
         heads: dict[tuple[int, BlockKey], dict[int, int]] = {}
+        below: dict[tuple[int, BlockKey], dict[int, int]] = {}
+        level = 1
         for key in sorted(blocks)[1:]:
             r, d, w, p = key
+            if r != level:
+                level, below, heads = r, heads, {}
             target = blocks.get((r - 1, d, w, p), {})
             out = cols[key] = []
             a = None
@@ -127,7 +151,7 @@ class ChainComplex:
                     tail = (r - 1, d - deg[a], w - wt[a], p ^ pa)
                     tails, tail_cols = blocks.get(tail, {}), cols.get(tail)
                     fill = heads.setdefault((a, tail), {})
-                    head = heads.get((a, (r - 2, *tail[1:])), {})
+                    head = below.get((a, (r - 2, *tail[1:])), {})
                 i = tails.get(mon[1:])
                 if i is None:
                     raise AssertionError(f"the tail of chain {mon} is not in block {tail}")
@@ -176,14 +200,53 @@ class ChainComplex:
 
     # -- ranks and homology ----------------------------------------------
 
-    def _rank(self, key: BlockKey) -> int:
-        """Rank of the boundary out of a block, computed once per block."""
-        if key not in self._ranks:
-            # The columns themselves go in as rows: rank(A^T) = rank(A).
-            # Many keys asked for have no boundary; they cost no rref call.
-            cols = [col for col in self.boundaries.get(key, []) if col]
-            self._ranks[key] = linalg.rank(cols) if cols else 0
-        return self._ranks[key]
+    def rank(self, key: BlockKey) -> int:
+        """Rank of the boundary out of a block; each column (d, parity) is ranked once."""
+        r, d, w, p = key
+        ranks = self._ranks.get((d, p))
+        if ranks is None:
+            ranks = self._ranks[(d, p)] = self._rank_column(d, p)
+        return ranks.get((r, w), 0)
+
+    def _rank_column(self, d: int, p: int) -> dict[tuple[int, int], int]:
+        """The rank of d out of every block at z-degree d and parity p, by (r, weight).
+
+        The weights w >= 0 are walked from the top down.  With c_r(w) the
+        chain count, the highest-weight vectors of V_r(w) span
+        c_r(w) - c_r(w + 2) dimensions, and d, which commutes with sl2,
+        has rank rank_r(w) - rank_r(w + 2) on them.  The rank mod p of a
+        block, l_r(w), is at most rank_r(w), so rho_r = l_r(w) -
+        rank_r(w + 2) is at most d's rank on the highest weights, and
+
+            g_r = c_r(w) - c_r(w + 2) - rho_r - rho_{r+1}
+
+        is at least the highest-weight homology at r, at least 0.  If
+        g_r = 0, both rho_r and rho_{r+1} are exact; so block r is exact
+        when g_r = 0 or g_{r-1} = 0.  A block that is not is ranked over
+        Q.  The boundary columns go in as rows: rank(A^T) = rank(A).  The
+        image is an sl2-module, so the rank at -w is the rank at w.
+        """
+        blocks, bounds = self.blocks, self.boundaries
+        top_r = min(self.r_max, d)
+        top_w = max((w for (_, dd, w, pp) in blocks if dd == d and pp == p), default=-1)
+        ranks: dict[tuple[int, int], int] = {}
+        count_up, rank_up = [0] * (top_r + 1), [0] * (top_r + 2)
+        for w in range(top_w, -1, -2):
+            count = [len(blocks.get((r, d, w, p), ())) for r in range(top_r + 1)]
+            cols = [[c for c in bounds.get((r, d, w, p), ()) if c] for r in range(top_r + 1)]
+            ell = [linalg.rank_mod_p(c) if c else 0 for c in cols] + [0]
+            rho = [x - y for x, y in zip(ell, rank_up)]
+            gap = [count[r] - count_up[r] - rho[r] - rho[r + 1] for r in range(top_r + 1)]
+            if min(gap) < 0:
+                raise AssertionError(
+                    f"ranks mod {linalg.PRIME} exceed the highest weights at "
+                    f"r={gap.index(min(gap))} d={d} weight={w} parity={p}"
+                )
+            for r, c in enumerate(cols):
+                exact = not c or gap[r] == 0 or r > 0 and gap[r - 1] == 0
+                ranks[(r, w)] = ranks[(r, -w)] = ell[r] if exact else linalg.rank(c)
+            count_up, rank_up = count, [ranks[(r, w)] for r in range(top_r + 1)] + [0]
+        return ranks
 
     def homology_weights(self, r: int, d: int) -> dict[int, GDim]:
         """dim H_r at z-degree d, per h-weight, as an even/odd pair.
@@ -203,7 +266,7 @@ class ChainComplex:
                 if dim == 0:
                     continue
                 pair[par] = (
-                    dim - self._rank(key) - self._rank((r + 1, d, w, par))
+                    dim - self.rank(key) - self.rank((r + 1, d, w, par))
                 )
             if pair[0] or pair[1]:
                 out[w] = GDim(pair[0], pair[1])
@@ -211,18 +274,22 @@ class ChainComplex:
 
     # -- Euler characteristic cross-check --------------------------------
 
-    def chain_character(self, d: int) -> RLaurent:
-        """sum over r of (-1)^r char V_r at z-degree d, in t^(weight/2)."""
+    def chain_character(self, d: int) -> tuple[list[int], list[int]]:
+        """sum over r of (-1)^r char V_r at z-degree d, as split sides at t^-d..t^d.
+
+        Weight w sits at t^(w/2), and a signed count c of parity 0 or 1
+        adds (c, c) or (c, -c), the split coordinates (even + odd,
+        even - odd) of ``PhiKernel.sides``.
+        """
         if not self.is_complete(d, d):
             raise ValueError("chain column incomplete at this z-degree")
-        acc: dict[int, GDim] = {}
+        p, m = [0] * (2 * d + 1), [0] * (2 * d + 1)
         for (r, dd, w, par), mons in self.blocks.items():
-            if dd != d:
-                continue
-            c = (-1) ** r * len(mons)
-            g = GDim(c, 0) if par == 0 else GDim(0, c)
-            acc[w // 2] = acc.get(w // 2, GDIM_ZERO) + g
-        return RLaurent(acc)
+            if dd == d:
+                c = -len(mons) if r & 1 else len(mons)
+                p[d + w // 2] += c
+                m[d + w // 2] += -c if par else c
+        return p, m
 
     def euler_check(self) -> int:
         """Verify the chain Euler characteristic against the lambda product.
@@ -231,20 +298,20 @@ class ChainComplex:
         complete, the alternating sum of chain characters must equal the
         z^d coefficient of the lambda-operation applied to
         [g] = a(z).adjoint + b(z), with a the algebra dimensions and b the
-        Bs dimensions.  Returns the number of degrees checked; raises on the
-        first mismatch.
+        Bs dimensions, read off ``PhiKernel`` in ints.  Returns the number
+        of degrees checked; raises on the first mismatch.
         """
         top = min(self.d_max, self.r_max)
         tag = self.tag
-        a = [tag.alg.dims[n] for n in range(1, top + 1)]
-        b = [tag.bs[n].dim if n in tag.bs else GDIM_ZERO for n in range(1, top + 1)]
-        phi = phi_series(a, b)
+        phi = PhiKernel(top)
+        for n in range(1, top + 1):
+            phi.add(tag.alg.dims[n], tag.bs[n].dim if n in tag.bs else GDIM_ZERO)
         for d in range(0, top + 1):
-            lhs = self.chain_character(d)
-            if lhs != phi[d]:
+            lhs, rhs = self.chain_character(d), phi.sides(d)
+            if lhs != rhs:
                 raise AssertionError(
                     f"Euler characteristic mismatch at z-degree {d}: "
-                    f"chains give {lhs}, lambda gives {phi[d]}"
+                    f"chains give {lhs}, lambda gives {rhs}"
                 )
         return top + 1
 
@@ -309,7 +376,13 @@ class HomologyReport:
 
 
 def compute_homology(tag: TagAlgebra, r_max: int, d_max: int) -> HomologyReport:
-    """Full report: homology on complete (r, d) blocks plus the Euler gate."""
+    """Full report: homology on complete (r, d) blocks plus the Euler gate.
+
+    The chain complex's d^2 = 0 gate is the Jacobi identity in its range
+    once r_max >= 3; below that the Jacobi gate runs here.
+    """
+    if r_max < 3:
+        tag.check_jacobi()
     cc = ChainComplex(tag, r_max, d_max)
     report = HomologyReport(tag.alg.d1, tag.alg.d2, r_max, d_max)
     for r in range(0, r_max + 1):

@@ -117,6 +117,10 @@ class PhiKernel:
         """The completed coefficient P_n."""
         return _sum(zip(range(-n, n + 1), self._p.coeffs[n], self._m.coeffs[n]))
 
+    def sides(self, n: int) -> tuple[list[int], list[int]]:
+        """The split sides (even + odd, even - odd) of the completed P_n at t^-n..t^n."""
+        return list(self._p.coeffs[n]), list(self._m.coeffs[n])
+
     def residues(self, n: int) -> tuple[GDim, GDim]:
         """(L0, L2) of the completed coefficient P_n."""
         return _residues(self._p.coeffs[n], self._m.coeffs[n], n)

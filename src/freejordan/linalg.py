@@ -26,6 +26,9 @@ rational Gaussian elimination gives.
 Every exact elimination in the package enters through ``rank`` or
 ``quotient``.  Both reduce with ``_reduce``; ``quotient`` goes on through
 ``rref`` to the rational output rows, which ``rank`` never builds.
+``rank_mod_p`` is the one inexact engine: a rank mod ``PRIME`` on packed
+rows, a lower bound for the rank over Q that only a certificate may
+promote to an exact rank (``homology``).
 ``SparseRow`` is also the one vector type of the package: the algebra's
 tables, Bs(J), the TAG bracket and the Chevalley-Eilenberg boundary
 columns hold their vectors as sorted pairs with no zero coefficient,
@@ -135,6 +138,47 @@ def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
 def rank(rows: Sequence[SparseRow]) -> int:
     """Row rank: the number of pivots, with no rational output rows built."""
     return len(_reduce(rows))
+
+
+PRIME = 13
+# Every byte b to b mod PRIME.  A packed step leaves each digit at most
+# (PRIME - 1) + (PRIME - 1)**2 < 256, so no digit carries into the next.
+_MOD_P = bytes(b % PRIME for b in range(256))
+_INVERSE = [0] + [pow(c, -1, PRIME) for c in range(1, PRIME)]
+
+
+def _mod_p(v: int, size: int) -> int:
+    """Each of the ``size`` bytes of v reduced mod PRIME."""
+    return int.from_bytes(v.to_bytes(size, "little").translate(_MOD_P), "little")
+
+
+def rank_mod_p(rows: Sequence[SparseRow]) -> int:
+    """Rank mod PRIME of the int ``rows``, each first divided by the gcd of its entries.
+
+    Dividing a row by a constant keeps the rank over Q, and a minor that
+    vanishes over Q vanishes mod PRIME, so this is at most ``rank(rows)``.
+    A row is packed one byte per column into one int, column k at byte k.
+    Its pivot is its top nonzero byte, and pivot rows are kept monic, so
+    one elimination step clears that byte f of v by v + (PRIME - f)·q, one
+    big-int multiply-add, then reduces every byte mod PRIME.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        g = gcd(*(c for _, c in row))
+        if not g:
+            continue  # a zero row
+        v = 0
+        for k, c in row:
+            v |= c // g % PRIME << 8 * k
+        while v:
+            top = (v.bit_length() - 1) >> 3
+            f = v >> 8 * top
+            q = pivots.get(top)
+            if q is None:
+                pivots[top] = _mod_p(v * _INVERSE[f], top + 1) if f != 1 else v
+                break
+            v = _mod_p(v + (PRIME - f) * q, top + 1)
+    return len(pivots)
 
 
 def quotient(

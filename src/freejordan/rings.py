@@ -38,6 +38,9 @@ class GDim:
     def __setattr__(self, name, value):
         raise AttributeError("GDim is immutable")
 
+    def __reduce__(self):
+        return GDim, (self.even, self.odd)
+
     def __repr__(self) -> str:
         return f"GDim({self.even}, {self.odd})"
 
@@ -118,6 +121,9 @@ class RLaurent:
 
     def __setattr__(self, name, value):
         raise AttributeError("RLaurent is immutable")
+
+    def __reduce__(self):
+        return _sum, (self.terms,)
 
     def __getitem__(self, e: int) -> GDim:
         for exp, p, m in self.terms:

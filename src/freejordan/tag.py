@@ -27,8 +27,9 @@ cyclic rows, one per S3 orbit of basis triples.  The bracket table is
 written from J's data, not from pairs of TAG basis elements: each product
 x.y with the class of x(x)y gives the 7 nonzero [a(x)x, b(x)y], each column
 d_{x,y}(z) the 6 brackets of {x(x)y} with a(x)z, and each pair of Bs
-classes its bracket.  After construction, exhaustive gates check
-anticommutativity and the super Jacobi identity.
+classes its bracket.  Exhaustive gates check anticommutativity, the super
+Jacobi identity and, in ``freejordan.sl2``, that sl2 acts by derivations
+(see ``build_tag`` for which runs where).
 
 The layer is built in ints from ``alg.integer_copy()``, J's tables times
 T; ``TagAlgebra`` gives the scales.  This module imports no ``Fraction``:
@@ -53,7 +54,7 @@ SL2_WEIGHTS = (2, 0, -2)
 # sl2 ([e,f] = h, [h,e] = 2e, [h,f] = -2f) and k is the trace form, k(e,f) =
 # k(f,e) = 4 and k(h,h) = 8.  One row (a, b, c, coeff, k(a,b)/4) for each of
 # the 7 pairs with a nonzero bracket; coeff = 0 where [a,b] = 0.
-_SL2_RULES = (
+SL2_RULES = (
     (0, 1, 0, -2, 0),  # [e,h] = -2e
     (0, 2, 1, 1, 1),  # [e,f] = h, k = 4
     (1, 0, 0, 2, 0),  # [h,e] = 2e
@@ -295,7 +296,7 @@ class TagAlgebra:
             for (i, u, j, v), (q, e) in self.bs[n].index.items():
                 prod = rescale(scaled.multiply_basis(i, u, j, v), 0)
                 kap = rescale(projection[n][q], 1, o[3]) if e else ()
-                for a, b, c_idx, coeff, half in _SL2_RULES:
+                for a, b, c_idx, coeff, half in SL2_RULES:
                     out = [(o[c_idx] + k, coeff * c) for k, c in prod if coeff]
                     out += [(k, e * half * c) for k, c in kap if half]
                     if out:
@@ -387,8 +388,14 @@ class TagAlgebra:
 
 
 def build_tag(alg: GradedJordanAlgebra, max_degree: int) -> TagAlgebra:
-    """Build the TAG algebra and run its exhaustive self-tests."""
+    """Build the TAG algebra and run its anticommutativity gate.
+
+    The other gates run where their answers are used.  ``freejordan
+    oracle`` calls ``check_jacobi``.  ``ChainComplex`` calls
+    ``sl2.check_sl2``, and its d^2 = 0 gate on the r = 3 blocks is the
+    Jacobi identity on every triple in its range, so ``compute_homology``
+    calls ``check_jacobi`` only when r_max < 3.
+    """
     tag = TagAlgebra(alg, max_degree)
     tag.check_anticommutativity()
-    tag.check_jacobi()
     return tag

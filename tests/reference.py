@@ -66,7 +66,12 @@ package computes in closed form or through its tables.
                            pair formula, one bracket per pair of factors;
 * ``block_key``,
   ``block_dim``          -- a chain's block, summed from its factors, and
-                           the dimensions of the blocks at one (r, d).
+                           the dimensions of the blocks at one (r, d);
+* ``ordered_jacobi_failures`` -- every ordered in-range triple whose
+                           Jacobiator is nonzero, summed with plain dicts;
+* ``q_homology_weights`` -- dim H_r per weight with every block, negative
+                           weights included, ranked over Q by ``linalg.rank``,
+                           the route the certified ranks replaced.
 """
 
 from __future__ import annotations
@@ -755,4 +760,49 @@ def block_dim(cc: ChainComplex, r: int, d: int) -> dict[tuple[int, int], int]:
     for (rr, dd, w, par), mons in cc.blocks.items():
         if rr == r and dd == d:
             out[(w, par)] = len(mons)
+    return out
+
+
+def ordered_jacobi_failures(tag: TagAlgebra) -> set[str]:
+    """Messages naming every ordered in-range triple whose Jacobiator is nonzero.
+
+    Sums (-1)^{|a||c|} [[a,b],c] over the cyclic rotations with plain dict
+    arithmetic, independently of ``check_jacobi``.
+    """
+    deg, par, labels = tag.degrees, tag.parities, tag.labels
+    n = len(deg)
+    failing = set()
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if deg[i] + deg[j] + deg[k] > tag.max_degree:
+                    continue
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    sign = (-1) ** (par[a] * par[c])
+                    for m, coeff in tag.brackets.get((a, b), ()):
+                        for q, v in tag.brackets.get((m, c), ()):
+                            acc[q] = acc.get(q, 0) + sign * coeff * v
+                if any(acc.values()):
+                    failing.add(
+                        f"Jacobi fails on ({labels[i]}, {labels[j]}, {labels[k]})"
+                    )
+    return failing
+
+
+def q_homology_weights(cc: ChainComplex, r: int, d: int) -> dict[int, GDim]:
+    """``cc.homology_weights(r, d)`` with every block ranked over Q."""
+
+    def rank(key):
+        return linalg.rank([col for col in cc.boundaries.get(key, ()) if col])
+
+    out = {}
+    for w in sorted({w for (rr, dd, w, _p) in cc.blocks if (rr, dd) == (r, d)}):
+        pair = [0, 0]
+        for p in (0, 1):
+            dim = len(cc.blocks.get((r, d, w, p), ()))
+            if dim:
+                pair[p] = dim - rank((r, d, w, p)) - rank((r + 1, d, w, p))
+        if any(pair):
+            out[w] = GDim(*pair)
     return out

@@ -198,8 +198,9 @@ class TestOracleCommand:
         assert "budget" in err
 
     def test_edited_table_coefficient_in_cache_is_rebuilt(self, capsys, tmp_path):
-        # One altered structure constant breaks the Jacobi gate (exit 4);
-        # the cache must be rebuilt instead of served.
+        # One altered structure constant, the file's sha256 left as it was:
+        # the sha256 check refuses the file, so the cache is rebuilt
+        # instead of served.
         args = ["oracle", "--d1", "1", "--d2", "1", "--max-degree", "5",
                 "--cache-dir", str(tmp_path), "--format", "json"]
         code, expected, _ = run(capsys, *args)
@@ -220,6 +221,23 @@ class TestOracleCommand:
         assert double_first(payload["tables"]["1,3"])
         path.write_text(json.dumps(payload))
         assert run(capsys, *args)[:2] == (0, expected)
+
+    def test_jacobi_gate_runs_in_oracle(self, capsys, monkeypatch):
+        # build_tag checks anticommutativity only; oracle runs Jacobi on the
+        # table itself.  Doubling an antisymmetric pair passes the first.
+        def broken(alg, n):
+            t = tag.build_tag(alg, n)
+            gi, gj = next((gi, gj) for gi, gj in t.brackets
+                          if gi < gj and t.degrees[gi] + t.degrees[gj] < n)
+            for key in ((gi, gj), (gj, gi)):
+                t.brackets[key] = tuple((k, 2 * c) for k, c in t.brackets[key])
+            t.check_anticommutativity()
+            return t
+
+        monkeypatch.setattr(cli, "build_tag", broken)
+        code, _, err = run(capsys, "oracle", "--d1", "1", "--d2", "1", "--max-degree", "4")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "Jacobi fails" in err
 
     def test_each_bs_degree_is_built_once(self, capsys, tmp_path, monkeypatch):
         built = []

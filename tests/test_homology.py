@@ -5,10 +5,12 @@ import pytest
 from freejordan import cli, homology, linalg
 from freejordan.homology import ChainComplex, compute_homology, isotypic_multiplicities
 from freejordan.jordan import build_free_jordan
-from freejordan.rings import RLAURENT_ONE, GDim, TZSeries
-from freejordan.tag import build_tag
-from reference import (block_dim, block_key, pair_boundaries, reference_boundary_monomial,
-                       reference_chain_blocks, sl2_index)
+from freejordan.lambda_ops import PhiKernel
+from freejordan.rings import GDim
+from freejordan.tag import TagAlgebra, build_tag
+from reference import (block_dim, block_key, ordered_jacobi_failures, pair_boundaries,
+                       q_homology_weights, reference_boundary_monomial, reference_chain_blocks,
+                       sl2_index)
 
 
 def tag_for(d1, d2, n):
@@ -164,15 +166,96 @@ class TestChainComplex:
             gc.enable()
 
     def test_each_block_is_ranked_once(self, monkeypatch):
+        # Certified runs rank each block of weight >= 0 with a nonzero
+        # boundary once mod p, and nothing over Q.
         tag = tag_for(1, 1, 4)
-        calls = []
-        rank = linalg.rank
-        monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
+        calls, q_calls = [], []
+        rank_mod_p, rank = linalg.rank_mod_p, linalg.rank
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: calls.append(rows) or rank_mod_p(rows))
+        monkeypatch.setattr(linalg, "rank", lambda rows: q_calls.append(rows) or rank(rows))
         compute_homology(tag, 4, 4)
         monkeypatch.undo()
-        blocks = ChainComplex(tag, 4, 4).blocks
-        assert len(blocks) == 101
-        assert 0 < len(calls) <= len(blocks)
+        cc = ChainComplex(tag, 4, 4)
+        assert len(cc.blocks) == 101
+        ranked = [[c for c in cols if c] for key, cols in cc.boundaries.items() if key[2] >= 0]
+        assert sorted(calls) == sorted(cols for cols in ranked if cols)
+        assert q_calls == []
+
+    @pytest.mark.parametrize("d1,d2", [(1, 1), (0, 2), (2, 0), (2, 1), (1, 2), (3, 0)])
+    def test_rank_engine_matches_q_on_every_block(self, d1, d2):
+        # The certificate is a lower-bound argument: an engine that
+        # overstated a rank would pass it silently.
+        cc = ChainComplex(tag_for(d1, d2, 6), 6, 6)
+        ranked = 0
+        for key, cols in cc.boundaries.items():
+            cols = [c for c in cols if c]
+            if cols and key[2] >= 0:
+                assert linalg.rank_mod_p(cols) == linalg.rank(cols), key
+                ranked += 1
+        assert ranked >= 40
+
+    def test_understated_block_falls_back_to_q(self, monkeypatch):
+        # One block's rank mod p read one short leaves its highest-weight
+        # homology bound nonzero: that block is ranked over Q, and the
+        # report does not move.
+        tag = tag_for(1, 1, 6)
+        expected = compute_homology(tag, 6, 6).to_json_dict()
+        cc = ChainComplex(tag, 6, 6)
+        big = max((cols for key, cols in cc.boundaries.items() if key[2] >= 0),
+                  key=lambda cols: linalg.rank([c for c in cols if c] or [()]))
+        target = [c for c in big if c]
+        rank_mod_p, rank = linalg.rank_mod_p, linalg.rank
+        q_calls = []
+        monkeypatch.setattr(linalg, "rank_mod_p",
+                            lambda rows: rank_mod_p(rows) - (rows == target))
+        monkeypatch.setattr(linalg, "rank", lambda rows: q_calls.append(rows) or rank(rows))
+        assert compute_homology(tag, 6, 6).to_json_dict() == expected
+        assert target in q_calls
+
+    def test_d_squared_gate_is_the_jacobi_gate(self, monkeypatch):
+        # At r_max = 3 the d^2 = 0 gate fails on exactly the doubled
+        # antisymmetric pairs that some ordered triple's Jacobiator sees.
+        # The sl2 gate would see most of them first, so it is held off.
+        monkeypatch.setattr(homology, "check_sl2", lambda tag, top: None)
+        for d1, d2, npairs in [(1, 1, 47), (0, 2, 35)]:
+            tag = tag_for(d1, d2, 4)
+            pairs = [(gi, gj) for gi, gj in tag.brackets
+                     if gi < gj and tag.degrees[gi] + tag.degrees[gj] < tag.max_degree]
+            assert len(pairs) == npairs
+            caught = 0
+            for gi, gj in pairs:
+                saved = {key: tag.brackets[key] for key in ((gi, gj), (gj, gi))}
+                for key, terms in saved.items():
+                    tag.brackets[key] = tuple((k, 2 * c) for k, c in terms)
+                if ordered_jacobi_failures(tag):
+                    with pytest.raises(AssertionError, match="d\\^2"):
+                        ChainComplex(tag, 3, 4)
+                    caught += 1
+                else:
+                    ChainComplex(tag, 3, 4)
+                tag.brackets.update(saved)
+            assert caught == npairs, (d1, d2)
+
+    @pytest.mark.parametrize("r_max,jacobi", [(0, 1), (2, 1), (3, 0), (4, 0)])
+    def test_jacobi_runs_in_the_report_below_r_3(self, monkeypatch, r_max, jacobi):
+        calls = []
+        check = TagAlgebra.check_jacobi
+        monkeypatch.setattr(TagAlgebra, "check_jacobi", lambda tag: calls.append(1) or check(tag))
+        compute_homology(tag_for(1, 1, 4), r_max, 4)
+        assert len(calls) == jacobi
+
+    def test_sl2_gate_exits_4(self, monkeypatch, capsys):
+        # One [e(x)x, f(x)y] doubled: the table no longer commutes with sl2.
+        def broken(alg, n):
+            tag = build_tag(alg, n)
+            key = next(key for key in tag.brackets if key[0] == tag.at[1][0])
+            tag.brackets[key] = tuple((k, 2 * c) for k, c in tag.brackets[key])
+            return tag
+
+        monkeypatch.setattr(cli, "build_tag", broken)
+        code = cli.main(["homology", "--d1", "1", "--d2", "1", "--rmax", "3", "--dmax", "3"])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "sl2 does not act by derivations" in capsys.readouterr().err
 
 
     def test_each_homology_block_is_weighed_once(self, monkeypatch):
@@ -223,16 +306,18 @@ class TestHomologyValues:
         assert cc.euler_check() == 6
 
     def test_euler_gate_fires(self, monkeypatch, capsys):
-        # Phi off by t^0 at z^2: the report raises and the CLI exits 4.
-        phi_series = homology.phi_series
+        # The kernel's P_2 off by one even t^0: the report raises and the
+        # CLI exits 4.
+        sides = PhiKernel.sides
 
-        def planted(a, b):
-            phi = phi_series(a, b)
-            coeffs = list(phi.coeffs)
-            coeffs[2] = coeffs[2] + RLAURENT_ONE
-            return TZSeries(phi.order, coeffs)
+        def planted(phi, n):
+            p, m = sides(phi, n)
+            if n == 2:
+                p[n] += 1
+                m[n] += 1
+            return p, m
 
-        monkeypatch.setattr(homology, "phi_series", planted)
+        monkeypatch.setattr(PhiKernel, "sides", planted)
         match = "Euler characteristic mismatch at z-degree 2"
         with pytest.raises(AssertionError, match=match):
             compute_homology(tag_for(1, 1, 4), 4, 4)

@@ -225,3 +225,42 @@ def test_elimination_takes_ints(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,density", SHAPES)
+def test_rank_mod_p_on_random_rows(seed, nrows, ncols, density):
+    # Rows with repeats, negations, zero rows and entries above 2**64.
+    rows = random_sparse_rows(random.Random(seed), nrows, ncols, density)
+    assert linalg.rank_mod_p(rows) <= linalg.rank(rows)
+
+
+def test_rank_mod_p_never_exceeds_rank_over_q():
+    # Each matrix gets a planted minor divisible by p: a row that is an
+    # int combination of the others plus p times a random row (rank mod p
+    # may drop by one), and a row of a fresh matrix times p**2 (dividing
+    # by the row's gcd keeps it).  The engine may fall short of Q, never
+    # above it.
+    rng = random.Random(13)
+    p = linalg.PRIME
+    short = 0
+    for _ in range(200):
+        ncols = rng.randint(3, 12)
+        rows = [tuple((k, rng.randint(-20, 20)) for k in range(ncols)) for _ in range(rng.randint(1, ncols - 1))]
+        coeffs = [rng.randint(-3, 3) for _ in rows]
+        combo = [sum(f * row[k][1] for f, row in zip(coeffs, rows)) for k in range(ncols)]
+        rows.append(tuple((k, c + p * rng.randint(-2, 2)) for k, c in enumerate(combo)))
+        rows.append(tuple((k, p * p * rng.randint(-5, 5)) for k in range(ncols)))
+        rows = [tuple((k, c) for k, c in row if c) for row in rows]
+        q, mod_p = linalg.rank(rows), linalg.rank_mod_p(rows)
+        assert mod_p <= q
+        short += mod_p < q
+    assert short > 100  # the planted minors do bite (141 of 200)
+
+
+def test_rank_mod_p_worked_case():
+    # 13 divides the determinant of [[2, 3], [1, 8]] = 13, so the rank mod
+    # 13 is 1; a row 26 * (1, 2) is divided by its gcd first, so it counts.
+    assert linalg.rank([((0, 2), (1, 3)), ((0, 1), (1, 8))]) == 2
+    assert linalg.rank_mod_p([((0, 2), (1, 3)), ((0, 1), (1, 8))]) == 1
+    assert linalg.rank_mod_p([((0, 26), (1, 52))]) == 1
+    assert linalg.rank_mod_p([(), ((2, 0),)]) == 0

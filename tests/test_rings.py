@@ -1,3 +1,4 @@
+import pickle
 import random
 from types import MappingProxyType
 
@@ -101,6 +102,15 @@ class TestGDim:
         assert len({GDim(0, 0), 0}) == 1
         assert {GDim(2, 0): "x"}[2] == "x"
         assert GDim(1, 1) not in {1} and len({GDim(0, 1), 0}) == 2
+
+
+def test_values_survive_pickling():
+    # A value sent to another process goes by pickle: GDim and RLaurent
+    # refuse attribute writes, so each names its own constructor.
+    for value in (GDim(3, -2), GDIM_ZERO, RLaurent({-1: GDim(1, 2), 3: GDim(0, 5)}), RLAURENT_ZERO):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+    assert pickle.loads(pickle.dumps(RLaurent({2: GDim(1, 2)}))).terms == ((2, 3, -1),)
 
 
 class TestRLaurent:

@@ -7,6 +7,7 @@ import pytest
 from freejordan import linalg
 from freejordan.jordan import GradedJordanAlgebra, build_free_jordan
 from freejordan.rings import GDim
+from freejordan.sl2 import check_sl2
 from freejordan.solver import solve_dims_pair
 from freejordan.tag import (
     TagAlgebra,
@@ -23,6 +24,7 @@ from reference import (
     derivation_of,
     fraction_brackets,
     multiply,
+    ordered_jacobi_failures,
     project,
     sl2_index,
     structure_constants_json,
@@ -38,33 +40,6 @@ BRACKET_COUNTS = {
     (1, 1, 4): 279, (2, 0, 5): 1056, (0, 2, 4): 182, (2, 0, 6): 2670, (2, 1, 5): 5233,
     (1, 0, 1): 0, (0, 1, 2): 3, (3, 0, 3): 360, (0, 1, 6): 3, (1, 2, 4): 1188,
 }
-
-
-def ordered_jacobi_failures(tag):
-    """Messages naming every ordered in-range triple whose Jacobiator is nonzero.
-
-    Sums (-1)^{|a||c|} [[a,b],c] over the cyclic rotations with plain dict
-    arithmetic, independently of ``check_jacobi``.
-    """
-    deg, par, labels = tag.degrees, tag.parities, tag.labels
-    n = len(deg)
-    failing = set()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if deg[i] + deg[j] + deg[k] > tag.max_degree:
-                    continue
-                acc = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    sign = (-1) ** (par[a] * par[c])
-                    for m, coeff in tag.brackets.get((a, b), ()):
-                        for q, v in tag.brackets.get((m, c), ()):
-                            acc[q] = acc.get(q, 0) + sign * coeff * v
-                if any(acc.values()):
-                    failing.add(
-                        f"Jacobi fails on ({labels[i]}, {labels[j]}, {labels[k]})"
-                    )
-    return failing
 
 
 class TestBs:
@@ -302,14 +277,63 @@ class TestTagAlgebra:
         assert set(tag.weights) <= {-2, 0, 2}
 
     def test_self_tests_pass(self):
-        # build_tag runs exhaustive anticommutativity and Jacobi checks;
-        # the count is every sorted in-range triple gi <= gj <= gk, which
+        # build_tag runs the exhaustive anticommutativity check; the Jacobi
+        # count is every sorted in-range triple gi <= gj <= gk, which
         # covers every ordered one once anticommutativity holds.
         for d1, d2, n, triples in [
             (0, 2, 5, 476), (1, 1, 4, 224), (2, 0, 5, 1016), (1, 1, 6, 2030),
         ]:
             tag = build_tag(build_free_jordan(d1, d2, n), n)
             assert tag.check_jacobi() == triples, (d1, d2, n)
+
+    def test_build_tag_runs_the_anticommutativity_gate_only(self, monkeypatch):
+        # Jacobi runs in oracle and, as d^2 = 0 or itself, in the homology
+        # report; the sl2 gate runs in each chain complex.
+        calls = []
+        for name in ("check_anticommutativity", "check_jacobi"):
+            gate = getattr(TagAlgebra, name)
+            monkeypatch.setattr(TagAlgebra, name,
+                                lambda tag, *a, _n=name, _g=gate: calls.append(_n) or _g(tag, *a))
+        build_tag(build_free_jordan(1, 1, 4), 4)
+        assert calls == ["check_anticommutativity"]
+
+    @pytest.mark.parametrize("d1,d2,nkeys", [(1, 1, 276), (0, 2, 176)])
+    def test_sl2_gate_catches_each_perturbed_entry(self, d1, d2, nkeys):
+        # Every stored bracket with an sl2 (x) J side, doubled, breaks the
+        # Schur shape; so does an [e(x)x, e(x)y] or an h(x)J term in a
+        # bracket of two Bs classes.  A fault above ``top`` is not seen.
+        tag = TagAlgebra(build_free_jordan(d1, d2, 4), 4)
+        check_sl2(tag, 4)
+        at, deg, par = tag.at, tag.degrees, tag.parities
+        is_sl2 = [g < at[n][3] for g, n in enumerate(deg)]
+        keys = [key for key in tag.brackets if is_sl2[key[0]] or is_sl2[key[1]]]
+        assert len(keys) == nkeys
+        for key in keys:
+            terms = tag.brackets[key]
+            tag.brackets[key] = tuple((k, 2 * c) for k, c in terms)
+            with pytest.raises(AssertionError, match="sl2 does not act by derivations"):
+                check_sl2(tag, 4)
+            if deg[key[0]] + deg[key[1]] == 4:
+                check_sl2(tag, 3)
+            tag.brackets[key] = terms
+        gb, gc = next((gb, gc) for gb in range(len(deg)) for gc in range(len(deg))
+                      if not (is_sl2[gb] or is_sl2[gc]) and deg[gb] + deg[gc] <= 4)
+        n = deg[gb] + deg[gc]
+        gh = next(g for g in range(at[n][1], at[n][2]) if par[g] == par[gb] ^ par[gc])
+        planted = {
+            (gb, gc): tuple(sorted(tag.brackets.get((gb, gc), ()) + ((gh, 1),))),
+            (at[1][0], at[1][0]): ((at[2][0], 1),),
+        }
+        for key, terms in planted.items():
+            saved = tag.brackets.get(key)
+            tag.brackets[key] = terms
+            with pytest.raises(AssertionError, match="sl2 does not act by derivations"):
+                check_sl2(tag, 4)
+            if saved is None:
+                del tag.brackets[key]
+            else:
+                tag.brackets[key] = saved
+        check_sl2(tag, 4)
 
     def test_anticommutativity_gate_catches_one_scaled_entry(self):
         # Every entry the gate constrains, on either side of the diagonal:
