@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -244,7 +245,14 @@ def cmd_homology(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one.
+
+    Reuse is safe: ``parse_args`` returns a fresh ``Namespace`` and leaves
+    the parser as it was, and each ``cmd_*`` looks up the functions it calls
+    in the module globals when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="freejordan",
         description="Exact graded dimensions of free Jordan superalgebras",

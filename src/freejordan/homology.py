@@ -385,7 +385,9 @@ def compute_homology(tag: TagAlgebra, r_max: int, d_max: int) -> HomologyReport:
         tag.check_jacobi()
     cc = ChainComplex(tag, r_max, d_max)
     report = HomologyReport(tag.alg.d1, tag.alg.d2, r_max, d_max)
-    for r in range(0, r_max + 1):
+    # A chain of r factors has z-degree >= r, so every block with r > d_max
+    # is complete and empty: the walk stops at d_max, however large r_max is.
+    for r in range(0, min(r_max, d_max) + 1):
         for d in range(0, d_max + 1):
             if not (cc.is_complete(r, d) and cc.is_complete(r + 1, d)):
                 report.incomplete.append((r, d))

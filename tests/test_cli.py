@@ -1,6 +1,11 @@
+import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -439,3 +444,111 @@ class TestHomologyCommand:
         hom = payload["homology"]
         assert hom["weights"]["0,0"] == {"0": ["1", "0"]}
         assert hom["multiplicities"]["1,1"] == {"2": ["0", "1"]}
+
+
+# One small call of each subcommand.
+SMALL = {
+    "solve": ["solve", "--d1", "1", "--d2", "1", "--order", "5"],
+    "solve-ab": ["solve-ab", "--d1", "1", "--d2", "1", "--order", "5"],
+    "oracle": ["oracle", "--d1", "1", "--d2", "1", "--max-degree", "4"],
+    "verify": ["verify", "--d1", "0", "--d2", "2", "--max-degree", "4"],
+    "homology": ["homology", "--d1", "0", "--d2", "1", "--rmax", "3", "--dmax", "4"],
+}
+
+
+def exit_code(argv):
+    """cli.main's exit code, whether it returns it or argparse exits with it."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def fresh_parser():
+    """The first cli.main call of the test builds the parser, and no parser
+    built under the test's monkeypatches outlives it."""
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(1)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(capsys, *SMALL["solve"])[0] == 0
+        assert len(built) == 6  # the root parser and one per subcommand
+        assert run(capsys, *SMALL["oracle"])[0] == 0
+        assert len(built) == 6
+
+    @pytest.mark.parametrize("flags,code", [
+        (["--cache-dir", "{tmp}"], cli.EXIT_OK),
+        (["--budget", "1"], cli.EXIT_BUDGET),
+        (["--format", "json"], cli.EXIT_OK),
+    ], ids=["cache-dir", "budget", "format"])
+    def test_flags_do_not_carry_over(self, capsys, tmp_path, monkeypatch, fresh_parser,
+                                     flags, code):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        seen = []
+        load = cli._load_or_build
+
+        def recorded(d1, d2, n, budget, cache):
+            seen.append((budget, cache))
+            return load(d1, d2, n, budget, cache)
+
+        monkeypatch.setattr(cli, "_load_or_build", recorded)
+        argv = SMALL["oracle"]
+        alone = run(capsys, *argv)
+        flagged = run(capsys, *argv, *(flag.format(tmp=tmp_path) for flag in flags))
+        assert flagged[0] == code
+        assert flagged[1].startswith("{") == (flags[0] == "--format")
+        files = {path: path.stat().st_mtime_ns for path in tmp_path.iterdir()}
+        assert len(files) == (flags[0] == "--cache-dir")
+        assert run(capsys, *argv) == alone
+        assert seen[0] == seen[2] == (jordan.DEFAULT_BUDGET, None)
+        assert {path: path.stat().st_mtime_ns for path in tmp_path.iterdir()} == files
+
+    @pytest.mark.parametrize("bad", [
+        ["solve", "--d1", "0", "--d2", "0", "--order", "3"],
+        ["solve", "--d1", "1", "--d2", "0", "--order", "0"],
+        ["oracle", "--d1", "1", "--max-degree", "4"],
+        ["verify", "--d1", "1", "--d2", "1", "--max-degree", "4", "--format", "xml"],
+    ], ids=["no-generators", "order-0", "missing-flag", "bad-choice"])
+    def test_usage_error_leaves_the_next_call_alone(self, capsys, fresh_parser, bad):
+        alone = run(capsys, *SMALL["verify"])
+        assert exit_code(bad) == cli.EXIT_USAGE
+        capsys.readouterr()
+        assert run(capsys, *SMALL["verify"]) == alone
+
+    @pytest.mark.parametrize("argv", [["--help"], ["homology", "--help"]], ids=["root", "homology"])
+    def test_help_twice_prints_the_same(self, capsys, fresh_parser, argv):
+        texts = []
+        for _ in range(2):
+            assert exit_code(argv) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: freejordan")
+
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_call_after_the_others_matches_a_fresh_process(self, capsys, monkeypatch, command):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        for other, argv in SMALL.items():
+            if other != command:
+                assert run(capsys, *argv)[0] == cli.EXIT_OK
+        code, out, _ = run(capsys, *SMALL[command])
+        env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from freejordan import cli; sys.exit(cli.main(sys.argv[1:]))",
+             *SMALL[command]],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)

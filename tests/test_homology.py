@@ -267,6 +267,20 @@ class TestChainComplex:
         compute_homology(tag_for(1, 1, 4), 4, 4)
         assert len(calls) == len(set(calls)) > 0
 
+    def test_rmax_beyond_dmax_weighs_no_more_blocks(self, monkeypatch):
+        # No chain of r > d_max factors fits under z-degree d_max, so a larger
+        # r_max adds no block: the report is the r_max = d_max one.
+        tag = tag_for(1, 0, 2)
+        expected = compute_homology(tag, 2, 2).to_json_dict()
+        calls = []
+        weights = ChainComplex.homology_weights
+        monkeypatch.setattr(ChainComplex, "homology_weights",
+                            lambda cc, r, d: calls.append((r, d)) or weights(cc, r, d))
+        report = compute_homology(tag, 10**4, 2).to_json_dict()
+        assert len(calls) == 9
+        assert report.pop("r_max") == 10**4
+        assert report == {k: v for k, v in expected.items() if k != "r_max"}
+
     @pytest.mark.parametrize("ws", [{0: GDim(1, 0), 2: GDim(2, 0)}, {1: GDim(1, 0)}],
                              ids=["broken-weight-string", "odd-weight"])
     def test_multiplicities_reject_impossible_weights(self, ws):
