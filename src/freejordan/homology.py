@@ -3,7 +3,8 @@
 Chains with trivial coefficients form the super exterior algebra
 Lambda(g_even) (x) S(g_odd); a degree-r monomial is a weakly increasing
 tuple of basis indices in which even indices may not repeat.  The boundary
-recurses on the smallest factor a of a chain a ^ w:
+recurses on a chain's head a, its first factor of least h-weight; the
+chain is a ^ w up to the sign of moving a to the front, and
 
     d(a ^ w) = -a ^ dw + sum over t of +- [a, w_t] ^ (w without w_t)
 
@@ -11,9 +12,8 @@ where +- moves w_t to the front through the adjacent swap rule
 x ^ y = -(-1)^{|x||y|} y ^ x and re-inserts the bracket in canonical
 position with the same rule.  The sign of a ^ dw is -1: a pair of factors
 of w passes a twice to the front, at |a|(|w_s| + |w_t|), and their
-bracket, which sorts after a, passes it once back, at 1 + |a||[w_s, w_t]|.
-d^2 = 0 is asserted on every block as the acceptance gate for this sign
-convention.
+bracket passes it once back, at 1 + |a||[w_s, w_t]|.  d^2 = 0 is asserted
+on every block as the acceptance gate for this sign convention.
 
 Everything splits into finite blocks by (homological degree r, z-degree d,
 h-weight w, chain parity): the boundary preserves d, w, and parity.  Each
@@ -25,15 +25,17 @@ explicit rather than silent.
 
 The boundary commutes with sl2 once ``sl2.check_sl2`` has passed, and
 every chain block is a weight space of a finite-dimensional sl2-module
-(Kashuba--Mathieu).  So the ranks are taken mod 13 on the weights w >= 0
-only, top down, and certified exact on the highest-weight spaces by
-d^2 = 0 (``ChainComplex._rank_column``); a block the certificate does not
-cover is ranked over Q.  The rank at -w is the rank at w.
+(Kashuba--Mathieu).  e(x)x <-> f(x)x maps the chains of weight -w onto
+those of weight w, keeping degree and parity, so only the blocks of
+weight w >= 0 are built; counts and ranks at -w are read at w.  The ranks
+are taken mod 13, top down, and certified exact on the highest-weight
+spaces by d^2 = 0 (``ChainComplex._rank_column``); a block the
+certificate does not cover is ranked over Q.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -48,24 +50,26 @@ BlockKey = tuple[int, int, int, int]  # (r, z-degree, weight, parity)
 
 
 class ChainComplex:
-    """CE chains of a TAG truncation through r <= r_max, z-degree <= d_max.
+    """CE chains of weight >= 0 of a TAG truncation, r <= r_max, z-degree <= d_max.
 
-    ``blocks[key]`` maps each chain of a block to its position, in the
-    order of enumeration.  That position is the chain's column in
-    ``boundaries[key]`` and its row index in the columns of the block one
-    homological degree higher.  A chain's column is its tail's, carried
-    over by a head map, plus its r - 1 head brackets, read off the TAG's
-    integer bracket table, so ``boundaries`` holds ``tag.scale`` times d,
-    with int coefficients.  Ranks do not see the scale, and the d^2 = 0
-    gate sums ``tag.scale**2`` times d^2 in exact integers.
+    ``blocks[key]`` maps each chain of a block to its position, its rank in
+    tuple order.  That position is the chain's column in ``boundaries[key]``
+    and its row index in the columns of the block one homological degree
+    higher.  A chain's column is its tail's, carried over by a head map,
+    plus its r - 1 head brackets, read off the TAG's integer bracket table,
+    so ``boundaries`` holds ``tag.scale`` times d, with int coefficients.
+    Ranks do not see the scale, and the d^2 = 0 gate sums ``tag.scale**2``
+    times d^2 in exact integers.  ``keys_at[(r, d)]`` lists the (weight,
+    parity) of each block at (r, d).
 
     Construction runs three gates, each raising ``AssertionError``: the
     block-leak gate as the boundary is built, then ``sl2.check_sl2``
     through ``d_max``, the premise of the rank certificate, then d^2 = 0
-    on every block.  On the r = 3 blocks d^2 = 0 is the super Jacobi
-    identity on every sorted triple of total z-degree <= d_max (a repeated
-    even factor, the one triple that is not a chain, is trivial once
-    anticommutativity holds).
+    on every block.  d^2 commutes with sl2 and f^w maps weight w onto -w,
+    so that is d^2 = 0 at every weight; on the r = 3 blocks it is the super
+    Jacobi identity on every sorted triple of total z-degree <= d_max (a
+    repeated even factor, the one triple that is not a chain, is trivial
+    once anticommutativity holds).
     """
 
     def __init__(self, tag: TagAlgebra, r_max: int, d_max: int) -> None:
@@ -77,111 +81,117 @@ class ChainComplex:
         self.r_max = r_max
         self.d_max = d_max
         self.blocks: dict[BlockKey, dict[Monomial, int]] = {}
-        self._enumerate()
-        self.boundaries = self._boundaries()
+        self.keys_at: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # A factor's place in (weight, index) order; a chain's head is its least.
+        self._place = [w * len(tag.weights) + g for g, w in enumerate(tag.weights)]
+        self.boundaries = self._build()
         check_sl2(tag, d_max)
         self._check_d_squared()
         # (z-degree, parity) -> (r, weight) -> rank, one column at a time.
         self._ranks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
-    # -- chain enumeration ----------------------------------------------
+    # -- chains and boundary ---------------------------------------------
 
-    def _enumerate(self) -> None:
-        """Every chain, depth first; a block numbers its chains in that order.
+    def _fits(self, d: int, w: int) -> list[int]:
+        """In (weight, index) order, the factors that may join a chain of
+        z-degree d and weight w: under ``d_max``, of weight >= -w."""
+        deg, wt = self.tag.degrees, self.tag.weights
+        return sorted((a for a in range(len(deg)) if wt[a] >= -w and d + deg[a] <= self.d_max),
+                      key=self._place.__getitem__)
 
-        The basis is sorted by z-degree, so the factors that still fit under
-        ``d_max`` after z-degree d are an initial segment of it, ending at
-        ``stop[d]``.  An even factor moves ``start`` past itself, so even
-        factors never repeat.  The children of a chain go on the stack in
-        reverse, so the first one comes off it first.
+    def _build(self) -> dict[BlockKey, list[linalg.SparseRow]]:
+        """Every chain of weight >= 0 and tag.scale times its d, level by level.
+
+        Level r joins each chain w of level r - 1, its tail, to each factor
+        a that fits and sorts ahead of w's factors in (weight, index) order,
+        or equals the first when odd.  So a is the head, each chain is made
+        once, and as weights are -2, 0 and 2, a chain of weight >= 0 has a
+        tail of weight >= 0.  The chain is e·a^w, e the sign of moving a to
+        the front.  Each term of dw joined by a is a chain with head a (a
+        bracket has a larger z-degree, and no smaller weight, than a), so
+        -a^dw is w's column moved by a's head map, from a position in w's
+        boundary block to the position and sign e of a joined to that
+        chain.  The [a, w_t] term costs t + |w_t|·(odd factors of w ahead
+        of w_t) to move, and pos + |g|·(odd factors ahead of pos) to
+        insert its term g at position pos of the rest.  A term with no head
+        a, or not in the block below, raises.  Each block is sorted, so a
+        chain's position is its rank in tuple order, and the head maps are
+        filled as the blocks are numbered.
         """
-        deg, wt, par = self.tag.degrees, self.tag.weights, self.tag.parities
-        stop = [bisect_right(deg, self.d_max - d) for d in range(self.d_max + 1)]
-        r_max, blocks = self.r_max, self.blocks
-        stack: list[tuple[Monomial, int, int, int, int]] = [((), 0, 0, 0, 0)]
-        while stack:
-            mon, start, d, w, p = stack.pop()
-            key = (len(mon), d, w, p)
-            blk = blocks.get(key)
-            if blk is None:
-                blk = blocks[key] = {}
-            blk[mon] = len(blk)
-            if len(mon) < r_max:
-                for g in reversed(range(start, stop[d])):
-                    pg = par[g]
-                    stack.append((mon + (g,), g + 1 - pg, d + deg[g], w + wt[g], p ^ pg))
+        tag, place = self.tag, self._place
+        deg, wt, par, brackets = tag.degrees, tag.weights, tag.parities, tag.brackets
+        blocks, keys_at = self.blocks, self.keys_at
+        blocks[(0, 0, 0, 0)], keys_at[(0, 0)] = {(): 0}, [(0, 0)]
+        cols: dict[BlockKey, list[linalg.SparseRow]] = {(0, 0, 0, 0): [()]}
+        # Each chain of a level: (chain, place bound of its heads, column, head map, i, e).
+        level: dict[BlockKey, list[tuple]] = {(0, 0, 0, 0): [((), 3 * len(place), (), {}, 0, 0)]}
+        fitting: dict[tuple[int, bool], list[int]] = {}
+        # (a, tail block) -> head map, of this level and the one below.
+        heads: dict[tuple[int, BlockKey], dict[int, tuple[int, int]]] = {}
+        for r in range(1, min(self.r_max, self.d_max) + 1):
+            grown: dict[BlockKey, list[tuple]] = {}
+            below, heads = heads, {}
+            for tkey, tails in level.items():
+                _, d, w, p = tkey
+                fit = fitting.get((d, w > 0))
+                if fit is None:
+                    fits = self._fits(d, w)
+                    fit = fitting[(d, w > 0)] = fits, [place[a] for a in fits]
+                fits, places = fit
+                joins = []
+                for a in fits[:bisect_left(places, max(rec[1] for rec in tails))]:
+                    pa = par[a]
+                    key = (r, d + deg[a], w + wt[a], p ^ pa)
+                    joins.append((a, pa, place[a] + pa, grown.setdefault(key, []),
+                                  blocks.get((r - 1, *key[1:]), {}),
+                                  below.get((a, (r - 2, d, w, p)), {}),
+                                  heads.setdefault((a, tkey), {})))
+                for i, (tail, cut, tail_col, _, _, _) in enumerate(tails):
+                    pars = [par[g] for g in tail]
+                    before = [0, *accumulate(pars)]
+                    for a, pa, bound, grow, target, head, fill in joins[:bisect_left(places, cut)]:
+                        h = bisect_left(tail, a)
+                        mon, e = tail[:h] + (a,) + tail[h:], (h + pa * before[h]) & 1
+                        col = {}
+                        try:
+                            for k, c in tail_col:
+                                jk, ek = head[k]
+                                col[jk] = c if e ^ ek else -c
+                        except KeyError:
+                            raise AssertionError(f"a term of d{tail} has no head {a}") from None
+                        for t, b in enumerate(tail):
+                            terms = brackets.get((a, b))
+                            if not terms:
+                                continue
+                            pt = pars[t]
+                            sign = e + t + pt * before[t]
+                            for g, c in terms:
+                                # g sorts after w_t, at position at - 1 of the rest.
+                                at = bisect_left(tail, g)
+                                pg = par[g]
+                                if not pg and at < r - 1 and tail[at] == g:
+                                    continue  # an even factor squares to zero
+                                k = target.get(tail[:t] + tail[t + 1:at] + (g,) + tail[at:])
+                                if k is None:
+                                    raise AssertionError(f"boundary leaves its block: a term of "
+                                                         f"d{mon} is no chain of the block below")
+                                term = -c if (sign + at - 1 + pg * (before[at] - pt)) & 1 else c
+                                col[k] = col.get(k, 0) + term
+                        grow.append((mon, bound, linalg.sparse_row(col), fill, i, e))
+            level = {key: sorted(grown[key]) for key in sorted(grown)}
+            for key, chains in level.items():
+                blocks[key] = blk = {}
+                cols[key] = out = []
+                for j, (mon, _, col, fill, i, e) in enumerate(chains):
+                    blk[mon] = j
+                    out.append(col)
+                    fill[i] = (j, e)
+                keys_at.setdefault(key[:2], []).append(key[2:])
+        return cols
 
     def is_complete(self, r: int, d: int) -> bool:
         """Whether the chain block V_r at z-degree d has every monomial."""
         return d <= self.d_max and (r <= self.r_max or r > d)
-
-    # -- boundary --------------------------------------------------------
-
-    def _boundaries(self) -> dict[BlockKey, list[linalg.SparseRow]]:
-        """tag.scale times d of every chain, block by block as r grows.
-
-        -a ^ dw is the tail's column, negated and moved by a head map, which
-        sends a chain's position in the tail's block to that of a prefixed
-        to it, and fills as each tail is found.  The maps filled at level r
-        are read at level r + 1 only, so only those of two levels are kept.
-        The [a, w_t] term costs t - 1 + |w_t|·(odd factors of w ahead of
-        w_t) to move, and pos + |g|·(odd factors ahead of pos) to insert its
-        term g at position pos of the rest.  A tail, or a term of dw,
-        missing from the blocks is a fault in them; a bracket term missing
-        from the target block has left its block.  Each raises.
-        """
-        blocks, brackets = self.blocks, self.tag.brackets
-        deg, wt, par = self.tag.degrees, self.tag.weights, self.tag.parities
-        # The empty chain's block sorts first, and has no boundary.
-        cols: dict[BlockKey, list[linalg.SparseRow]] = {(0, 0, 0, 0): [()]}
-        # (a, tail block) -> head map, filled at this level and one level down.
-        heads: dict[tuple[int, BlockKey], dict[int, int]] = {}
-        below: dict[tuple[int, BlockKey], dict[int, int]] = {}
-        level = 1
-        for key in sorted(blocks)[1:]:
-            r, d, w, p = key
-            if r != level:
-                level, below, heads = r, heads, {}
-            target = blocks.get((r - 1, d, w, p), {})
-            out = cols[key] = []
-            a = None
-            for mon, j in blocks[key].items():
-                if mon[0] != a:  # the chains of one head come together
-                    a, pa = mon[0], par[mon[0]]
-                    tail = (r - 1, d - deg[a], w - wt[a], p ^ pa)
-                    tails, tail_cols = blocks.get(tail, {}), cols.get(tail)
-                    fill = heads.setdefault((a, tail), {})
-                    head = below.get((a, (r - 2, *tail[1:])), {})
-                i = tails.get(mon[1:])
-                if i is None:
-                    raise AssertionError(f"the tail of chain {mon} is not in block {tail}")
-                fill[i] = j
-                try:
-                    col = {head[k]: -c for k, c in tail_cols[i]}
-                except KeyError:
-                    raise AssertionError(f"a term of d{mon[1:]} has no head {a}") from None
-                pars = [par[g] for g in mon]
-                before = [0, *accumulate(pars)]
-                for t in range(1, r):
-                    terms = brackets.get((a, mon[t]))
-                    if not terms:
-                        continue
-                    pt = pars[t]
-                    sign = t - 1 + pt * (before[t] - pa)
-                    for g, c in terms:
-                        # g sorts after w_t, at position at - 2 of the rest.
-                        at = bisect_left(mon, g)
-                        pg = par[g]
-                        if not pg and at < r and mon[at] == g:
-                            continue  # an even factor squares to zero
-                        k = target.get(mon[1:t] + mon[t + 1:at] + (g,) + mon[at:])
-                        if k is None:
-                            raise AssertionError("boundary leaves its block")
-                        odd = before[at] - pa - pt
-                        term = -c if (sign + at + pg * odd) & 1 else c
-                        col[k] = col.get(k, 0) + term
-                out.append(linalg.sparse_row(col))
-        return {key: cols[key] for key in blocks}
 
     def _check_d_squared(self) -> None:
         for (r, d, w, par), cols in self.boundaries.items():
@@ -194,9 +204,7 @@ class ChainComplex:
                     for k, v in below[i]:
                         acc[k] = acc.get(k, 0) + c * v
                 if any(acc.values()):
-                    raise AssertionError(
-                        f"d^2 != 0 on block r={r} d={d} weight={w} parity={par}"
-                    )
+                    raise AssertionError(f"d^2 != 0 on block r={r} d={d} weight={w} parity={par}")
 
     # -- ranks and homology ----------------------------------------------
 
@@ -228,7 +236,8 @@ class ChainComplex:
         """
         blocks, bounds = self.blocks, self.boundaries
         top_r = min(self.r_max, d)
-        top_w = max((w for (_, dd, w, pp) in blocks if dd == d and pp == p), default=-1)
+        top_w = max((w for r in range(top_r + 1) for w, pp in self.keys_at.get((r, d), ())
+                     if pp == p), default=-1)
         ranks: dict[tuple[int, int], int] = {}
         count_up, rank_up = [0] * (top_r + 1), [0] * (top_r + 2)
         for w in range(top_w, -1, -2):
@@ -238,10 +247,8 @@ class ChainComplex:
             rho = [x - y for x, y in zip(ell, rank_up)]
             gap = [count[r] - count_up[r] - rho[r] - rho[r + 1] for r in range(top_r + 1)]
             if min(gap) < 0:
-                raise AssertionError(
-                    f"ranks mod {linalg.PRIME} exceed the highest weights at "
-                    f"r={gap.index(min(gap))} d={d} weight={w} parity={p}"
-                )
+                raise AssertionError(f"ranks mod {linalg.PRIME} exceed the highest weights at "
+                                     f"r={gap.index(min(gap))} d={d} weight={w} parity={p}")
             for r, c in enumerate(cols):
                 exact = not c or gap[r] == 0 or r > 0 and gap[r - 1] == 0
                 ranks[(r, w)] = ranks[(r, -w)] = ell[r] if exact else linalg.rank(c)
@@ -252,25 +259,18 @@ class ChainComplex:
         """dim H_r at z-degree d, per h-weight, as an even/odd pair.
 
         Requires the incoming boundary block V_{r+1} to be complete;
-        otherwise the rank of the image would be a lower bound only.
+        otherwise the rank of the image would be a lower bound only.  The
+        weights w >= 0 are computed, and -w mirrors w.
         """
         if not (self.is_complete(r, d) and self.is_complete(r + 1, d)):
             raise ValueError(f"block r={r}, d={d} is not complete at this truncation")
-        out: dict[int, GDim] = {}
-        weights = {w for (rr, dd, w, _p) in self.blocks if rr == r and dd == d}
-        for w in sorted(weights):
-            pair = [0, 0]
-            for par in (0, 1):
-                key = (r, d, w, par)
-                dim = len(self.blocks.get(key, ()))
-                if dim == 0:
-                    continue
-                pair[par] = (
-                    dim - self.rank(key) - self.rank((r + 1, d, w, par))
-                )
-            if pair[0] or pair[1]:
-                out[w] = GDim(pair[0], pair[1])
-        return out
+        dims: dict[int, list[int]] = {}
+        for w, par in self.keys_at.get((r, d), ()):
+            key = (r, d, w, par)
+            pair = dims.setdefault(w, [0, 0])
+            pair[par] = len(self.blocks[key]) - self.rank(key) - self.rank((r + 1, d, w, par))
+        return {w: GDim(*dims[abs(w)]) for w in sorted({*dims, *(-w for w in dims)})
+                if any(dims[abs(w)])}
 
     # -- Euler characteristic cross-check --------------------------------
 
@@ -279,16 +279,17 @@ class ChainComplex:
 
         Weight w sits at t^(w/2), and a signed count c of parity 0 or 1
         adds (c, c) or (c, -c), the split coordinates (even + odd,
-        even - odd) of ``PhiKernel.sides``.
+        even - odd) of ``PhiKernel.sides``.  The count at -w is that at w.
         """
         if not self.is_complete(d, d):
             raise ValueError("chain column incomplete at this z-degree")
         p, m = [0] * (2 * d + 1), [0] * (2 * d + 1)
-        for (r, dd, w, par), mons in self.blocks.items():
-            if dd == d:
-                c = -len(mons) if r & 1 else len(mons)
-                p[d + w // 2] += c
-                m[d + w // 2] += -c if par else c
+        for r in range(d + 1):
+            for w, par in self.keys_at.get((r, d), ()):
+                c = len(self.blocks[(r, d, w, par)]) * (-1) ** r
+                for v in {w, -w}:
+                    p[d + v // 2] += c
+                    m[d + v // 2] += -c if par else c
         return p, m
 
     def euler_check(self) -> int:
@@ -309,10 +310,8 @@ class ChainComplex:
         for d in range(0, top + 1):
             lhs, rhs = self.chain_character(d), phi.sides(d)
             if lhs != rhs:
-                raise AssertionError(
-                    f"Euler characteristic mismatch at z-degree {d}: "
-                    f"chains give {lhs}, lambda gives {rhs}"
-                )
+                raise AssertionError(f"Euler characteristic mismatch at z-degree {d}: "
+                                     f"chains give {lhs}, lambda gives {rhs}")
         return top + 1
 
 
@@ -331,9 +330,7 @@ def isotypic_multiplicities(ws: dict[int, GDim], r: int, d: int) -> dict[int, GD
     for w in range(0, top + 1, 2):
         m = ws.get(w, GDIM_ZERO) - ws.get(w + 2, GDIM_ZERO)
         if m.even < 0 or m.odd < 0:
-            raise AssertionError(
-                f"negative multiplicity at weight {w} in H_{r}, z-degree {d}"
-            )
+            raise AssertionError(f"negative multiplicity at weight {w} in H_{r}, z-degree {d}")
         if m:
             out[w] = m
     return out
@@ -376,15 +373,19 @@ class HomologyReport:
 
 
 def compute_homology(tag: TagAlgebra, r_max: int, d_max: int) -> HomologyReport:
-    """Full report: homology on complete (r, d) blocks plus the Euler gate.
+    """Full report: the Euler gate, then homology on complete (r, d) blocks.
 
-    The chain complex's d^2 = 0 gate is the Jacobi identity in its range
-    once r_max >= 3; below that the Jacobi gate runs here.
+    The chain complex's d^2 = 0 gate, on its w >= 0 blocks, is the Jacobi
+    identity in its range once r_max >= 3; below that the Jacobi gate runs
+    here.  The Euler gate checks the chain counts of every complete column,
+    which the rank certificate reads, so it runs before the ranks: a chain
+    missing from its block fails it.
     """
     if r_max < 3:
         tag.check_jacobi()
     cc = ChainComplex(tag, r_max, d_max)
     report = HomologyReport(tag.alg.d1, tag.alg.d2, r_max, d_max)
+    report.euler_checked_through = cc.euler_check()
     # A chain of r factors has z-degree >= r, so every block with r > d_max
     # is complete and empty: the walk stops at d_max, however large r_max is.
     for r in range(0, min(r_max, d_max) + 1):
@@ -396,5 +397,4 @@ def compute_homology(tag: TagAlgebra, r_max: int, d_max: int) -> HomologyReport:
             if ws:
                 report.weights[(r, d)] = ws
                 report.multiplicities[(r, d)] = isotypic_multiplicities(ws, r, d)
-    report.euler_checked_through = cc.euler_check()
     return report

@@ -392,9 +392,10 @@ def build_tag(alg: GradedJordanAlgebra, max_degree: int) -> TagAlgebra:
 
     The other gates run where their answers are used.  ``freejordan
     oracle`` calls ``check_jacobi``.  ``ChainComplex`` calls
-    ``sl2.check_sl2``, and its d^2 = 0 gate on the r = 3 blocks is the
-    Jacobi identity on every triple in its range, so ``compute_homology``
-    calls ``check_jacobi`` only when r_max < 3.
+    ``sl2.check_sl2``, and its d^2 = 0 gate on the r = 3 blocks of weight
+    >= 0, which commutes with sl2, is the Jacobi identity on every triple
+    in its range, so ``compute_homology`` calls ``check_jacobi`` only when
+    r_max < 3.
     """
     tag = TagAlgebra(alg, max_degree)
     tag.check_anticommutativity()

@@ -62,6 +62,9 @@ package computes in closed form or through its tables.
   ``reference_boundary_monomial`` -- the Chevalley-Eilenberg chains by
                            filtering every index tuple, and their boundary
                            with signs summed factor by factor;
+* ``FullWeightComplex``  -- the chain blocks and boundary columns at every
+                           weight, negative ones included, each column from
+                           its tail's with the smallest factor as head;
 * ``pair_boundaries``    -- every boundary column of a chain complex by the
                            pair formula, one bracket per pair of factors;
 * ``block_key``,
@@ -69,14 +72,15 @@ package computes in closed form or through its tables.
                            the dimensions of the blocks at one (r, d);
 * ``ordered_jacobi_failures`` -- every ordered in-range triple whose
                            Jacobiator is nonzero, summed with plain dicts;
-* ``q_homology_weights`` -- dim H_r per weight with every block, negative
-                           weights included, ranked over Q by ``linalg.rank``,
-                           the route the certified ranks replaced.
+* ``q_homology_weights`` -- dim H_r per weight with every block of a
+                           ``FullWeightComplex``, negative weights included,
+                           ranked over Q by ``linalg.rank``, the route the
+                           certified ranks replaced.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, combinations_with_replacement, product
@@ -745,6 +749,125 @@ def pair_boundaries(cc: ChainComplex) -> dict[BlockKey, list[linalg.SparseRow]]:
             for target in [cc.blocks.get((key[0] - 1, *key[1:]), {})]}
 
 
+class FullWeightComplex:
+    """The CE chains and boundary at every h-weight, negative ones included.
+
+    ``blocks`` and ``boundaries`` have the layout of ``ChainComplex``'s, and
+    equal them at w >= 0, position for position.  The chains are enumerated
+    depth first, and each column is built from its tail's with the smallest
+    factor as head, the route that building only the w >= 0 half replaced;
+    it runs no gate.
+    """
+
+    def __init__(self, tag: TagAlgebra, r_max: int, d_max: int) -> None:
+        self.tag = tag
+        self.r_max = r_max
+        self.d_max = d_max
+        self.blocks: dict[BlockKey, dict[Monomial, int]] = {}
+        self._enumerate()
+        self.boundaries = self._boundaries()
+
+    def _enumerate(self) -> None:
+        """Every chain, depth first; a block numbers its chains in that order.
+
+        The basis is sorted by z-degree, so the factors that still fit under
+        ``d_max`` after z-degree d are an initial segment of it, ending at
+        ``stop[d]``.  An even factor moves ``start`` past itself, so even
+        factors never repeat.  The children of a chain go on the stack in
+        reverse, so the first one comes off it first.
+        """
+        deg, wt, par = self.tag.degrees, self.tag.weights, self.tag.parities
+        stop = [bisect_right(deg, self.d_max - d) for d in range(self.d_max + 1)]
+        r_max, blocks = self.r_max, self.blocks
+        stack: list[tuple[Monomial, int, int, int, int]] = [((), 0, 0, 0, 0)]
+        while stack:
+            mon, start, d, w, p = stack.pop()
+            key = (len(mon), d, w, p)
+            blk = blocks.get(key)
+            if blk is None:
+                blk = blocks[key] = {}
+            blk[mon] = len(blk)
+            if len(mon) < r_max:
+                for g in reversed(range(start, stop[d])):
+                    pg = par[g]
+                    stack.append((mon + (g,), g + 1 - pg, d + deg[g], w + wt[g], p ^ pg))
+
+    def _boundaries(self) -> dict[BlockKey, list[linalg.SparseRow]]:
+        """tag.scale times d of every chain, block by block as r grows.
+
+        A chain is a ^ w with a its smallest factor, and every term of dw
+        sorts after a, so -a ^ dw is the tail's column, negated and moved by
+        a head map, which sends a chain's position in the tail's block to
+        that of a prefixed to it, and fills as each tail is found.  The maps
+        filled at level r are read at level r + 1 only.  The [a, w_t] term
+        costs t - 1 + |w_t|·(odd factors of w ahead of w_t) to move, and
+        pos + |g|·(odd factors ahead of pos) to insert its term g at
+        position pos of the rest.
+        """
+        blocks, brackets = self.blocks, self.tag.brackets
+        deg, wt, par = self.tag.degrees, self.tag.weights, self.tag.parities
+        # The empty chain's block sorts first, and has no boundary.
+        cols: dict[BlockKey, list[linalg.SparseRow]] = {(0, 0, 0, 0): [()]}
+        # (a, tail block) -> head map, filled at this level and one level down.
+        heads: dict[tuple[int, BlockKey], dict[int, int]] = {}
+        below: dict[tuple[int, BlockKey], dict[int, int]] = {}
+        level = 1
+        for key in sorted(blocks)[1:]:
+            r, d, w, p = key
+            if r != level:
+                level, below, heads = r, heads, {}
+            target = blocks.get((r - 1, d, w, p), {})
+            out = cols[key] = []
+            a = None
+            for mon, j in blocks[key].items():
+                if mon[0] != a:  # the chains of one head come together
+                    a, pa = mon[0], par[mon[0]]
+                    tail = (r - 1, d - deg[a], w - wt[a], p ^ pa)
+                    tails, tail_cols = blocks.get(tail, {}), cols.get(tail)
+                    fill = heads.setdefault((a, tail), {})
+                    head = below.get((a, (r - 2, *tail[1:])), {})
+                i = tails.get(mon[1:])
+                if i is None:
+                    raise AssertionError(f"the tail of chain {mon} is not in block {tail}")
+                fill[i] = j
+                try:
+                    col = {head[k]: -c for k, c in tail_cols[i]}
+                except KeyError:
+                    raise AssertionError(f"a term of d{mon[1:]} has no head {a}") from None
+                pars = [par[g] for g in mon]
+                before = [0, *accumulate(pars)]
+                for t in range(1, r):
+                    terms = brackets.get((a, mon[t]))
+                    if not terms:
+                        continue
+                    pt = pars[t]
+                    sign = t - 1 + pt * (before[t] - pa)
+                    for g, c in terms:
+                        # g sorts after w_t, at position at - 2 of the rest.
+                        at = bisect_left(mon, g)
+                        pg = par[g]
+                        if not pg and at < r and mon[at] == g:
+                            continue  # an even factor squares to zero
+                        k = target.get(mon[1:t] + mon[t + 1:at] + (g,) + mon[at:])
+                        if k is None:
+                            raise AssertionError("boundary leaves its block")
+                        odd = before[at] - pa - pt
+                        term = -c if (sign + at + pg * odd) & 1 else c
+                        col[k] = col.get(k, 0) + term
+                out.append(linalg.sparse_row(col))
+        return {key: cols[key] for key in blocks}
+
+    def chain_character(self, d: int) -> tuple[list[int], list[int]]:
+        """``ChainComplex.chain_character``, summed over every block at z-degree d."""
+        p, m = [0] * (2 * d + 1), [0] * (2 * d + 1)
+        for (r, dd, w, par), mons in self.blocks.items():
+            if dd == d:
+                c = -len(mons) if r & 1 else len(mons)
+                p[d + w // 2] += c
+                m[d + w // 2] += -c if par else c
+        return p, m
+
+
 def block_key(cc: ChainComplex, mon: Monomial) -> BlockKey:
     """(r, z-degree, weight, parity) of a chain, summed over its factors."""
     tag = cc.tag
@@ -790,8 +913,9 @@ def ordered_jacobi_failures(tag: TagAlgebra) -> set[str]:
     return failing
 
 
-def q_homology_weights(cc: ChainComplex, r: int, d: int) -> dict[int, GDim]:
-    """``cc.homology_weights(r, d)`` with every block ranked over Q."""
+def q_homology_weights(cc: FullWeightComplex, r: int, d: int) -> dict[int, GDim]:
+    """``ChainComplex.homology_weights(r, d)`` from a complex at every weight,
+    each block ranked over Q."""
 
     def rank(key):
         return linalg.rank([col for col in cc.boundaries.get(key, ()) if col])

@@ -21,8 +21,8 @@ from freejordan.solver import (
     vanishing_order,
 )
 from freejordan.tag import build_tag
-from reference import (adjoint_odd_line, basis_vector, jordan_residual, lambda_direct, phi_line,
-                       q_homology_weights)
+from reference import (FullWeightComplex, adjoint_odd_line, basis_vector, jordan_residual,
+                       lambda_direct, phi_line, q_homology_weights)
 
 
 def report(n: int, text: str) -> None:
@@ -191,9 +191,10 @@ def test_criterion_7_homology_reproduction():
 def test_criterion_8_degree_three_evidence():
     tag = build_tag(build_free_jordan(0, 1, 6), 6)
     rep = compute_homology(tag, 6, 6)
-    # The report mirrors the ranks at w >= 0 onto -w; ranking every block
-    # over Q keeps the weight symmetry below a check, not a tautology.
-    cc = ChainComplex(tag, 6, 6)
+    # The report mirrors the ranks at w >= 0 onto -w; ranking the blocks of
+    # every weight over Q keeps the weight symmetry below a check, not a
+    # tautology.
+    ref = FullWeightComplex(tag, 6, 6)
     values = {}
     for (r, d), ws in rep.weights.items():
         if r != 3:
@@ -205,7 +206,7 @@ def test_criterion_8_degree_three_evidence():
             "full": {w: str(g) for w, g in mult.items()},
         }
         # internal invariants only: weight symmetry and nonnegativity
-        q_ws = q_homology_weights(cc, r, d)
+        q_ws = q_homology_weights(ref, r, d)
         assert q_ws == ws
         assert any(w < 0 for w in q_ws)
         for w, g in q_ws.items():
