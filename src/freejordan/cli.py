@@ -26,7 +26,6 @@ from .jordan import (
     build_free_jordan,
     cache_key,
 )
-from .rings import GDim
 from .solver import SolverStepError, residual_series, solve_dims, solve_dims_pair, vanishing_order
 from .tag import build_tag, inner_rank_diagnostic
 
@@ -82,10 +81,6 @@ def _load_or_build(d1: int, d2: int, n: int, budget, cache: Path | None) -> Grad
     return alg
 
 
-def _gd(g: GDim) -> list[str]:
-    return [str(g.even), str(g.odd)]
-
-
 def _emit(args, payload: dict, pretty_lines: list[str], csv_rows: list[list] | None = None) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -110,7 +105,7 @@ def cmd_solve(args) -> int:
     rep = solve_dims(args.d1, args.d2, args.order)
     payload = {
         "config": _config_echo(args, order=args.order),
-        "a": [_gd(c) for c in rep.a],
+        "a": [c.json_form() for c in rep.a],
         "residual_ok_through": rep.residual_order,
     }
     lines = [f"graded dimensions for ({args.d1}|{args.d2}), degrees 1..{args.order}:"]
@@ -125,8 +120,8 @@ def cmd_solve_ab(args) -> int:
     rep = solve_dims_pair(args.d1, args.d2, args.order)
     payload = {
         "config": _config_echo(args, order=args.order),
-        "a": [_gd(c) for c in rep.a],
-        "b": [_gd(c) for c in rep.b],
+        "a": [c.json_form() for c in rep.a],
+        "b": [c.json_form() for c in rep.b],
         "residual_ok_through": rep.residual_order,
     }
     lines = [f"paired series for ({args.d1}|{args.d2}), degrees 1..{args.order}:"]
@@ -152,9 +147,9 @@ def cmd_oracle(args) -> int:
     inn = {n: inner_rank_diagnostic(tag, n) for n in range(2, args.max_degree)}
     payload = {
         "config": _config_echo(args, max_degree=args.max_degree),
-        "dims": [_gd(alg.dims[n]) for n in range(1, args.max_degree + 1)],
-        "bs_dims": {str(n): _gd(d) for n, d in bs_dims.items()},
-        "inner_rank_lower_bounds": {str(n): _gd(d) for n, d in inn.items()},
+        "dims": [alg.dims[n].json_form() for n in range(1, args.max_degree + 1)],
+        "bs_dims": {str(n): d.json_form() for n, d in bs_dims.items()},
+        "inner_rank_lower_bounds": {str(n): d.json_form() for n, d in inn.items()},
         "residual_ok_through": vanishing_order(res),
     }
     lines = [f"free Jordan superalgebra on ({args.d1}|{args.d2}) through degree {args.max_degree}:"]
@@ -182,11 +177,11 @@ def cmd_verify(args) -> int:
             mismatch.append((n, rep.a[n - 1], alg.dims[n]))
     payload = {
         "config": _config_echo(args, max_degree=args.max_degree),
-        "a": [_gd(c) for c in rep.a],
-        "dims": [_gd(alg.dims[n]) for n in range(1, args.max_degree + 1)],
+        "a": [c.json_form() for c in rep.a],
+        "dims": [alg.dims[n].json_form() for n in range(1, args.max_degree + 1)],
         "agree_degrees": agree,
         "mismatches": [
-            {"degree": n, "solver": _gd(s), "oracle": _gd(o)} for n, s, o in mismatch
+            {"degree": n, "solver": s.json_form(), "oracle": o.json_form()} for n, s, o in mismatch
         ],
         "residual_ok_through": vanishing_order(res),
     }

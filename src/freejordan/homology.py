@@ -351,20 +351,17 @@ class HomologyReport:
     euler_checked_through: int = -1
 
     def to_json_dict(self) -> dict:
-        def gd(g: GDim) -> list[str]:
-            return [str(g.even), str(g.odd)]
-
         return {
             "d1": self.d1,
             "d2": self.d2,
             "r_max": self.r_max,
             "d_max": self.d_max,
             "weights": {
-                f"{r},{d}": {str(w): gd(g) for w, g in ws.items()}
+                f"{r},{d}": {str(w): g.json_form() for w, g in ws.items()}
                 for (r, d), ws in sorted(self.weights.items())
             },
             "multiplicities": {
-                f"{r},{d}": {str(w): gd(g) for w, g in ms.items()}
+                f"{r},{d}": {str(w): g.json_form() for w, g in ms.items()}
                 for (r, d), ms in sorted(self.multiplicities.items())
             },
             "incomplete": [list(p) for p in sorted(self.incomplete)],

@@ -1,12 +1,10 @@
 """Degreewise brute-force construction of the free Jordan superalgebra.
 
 The algebra on d1 even and d2 odd generators is graded by word length.
-Degree n >= 2 starts from the supercommutative pair space
-
-    W_n = direct sum over i + j = n, i <= j of (basis_i x basis_j)
-
-(with u.u = 0 for odd u, and only ordered pairs u <= v when i = j), and is
-cut down by the top-level instances of the super Jordan operator identity
+Degree n >= 2 starts from the supercommutative pair space W_n,
+``PairSpace(alg, n, 1)`` (with sign -1 the same builder gives the super
+exterior square on which ``freejordan.tag`` takes Bs(J)), and is cut down
+by the top-level instances of the super Jordan operator identity
 
     sum over cyclic (x,y,z) of (-1)^{|x||z|} [L_{x.y}, L_z] = 0
 
@@ -14,16 +12,18 @@ applied to a fourth basis element w, with total degree n.  One instance per
 S3 orbit of basis triples suffices: the operator is cyclic in (x, y, z), and
 a transposition multiplies it by (-1)^{|x||y| + |y||z| + |z||x|}, because
 L_{y.x} = (-1)^{|x||y|} L_{x.y} in the supercommutative tables.  So only
-x <= y <= z in the (degree, index) order is expanded, with every w, and the
-span is that of all instances.  Inner products use the already-reduced
-lower-degree tables, so embedded instances of the identity vanish
-automatically.  The rows are built from ``integer_copy()`` of the
-lower-degree tables, T times the rational ones, so each row is T**2 times
-its rational instance: the same row space, in ints.  The quotient is taken
-by exact fraction-free row reduction, whose rational reduced rows give the
-new tables; quotient bases are the non-pivot pair coordinates in a
-canonical order (parity even-first, then the lexicographic pair shape),
-which makes the structure constants reproducible.
+x <= y <= z in the (degree, index) order is expanded (``triple_groups``,
+which Bs(J)'s cyclic rows walk too), with every w, and the span is that
+of all instances.  Inner products use the already-reduced lower-degree
+tables, so embedded instances of the identity vanish automatically.  The
+rows are built from ``integer_copy()`` of the lower-degree tables, T
+times the rational ones, so each row is T**2 times its rational instance:
+the same row space, in ints.  The quotient is taken by exact
+fraction-free row reduction (``PairSpace.quotient``), whose rational
+reduced rows give the new tables; quotient bases are the non-pivot pair
+coordinates in a canonical order (parity even-first, then the
+lexicographic pair shape), which makes the structure constants
+reproducible.
 
 Every vector is a ``Vector``, the package's one sparse type
 (``linalg.SparseRow``): sorted (index, coefficient) pairs with no zero
@@ -38,6 +38,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
+from typing import Collection, Iterator
 
 from . import linalg
 from .rings import GDim
@@ -237,17 +238,20 @@ def _read_table(
 
 
 class PairSpace:
-    """The pair space W_n over an algebra built through degree n - 1.
+    """Degree n of J (x) J modulo x(x)y = sign (-1)^{|x||y|} y(x)x, for ``alg`` through n - 1.
 
     ``coords`` holds one (i, u, j, v) per unordered pair of basis elements,
-    the earlier in (degree, index) order first, without the odd squares
-    (u.u = 0 for odd u), sorted parity even-first and then by shape.
-    ``index`` maps every ordered pair to (coordinate, sign), the top-level
-    product as x.y = (-1)^{|x||y|} y.x; an odd square has sign 0.  Reduced
-    products come from ``alg``, whose tables hold ints (``integer_copy``).
+    sorted parity even-first and then by shape; a square survives iff
+    sign (-1)^{|x|} = 1.  Sign 1 gives W_n, the earlier element in
+    (degree, index) order first and odd squares dropped (u.u = 0 for odd
+    u); sign -1 the super exterior square that Bs(J) is taken on, the later
+    element first and even squares dropped.  ``index`` maps every ordered
+    pair to (coordinate, sign): 1 as stored, sign (-1)^{|x||y|} swapped, 0
+    for a dropped square.  Reduced products come from ``alg``, whose tables
+    hold ints (``integer_copy``).
     """
 
-    def __init__(self, alg: GradedJordanAlgebra, n: int) -> None:
+    def __init__(self, alg: GradedJordanAlgebra, n: int, sign: int) -> None:
         self.alg = alg
         par = self.parities = alg.parities
         index = self.index = {
@@ -257,14 +261,52 @@ class PairSpace:
             for v in range(len(par[n - i]))
         }
         cpar = lambda c: (par[c[0]][c[1]] + par[c[2]][c[3]]) % 2
+        # Each unordered pair once: found earlier element first, stored
+        # later element first for sign -1.
         self.coords = sorted(
-            (c for c in index if c[:2] < c[2:] or c[:2] == c[2:] and not par[c[0]][c[1]]),
+            (c if sign == 1 else c[2:] + c[:2] for c in index
+             if c[:2] < c[2:] or c[:2] == c[2:] and sign == (-1) ** par[c[0]][c[1]]),
             key=lambda c: (cpar(c), c),
         )
         for k, (i, u, j, v) in enumerate(self.coords):
-            index[(j, v, i, u)] = (k, -1 if par[i][u] & par[j][v] else 1)
+            index[(j, v, i, u)] = (k, -sign if par[i][u] & par[j][v] else sign)
             index[(i, u, j, v)] = (k, 1)
         self.coord_parity = [cpar(c) for c in self.coords]
+
+    def quotient(
+        self, rows: Collection[linalg.SparseRow], name: str
+    ) -> tuple[list[int], tuple[int, ...], tuple[str, ...], list[Vector]]:
+        """(kept, parities, labels, projection) of this space modulo ``rows``.
+
+        ``kept`` lists the non-pivot coordinates, the quotient basis, and
+        ``projection`` maps every coordinate into it (``linalg.quotient``).
+        The kept pair (x, y) is labelled ``name.format(label of x, label of y)``.
+        """
+        kept, projection = linalg.quotient(rows, self.coord_parity)
+        labels = self.alg.labels
+        return (
+            kept,
+            tuple(self.coord_parity[k] for k in kept),
+            tuple(name.format(labels[i][u], labels[j][v])
+                  for i, u, j, v in (self.coords[k] for k in kept)),
+            projection,
+        )
+
+
+def triple_groups(parities: dict[int, tuple[int, ...]], total: int) -> Iterator[list[tuple]]:
+    """The sorted basis triples x <= y <= z of degree ``total``, one list per degree multiset.
+
+    Basis elements are (degree, index).  The groups come in the order of
+    their degrees d1 <= d2 <= d3, each sorted: a run of r equal degrees
+    takes its r elements with replacement.
+    """
+    for d1 in range(1, total // 3 + 1):
+        for d2 in range(d1, (total - d1) // 2 + 1):
+            runs = [
+                combinations_with_replacement([(d, u) for u in range(len(parities[d]))], len(list(g)))
+                for d, g in groupby((d1, d2, total - d1 - d2))
+            ]
+            yield [sum(t, ()) for t in product(*runs)]
 
 
 def relation_row(
@@ -333,42 +375,28 @@ def build_free_jordan(
     alg = GradedJordanAlgebra(d1, d2, 1, dict(parities), dict(labels), tables)
 
     for n in range(2, max_degree + 1):
-        space = PairSpace(alg.integer_copy()[1], n)
+        space = PairSpace(alg.integer_copy()[1], n, 1)
         nw = len(space.coords)
 
         # Top-level super Jordan instances with total degree n, one per S3
         # orbit of (x, y, z): the other orderings give the same row up to sign.
-        # Grouped by degrees d1 <= d2 <= d3, each group x <= y <= z in the
-        # (degree, index) order: a run of r equal degrees takes its r
-        # elements with replacement.
         rows: dict[linalg.SparseRow, None] = {}
-        for degrees in combinations_with_replacement(range(1, n - 2), 3):
-            s = n - sum(degrees)
-            if s < 1:
-                continue
-            runs = [
-                combinations_with_replacement([(d, u) for u in range(len(parities[d]))], len(list(g)))
-                for d, g in groupby(degrees)
-            ]
-            triples = [sum(t, ()) for t in product(*runs)]
+        for total in range(3, n):
+            s = n - total
             ns = len(parities[s])
-            if (len(rows) + len(triples) * ns) * nw > budget:
-                raise ResourceBudgetExceeded(
-                    f"degree {n}: relation matrix would exceed budget {budget}"
-                )
-            for (x, y, z) in triples:
-                for wu in range(ns):
-                    row = relation_row(space, x, y, z, (s, wu))
-                    if row:
-                        rows[row] = None
+            for triples in triple_groups(parities, total):
+                if (len(rows) + len(triples) * ns) * nw > budget:
+                    raise ResourceBudgetExceeded(
+                        f"degree {n}: relation matrix would exceed budget {budget}"
+                    )
+                for (x, y, z) in triples:
+                    for wu in range(ns):
+                        row = relation_row(space, x, y, z, (s, wu))
+                        if row:
+                            rows[row] = None
 
         # Relations are parity-homogeneous; quotient basis is non-pivots.
-        kept, projection = linalg.quotient(rows, space.coord_parity)
-        parities[n] = tuple(space.coord_parity[k] for k in kept)
-        labels[n] = tuple(
-            f"({labels[i][u]}.{labels[j][v]})"
-            for (i, u, j, v) in (space.coords[k] for k in kept)
-        )
+        _, parities[n], labels[n], projection = space.quotient(rows, "({}.{})")
 
         def entry(k, sign):
             if sign == 1:

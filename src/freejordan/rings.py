@@ -88,6 +88,10 @@ class GDim:
     def pair(self) -> tuple[int, int]:
         return (self.even, self.odd)
 
+    def json_form(self) -> list[str]:
+        """[even, odd] as decimal strings: how every JSON report writes a GDim."""
+        return [str(self.even), str(self.odd)]
+
     def __str__(self) -> str:
         return f"({self.even},{self.odd})"
 

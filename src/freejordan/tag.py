@@ -22,8 +22,11 @@ carries the bracket
 where k is the sl2 trace form with k(e,f) = 4 and k(h,h) = 8.  Everything
 is graded: a(x)x has the z-degree of x and h-weight +2/0/-2 for a = e/h/f;
 Bs classes have weight 0.  The supercommutators leave the super exterior
-square of J, one coordinate per unordered pair, so Bs(J) reduces only the
-cyclic rows, one per S3 orbit of basis triples.  The bracket table is
+square of J, which is ``jordan.PairSpace`` with sign -1, the builder of
+the construction's W_n: one coordinate per unordered pair, odd squares
+kept.  So Bs(J) reduces only the cyclic rows, one per S3 orbit of basis
+triples (``jordan.triple_groups``), through ``PairSpace.quotient`` as the
+construction does.  The bracket table is
 written from J's data, not from pairs of TAG basis elements: each product
 x.y with the class of x(x)y gives the 7 nonzero [a(x)x, b(x)y], each column
 d_{x,y}(z) the 6 brackets of {x(x)y} with a(x)z, and each pair of Bs
@@ -39,12 +42,12 @@ the one rational data it keeps is ``BsComponent.projection``, as
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import linalg
-from .jordan import GradedJordanAlgebra, Vector
+from .jordan import GradedJordanAlgebra, PairSpace, Vector, triple_groups
 from .rings import GDim
 
 # sl2 basis order: e, h, f
@@ -69,11 +72,11 @@ SL2_RULES = (
 class BsComponent:
     """One z-degree of Bs(J): quotient basis and ambient projection.
 
-    The ambient space is J's super exterior square in that degree: one
-    (i, u, j, v) in ``coords`` per unordered pair, the later element first,
-    odd squares kept and even ones dropped.  ``index`` maps every ordered
-    pair to (position, sign), as x(x)y = -(-1)^{|x||y|} y(x)x; an even
-    square has sign 0.
+    The ambient space is J's super exterior square in that degree,
+    ``PairSpace(alg, n, -1)``, whose ``coords`` and ``index`` it keeps: one
+    (i, u, j, v) per unordered pair, the later element first, odd squares
+    kept and even ones dropped; every ordered pair maps to (position,
+    sign), as x(x)y = -(-1)^{|x||y|} y(x)x, and an even square to sign 0.
     """
 
     coords: list[tuple[int, int, int, int]]  # ambient (i, u, j, v), canonical
@@ -101,31 +104,8 @@ def build_Bs(alg: GradedJordanAlgebra, max_degree: int) -> dict[int, BsComponent
 
 
 def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
-    par = alg.parities
-    index = {
-        (i, u, n - i, v): (0, 0)
-        for i in range(1, n)
-        for u in range(len(par[i]))
-        for v in range(len(par[n - i]))
-    }
-    cpar = lambda c: (par[c[0]][c[1]] + par[c[2]][c[3]]) % 2
-    coords = sorted(
-        (c for c in index if c[:2] > c[2:] or c[:2] == c[2:] and par[c[0]][c[1]]),
-        key=lambda c: (cpar(c), c),
-    )
-    for k, (i, u, j, v) in enumerate(coords):
-        index[(j, v, i, u)] = (k, 1 if par[i][u] & par[j][v] else -1)
-        index[(i, u, j, v)] = (k, 1)
-    coord_parity = [cpar(c) for c in coords]
-
-    rows: dict[linalg.SparseRow, None] = {}
-
-    def add_row(terms):
-        acc = {}
-        linalg.accumulate(acc, terms)
-        row = linalg.sparse_row(acc)
-        if row:
-            rows[row] = None
+    space = PairSpace(alg, n, -1)
+    par, index = alg.parities, space.index
 
     # (-1)^{|x||z|} (x.y)(x)z, for basis elements given as (degree, index).
     def term(x, y, z):
@@ -138,29 +118,17 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
     # invariant under rotation, and as J is supercommutative R(y, x, z) =
     # (-1)^{|x||y|+|y||z|+|z||x|} R(x, y, z).  So one row per S3 orbit spans
     # them all: only x <= y <= z in the (degree, index) order is expanded.
-    elems = [(d, u) for d in range(1, n - 1) for u in range(len(par[d]))]
-    for ix, x in enumerate(elems):
-        for iy in range(ix, len(elems)):
-            y = elems[iy]
-            r = n - x[0] - y[0]
-            if r < y[0]:
-                break
-            lo = max(bisect_left(elems, (r, 0)), iy)
-            for z in elems[lo:bisect_left(elems, (r + 1, 0))]:
-                add_row(term(x, y, z) + term(y, z, x) + term(z, x, y))
+    rows: dict[linalg.SparseRow, None] = {}
+    for triples in triple_groups(par, n):
+        for x, y, z in triples:
+            acc = {}
+            linalg.accumulate(acc, term(x, y, z) + term(y, z, x) + term(z, x, y))
+            row = linalg.sparse_row(acc)
+            if row:
+                rows[row] = None
 
-    kept, projection = linalg.quotient(rows, coord_parity)
-    return BsComponent(
-        coords=coords,
-        index=index,
-        parities=tuple(coord_parity[k] for k in kept),
-        labels=tuple(
-            f"{{{alg.labels[i][u]}(x){alg.labels[j][v]}}}"
-            for (i, u, j, v) in (coords[k] for k in kept)
-        ),
-        lifts=tuple(kept),
-        projection=projection,
-    )
+    kept, parities, labels, projection = space.quotient(rows, "{{{}(x){}}}")
+    return BsComponent(space.coords, index, parities, labels, tuple(kept), projection)
 
 
 def inner_rank_diagnostic(tag: TagAlgebra, n: int) -> GDim:

@@ -12,6 +12,7 @@ from freejordan.jordan import (
     build_free_jordan,
     cache_key,
     relation_row,
+    triple_groups,
 )
 from freejordan.rings import GDim
 from freejordan.solver import solve_dims
@@ -107,7 +108,7 @@ class TestAlgebraStructure:
         # For one even generator the degree-4 pair space is 2-dimensional
         # but the quotient is a line: the identity actually cuts.
         alg = build_free_jordan(1, 0, 4)
-        assert len(PairSpace(alg, 4).coords) == 2
+        assert len(PairSpace(alg, 4, 1).coords) == 2
         assert alg.dim(4) == 1
 
     def test_odd_squares_vanish(self):
@@ -142,47 +143,81 @@ class TestConjectureAgreement:
 
 class TestPairSpace:
     def test_index_follows_the_swap_rule(self):
-        # Written out as the pair space held it before ``index`` covered
-        # every ordered pair: the coordinates are the pairs (i, u) <= (j, v)
-        # without the odd squares, parity even-first and then by shape; a
-        # pair in the other order is its swap times (-1)^{|x||y|}, and an
-        # odd square has no coordinate.
+        # Written out as each pair space held it before ``index`` covered
+        # every ordered pair.  W_n (sign 1): the coordinates are the pairs
+        # (i, u) <= (j, v) without the odd squares, and a pair in the other
+        # order is its swap times (-1)^{|x||y|}.  Bs's super exterior square
+        # (sign -1): the pairs (i, u) >= (j, v) without the even squares,
+        # and a pair in the other order is its swap times -(-1)^{|x||y|}.
+        # Both sort parity even-first and then by shape; a dropped square
+        # has no coordinate.
         alg = build_free_jordan(1, 2, 4)
         par = alg.parities
-        odd_squares, signs = 0, set()
-        for n in range(2, 6):
-            space = PairSpace(alg, n)
-            coords = sorted(
-                ((i, u, n - i, v) for i in range(1, n // 2 + 1) for u in range(alg.dim(i))
-                 for v in range(u if 2 * i == n else 0, alg.dim(n - i))
-                 if not (2 * i == n and u == v and par[i][u])),
-                key=lambda c: ((par[c[0]][c[1]] + par[c[2]][c[3]]) % 2, c),
-            )
-            assert space.coords == coords, n
-
-            def swap_rule(i, u, j, v):
-                sign = 1
-                if (i, u) > (j, v):
-                    sign = -1 if par[i][u] & par[j][v] else 1
-                    i, u, j, v = j, v, i, u
-                if (i, u) == (j, v) and par[i][u]:
-                    return None
-                return coords.index((i, u, j, v)), sign
-
-            pairs = [(i, u, n - i, v) for i in range(1, n) for u in range(alg.dim(i))
-                     for v in range(alg.dim(n - i))]
-            assert sorted(space.index) == sorted(pairs), n
-            for pair in pairs:
-                want = swap_rule(*pair)
-                if want is None:
-                    odd_squares += 1
-                    assert space.index[pair][1] == 0, pair
+        cpar = lambda c: (par[c[0]][c[1]] + par[c[2]][c[3]]) % 2
+        for sign in (1, -1):
+            dropped, signs = 0, set()
+            for n in range(2, 6):
+                space = PairSpace(alg, n, sign)
+                if sign == 1:
+                    coords = sorted(
+                        ((i, u, n - i, v) for i in range(1, n // 2 + 1) for u in range(alg.dim(i))
+                         for v in range(u if 2 * i == n else 0, alg.dim(n - i))
+                         if not (2 * i == n and u == v and par[i][u])),
+                        key=lambda c: (cpar(c), c),
+                    )
                 else:
-                    assert space.index[pair] == want, pair
-                    signs.add(want[1])
-        # y1.y1 and y2.y2 in degree 2, and the squares of x.y1 and x.y2 in 4.
-        assert odd_squares == 4
-        assert signs == {1, -1}
+                    coords = sorted(
+                        ((i, u, n - i, v) for i in range((n + 1) // 2, n) for u in range(alg.dim(i))
+                         for v in range(u + 1 if 2 * i == n else alg.dim(n - i))
+                         if not (2 * i == n and u == v and not par[i][u])),
+                        key=lambda c: (cpar(c), c),
+                    )
+                assert space.coords == coords, (sign, n)
+
+                def swap_rule(i, u, j, v):
+                    swap = 1
+                    if (j, v) < (i, u) if sign == 1 else (i, u) < (j, v):
+                        swap = (-1 if par[i][u] & par[j][v] else 1) * sign
+                        i, u, j, v = j, v, i, u
+                    if (i, u) == (j, v) and par[i][u] == (sign == 1):
+                        return None
+                    return coords.index((i, u, j, v)), swap
+
+                pairs = [(i, u, n - i, v) for i in range(1, n) for u in range(alg.dim(i))
+                         for v in range(alg.dim(n - i))]
+                assert sorted(space.index) == sorted(pairs), (sign, n)
+                for pair in pairs:
+                    want = swap_rule(*pair)
+                    if want is None:
+                        dropped += 1
+                        assert space.index[pair][1] == 0, (sign, pair)
+                    else:
+                        assert space.index[pair] == want, (sign, pair)
+                        signs.add(want[1])
+            # Odd squares: y1.y1 and y2.y2 in degree 2, and the squares of
+            # x.y1 and x.y2 in 4.  Even squares: x.x in degree 2, and the
+            # squares of x.x and y1.y2 in 4.
+            assert dropped == (4 if sign == 1 else 3), sign
+            assert signs == {1, -1}, sign
+
+
+class TestTripleGroups:
+    def test_every_sorted_triple_once_grouped_by_degrees(self):
+        # Against brute force: every sorted triple x <= y <= z of basis
+        # elements (degree, index) with degrees summing to the total, each
+        # once, and each group of one degree multiset.
+        parities = build_free_jordan(1, 2, 5).parities
+        basis = [(d, u) for d in range(1, 6) for u in range(len(parities[d]))]
+        for total in range(3, 8):
+            groups = list(triple_groups(parities, total))
+            got = [t for group in groups for t in group]
+            want = [t for t in combinations_with_replacement(basis, 3)
+                    if sum(d for d, _ in t) == total]
+            assert sorted(got) == want and len(got) == len(set(got)), total
+            for group in groups:
+                assert len({tuple(d for d, _ in t) for t in group}) == 1, total
+            # One group per partition of the total into three degrees.
+            assert len(groups) == {3: 1, 4: 1, 5: 2, 6: 3, 7: 4}[total]
 
 
 class TestRelationRows:
@@ -196,7 +231,7 @@ class TestRelationRows:
         nonzero = flipped = 0
         for n in range(4, 7):
             alg = build_free_jordan(d1, d2, n - 1)
-            space = PairSpace(alg, n)
+            space = PairSpace(alg, n, 1)
             basis = [(d, u) for d in range(1, n - 2) for u in range(alg.dim(d))]
             for triple in combinations_with_replacement(basis, 3):
                 s = n - sum(d for d, _ in triple)
