@@ -2,28 +2,28 @@
 
 The algebra on d1 even and d2 odd generators is graded by word length.
 Degree n >= 2 starts from the supercommutative pair space W_n,
-``PairSpace(alg, n, 1)`` (with sign -1 the same builder gives the super
-exterior square on which ``freejordan.tag`` takes Bs(J)), and is cut down
-by the top-level instances of the super Jordan operator identity
+``PairSpace(alg, n, 1)``, and is cut down by the top-level instances of
+the super Jordan operator identity
 
     sum over cyclic (x,y,z) of (-1)^{|x||z|} [L_{x.y}, L_z] = 0
 
-applied to a fourth basis element w, with total degree n.  One instance per
-S3 orbit of basis triples suffices: the operator is cyclic in (x, y, z), and
-a transposition multiplies it by (-1)^{|x||y| + |y||z| + |z||x|}, because
-L_{y.x} = (-1)^{|x||y|} L_{x.y} in the supercommutative tables.  So only
-x <= y <= z in the (degree, index) order is expanded (``triple_groups``,
-which Bs(J)'s cyclic rows walk too), with every w, and the span is that
-of all instances.  Inner products use the already-reduced lower-degree
-tables, so embedded instances of the identity vanish automatically.  The
-rows are built from ``integer_copy()`` of the lower-degree tables, T
-times the rational ones, so each row is T**2 times its rational instance:
-the same row space, in ints.  The quotient is taken by exact
-fraction-free row reduction (``PairSpace.quotient``), whose rational
-reduced rows give the new tables; quotient bases are the non-pivot pair
-coordinates in a canonical order (parity even-first, then the
-lexicographic pair shape), which makes the structure constants
-reproducible.
+applied to a fourth basis element w, with total degree n.  Such an
+instance is D_{a,b} = [L_a, L_b] applied at w to the cyclic row of
+(x, y, z) (``cyclic_row``): the cyclic relation on the super exterior
+square, ``PairSpace(alg, t, -1)``, that ``freejordan.tag`` reduces to
+Bs(J).  The cyclic row is invariant under rotation, and a transposition
+multiplies it by (-1)^{|x||y| + |y||z| + |z||x|}, as J is
+supercommutative.  So only x <= y <= z in the (degree, index) order is
+expanded (``triple_groups``), with every w, and the span is that of all
+instances.  Inner products use the already-reduced lower-degree tables,
+so embedded instances of the identity vanish automatically.  The rows
+are built from ``integer_copy()`` of the lower-degree tables, T times the
+rational ones, so each row is T**2 times its rational instance: the same
+row space, in ints.  The quotient is taken by exact fraction-free row
+reduction (``PairSpace.quotient``), whose rational reduced rows give the
+new tables; quotient bases are the non-pivot pair coordinates in a
+canonical order (parity even-first, then the lexicographic pair shape),
+which makes the structure constants reproducible.
 
 Every vector is a ``Vector``, the package's one sparse type
 (``linalg.SparseRow``): sorted (index, coefficient) pairs with no zero
@@ -309,45 +309,56 @@ def triple_groups(parities: dict[int, tuple[int, ...]], total: int) -> Iterator[
             yield [sum(t, ()) for t in product(*runs)]
 
 
+def cyclic_row(
+    ext: PairSpace, x: tuple[int, int], y: tuple[int, int], z: tuple[int, int]
+) -> linalg.SparseRow:
+    """The cyclic relation of basis elements x, y and z in ``ext``'s coordinates.
+
+    x, y and z are (degree, index), and ``ext`` is ``PairSpace(alg, t, -1)``
+    at their total degree t.  The row is
+
+        sum over cyclic (a,b,c) of (-1)^{|a||c|} (a.b)(x)c
+
+    with a.b reduced, so over tables T times the rational ones it is T
+    times the rational relation.
+    """
+    par, index = ext.parities, ext.index
+    product = ext.alg.multiply_basis
+    acc: dict[int, int] = {}
+    triple = (x, y, z)
+    for r in range(3):
+        (da, a), (db, b), (dc, c) = triple[r], triple[(r + 1) % 3], triple[(r + 2) % 3]
+        s1 = -1 if par[da][a] & par[dc][c] else 1  # (-1)^{|a||c|}
+        for k, ck in product(da, a, db, b):
+            pos, sign = index[(da + db, k, dc, c)]
+            acc[pos] = acc.get(pos, 0) + s1 * sign * ck
+    return linalg.sparse_row(acc)
+
+
 def relation_row(
-    space: PairSpace,
-    x: tuple[int, int],
-    y: tuple[int, int],
-    z: tuple[int, int],
-    w: tuple[int, int],
+    space: PairSpace, ext: PairSpace, cyclic: linalg.SparseRow, w: tuple[int, int]
 ) -> linalg.SparseRow:
     """One top-level instance of the super Jordan identity, in W_n coordinates.
 
-    x, y, z and w are basis elements (degree, index).  The row is
-
-        sum over cyclic (a,b,c) of (-1)^{|a||c|} ((a.b).(c.w) - (-1)^{(|a|+|b|)|c|} c.((a.b).w))
-
-    with the inner products reduced and the outermost one taken in W_n.
-    Every term is a product of two table entries, so over tables T times
-    the rational ones the row is T**2 times the rational instance.
+    It is D applied at the basis element w to ``cyclic``, a ``cyclic_row``
+    of ``ext``: each coordinate (x, y) adds its coefficient times
+    D_{x,y}(w) = x.(y.w) - (-1)^{|x||y|} y.(x.w), the inner products
+    reduced and the outer one taken in W_n.  D is well defined on the super
+    exterior square, as D_{y,x} = -(-1)^{|x||y|} D_{x,y} and D_{x,x} = 0
+    for even x.  Over tables T times the rational ones the row is T**2
+    times its rational instance.
     """
     par, index = space.parities, space.index
     product = space.alg.multiply_basis
     s, wu = w
     acc: dict[int, int] = {}
-    triple = (x, y, z)
-    for r in range(3):
-        (di, ui), (dj, uj), (dk, uk) = triple[r], triple[(r + 1) % 3], triple[(r + 2) % 3]
-        pi, pj, pk = par[di][ui], par[dj][uj], par[dk][uk]
-        s1 = -1 if pi & pk else 1  # (-1)^{|a||c|}
-        s12 = -s1 if (pi ^ pj) & pk else s1  # times (-1)^{(|a|+|b|)|c|}
-        dab = di + dj
-        ab = product(di, ui, dj, uj)
-        # (a.b).(c.w)
-        for b, cb in product(dk, uk, s, wu):
-            for a, ca in ab:
-                k, sign = index[(dab, a, dk + s, b)]
-                acc[k] = acc.get(k, 0) + (s1 * sign) * ca * cb
-        # c.((a.b).w)
-        for a, ca in ab:
-            for b, cb in product(dab, a, s, wu):
-                k, sign = index[(dk, uk, dab + s, b)]
-                acc[k] = acc.get(k, 0) - (s12 * sign) * ca * cb
+    for k, c in cyclic:
+        i, u, j, v = ext.coords[k]
+        for a, b, d, e, cd in ((i, u, j, v, c), (j, v, i, u, c if par[i][u] & par[j][v] else -c)):
+            # a.(d.w)
+            for q, cq in product(d, e, s, wu):
+                pos, sign = index[(a, b, d + s, q)]
+                acc[pos] = acc.get(pos, 0) + cd * sign * cq
     return linalg.sparse_row(acc)
 
 
@@ -375,13 +386,15 @@ def build_free_jordan(
     alg = GradedJordanAlgebra(d1, d2, 1, dict(parities), dict(labels), tables)
 
     for n in range(2, max_degree + 1):
-        space = PairSpace(alg.integer_copy()[1], n, 1)
+        scaled = alg.integer_copy()[1]
+        space = PairSpace(scaled, n, 1)
         nw = len(space.coords)
 
-        # Top-level super Jordan instances with total degree n, one per S3
-        # orbit of (x, y, z): the other orderings give the same row up to sign.
+        # Top-level super Jordan instances with total degree n: D applied
+        # to one cyclic row per S3 orbit of (x, y, z).
         rows: dict[linalg.SparseRow, None] = {}
         for total in range(3, n):
+            ext = PairSpace(scaled, total, -1)
             s = n - total
             ns = len(parities[s])
             for triples in triple_groups(parities, total):
@@ -389,9 +402,10 @@ def build_free_jordan(
                     raise ResourceBudgetExceeded(
                         f"degree {n}: relation matrix would exceed budget {budget}"
                     )
-                for (x, y, z) in triples:
+                for triple in triples:
+                    cyclic = cyclic_row(ext, *triple)
                     for wu in range(ns):
-                        row = relation_row(space, x, y, z, (s, wu))
+                        row = relation_row(space, ext, cyclic, (s, wu))
                         if row:
                             rows[row] = None
 

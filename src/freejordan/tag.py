@@ -24,9 +24,11 @@ is graded: a(x)x has the z-degree of x and h-weight +2/0/-2 for a = e/h/f;
 Bs classes have weight 0.  The supercommutators leave the super exterior
 square of J, which is ``jordan.PairSpace`` with sign -1, the builder of
 the construction's W_n: one coordinate per unordered pair, odd squares
-kept.  So Bs(J) reduces only the cyclic rows, one per S3 orbit of basis
-triples (``jordan.triple_groups``), through ``PairSpace.quotient`` as the
-construction does.  The bracket table is
+kept.  So Bs(J) reduces only the cyclic rows (``jordan.cyclic_row``), one
+per S3 orbit of basis triples (``jordan.triple_groups``), through
+``PairSpace.quotient``.  Through d_{x,y} at a basis element w, a cyclic
+row gives an instance of the super Jordan identity, as the construction
+builds them; these vanish in J, so Bs(J) acts on J.  The bracket table is
 written from J's data, not from pairs of TAG basis elements: each product
 x.y with the class of x(x)y gives the 7 nonzero [a(x)x, b(x)y], each column
 d_{x,y}(z) the 6 brackets of {x(x)y} with a(x)z, and each pair of Bs
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import linalg
-from .jordan import GradedJordanAlgebra, PairSpace, Vector, triple_groups
+from .jordan import GradedJordanAlgebra, PairSpace, Vector, cyclic_row, triple_groups
 from .rings import GDim
 
 # sl2 basis order: e, h, f
@@ -104,31 +106,13 @@ def build_Bs(alg: GradedJordanAlgebra, max_degree: int) -> dict[int, BsComponent
 
 
 def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
+    # One cyclic row per S3 orbit of basis triples spans them all.
     space = PairSpace(alg, n, -1)
-    par, index = alg.parities, space.index
-
-    # (-1)^{|x||z|} (x.y)(x)z, for basis elements given as (degree, index).
-    def term(x, y, z):
-        (p, xu), (q, yu), (r, zu) = x, y, z
-        sign = (-1) ** (par[p][xu] * par[r][zu])
-        return [(k, sign * s * c) for w, c in alg.multiply_basis(p, xu, q, yu)
-                for k, s in [index[(p + q, w, r, zu)]]]
-
-    # Cyclic relations on basis triples.  The relation R(x, y, z) is
-    # invariant under rotation, and as J is supercommutative R(y, x, z) =
-    # (-1)^{|x||y|+|y||z|+|z||x|} R(x, y, z).  So one row per S3 orbit spans
-    # them all: only x <= y <= z in the (degree, index) order is expanded.
-    rows: dict[linalg.SparseRow, None] = {}
-    for triples in triple_groups(par, n):
-        for x, y, z in triples:
-            acc = {}
-            linalg.accumulate(acc, term(x, y, z) + term(y, z, x) + term(z, x, y))
-            row = linalg.sparse_row(acc)
-            if row:
-                rows[row] = None
-
+    rows = dict.fromkeys(filter(None, (
+        cyclic_row(space, *t) for triples in triple_groups(alg.parities, n) for t in triples
+    )))
     kept, parities, labels, projection = space.quotient(rows, "{{{}(x){}}}")
-    return BsComponent(space.coords, index, parities, labels, tuple(kept), projection)
+    return BsComponent(space.coords, space.index, parities, labels, tuple(kept), projection)
 
 
 def inner_rank_diagnostic(tag: TagAlgebra, n: int) -> GDim:

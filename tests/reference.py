@@ -32,6 +32,9 @@ package computes in closed form or through its tables.
   ``derivation_of``      -- rational vectors, products and d_{x,y} = [L_x, L_y]
                            through the tables, for any homogeneous vectors;
 * ``jordan_residual``    -- the super Jordan identity through the tables;
+* ``identity_instance``  -- one top-level instance of the identity in W_n,
+                           summed over the rotations of (x, y, z), the route
+                           D applied to a cyclic row replaced;
 * ``tag_graded_dims``    -- the graded dimensions of the TAG basis, counted;
 * ``unfold``,
   ``bs_json``            -- Bs(J) over every ordered pair of J (x) J, as it was
@@ -90,7 +93,7 @@ from typing import Sequence
 
 from freejordan import linalg, solver
 from freejordan.homology import BlockKey, ChainComplex, Monomial
-from freejordan.jordan import GradedJordanAlgebra, Vector
+from freejordan.jordan import GradedJordanAlgebra, PairSpace, Vector
 from freejordan.lambda_ops import lambda_adjoint_series, phi_series
 from freejordan.rings import GDIM_ONE, GDIM_X, GDIM_ZERO, L0, L2, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
 from freejordan.tag import BsComponent, TagAlgebra
@@ -387,6 +390,48 @@ def jordan_residual(
         t2 = multiply(alg, dk, xk, di + dj + w[0], abw)
         linalg.accumulate(acc, t1, s1)
         linalg.accumulate(acc, t2, -s1 * s2)
+    return linalg.sparse_row(acc)
+
+
+def identity_instance(
+    space: PairSpace,
+    x: tuple[int, int],
+    y: tuple[int, int],
+    z: tuple[int, int],
+    w: tuple[int, int],
+) -> linalg.SparseRow:
+    """One top-level instance of the super Jordan identity, expanded directly in W_n.
+
+    x, y, z and w are basis elements (degree, index) and ``space`` is W_n,
+    ``PairSpace(alg, n, 1)``.  The row is
+
+        sum over cyclic (a,b,c) of (-1)^{|a||c|} ((a.b).(c.w) - (-1)^{(|a|+|b|)|c|} c.((a.b).w))
+
+    with the inner products reduced and the outermost one taken in W_n: the
+    route that D applied to a cyclic row replaced.
+    """
+    par, index = space.parities, space.index
+    product = space.alg.multiply_basis
+    s, wu = w
+    acc: dict[int, int] = {}
+    triple = (x, y, z)
+    for r in range(3):
+        (di, ui), (dj, uj), (dk, uk) = triple[r], triple[(r + 1) % 3], triple[(r + 2) % 3]
+        pi, pj, pk = par[di][ui], par[dj][uj], par[dk][uk]
+        s1 = -1 if pi & pk else 1  # (-1)^{|a||c|}
+        s12 = -s1 if (pi ^ pj) & pk else s1  # times (-1)^{(|a|+|b|)|c|}
+        dab = di + dj
+        ab = product(di, ui, dj, uj)
+        # (a.b).(c.w)
+        for b, cb in product(dk, uk, s, wu):
+            for a, ca in ab:
+                k, sign = index[(dab, a, dk + s, b)]
+                acc[k] = acc.get(k, 0) + (s1 * sign) * ca * cb
+        # c.((a.b).w)
+        for a, ca in ab:
+            for b, cb in product(dab, a, s, wu):
+                k, sign = index[(dk, uk, dab + s, b)]
+                acc[k] = acc.get(k, 0) - (s12 * sign) * ca * cb
     return linalg.sparse_row(acc)
 
 

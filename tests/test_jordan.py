@@ -11,12 +11,13 @@ from freejordan.jordan import (
     ResourceBudgetExceeded,
     build_free_jordan,
     cache_key,
+    cyclic_row,
     relation_row,
     triple_groups,
 )
 from freejordan.rings import GDim
 from freejordan.solver import solve_dims
-from reference import basis_vector, jordan_residual
+from reference import basis_vector, identity_instance, jordan_residual
 
 
 def rand_homogeneous(alg, rng, n):
@@ -223,32 +224,50 @@ class TestTripleGroups:
 class TestRelationRows:
     @pytest.mark.parametrize("d1, d2", [(2, 0), (1, 1), (0, 2), (1, 2)])
     def test_rows_are_s3_symmetric_up_to_koszul_sign(self, d1, d2):
-        # The construction expands only x <= y <= z.  That has the span of
-        # every ordering because an even permutation of (x, y, z) leaves the
-        # row unchanged and an odd one multiplies it by
+        # The construction and Bs(J) expand only x <= y <= z.  That has the
+        # span of every ordering because an even permutation of (x, y, z)
+        # leaves the cyclic row unchanged and an odd one multiplies it by
         # (-1)^{|x||y| + |y||z| + |z||x|}.
         even_perms = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
         nonzero = flipped = 0
-        for n in range(4, 7):
-            alg = build_free_jordan(d1, d2, n - 1)
-            space = PairSpace(alg, n, 1)
-            basis = [(d, u) for d in range(1, n - 2) for u in range(alg.dim(d))]
+        for total in range(3, 7):
+            alg = build_free_jordan(d1, d2, total - 1)
+            ext = PairSpace(alg, total, -1)
+            basis = [(d, u) for d in range(1, total - 1) for u in range(alg.dim(d))]
             for triple in combinations_with_replacement(basis, 3):
-                s = n - sum(d for d, _ in triple)
-                if s < 1:
+                if sum(d for d, _ in triple) != total:
                     continue
                 px, py, pz = (alg.parities[d][u] for d, u in triple)
                 eps = (-1) ** (px * py + py * pz + pz * px)
-                for wu in range(alg.dim(s)):
-                    row = relation_row(space, *triple, (s, wu))
-                    nonzero += bool(row)
-                    flipped += bool(row) and eps == -1
-                    for perm in permutations(range(3)):
-                        sign = 1 if perm in even_perms else eps
-                        got = relation_row(space, *(triple[k] for k in perm), (s, wu))
-                        assert got == tuple((k, sign * c) for k, c in row), (n, triple, wu, perm)
+                row = cyclic_row(ext, *triple)
+                nonzero += bool(row)
+                flipped += bool(row) and eps == -1
+                for perm in permutations(range(3)):
+                    sign = 1 if perm in even_perms else eps
+                    got = cyclic_row(ext, *(triple[k] for k in perm))
+                    assert got == tuple((k, sign * c) for k, c in row), (total, triple, perm)
         assert nonzero
         assert flipped or d2 == 0
+
+    @pytest.mark.parametrize("d1, d2", [(2, 0), (1, 1), (0, 2), (1, 2)])
+    def test_rows_equal_the_direct_expansion(self, d1, d2):
+        # D applied to the cyclic row of (x, y, z) at w is the identity's
+        # instance on (x, y, z, w), int for int over the integer copy the
+        # construction reads.
+        nonzero = 0
+        for n in range(4, 7):
+            scaled = build_free_jordan(d1, d2, n - 1).integer_copy()[1]
+            space = PairSpace(scaled, n, 1)
+            for total in range(3, n):
+                ext = PairSpace(scaled, total, -1)
+                s = n - total
+                for triple in (t for group in triple_groups(scaled.parities, total) for t in group):
+                    cyclic = cyclic_row(ext, *triple)
+                    for w in ((s, wu) for wu in range(scaled.dim(s))):
+                        want = identity_instance(space, *triple, w)
+                        assert relation_row(space, ext, cyclic, w) == want, (n, triple, w)
+                        nonzero += bool(want)
+        assert nonzero
 
 
 class TestSerialization:
@@ -273,6 +292,17 @@ class TestSerialization:
 def test_budget_guard():
     with pytest.raises(ResourceBudgetExceeded):
         build_free_jordan(2, 2, 7, budget=50)
+
+
+@pytest.mark.parametrize("d1, d2, n, least", [
+    (1, 1, 6, 1936), (2, 0, 7, 64512), (0, 3, 6, 78408), (2, 1, 5, 23250),
+])
+def test_budget_boundary(d1, d2, n, least):
+    # The least budget that builds each shape: every sorted triple of a
+    # group counts, its cyclic row zero or not.
+    build_free_jordan(d1, d2, n, budget=least)
+    with pytest.raises(ResourceBudgetExceeded):
+        build_free_jordan(d1, d2, n, budget=least - 1)
 
 
 def test_bad_args():
