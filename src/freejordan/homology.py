@@ -30,7 +30,10 @@ those of weight w, keeping degree and parity, so only the blocks of
 weight w >= 0 are built; counts and ranks at -w are read at w.  The ranks
 are taken mod 13, top down, and certified exact on the highest-weight
 spaces by d^2 = 0 (``ChainComplex._rank_column``); a block the
-certificate does not cover is ranked over Q.
+certificate does not cover is ranked over Q.  On exact ranks the
+certificate's gap at weight w is the multiplicity of V(w) in H_r, and
+dim H_r at weight w is the sum of the multiplicities at the highest
+weights >= |w|.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ class ChainComplex:
         self.boundaries = self._build()
         check_sl2(tag, d_max)
         self._check_d_squared()
-        # (z-degree, parity) -> (r, weight) -> rank, one column at a time.
-        self._ranks: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+        # (z-degree, parity) -> (r, weight >= 0) -> (rank, multiplicity).
+        self._columns: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
 
     # -- chains and boundary ---------------------------------------------
 
@@ -209,68 +212,84 @@ class ChainComplex:
     # -- ranks and homology ----------------------------------------------
 
     def rank(self, key: BlockKey) -> int:
-        """Rank of the boundary out of a block; each column (d, parity) is ranked once."""
+        """Rank of the boundary out of a block, at any weight: the image is
+        an sl2-module, so the rank at -w is the rank at w."""
         r, d, w, p = key
-        ranks = self._ranks.get((d, p))
-        if ranks is None:
-            ranks = self._ranks[(d, p)] = self._rank_column(d, p)
-        return ranks.get((r, w), 0)
+        return self._rank_column(d, p).get((r, abs(w)), (0, 0))[0]
 
-    def _rank_column(self, d: int, p: int) -> dict[tuple[int, int], int]:
-        """The rank of d out of every block at z-degree d and parity p, by (r, weight).
+    def _rank_column(self, d: int, p: int) -> dict[tuple[int, int], tuple[int, int]]:
+        """The rank of d out of every block at z-degree d and parity p, and the
+        multiplicity of V(w) in H_r, by (r, weight w >= 0); walked once.
 
-        The weights w >= 0 are walked from the top down.  With c_r(w) the
-        chain count, the highest-weight vectors of V_r(w) span
-        c_r(w) - c_r(w + 2) dimensions, and d, which commutes with sl2,
-        has rank rank_r(w) - rank_r(w + 2) on them.  The rank mod p of a
-        block, l_r(w), is at most rank_r(w), so rho_r = l_r(w) -
-        rank_r(w + 2) is at most d's rank on the highest weights, and
+        The weights are walked from the top down.  With c_r(w) the chain
+        count, the highest-weight vectors of V_r(w) span c_r(w) - c_r(w + 2)
+        dimensions, and d, which commutes with sl2, has rank rank_r(w) -
+        rank_r(w + 2) on them.  The rank mod p of a block, l_r(w), is at
+        most rank_r(w), so rho_r = l_r(w) - rank_r(w + 2) is at most d's
+        rank on the highest weights, and
 
             g_r = c_r(w) - c_r(w + 2) - rho_r - rho_{r+1}
 
         is at least the highest-weight homology at r, at least 0.  If
         g_r = 0, both rho_r and rho_{r+1} are exact; so block r is exact
         when g_r = 0 or g_{r-1} = 0.  A block that is not is ranked over
-        Q.  The boundary columns go in as rows: rank(A^T) = rank(A).  The
-        image is an sl2-module, so the rank at -w is the rank at w.
+        Q, and g is taken again on the exact ranks.  On exact ranks g_r is
+        the multiplicity of V(w) in H_r, a negative one raises, and dim H_r
+        at weights w and -w is the suffix sum of g_r over the highest
+        weights >= w.  The boundary columns go in as rows: rank(A^T) =
+        rank(A).
         """
+        if (d, p) in self._columns:
+            return self._columns[(d, p)]
         blocks, bounds = self.blocks, self.boundaries
         top_r = min(self.r_max, d)
         top_w = max((w for r in range(top_r + 1) for w, pp in self.keys_at.get((r, d), ())
                      if pp == p), default=-1)
-        ranks: dict[tuple[int, int], int] = {}
+        column: dict[tuple[int, int], tuple[int, int]] = {}
         count_up, rank_up = [0] * (top_r + 1), [0] * (top_r + 2)
+
+        def gaps(ranks: list[int]) -> list[int]:
+            rho = [x - y for x, y in zip(ranks, rank_up)]
+            return [c - cu - rho[r] - rho[r + 1] for r, (c, cu) in enumerate(zip(count, count_up))]
+
         for w in range(top_w, -1, -2):
             count = [len(blocks.get((r, d, w, p), ())) for r in range(top_r + 1)]
             cols = [[c for c in bounds.get((r, d, w, p), ()) if c] for r in range(top_r + 1)]
             ell = [linalg.rank_mod_p(c) if c else 0 for c in cols] + [0]
-            rho = [x - y for x, y in zip(ell, rank_up)]
-            gap = [count[r] - count_up[r] - rho[r] - rho[r + 1] for r in range(top_r + 1)]
+            gap = gaps(ell)
             if min(gap) < 0:
                 raise AssertionError(f"ranks mod {linalg.PRIME} exceed the highest weights at "
                                      f"r={gap.index(min(gap))} d={d} weight={w} parity={p}")
-            for r, c in enumerate(cols):
-                exact = not c or gap[r] == 0 or r > 0 and gap[r - 1] == 0
-                ranks[(r, w)] = ranks[(r, -w)] = ell[r] if exact else linalg.rank(c)
-            count_up, rank_up = count, [ranks[(r, w)] for r in range(top_r + 1)] + [0]
-        return ranks
+            ranks = [x if not c or gap[r] == 0 or r > 0 and gap[r - 1] == 0 else linalg.rank(c)
+                     for r, (x, c) in enumerate(zip(ell, cols))] + [0]
+            if ranks != ell:
+                gap = gaps(ranks)
+                if min(gap) < 0:
+                    raise AssertionError(f"negative multiplicity at weight {w} in "
+                                         f"H_{gap.index(min(gap))}, z-degree {d}, parity {p}")
+            column.update(((r, w), (x, g)) for r, (x, g) in enumerate(zip(ranks, gap)))
+            count_up, rank_up = count, ranks
+        self._columns[(d, p)] = column
+        return column
 
-    def homology_weights(self, r: int, d: int) -> dict[int, GDim]:
-        """dim H_r at z-degree d, per h-weight, as an even/odd pair.
-
-        Requires the incoming boundary block V_{r+1} to be complete;
-        otherwise the rank of the image would be a lower bound only.  The
-        weights w >= 0 are computed, and -w mirrors w.
-        """
+    def multiplicities(self, r: int, d: int) -> dict[int, GDim]:
+        """Multiplicity of V(w) in H_r at z-degree d, per w >= 0, as an even/odd
+        pair.  V_{r+1} must be complete, or the image's rank is a lower bound."""
         if not (self.is_complete(r, d) and self.is_complete(r + 1, d)):
             raise ValueError(f"block r={r}, d={d} is not complete at this truncation")
-        dims: dict[int, list[int]] = {}
-        for w, par in self.keys_at.get((r, d), ()):
-            key = (r, d, w, par)
-            pair = dims.setdefault(w, [0, 0])
-            pair[par] = len(self.blocks[key]) - self.rank(key) - self.rank((r + 1, d, w, par))
-        return {w: GDim(*dims[abs(w)]) for w in sorted({*dims, *(-w for w in dims)})
-                if any(dims[abs(w)])}
+        pairs: dict[int, list[int]] = {}
+        for w, p in self.keys_at.get((r, d), ()):
+            pairs.setdefault(w, [0, 0])[p] = self._rank_column(d, p)[(r, w)][1]
+        return {w: GDim(*pairs[w]) for w in sorted(pairs) if any(pairs[w])}
+
+    def homology_weights(self, r: int, d: int) -> dict[int, GDim]:
+        """dim H_r at z-degree d, per h-weight, as an even/odd pair: at w and
+        -w, the sum of the multiplicities at the highest weights >= |w|."""
+        mults = self.multiplicities(r, d)
+        top = max(mults, default=-2)
+        ladder = range(top, -1, -2)
+        dims = dict(zip(ladder, accumulate(mults.get(w, GDIM_ZERO) for w in ladder)))
+        return {w: dims[abs(w)] for w in range(-top, top + 1, 2)}
 
     # -- Euler characteristic cross-check --------------------------------
 
@@ -315,30 +334,9 @@ class ChainComplex:
         return top + 1
 
 
-def isotypic_multiplicities(ws: dict[int, GDim], r: int, d: int) -> dict[int, GDim]:
-    """Multiplicity of the irreducible of highest weight 2m in H_r at z-degree d.
-
-    ``ws`` is dim H_r per h-weight, as ``homology_weights`` returns it.
-    mult(2m) = dim(weight 2m) - dim(weight 2m + 2); all weights here are
-    even, and a negative multiplicity signals a broken weight string,
-    which is raised rather than returned.
-    """
-    if any(w % 2 for w in ws):
-        raise AssertionError(f"odd h-weight in H_{r} at z-degree {d}")
-    top = max(ws, default=0)
-    out: dict[int, GDim] = {}
-    for w in range(0, top + 1, 2):
-        m = ws.get(w, GDIM_ZERO) - ws.get(w + 2, GDIM_ZERO)
-        if m.even < 0 or m.odd < 0:
-            raise AssertionError(f"negative multiplicity at weight {w} in H_{r}, z-degree {d}")
-        if m:
-            out[w] = m
-    return out
-
-
 @dataclass
 class HomologyReport:
-    """Homology of one TAG truncation: weights, multiplicities, flags."""
+    """Homology of one TAG truncation: weights and multiplicities."""
 
     d1: int
     d2: int
@@ -351,19 +349,17 @@ class HomologyReport:
     euler_checked_through: int = -1
 
     def to_json_dict(self) -> dict:
+        def by_block(table: dict[tuple[int, int], dict[int, GDim]]) -> dict:
+            return {f"{r},{d}": {str(w): g.json_form() for w, g in ws.items()}
+                    for (r, d), ws in sorted(table.items())}
+
         return {
             "d1": self.d1,
             "d2": self.d2,
             "r_max": self.r_max,
             "d_max": self.d_max,
-            "weights": {
-                f"{r},{d}": {str(w): g.json_form() for w, g in ws.items()}
-                for (r, d), ws in sorted(self.weights.items())
-            },
-            "multiplicities": {
-                f"{r},{d}": {str(w): g.json_form() for w, g in ms.items()}
-                for (r, d), ms in sorted(self.multiplicities.items())
-            },
+            "weights": by_block(self.weights),
+            "multiplicities": by_block(self.multiplicities),
             "incomplete": [list(p) for p in sorted(self.incomplete)],
             "euler_checked_through": self.euler_checked_through,
         }
@@ -393,5 +389,5 @@ def compute_homology(tag: TagAlgebra, r_max: int, d_max: int) -> HomologyReport:
             ws = cc.homology_weights(r, d)
             if ws:
                 report.weights[(r, d)] = ws
-                report.multiplicities[(r, d)] = isotypic_multiplicities(ws, r, d)
+                report.multiplicities[(r, d)] = cc.multiplicities(r, d)
     return report

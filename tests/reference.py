@@ -78,7 +78,11 @@ package computes in closed form or through its tables.
 * ``q_homology_weights`` -- dim H_r per weight with every block of a
                            ``FullWeightComplex``, negative weights included,
                            ranked over Q by ``linalg.rank``, the route the
-                           certified ranks replaced.
+                           certified ranks replaced;
+* ``isotypic_multiplicities`` -- the multiplicity of each irreducible in H_r
+                           as the difference of the dimensions at adjacent
+                           weights, the route that reading it off the
+                           rank certificate replaced.
 """
 
 from __future__ import annotations
@@ -811,6 +815,7 @@ class FullWeightComplex:
         self.blocks: dict[BlockKey, dict[Monomial, int]] = {}
         self._enumerate()
         self.boundaries = self._boundaries()
+        self._q_ranks: dict[BlockKey, int] = {}
 
     def _enumerate(self) -> None:
         """Every chain, depth first; a block numbers its chains in that order.
@@ -902,6 +907,13 @@ class FullWeightComplex:
                 out.append(linalg.sparse_row(col))
         return {key: cols[key] for key in blocks}
 
+    def q_rank(self, key: BlockKey) -> int:
+        """The rank over Q of the boundary out of a block, by ``linalg.rank``,
+        each block ranked once."""
+        if key not in self._q_ranks:
+            self._q_ranks[key] = linalg.rank([col for col in self.boundaries.get(key, ()) if col])
+        return self._q_ranks[key]
+
     def chain_character(self, d: int) -> tuple[list[int], list[int]]:
         """``ChainComplex.chain_character``, summed over every block at z-degree d."""
         p, m = [0] * (2 * d + 1), [0] * (2 * d + 1)
@@ -961,17 +973,32 @@ def ordered_jacobi_failures(tag: TagAlgebra) -> set[str]:
 def q_homology_weights(cc: FullWeightComplex, r: int, d: int) -> dict[int, GDim]:
     """``ChainComplex.homology_weights(r, d)`` from a complex at every weight,
     each block ranked over Q."""
-
-    def rank(key):
-        return linalg.rank([col for col in cc.boundaries.get(key, ()) if col])
-
     out = {}
     for w in sorted({w for (rr, dd, w, _p) in cc.blocks if (rr, dd) == (r, d)}):
         pair = [0, 0]
         for p in (0, 1):
             dim = len(cc.blocks.get((r, d, w, p), ()))
             if dim:
-                pair[p] = dim - rank((r, d, w, p)) - rank((r + 1, d, w, p))
+                pair[p] = dim - cc.q_rank((r, d, w, p)) - cc.q_rank((r + 1, d, w, p))
         if any(pair):
             out[w] = GDim(*pair)
+    return out
+
+
+def isotypic_multiplicities(ws: dict[int, GDim]) -> dict[int, GDim]:
+    """Multiplicity of the irreducible of highest weight w in H_r, from dim H_r
+    per h-weight as ``q_homology_weights`` returns it.
+
+    mult(w) = dim(weight w) - dim(weight w + 2) for even w >= 0; an odd
+    weight or a negative multiplicity is a broken weight string, and raises.
+    """
+    if any(w % 2 for w in ws):
+        raise AssertionError(f"odd h-weight in {ws}")
+    out = {}
+    for w in range(0, max(ws, default=0) + 1, 2):
+        m = ws.get(w, GDIM_ZERO) - ws.get(w + 2, GDIM_ZERO)
+        if m.even < 0 or m.odd < 0:
+            raise AssertionError(f"negative multiplicity at weight {w} in {ws}")
+        if m:
+            out[w] = m
     return out

@@ -3,14 +3,14 @@ import gc
 import pytest
 
 from freejordan import cli, homology, linalg
-from freejordan.homology import ChainComplex, compute_homology, isotypic_multiplicities
+from freejordan.homology import ChainComplex, compute_homology
 from freejordan.jordan import build_free_jordan
 from freejordan.lambda_ops import PhiKernel
 from freejordan.rings import GDim
 from freejordan.tag import TagAlgebra, build_tag
-from reference import (FullWeightComplex, block_dim, block_key, ordered_jacobi_failures,
-                       pair_boundaries, reference_boundary_monomial, reference_chain_blocks,
-                       sl2_index)
+from reference import (FullWeightComplex, block_dim, block_key, isotypic_multiplicities,
+                       ordered_jacobi_failures, pair_boundaries, q_homology_weights,
+                       reference_boundary_monomial, reference_chain_blocks, sl2_index)
 
 
 def tag_for(d1, d2, n):
@@ -175,6 +175,8 @@ class TestChainComplex:
         assert cc.is_complete(6, 5)  # empty: every factor has z-degree >= 1
         with pytest.raises(ValueError):
             cc.homology_weights(3, 4)  # incoming V_4 incomplete
+        with pytest.raises(ValueError):
+            cc.multiplicities(3, 4)
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
@@ -291,7 +293,6 @@ class TestChainComplex:
 
 
     def test_each_homology_block_is_weighed_once(self, monkeypatch):
-        # The multiplicities come from the weights already computed.
         calls = []
         weights = ChainComplex.homology_weights
         monkeypatch.setattr(ChainComplex, "homology_weights",
@@ -313,11 +314,31 @@ class TestChainComplex:
         assert report.pop("r_max") == 10**4
         assert report == {k: v for k, v in expected.items() if k != "r_max"}
 
-    @pytest.mark.parametrize("ws", [{0: GDim(1, 0), 2: GDim(2, 0)}, {1: GDim(1, 0)}],
-                             ids=["broken-weight-string", "odd-weight"])
-    def test_multiplicities_reject_impossible_weights(self, ws):
-        with pytest.raises(AssertionError):
-            isotypic_multiplicities(ws, 2, 3)
+    @staticmethod
+    def misrank_one_block(monkeypatch, tag):
+        """Read the largest block's rank mod p one short, so it falls back to
+        Q, and its rank over Q one too many."""
+        cc = ChainComplex(tag, 4, 4)
+        big = max((cols for key, cols in cc.boundaries.items() if key[2] >= 0),
+                  key=lambda cols: linalg.rank([c for c in cols if c] or [()]))
+        target = [c for c in big if c]
+        rank_mod_p, rank = linalg.rank_mod_p, linalg.rank
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: rank_mod_p(rows) - (rows == target))
+        monkeypatch.setattr(linalg, "rank", lambda rows: rank(rows) + (rows == target))
+
+    def test_overstated_q_rank_is_a_negative_multiplicity(self, monkeypatch):
+        # The fallback's rank is checked as the mod-p ranks are: on exact
+        # ranks the certificate's gap is the multiplicity, never below 0.
+        tag = tag_for(1, 1, 4)
+        self.misrank_one_block(monkeypatch, tag)
+        with pytest.raises(AssertionError, match="negative multiplicity"):
+            compute_homology(tag, 4, 4)
+
+    def test_overstated_q_rank_exits_4(self, monkeypatch, capsys):
+        self.misrank_one_block(monkeypatch, tag_for(1, 1, 4))
+        code = cli.main(["homology", "--d1", "1", "--d2", "1", "--rmax", "4", "--dmax", "4"])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "negative multiplicity" in capsys.readouterr().err
 
 
 class TestHomologyValues:
@@ -346,6 +367,20 @@ class TestHomologyValues:
                 if r == 2:
                     assert 0 not in mult and 2 not in mult, (d1, d2, r, d)
                     assert set(mult) <= {4}, "L(4)-isotypic"
+
+    @pytest.mark.parametrize("d1,d2", [(1, 1), (0, 2)])
+    def test_multiplicities_match_the_q_weights(self, d1, d2):
+        # Read off the rank certificate, the multiplicities equal the
+        # differences of the per-weight dimensions over Q at every weight,
+        # and their suffix sums equal those dimensions.
+        tag = tag_for(d1, d2, 6)
+        rep = compute_homology(tag, 6, 6)
+        ref = FullWeightComplex(tag, 6, 6)
+        q = {(r, d): q_homology_weights(ref, r, d)
+             for r in range(7) for d in range(7) if (r, d) not in rep.incomplete}
+        assert rep.weights == {rd: ws for rd, ws in q.items() if ws}
+        assert rep.multiplicities == {rd: isotypic_multiplicities(ws) for rd, ws in q.items() if ws}
+        assert len(rep.multiplicities) >= 10
 
     def test_euler_characteristic(self):
         cc = ChainComplex(tag_for(1, 1, 5), 5, 5)
