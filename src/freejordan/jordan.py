@@ -16,28 +16,30 @@ multiplies it by (-1)^{|x||y| + |y||z| + |z||x|}, as J is
 supercommutative.  So only x <= y <= z in the (degree, index) order is
 expanded (``triple_groups``), with every w, and the span is that of all
 instances.  Inner products use the already-reduced lower-degree tables,
-so embedded instances of the identity vanish automatically.  The rows
-are built from ``integer_copy()`` of the lower-degree tables, T times the
-rational ones, so each row is T**2 times its rational instance: the same
-row space, in ints.  The quotient is taken by exact fraction-free row
-reduction (``PairSpace.quotient``), whose rational reduced rows give the
-new tables; quotient bases are the non-pivot pair coordinates in a
-canonical order (parity even-first, then the lexicographic pair shape),
+so embedded instances of the identity vanish automatically.  The tables
+hold ints, ``scale`` times the rational products, so each row is
+``scale**2`` times its rational instance: the same row space, in ints.
+The quotient is taken by exact fraction-free row reduction
+(``PairSpace.quotient``), whose rational reduced rows, times the scale,
+give the new tables; quotient bases are the non-pivot pair coordinates in
+a canonical order (parity even-first, then the lexicographic pair shape),
 which makes the structure constants reproducible.
 
 Every vector is a ``Vector``, the package's one sparse type
 (``linalg.SparseRow``): sorted (index, coefficient) pairs with no zero
 coefficient, so the zero vector is ``()``.  The tables hold their entries
-in that form, and the cache stores them as they are held.
+in that form, and the cache stores each entry over the scale, as a
+rational.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
+from math import lcm
 from typing import Collection, Iterator
 
 from . import linalg
@@ -60,10 +62,12 @@ class GradedJordanAlgebra:
     """Truncation of the free Jordan superalgebra with exact mult tables.
 
     ``parities[n]`` lists the parity (0 or 1) of each degree-n basis
-    element; ``tables[(i, j)][u][v]`` (only i <= j) is the product of basis
-    elements u and v as a sparse ``Vector`` in degree i + j.  Instances are
-    treated as immutable once built.  ``to_json`` writes the tables as they
-    are held, with a sha256 of the payload that ``from_json`` checks.
+    element; ``tables[(i, j)][u][v]`` (only i <= j) is ``scale`` times the
+    product of basis elements u and v, as a sparse ``Vector`` in degree
+    i + j with int coefficients.  ``scale`` is the lcm of the rational
+    products' denominators.  Instances are treated as immutable once
+    built.  ``to_json`` writes the rational products, with a sha256 of the
+    payload that ``from_json`` checks.
     """
 
     d1: int
@@ -72,6 +76,7 @@ class GradedJordanAlgebra:
     parities: dict[int, tuple[int, ...]]
     labels: dict[int, tuple[str, ...]]
     tables: dict[tuple[int, int], list[list[Vector]]]
+    scale: int
     dims: dict[int, GDim] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -89,7 +94,7 @@ class GradedJordanAlgebra:
         return tuple(self.dims[n] for n in range(1, self.max_degree + 1))
 
     def multiply_basis(self, i: int, u: int, j: int, v: int) -> Vector:
-        """Product of basis elements, as coordinates in degree i + j."""
+        """``scale`` times the product of basis elements, in degree i + j."""
         if i + j > self.max_degree:
             raise ValueError(f"product degree {i + j} beyond truncation")
         if i <= j:
@@ -99,7 +104,7 @@ class GradedJordanAlgebra:
         return w if sign == 1 else tuple((k, -c) for k, c in w)
 
     def derivation(self, i: int, u: int, j: int, v: int, m: int) -> list[Vector]:
-        """Columns of d_{x,y} = [L_x, L_y] on degree m, for basis elements x and y.
+        """``scale**2`` times the columns of d_{x,y} = [L_x, L_y] on degree m.
 
         x is element u of degree i and y element v of degree j; column w is
         x.(y.z_w) - (-1)^{|x||y|} y.(x.z_w), in degree i + j + m.
@@ -107,7 +112,7 @@ class GradedJordanAlgebra:
         sign = -1 if self.parities[i][u] & self.parities[j][v] else 1
         cols = []
         for w in range(self.dim(m)):
-            acc: dict[int, Fraction | int] = {}
+            acc: dict[int, int] = {}
             for a, b, c, d, s in ((i, u, j, v, 1), (j, v, i, u, -sign)):
                 for k, ck in self.multiply_basis(c, d, m, w):
                     for q, cq in self.multiply_basis(a, b, c + m, k):
@@ -115,22 +120,10 @@ class GradedJordanAlgebra:
             cols.append(linalg.sparse_row(acc))
         return cols
 
-    def integer_copy(self) -> tuple[int, GradedJordanAlgebra]:
-        """(T, a copy whose table entries are T times these, as ints).
-
-        T is the lcm of the tables' denominators, so the copy's products
-        are T times these and its derivations T**2 times these.
-        """
-        T = linalg.denominator(vec for tab in self.tables.values() for row in tab for vec in row)
-        return T, replace(self, tables={
-            key: [[linalg.scaled(vec, T) for vec in row] for row in tab]
-            for key, tab in self.tables.items()
-        })
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> str:
-        """Canonical JSON: the sparse tables as held, plus a sha256 of the rest."""
+        """Canonical JSON: the sparse tables over ``scale``, plus a sha256 of the rest."""
         payload = {
             "format_version": FORMAT_VERSION,
             "d1": self.d1,
@@ -139,7 +132,8 @@ class GradedJordanAlgebra:
             "parities": {str(n): list(p) for n, p in self.parities.items()},
             "labels": {str(n): list(v) for n, v in self.labels.items()},
             "tables": {
-                f"{i},{j}": [[[[k, str(c)] for k, c in vec] for vec in row] for row in tab]
+                f"{i},{j}": [[[[k, str(Fraction(c, self.scale))] for k, c in vec] for vec in row]
+                             for row in tab]
                 for (i, j), tab in self.tables.items()
             },
         }
@@ -156,7 +150,9 @@ class GradedJordanAlgebra:
         with the d1 even and then the d2 odd generators in degree 1; and
         one table for each i <= j with i + j <= max_degree, of dim(i) x
         dim(j) entries with indices below dim(i + j), no zero denominator,
-        and every term of the parity |x_u| + |y_v| of its entry.
+        and every term of the parity |x_u| + |y_v| of its entry.  The
+        rational entries are held times ``scale``, the lcm of their
+        denominators.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -184,14 +180,10 @@ class GradedJordanAlgebra:
         }:
             raise ValueError("cache tables do not match the products through max_degree")
         tables = {(i, j): _read_table(tab, parities, i, j) for (i, j), tab in cached.items()}
-        return cls(
-            d1=payload["d1"],
-            d2=payload["d2"],
-            max_degree=max_degree,
-            parities=parities,
-            labels=labels,
-            tables=tables,
-        )
+        scale = linalg.denominator(vec for tab in tables.values() for row in tab for vec in row)
+        tables = {key: [[linalg.scaled(vec, scale) for vec in row] for row in tab]
+                  for key, tab in tables.items()}
+        return cls(payload["d1"], payload["d2"], max_degree, parities, labels, tables, scale)
 
 
 def cache_key(d1: int, d2: int, max_degree: int) -> str:
@@ -211,10 +203,10 @@ def _digest(payload: dict) -> str:
 def _read_table(
     tab: list, parities: dict[int, tuple[int, ...]], i: int, j: int
 ) -> list[list[Vector]]:
-    """The cached (i, j) table as held; ValueError unless it fits ``parities``.
+    """The cached (i, j) table in Fractions; ValueError unless it fits ``parities``.
 
-    It must be dim(i) x dim(j), each entry a ``Vector`` as held (indices
-    strictly increasing and below dim(i + j), no zero coefficient), and each
+    It must be dim(i) x dim(j), each entry a ``Vector`` (indices strictly
+    increasing and below dim(i + j), no zero coefficient), and each
     term of the entry x_u.y_v must have the parity |x_u| + |y_v|.
     """
     if len(tab) != len(parities[i]) or any(len(row) != len(parities[j]) for row in tab):
@@ -247,8 +239,7 @@ class PairSpace:
     u); sign -1 the super exterior square that Bs(J) is taken on, the later
     element first and even squares dropped.  ``index`` maps every ordered
     pair to (coordinate, sign): 1 as stored, sign (-1)^{|x||y|} swapped, 0
-    for a dropped square.  Reduced products come from ``alg``, whose tables
-    hold ints (``integer_copy``).
+    for a dropped square.  Reduced products come from ``alg``.
     """
 
     def __init__(self, alg: GradedJordanAlgebra, n: int, sign: int) -> None:
@@ -319,8 +310,7 @@ def cyclic_row(
 
         sum over cyclic (a,b,c) of (-1)^{|a||c|} (a.b)(x)c
 
-    with a.b reduced, so over tables T times the rational ones it is T
-    times the rational relation.
+    with a.b reduced, so it is the tables' scale times the rational relation.
     """
     par, index = ext.parities, ext.index
     product = ext.alg.multiply_basis
@@ -345,8 +335,7 @@ def relation_row(
     D_{x,y}(w) = x.(y.w) - (-1)^{|x||y|} y.(x.w), the inner products
     reduced and the outer one taken in W_n.  D is well defined on the super
     exterior square, as D_{y,x} = -(-1)^{|x||y|} D_{x,y} and D_{x,x} = 0
-    for even x.  Over tables T times the rational ones the row is T**2
-    times its rational instance.
+    for even x.  The row is ``alg.scale**2`` times its rational instance.
     """
     par, index = space.parities, space.index
     product = space.alg.multiply_basis
@@ -382,19 +371,23 @@ def build_free_jordan(
     labels: dict[int, tuple[str, ...]] = {
         1: tuple(f"x{k + 1}" for k in range(d1)) + tuple(f"y{k + 1}" for k in range(d2))
     }
+    # One table dict, grown a degree at a time and rescaled in place when
+    # the scale grows, so the exterior squares kept from earlier degrees
+    # read it at the current scale.
     tables: dict[tuple[int, int], list[list[Vector]]] = {}
-    alg = GradedJordanAlgebra(d1, d2, 1, dict(parities), dict(labels), tables)
+    alg = GradedJordanAlgebra(d1, d2, 1, dict(parities), dict(labels), tables, 1)
+    exts: dict[int, PairSpace] = {}  # total t -> PairSpace(alg, t, -1)
 
     for n in range(2, max_degree + 1):
-        scaled = alg.integer_copy()[1]
-        space = PairSpace(scaled, n, 1)
+        space = PairSpace(alg, n, 1)
         nw = len(space.coords)
+        if n > 3:
+            exts[n - 1] = PairSpace(alg, n - 1, -1)
 
         # Top-level super Jordan instances with total degree n: D applied
         # to one cyclic row per S3 orbit of (x, y, z).
         rows: dict[linalg.SparseRow, None] = {}
-        for total in range(3, n):
-            ext = PairSpace(scaled, total, -1)
+        for total, ext in exts.items():
             s = n - total
             ns = len(parities[s])
             for triples in triple_groups(parities, total):
@@ -411,11 +404,14 @@ def build_free_jordan(
 
         # Relations are parity-homogeneous; quotient basis is non-pivots.
         _, parities[n], labels[n], projection = space.quotient(rows, "({}.{})")
+        scale = lcm(alg.scale, linalg.denominator(projection))
+        if scale > alg.scale:
+            for tab in tables.values():
+                for row in tab:
+                    row[:] = [linalg.scaled(vec, scale // alg.scale) for vec in row]
 
         def entry(k, sign):
-            if sign == 1:
-                return projection[k]
-            return tuple((q, -c) for q, c in projection[k]) if sign else ()
+            return linalg.scaled(projection[k], sign * scale) if sign else ()
 
         for i in range(1, n // 2 + 1):
             j = n - i
@@ -424,6 +420,6 @@ def build_free_jordan(
                 for u in range(len(parities[i]))
             ]
 
-        alg = GradedJordanAlgebra(d1, d2, n, dict(parities), dict(labels), tables)
+        alg = GradedJordanAlgebra(d1, d2, n, dict(parities), dict(labels), tables, scale)
 
     return alg

@@ -3,8 +3,8 @@
 A row is a ``SparseRow``: ``(column, coefficient)`` pairs with distinct
 columns; zero entries are ignored.  The rows given to ``rank``, ``rref``
 and ``quotient`` hold ints, and nothing is scaled on the way in: every
-caller builds its rows from integer tables (``integer_copy`` of the
-algebra, or the TAG bracket table).  ``rref`` eliminates over the
+caller builds its rows from integer tables (the algebra's, held at
+``alg.scale``, or the TAG bracket table).  ``rref`` eliminates over the
 integers (fraction-free Gauss-Jordan, after Bareiss, Math. Comp. 22,
 1968), and the pivot rows are kept primitive: the gcd of a row's entries
 is 1 and its leading entry is positive.  The rows are inserted one at a
@@ -62,7 +62,7 @@ def denominator(rows: Iterable[SparseRow]) -> int:
 
 
 def scaled(row: SparseRow, den: int) -> SparseRow:
-    """``den * row`` with int coefficients; ``den`` must clear every denominator."""
+    """``den * row`` with int coefficients; ``den`` must clear every denominator (an int's is 1)."""
     return tuple((k, c.numerator * (den // c.denominator)) for k, c in row)
 
 

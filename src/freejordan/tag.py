@@ -36,10 +36,10 @@ classes its bracket.  Exhaustive gates check anticommutativity, the super
 Jacobi identity and, in ``freejordan.sl2``, that sl2 acts by derivations
 (see ``build_tag`` for which runs where).
 
-The layer is built in ints from ``alg.integer_copy()``, J's tables times
-T; ``TagAlgebra`` gives the scales.  This module imports no ``Fraction``:
-the one rational data it keeps is ``BsComponent.projection``, as
-``linalg.quotient`` returns it.
+The layer is built in ints from J's tables, which hold ``alg.scale``
+times the rational products; ``TagAlgebra`` gives the scales.  This
+module imports no ``Fraction``: the one rational data it keeps is
+``BsComponent.projection``, as ``linalg.quotient`` returns it.
 """
 
 from __future__ import annotations
@@ -96,9 +96,8 @@ class BsComponent:
 def build_Bs(alg: GradedJordanAlgebra, max_degree: int) -> dict[int, BsComponent]:
     """Bs(J) per z-degree 2..max_degree, by exact row reduction.
 
-    ``alg``'s tables must hold ints, as ``alg.integer_copy()``'s do: each
-    cyclic row is then T times the rational one, with the same row space,
-    quotient and projection.
+    Each cyclic row is ``alg.scale`` times the rational one, with the same
+    row space, quotient and projection.
     """
     if max_degree > alg.max_degree:
         raise ValueError("algebra not built deep enough")
@@ -118,23 +117,23 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
 def inner_rank_diagnostic(tag: TagAlgebra, n: int) -> GDim:
     """Rank of the degree-n classes of Bs(J) acting on J through tag.max_degree.
 
-    Reads the derivation matrices that ``tag`` built once, at scale T**2,
-    which the rank does not see.  The rank is a truncation-dependent lower
-    bound for the graded dimension of the degree-n inner derivations:
-    action at z-degrees above the horizon is invisible, so the true
-    dimension may be larger.
+    Reads the Bs-on-e(x)J block of ``tag.brackets``: one row per class b
+    and one column per (e(x)z, term), numbered z * len(tag.degrees) + k.
+    As [b, e(x)z] = e(x)d(z), d the class's derivation, each row is the
+    class's derivation matrix at one common scale, which the rank does not
+    see.  The rank is a truncation-dependent lower bound for the graded
+    dimension of the degree-n inner derivations: action at z-degrees
+    above the horizon is invisible, so the true dimension may be larger.
     """
-    bs = tag.bs[n]
+    at, width = tag.at, len(tag.degrees)
     rows: dict[int, list[linalg.SparseRow]] = {0: [], 1: []}
-    for idx, k in enumerate(bs.lifts):
-        # Each class is the concatenation of its derivation columns.
-        row: list[tuple[int, int]] = []
-        offset = 0
-        for m in range(1, tag.max_degree - n + 1):
-            for col in tag._derivations[bs.coords[k] + (m,)]:
-                row.extend((offset + pos, c) for pos, c in col)
-                offset += tag.alg.dim(n + m)
-        rows[bs.parities[idx]].append(tuple(row))
+    for q, parity in enumerate(tag.bs[n].parities):
+        rows[parity].append(tuple(
+            (gs * width + k, c)
+            for m in range(1, tag.max_degree - n + 1)
+            for gs in range(at[m][0], at[m][1])
+            for k, c in tag.brackets.get((at[n][3] + q, gs), ())
+        ))
     return GDim(linalg.rank(rows[0]), linalg.rank(rows[1]))
 
 
@@ -152,8 +151,8 @@ class TagAlgebra:
     int coefficients; the gates and the chain complex read this integer
     table directly.
 
-    Everything is built in ints from one integer copy of J's tables, each
-    entry times T, the lcm of their denominators: Bs(J) from cyclic rows
+    Everything is built in ints from J's tables, each entry times T =
+    ``alg.scale``, the lcm of their denominators: Bs(J) from cyclic rows
     T times the rational ones, the derivation columns at T**2, and the Bs
     projection read at P, the lcm of its denominators.  At S = lcm(2P,
     P*T**2) every entry is one J-level vector's entry times a multiplier:
@@ -162,16 +161,14 @@ class TagAlgebra:
     the Bs-on-Bs part of an image at P*T**2.  With g the gcd of S and those
     entries, ``scale`` = S // g, and each bracket is written once at that
     scale; as every rational coefficient is an entry over S, S // g is the
-    lcm of their denominators.  Of the integer data only ``_derivations``
-    outlives construction: the T**2 columns of every Bs class on every
-    degree in range, read by ``inner_rank_diagnostic``.
+    lcm of their denominators.  Of the integer data only the bracket
+    table outlives construction.
     """
 
     def __init__(self, alg: GradedJordanAlgebra, max_degree: int) -> None:
         self.alg = alg
         self.max_degree = max_degree
-        T, scaled = alg.integer_copy()
-        self.bs = build_Bs(scaled, max_degree)
+        self.bs = build_Bs(alg, max_degree)
         self.at: dict[int, tuple[int, ...]] = {}
         self.degrees, self.weights, self.parities, self.labels = [], [], [], []
         for n in range(1, max_degree + 1):
@@ -187,21 +184,22 @@ class TagAlgebra:
                 self.labels += comp.labels
             self.degrees += [n] * (len(self.parities) - len(self.degrees))
         # lift (i, u, j, v) of a Bs class + (m,) -> T**2 times d_{x,y} on degree m.
-        self._derivations: dict[tuple[int, ...], list[Vector]] = {
-            comp.coords[k] + (m,): scaled.derivation(*comp.coords[k], m)
+        derivations: dict[tuple[int, ...], list[Vector]] = {
+            comp.coords[k] + (m,): alg.derivation(*comp.coords[k], m)
             for n, comp in self.bs.items()
             for k in comp.lifts
             for m in range(1, max_degree - n + 1)
         }
-        self.brackets, self.scale = self._bracket_table(scaled, T)
+        self.brackets, self.scale = self._bracket_table(derivations)
 
-    def _bracket_table(self, scaled: GradedJordanAlgebra, T: int) -> tuple[dict, int]:
-        """Every in-range bracket in ints; returns (brackets, scale).
+    def _bracket_table(self, derivations: dict) -> tuple[dict, int]:
+        """Every in-range bracket in ints, from the derivation columns; returns (brackets, scale).
 
         In a degree the sl2 tensors come before the Bs classes, so every
         bracket below is sorted as written.
         """
-        N, par, derivations = self.max_degree, scaled.parities, self._derivations
+        alg, N, T = self.alg, self.max_degree, self.alg.scale
+        par = alg.parities
         P = linalg.denominator(vec for comp in self.bs.values() for vec in comp.projection)
         projection = {
             n: [linalg.scaled(vec, P) for vec in comp.projection] for n, comp in self.bs.items()
@@ -232,7 +230,7 @@ class TagAlgebra:
         # Each entry is a vector entry below times its multiplier to S.
         to_s = (S // T, 2 * S // P, S // (T * T), S // (P * T * T))
         g = gcd(S, *(m * gcd(*(c for vec in vecs for _, c in vec)) for m, vecs in zip(to_s, (
-            [vec for (i, j), tab in scaled.tables.items() if i + j <= N for row in tab for vec in row],
+            [vec for (i, j), tab in alg.tables.items() if i + j <= N for row in tab for vec in row],
             [vec for rows in projection.values() for vec in rows],
             [col for cols in derivations.values() for col in cols],
             [row for _, _, row in images],
@@ -246,7 +244,7 @@ class TagAlgebra:
             o = at[n]
             # Every ordered pair: an even square has class 0 but a product.
             for (i, u, j, v), (q, e) in self.bs[n].index.items():
-                prod = rescale(scaled.multiply_basis(i, u, j, v), 0)
+                prod = rescale(alg.multiply_basis(i, u, j, v), 0)
                 kap = rescale(projection[n][q], 1, o[3]) if e else ()
                 for a, b, c_idx, coeff, half in SL2_RULES:
                     out = [(o[c_idx] + k, coeff * c) for k, c in prod if coeff]

@@ -27,10 +27,13 @@ package computes in closed form or through its tables.
 * ``adjoint_even_line``,
   ``adjoint_odd_line``   -- the adjoint line factors as sums of t-integers;
 * ``is_t_symmetric``     -- the t -> 1/t symmetry of an sl2 character;
+* ``rational``           -- an algebra's tables over its scale, in Fractions:
+                           the rational products, at scale 1;
 * ``basis_vector``,
   ``multiply``,
   ``derivation_of``      -- rational vectors, products and d_{x,y} = [L_x, L_y]
-                           through the tables, for any homogeneous vectors;
+                           through the tables, for any homogeneous vectors
+                           (rational on a ``rational`` view);
 * ``jordan_residual``    -- the super Jordan identity through the tables;
 * ``identity_instance``  -- one top-level instance of the identity in W_n,
                            summed over the rotations of (x, y, z), the route
@@ -88,6 +91,7 @@ package computes in closed form or through its tables.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, combinations_with_replacement, product
@@ -320,6 +324,18 @@ def is_t_symmetric(c: RLaurent) -> bool:
     return all(c[e] == c[-e] for e, _, _ in c.terms)
 
 
+def rational(alg: GradedJordanAlgebra) -> GradedJordanAlgebra:
+    """``alg`` with every table entry c read as Fraction(c, alg.scale), at scale 1.
+
+    Its ``multiply_basis`` and ``derivation`` give the rational products and
+    derivations, which ``alg`` holds times ``alg.scale`` and ``alg.scale**2``.
+    """
+    return replace(alg, scale=1, tables={
+        key: [[tuple((k, Fraction(c, alg.scale)) for k, c in vec) for vec in row] for row in tab]
+        for key, tab in alg.tables.items()
+    })
+
+
 def basis_vector(alg: GradedJordanAlgebra, n: int, idx: int) -> Vector:
     if not 0 <= idx < alg.dim(n):
         raise IndexError(f"no basis element {idx} in degree {n}")
@@ -539,10 +555,10 @@ def fraction_brackets(tag: TagAlgebra) -> dict[tuple[int, int], Vector]:
     """Every nonzero in-range [gi, gj] of basis elements, with Fraction coefficients.
 
     Each bracket is summed coefficient by coefficient from the rational
-    tables, the Bs projection and ``derivation_of``, pair of basis elements
-    by pair, with no common scale.
+    tables (``rational``), the Bs projection and ``derivation_of``, pair of
+    basis elements by pair, with no common scale.
     """
-    alg, deg, par = tag.alg, tag.degrees, tag.parities
+    alg, deg, par = rational(tag.alg), tag.degrees, tag.parities
     bs = {n: unfold(comp, alg.parities) for n, comp in tag.bs.items()}
     derivations: dict[tuple[int, ...], list[Vector]] = {}
 

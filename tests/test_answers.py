@@ -20,7 +20,7 @@ import pytest
 from freejordan.homology import compute_homology
 from freejordan.jordan import build_free_jordan
 from freejordan.tag import build_tag, inner_rank_diagnostic
-from reference import bs_json, multiply, structure_constants_json
+from reference import bs_json, multiply, rational, structure_constants_json
 
 
 def _pairs(vec):
@@ -35,12 +35,14 @@ def _digest(obj) -> str:
 def answer_digests(d1, d2, degree, r_max):
     alg = build_free_jordan(d1, d2, degree)
     tag = build_tag(alg, degree)
+    # The rational products, as the tables held them when this was recorded.
+    tables = rational(alg).tables
     algebra = {
         "parities": {str(n): list(p) for n, p in sorted(alg.parities.items())},
         "labels": {str(n): list(v) for n, v in sorted(alg.labels.items())},
         "tables": {
             f"{i},{j}": [[_pairs(vec) for vec in row] for row in tab]
-            for (i, j), tab in sorted(alg.tables.items())
+            for (i, j), tab in sorted(tables.items())
         },
     }
     return {
@@ -100,7 +102,9 @@ def test_every_vector_is_sparse():
         inner_rank_diagnostic(tag, n)
     entries = [vec for tab in alg.tables.values() for row in tab for vec in row]
     projections = [vec for comp in tag.bs.values() for vec in comp.projection]
-    columns = [col for cols in tag._derivations.values() for col in cols]
+    columns = [col for n, comp in tag.bs.items() for k in comp.lifts
+               for m in range(1, tag.max_degree - n + 1)
+               for col in alg.derivation(*comp.coords[k], m)]
     rng = random.Random(3)
     products = []
     for _ in range(200):

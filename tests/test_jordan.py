@@ -252,32 +252,53 @@ class TestRelationRows:
     @pytest.mark.parametrize("d1, d2", [(2, 0), (1, 1), (0, 2), (1, 2)])
     def test_rows_equal_the_direct_expansion(self, d1, d2):
         # D applied to the cyclic row of (x, y, z) at w is the identity's
-        # instance on (x, y, z, w), int for int over the integer copy the
+        # instance on (x, y, z, w), int for int over the scaled tables the
         # construction reads.
         nonzero = 0
         for n in range(4, 7):
-            scaled = build_free_jordan(d1, d2, n - 1).integer_copy()[1]
-            space = PairSpace(scaled, n, 1)
+            alg = build_free_jordan(d1, d2, n - 1)
+            space = PairSpace(alg, n, 1)
             for total in range(3, n):
-                ext = PairSpace(scaled, total, -1)
+                ext = PairSpace(alg, total, -1)
                 s = n - total
-                for triple in (t for group in triple_groups(scaled.parities, total) for t in group):
+                for triple in (t for group in triple_groups(alg.parities, total) for t in group):
                     cyclic = cyclic_row(ext, *triple)
-                    for w in ((s, wu) for wu in range(scaled.dim(s))):
+                    for w in ((s, wu) for wu in range(alg.dim(s))):
                         want = identity_instance(space, *triple, w)
                         assert relation_row(space, ext, cyclic, w) == want, (n, triple, w)
                         nonzero += bool(want)
         assert nonzero
 
+    def test_each_exterior_square_is_built_once(self, monkeypatch):
+        # The construction keeps PairSpace(alg, t, -1) from degree t + 1
+        # on: one per total 3..6 in a build to degree 7, not one per
+        # (degree, total).
+        built = []
+        init = PairSpace.__init__
+
+        def counted(self, alg, n, sign):
+            built.append((n, sign))
+            init(self, alg, n, sign)
+
+        monkeypatch.setattr(PairSpace, "__init__", counted)
+        build_free_jordan(2, 0, 7)
+        assert sorted(n for n, sign in built if sign == -1) == [3, 4, 5, 6]
+
 
 class TestSerialization:
-    def test_roundtrip(self):
-        alg = build_free_jordan(1, 1, 4)
+    # The scale grows 1 -> 2 -> 4 -> 16 over (2|0)'s degrees 3..6.
+    @pytest.mark.parametrize("d1, d2, n, scale", [(1, 1, 4, 2), (2, 0, 6, 16)],
+                             ids=["(1|1)@4", "(2|0)@6"])
+    def test_roundtrip(self, d1, d2, n, scale):
+        alg = build_free_jordan(d1, d2, n)
+        assert alg.scale == scale
         clone = GradedJordanAlgebra.from_json(alg.to_json())
         assert clone.parities == alg.parities
         assert clone.tables == alg.tables
+        assert clone.scale == alg.scale
         assert clone.dims == alg.dims
         assert clone.labels == alg.labels
+        assert clone.to_json() == alg.to_json()
 
     def test_cache_key_depends_on_shape(self):
         assert len({cache_key(1, 1, 3), cache_key(1, 1, 4), cache_key(0, 2, 3)}) == 3

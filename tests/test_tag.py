@@ -26,6 +26,7 @@ from reference import (
     multiply,
     ordered_jacobi_failures,
     project,
+    rational,
     sl2_index,
     structure_constants_json,
     tag_graded_dims,
@@ -46,13 +47,13 @@ class TestBs:
     def test_one_odd_generator(self):
         # Bs of the 1-dimensional odd algebra: one even class {y(x)y}.
         alg = build_free_jordan(0, 1, 6)
-        bs = build_Bs(alg.integer_copy()[1], 6)
+        bs = build_Bs(alg, 6)
         assert bs[2].dim == GDim(1, 0)
         assert all(bs[n].dim == GDim(0, 0) for n in range(3, 7))
 
     def test_starts_in_degree_two(self):
         alg = build_free_jordan(1, 1, 3)
-        bs = build_Bs(alg.integer_copy()[1], 3)
+        bs = build_Bs(alg, 3)
         assert 1 not in bs
         assert sorted(bs) == [2, 3]
 
@@ -64,7 +65,7 @@ class TestBs:
         for d1, d2 in [(1, 1), (0, 2), (2, 0)]:
             alg = build_free_jordan(d1, d2, 5)
             par = alg.parities
-            for n, comp in build_Bs(alg.integer_copy()[1], 5).items():
+            for n, comp in build_Bs(alg, 5).items():
                 unfolded = unfold(comp, par)
                 for (i, u, j, v), (k, s) in comp.index.items():
                     x, y = (i, u), (j, v)
@@ -79,10 +80,10 @@ class TestBs:
                     amb[k] = amb.get(k, 0) + sign
                     assert project(unfolded, amb) == ()
         # {y(x)y} survives for one odd generator; {x(x)x} = 0 for one even one.
-        odd = build_Bs(build_free_jordan(0, 1, 2).integer_copy()[1], 2)[2]
+        odd = build_Bs(build_free_jordan(0, 1, 2), 2)[2]
         assert odd.index == {(1, 0, 1, 0): (0, 1)} and odd.dim == GDim(1, 0)
         assert odd.projection == [((0, 1),)]
-        even = build_Bs(build_free_jordan(1, 0, 2).integer_copy()[1], 2)[2]
+        even = build_Bs(build_free_jordan(1, 0, 2), 2)[2]
         assert even.index[(1, 0, 1, 0)][1] == 0 and even.coords == []
         assert even.dim == GDim(0, 0)
 
@@ -92,7 +93,7 @@ class TestBs:
         for d1, d2, top in [(1, 1, 6), (0, 2, 6), (2, 0, 6), (2, 1, 5)]:
             alg = build_free_jordan(d1, d2, top)
             par = alg.parities
-            for n, comp in build_Bs(alg.integer_copy()[1], top).items():
+            for n, comp in build_Bs(alg, top).items():
                 pairs = sum(alg.dim(i) * alg.dim(n - i) for i in range(1, (n + 1) // 2))
                 if n % 2 == 0:
                     m = alg.dim(n // 2)
@@ -103,7 +104,7 @@ class TestBs:
         # Over degrees 2..8 of (1|1): 292 cyclic rows over 386 coordinates
         # of the super exterior square, where J (x) J with its
         # supercommutator rows had 678 rows over 772 coordinates.
-        alg = build_free_jordan(1, 1, 8).integer_copy()[1]
+        alg = build_free_jordan(1, 1, 8)
         shapes = []
         quotient = linalg.quotient
 
@@ -121,7 +122,7 @@ class TestBs:
         # x <= y <= z, so this checks the S3 reduction against each ordering.
         for d1, d2, triples in [(1, 1, 104), (0, 2, 50)]:
             alg = build_free_jordan(d1, d2, 5)
-            bs = build_Bs(alg.integer_copy()[1], 5)
+            bs = build_Bs(alg, 5)
             elems = [(d, u) for d in range(1, 4) for u in range(alg.dim(d))]
             checked = 0
             for x, y, z in product(elems, repeat=3):
@@ -150,15 +151,28 @@ class TestBs:
         # Conjecture-level agreement of Bs dimensions with the b-series.
         for d1, d2 in [(1, 1), (0, 2)]:
             alg = build_free_jordan(d1, d2, 5)
-            bs = build_Bs(alg.integer_copy()[1], 5)
+            bs = build_Bs(alg, 5)
             rep = solve_dims_pair(d1, d2, 5)
             for n in range(2, 6):
                 assert bs[n].dim == rep.b[n - 1], (d1, d2, n)
 
+    def test_public_build_on_the_algebra_as_built(self):
+        # build_Bs reads the tables as build_free_jordan returns them, at
+        # scale 16 here, and gives what the TAG algebra builds and the pair
+        # solver's b(z).
+        alg = build_free_jordan(2, 0, 6)
+        bs = build_Bs(alg, 6)
+        tag = build_tag(alg, 6)
+        assert sorted(bs) == sorted(tag.bs)
+        for n, comp in bs.items():
+            assert comp == tag.bs[n], n
+        rep = solve_dims_pair(2, 0, 6)
+        assert [bs[n].dim for n in range(2, 7)] == list(rep.b[1:6])
+
     def test_insufficient_depth(self):
         alg = build_free_jordan(1, 1, 3)
         with pytest.raises(ValueError):
-            build_Bs(alg.integer_copy()[1], 4)
+            build_Bs(alg, 4)
         # The TAG constructor reaches the same guard through build_Bs.
         with pytest.raises(ValueError, match="algebra not built deep enough"):
             TagAlgebra(alg, alg.max_degree + 1)
@@ -223,7 +237,7 @@ class TestTagAlgebra:
         comp = unfold(tag.bs[2], alg.parities)
         amb = {comp.index[(1, 0, 1, 0)][0]: Fraction(2)}
         expect = dict(bs_terms(tag, 2, project(comp, amb), 1))
-        prod = alg.multiply_basis(1, 0, 1, 0)
+        prod = rational(alg).multiply_basis(1, 0, 1, 0)
         for u, c in prod:
             expect[sl2_index(tag, 1, 2, u)] = c
         assert terms == expect
@@ -254,9 +268,10 @@ class TestTagAlgebra:
         assert len(calls) == len(set(calls)) == 36
 
     def test_bs_action_matches_derivation(self):
-        # Bracket rule 2 factors through d_{x,y}.
+        # Bracket rule 2 factors through d_{x,y}, the rational derivation.
         alg = build_free_jordan(1, 1, 5)
         tag = TagAlgebra(alg, 5)
+        alg = rational(alg)
         for n, comp in tag.bs.items():
             for u in range(len(comp.lifts)):
                 gbs = bs_index(tag, n, u)
@@ -448,7 +463,7 @@ class TestTagAlgebra:
         want = (alg.parities[1][0] + alg.parities[3][0]) % 2
         wrong = alg.parities[4].index(1 - want)
         vec = alg.tables[(1, 3)][0][0]
-        alg.tables[(1, 3)][0][0] = linalg.sparse_row({**dict(vec), wrong: Fraction(1)})
+        alg.tables[(1, 3)][0][0] = linalg.sparse_row({**dict(vec), wrong: 1})
         with pytest.raises(AssertionError, match="bracket violates parity"):
             TagAlgebra(alg, 4)
         alg.tables[(1, 3)][0][0] = vec
