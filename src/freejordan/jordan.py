@@ -20,10 +20,12 @@ so embedded instances of the identity vanish automatically.  The tables
 hold ints, ``scale`` times the rational products, so each row is
 ``scale**2`` times its rational instance: the same row space, in ints.
 The quotient is taken by exact fraction-free row reduction
-(``PairSpace.quotient``), whose rational reduced rows, times the scale,
-give the new tables; quotient bases are the non-pivot pair coordinates in
-a canonical order (parity even-first, then the lexicographic pair shape),
-which makes the structure constants reproducible.
+(``PairSpace.quotient``), whose projection holds ints over a scale of
+its own: at the lcm of that scale and the tables', it gives the new
+tables, and the stored ones are multiplied up to it.  Quotient bases are
+the non-pivot pair coordinates in a canonical order (parity even-first,
+then the lexicographic pair shape), which makes the structure constants
+reproducible.
 
 Every vector is a ``Vector``, the package's one sparse type
 (``linalg.SparseRow``): sorted (index, coefficient) pairs with no zero
@@ -180,9 +182,10 @@ class GradedJordanAlgebra:
         }:
             raise ValueError("cache tables do not match the products through max_degree")
         tables = {(i, j): _read_table(tab, parities, i, j) for (i, j), tab in cached.items()}
-        scale = linalg.denominator(vec for tab in tables.values() for row in tab for vec in row)
-        tables = {key: [[linalg.scaled(vec, scale) for vec in row] for row in tab]
-                  for key, tab in tables.items()}
+        scale = lcm(*(c.denominator for tab in tables.values()
+                      for row in tab for vec in row for _, c in vec))
+        tables = {key: [[tuple((k, c.numerator * (scale // c.denominator)) for k, c in vec)
+                         for vec in row] for row in tab] for key, tab in tables.items()}
         return cls(payload["d1"], payload["d2"], max_degree, parities, labels, tables, scale)
 
 
@@ -266,14 +269,15 @@ class PairSpace:
 
     def quotient(
         self, rows: Collection[linalg.SparseRow], name: str
-    ) -> tuple[list[int], tuple[int, ...], tuple[str, ...], list[Vector]]:
-        """(kept, parities, labels, projection) of this space modulo ``rows``.
+    ) -> tuple[list[int], tuple[int, ...], tuple[str, ...], list[Vector], int]:
+        """(kept, parities, labels, projection, scale) of this space modulo ``rows``.
 
         ``kept`` lists the non-pivot coordinates, the quotient basis, and
-        ``projection`` maps every coordinate into it (``linalg.quotient``).
-        The kept pair (x, y) is labelled ``name.format(label of x, label of y)``.
+        ``projection`` maps every coordinate into it, times ``scale``
+        (``linalg.quotient``).  The kept pair (x, y) is labelled
+        ``name.format(label of x, label of y)``.
         """
-        kept, projection = linalg.quotient(rows, self.coord_parity)
+        kept, projection, scale = linalg.quotient(rows, self.coord_parity)
         labels = self.alg.labels
         return (
             kept,
@@ -281,6 +285,7 @@ class PairSpace:
             tuple(name.format(labels[i][u], labels[j][v])
                   for i, u, j, v in (self.coords[k] for k in kept)),
             projection,
+            scale,
         )
 
 
@@ -403,15 +408,16 @@ def build_free_jordan(
                             rows[row] = None
 
         # Relations are parity-homogeneous; quotient basis is non-pivots.
-        _, parities[n], labels[n], projection = space.quotient(rows, "({}.{})")
-        scale = lcm(alg.scale, linalg.denominator(projection))
+        _, parities[n], labels[n], projection, pscale = space.quotient(rows, "({}.{})")
+        scale = lcm(alg.scale, pscale)
         if scale > alg.scale:
             for tab in tables.values():
                 for row in tab:
-                    row[:] = [linalg.scaled(vec, scale // alg.scale) for vec in row]
+                    row[:] = [tuple((k, c * (scale // alg.scale)) for k, c in vec) for vec in row]
 
         def entry(k, sign):
-            return linalg.scaled(projection[k], sign * scale) if sign else ()
+            m = sign * (scale // pscale)
+            return tuple((q, c * m) for q, c in projection[k]) if m else ()
 
         for i in range(1, n // 2 + 1):
             j = n - i

@@ -1,9 +1,8 @@
 """Exact fraction-free row reduction of sparse rows: rref, rank and quotients.
 
 A row is a ``SparseRow``: ``(column, coefficient)`` pairs with distinct
-columns; zero entries are ignored.  The rows given to ``rank``, ``rref``
-and ``quotient`` hold ints, and nothing is scaled on the way in: every
-caller builds its rows from integer tables (the algebra's, held at
+columns and int coefficients; zero entries are ignored.  Every caller
+builds its rows from integer tables (the algebra's, held at
 ``alg.scale``, or the TAG bracket table).  ``rref`` eliminates over the
 integers (fraction-free Gauss-Jordan, after Bareiss, Math. Comp. 22,
 1968), and the pivot rows are kept primitive: the gcd of a row's entries
@@ -12,20 +11,25 @@ time and the pivot rows stay fully reduced after every insertion: a new
 row is reduced by the pivot rows whose columns it touches, through the
 integer combination ``row[p]*vec - vec[p]*row`` divided by
 ``gcd(row[p], vec[p])``; its lowest remaining column becomes a new pivot,
-and that column is cleared from the other pivot rows the same way.  Every step is exact, so no prime, reconstruction or certificate is
-needed, and the entries stay small.
+and that column is cleared from the other pivot rows the same way.  Every
+step is exact, so no prime, reconstruction or certificate is needed, and
+the entries stay small.
 
-Only the output is rational: each pivot row is divided by its leading
-entry.  The pivot rows then have a leading 1 in their own pivot column
-and zeros in every other pivot column, and they span the rows seen so
-far.  A basis of a row space with those two properties is unique, so the
-output is the reduced row echelon form whatever the order of the input
-rows and whatever nonzero multiple of each row is given, and equals what
-rational Gaussian elimination gives.
+The output stays in ints too.  Each pivot row is primitive, has a
+positive entry in its own pivot column and zeros in every other pivot
+column, and the rows span the rows seen so far.  A basis of a row space
+with those properties is unique, so ``rref`` returns the same rows
+whatever the order of the input rows and whatever nonzero multiple of
+each row is given; each row divided by its pivot entry is the reduced
+row echelon form that rational Gaussian elimination gives.
+``quotient`` writes its projection over one ``scale``, the lcm of the
+pivot entries: as each row is primitive, that is the lcm of the
+denominators of the rational projection, which is the projection divided
+by ``scale``.
 
 Every exact elimination in the package enters through ``rank`` or
 ``quotient``.  Both reduce with ``_reduce``; ``quotient`` goes on through
-``rref`` to the rational output rows, which ``rank`` never builds.
+``rref`` to the sorted pivot rows, which ``rank`` never builds.
 ``rank_mod_p`` is the one inexact engine: a rank mod ``PRIME`` on packed
 rows, a lower bound for the rank over Q that only a certificate may
 promote to an exact rank (``homology``).
@@ -37,12 +41,11 @@ built with ``accumulate`` and ``sparse_row``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
-SparseRow = tuple[tuple[int, Fraction | int], ...]
+SparseRow = tuple[tuple[int, int], ...]
 
 
 def accumulate(acc: dict[int, int], row: SparseRow, scale: int = 1) -> None:
@@ -51,19 +54,9 @@ def accumulate(acc: dict[int, int], row: SparseRow, scale: int = 1) -> None:
         acc[k] = acc.get(k, 0) + scale * c
 
 
-def sparse_row(acc: dict[int, Fraction | int]) -> SparseRow:
+def sparse_row(acc: dict[int, int]) -> SparseRow:
     """The nonzero entries of ``acc``, sorted by index."""
     return tuple(sorted(filter(itemgetter(1), acc.items())))
-
-
-def denominator(rows: Iterable[SparseRow]) -> int:
-    """The lcm of the denominators of every coefficient in ``rows``."""
-    return lcm(*(c.denominator for row in rows for _, c in row))
-
-
-def scaled(row: SparseRow, den: int) -> SparseRow:
-    """``den * row`` with int coefficients; ``den`` must clear every denominator (an int's is 1)."""
-    return tuple((k, c.numerator * (den // c.denominator)) for k, c in row)
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> None:
@@ -120,23 +113,19 @@ def _reduce(rows: Sequence[SparseRow]) -> dict[int, dict[int, int]]:
 
 
 def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+    """The fully reduced primitive basis of the row space; returns (rows, pivot columns).
 
-    The rows come back sorted by pivot, each as sorted sparse pairs with
-    Fraction coefficients.
+    The rows come back sorted by pivot, each as sorted sparse pairs of
+    ints, so its first entry is its pivot entry, which is positive.
+    Divided by that entry, they are the reduced row echelon form.
     """
     reduced = _reduce(rows)
     pivots = sorted(reduced)
-    out = []
-    for p in pivots:
-        vec = reduced[p]
-        lead = vec[p]
-        out.append(tuple((k, Fraction(c, lead)) for k, c in sorted(vec.items())))
-    return out, pivots
+    return [tuple(sorted(reduced[p].items())) for p in pivots], pivots
 
 
 def rank(rows: Sequence[SparseRow]) -> int:
-    """Row rank: the number of pivots, with no rational output rows built."""
+    """Row rank: the number of pivots, with no sorted output rows built."""
     return len(_reduce(rows))
 
 
@@ -183,26 +172,28 @@ def rank_mod_p(rows: Sequence[SparseRow]) -> int:
 
 def quotient(
     rows: Collection[SparseRow], parity: Sequence[int]
-) -> tuple[list[int], list[SparseRow]]:
+) -> tuple[list[int], list[SparseRow], int]:
     """Quotient of a coordinate space by the span of sparse relation rows.
 
     ``parity[k]`` is the parity of coordinate k.  Each row ``((k, c), ...)``
     must lie in one parity block.  Returns the non-pivot coordinates in
-    order (the quotient basis) and, for every coordinate, its image in
-    that basis as a sparse row: a kept coordinate maps to ``((q, 1),)``,
-    a pivot coordinate to its pivot row negated off the pivot.
+    order (the quotient basis), for every coordinate ``scale`` times its
+    image in that basis as a sparse row, and ``scale``, the lcm of the
+    pivot entries: a kept coordinate maps to ``((q, scale),)``, a pivot
+    coordinate to its pivot row negated off the pivot, times ``scale``
+    over its pivot entry.
     """
     for row in rows:
         if len({parity[k] for k, _ in row}) > 1:
             raise AssertionError("relation row mixes parities")
     reduced, pivots = rref(list(rows))
-    pivot_row = dict(zip(pivots, reduced))
-    kept = [k for k in range(len(parity)) if k not in pivot_row]
+    scale = lcm(*(row[0][1] for row in reduced))
+    pivot_set = set(pivots)
+    kept = [k for k in range(len(parity)) if k not in pivot_set]
     index = {k: q for q, k in enumerate(kept)}
     # Off its pivot, a reduced row lies in kept columns only, in order.
-    projection = [
-        ((index[k], Fraction(1)),) if k in index
-        else tuple((index[k2], -c) for k2, c in pivot_row[k] if k2 != k)
-        for k in range(len(parity))
-    ]
-    return kept, projection
+    image = {}
+    for (p, lead), *rest in reduced:
+        image[p] = tuple((index[k], -c * (scale // lead)) for k, c in rest)
+    projection = [image[k] if k in image else ((index[k], scale),) for k in range(len(parity))]
+    return kept, projection, scale

@@ -38,8 +38,7 @@ Jacobi identity and, in ``freejordan.sl2``, that sl2 acts by derivations
 
 The layer is built in ints from J's tables, which hold ``alg.scale``
 times the rational products; ``TagAlgebra`` gives the scales.  This
-module imports no ``Fraction``: the one rational data it keeps is
-``BsComponent.projection``, as ``linalg.quotient`` returns it.
+module imports no ``Fraction`` and keeps no rational data.
 """
 
 from __future__ import annotations
@@ -86,7 +85,8 @@ class BsComponent:
     parities: tuple[int, ...]  # of the quotient basis
     labels: tuple[str, ...]
     lifts: tuple[int, ...]  # position in coords of each quotient basis element
-    projection: list[Vector]  # ambient index -> quotient coordinates
+    projection: list[Vector]  # ambient index -> quotient coordinates, times scale
+    scale: int  # the lcm of the rational projection's denominators
 
     @property
     def dim(self) -> GDim:
@@ -110,8 +110,8 @@ def _build_bs_degree(alg: GradedJordanAlgebra, n: int) -> BsComponent:
     rows = dict.fromkeys(filter(None, (
         cyclic_row(space, *t) for triples in triple_groups(alg.parities, n) for t in triples
     )))
-    kept, parities, labels, projection = space.quotient(rows, "{{{}(x){}}}")
-    return BsComponent(space.coords, space.index, parities, labels, tuple(kept), projection)
+    kept, parities, labels, projection, scale = space.quotient(rows, "{{{}(x){}}}")
+    return BsComponent(space.coords, space.index, parities, labels, tuple(kept), projection, scale)
 
 
 def inner_rank_diagnostic(tag: TagAlgebra, n: int) -> GDim:
@@ -154,15 +154,16 @@ class TagAlgebra:
     Everything is built in ints from J's tables, each entry times T =
     ``alg.scale``, the lcm of their denominators: Bs(J) from cyclic rows
     T times the rational ones, the derivation columns at T**2, and the Bs
-    projection read at P, the lcm of its denominators.  At S = lcm(2P,
-    P*T**2) every entry is one J-level vector's entry times a multiplier:
-    the k/2 part of a projection row at P, the [a,b](x)(x.y) part of a
-    product at T, the Bs-on-sl2 part of a derivation column at T**2 and
-    the Bs-on-Bs part of an image at P*T**2.  With g the gcd of S and those
-    entries, ``scale`` = S // g, and each bracket is written once at that
-    scale; as every rational coefficient is an entry over S, S // g is the
-    lcm of their denominators.  Of the integer data only the bracket
-    table outlives construction.
+    projections, each held over its component's scale, read at P, the lcm
+    of those scales.  At S = lcm(2P, P*T**2) every entry is one J-level
+    vector's entry times a multiplier: the k/2 part of a projection row at
+    P, the [a,b](x)(x.y) part of a product at T, the Bs-on-sl2 part of a
+    derivation column at T**2 and the Bs-on-Bs part of an image at
+    P*T**2.  With g the gcd of S and those entries, ``scale`` = S // g, and
+    each bracket is written once at that scale; as every rational
+    coefficient is an entry over S, S // g is the lcm of their
+    denominators.  Of the integer data only the bracket table outlives
+    construction.
     """
 
     def __init__(self, alg: GradedJordanAlgebra, max_degree: int) -> None:
@@ -200,10 +201,9 @@ class TagAlgebra:
         """
         alg, N, T = self.alg, self.max_degree, self.alg.scale
         par = alg.parities
-        P = linalg.denominator(vec for comp in self.bs.values() for vec in comp.projection)
-        projection = {
-            n: [linalg.scaled(vec, P) for vec in comp.projection] for n, comp in self.bs.items()
-        }
+        P = lcm(*(comp.scale for comp in self.bs.values()))
+        projection = {n: [tuple((k, c * (P // comp.scale)) for k, c in vec)
+                          for vec in comp.projection] for n, comp in self.bs.items()}
         S = lcm(2 * P, P * T * T)
         at = self.at
         classes = [

@@ -42,7 +42,8 @@ package computes in closed form or through its tables.
 * ``unfold``,
   ``bs_json``            -- Bs(J) over every ordered pair of J (x) J, as it was
                            held before its coordinates were folded to the
-                           super exterior square, and all its degrees as JSON;
+                           super exterior square, with the rational
+                           projection, and all its degrees as JSON;
 * ``project``            -- the class in Bs(J) of an ambient J (x) J vector;
 * ``element``            -- the kind ("sl2" or "bs") and data of a TAG basis
                            element, read off ``tag.at``;
@@ -63,7 +64,10 @@ package computes in closed form or through its tables.
 * ``theta``,
   ``theta_table``        -- the sl2 mirror e <-> f, h -> -h of the TAG basis
                            (Bs fixed), and the bracket table carried through it;
-* ``fraction_rref``      -- reduced row echelon form by rational elimination;
+* ``fraction_rref``,
+  ``fraction_quotient``  -- reduced row echelon form by rational elimination,
+                           and the quotient with its rational projection,
+                           the route the int output of ``linalg`` replaced;
 * ``reference_chain_blocks``,
   ``reference_boundary_monomial`` -- the Chevalley-Eilenberg chains by
                            filtering every index tuple, and their boundary
@@ -470,7 +474,8 @@ def unfold(comp: BsComponent, parities: dict[int, tuple[int, ...]]) -> BsCompone
     sign 1 in ``index``.  A pair that ``comp`` holds as a multiple of its
     partner, x(x)y = -(-1)^{|x||y|} y(x)x, projects to that multiple of the
     partner's class, an even square to (), and the lifts are positions
-    among these coordinates.
+    among these coordinates.  The projection is the rational one,
+    Fraction(c, comp.scale) for each held entry c, at scale 1.
     """
     cpar = lambda c: (parities[c[0]][c[1]] + parities[c[2]][c[3]]) % 2
     coords = sorted(comp.index, key=lambda c: (cpar(c), c))
@@ -478,7 +483,9 @@ def unfold(comp: BsComponent, parities: dict[int, tuple[int, ...]]) -> BsCompone
     projection = []
     for c in coords:
         k, s = comp.index[c]
-        projection.append(tuple((q, s * x) for q, x in comp.projection[k]) if s else ())
+        projection.append(
+            tuple((q, Fraction(s * x, comp.scale)) for q, x in comp.projection[k]) if s else ()
+        )
     return BsComponent(
         coords=coords,
         index=index,
@@ -486,6 +493,7 @@ def unfold(comp: BsComponent, parities: dict[int, tuple[int, ...]]) -> BsCompone
         labels=comp.labels,
         lifts=tuple(index[comp.coords[k]][0] for k in comp.lifts),
         projection=projection,
+        scale=1,
     )
 
 
@@ -699,6 +707,30 @@ def fraction_rref(rows: Sequence[linalg.SparseRow]) -> tuple[list[linalg.SparseR
         reduced[piv] = vec
     pivots = sorted(reduced)
     return [tuple(sorted(reduced[p].items())) for p in pivots], pivots
+
+
+def fraction_quotient(
+    rows: Sequence[linalg.SparseRow], parity: Sequence[int]
+) -> tuple[list[int], list[linalg.SparseRow]]:
+    """The quotient by ``fraction_rref``: (kept coordinates, rational projection).
+
+    A kept coordinate maps to ``((q, 1),)``, a pivot coordinate to its
+    pivot row negated off the pivot.
+    """
+    for row in rows:
+        if len({parity[k] for k, _ in row}) > 1:
+            raise AssertionError("relation row mixes parities")
+    reduced, pivots = fraction_rref(list(rows))
+    pivot_row = dict(zip(pivots, reduced))
+    kept = [k for k in range(len(parity)) if k not in pivot_row]
+    index = {k: q for q, k in enumerate(kept)}
+    # Off its pivot, a reduced row lies in kept columns only, in order.
+    projection = [
+        ((index[k], Fraction(1)),) if k in index
+        else tuple((index[k2], -c) for k2, c in pivot_row[k] if k2 != k)
+        for k in range(len(parity))
+    ]
+    return kept, projection
 
 
 def reference_chain_blocks(tag: TagAlgebra, r_max: int, d_max: int) -> dict:

@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from freejordan import cli, linalg
-from reference import fraction_rref
+from freejordan.jordan import build_free_jordan
+from freejordan.tag import build_tag
+from reference import fraction_quotient, fraction_rref
 
 
 def sparse(dense):
@@ -91,8 +94,8 @@ def random_sparse_rows(rng, nrows, ncols, density):
     """Random int rows with some exact duplicates, negations, combinations and zero rows.
 
     The coefficients mix small ints and ints above 2**64; a fresh row drawn
-    with Fractions of denominators 2-7 is scaled to ints by its own
-    denominator, as the callers of ``linalg`` scale their tables.  Negated
+    with Fractions of denominators 2-7 is scaled to ints by the lcm of its
+    denominators, as the callers of ``linalg`` scale their tables.  Negated
     copies give rows with a negative leading entry, and a zero row is
     either empty or made of explicit zeros.
     """
@@ -118,7 +121,8 @@ def random_sparse_rows(rng, nrows, ncols, density):
                 (k, random_coefficient(rng))
                 for k in range(ncols) if rng.random() < density
             )
-            rows.append(linalg.scaled(row, linalg.denominator([row])))
+            den = math.lcm(*(Fraction(c).denominator for _, c in row))
+            rows.append(tuple((k, int(c * den)) for k, c in row))
     return rows
 
 
@@ -131,22 +135,25 @@ SHAPES = [(seed, nrows, ncols, density)
 def test_rref_is_reduced_echelon_form(seed, nrows, ncols, density):
     rows = random_sparse_rows(random.Random(seed), nrows, ncols, density)
     reduced, pivots = linalg.rref(rows)
-    # The integer engine returns exactly what rational elimination does.
-    assert (reduced, pivots) == fraction_rref(rows)
-    assert all(type(c) is Fraction for row in reduced for _, c in row)
+    # Each int row over its pivot entry is what rational elimination gives.
+    assert ([tuple((k, Fraction(c, row[0][1])) for k, c in row) for row in reduced], pivots) \
+        == fraction_rref(rows)
+    assert all(type(c) is int for row in reduced for _, c in row)
     assert pivots == sorted(set(pivots)) and len(reduced) == len(pivots)
     for row, p in zip(reduced, pivots):
         cols = [k for k, _ in row]
         assert cols == sorted(cols) and all(c for _, c in row)
-        assert cols[0] == p and row[0][1] == 1  # leading entry is a unit pivot
+        assert cols[0] == p and row[0][1] > 0  # leading entry is a positive pivot
+        assert math.gcd(*(c for _, c in row)) == 1  # primitive
         assert not set(cols[1:]) & set(pivots)  # zero in the other pivot columns
-    # Each input row is the combination of the pivot rows read off its pivots.
+    # Each input row is the combination of the pivot rows read off its
+    # pivots, each over its pivot entry.
     for row in rows:
         dense = densify(row, ncols)
         combo = [Fraction(0)] * ncols
         for r, p in zip(reduced, pivots):
             for k, c in r:
-                combo[k] += dense[p] * c
+                combo[k] += dense[p] * Fraction(c, r[0][1])
         assert combo == dense
 
 
@@ -159,6 +166,8 @@ def test_rank_is_the_rref_pivot_count(seed, nrows, ncols, density):
 
 @pytest.mark.parametrize("seed,nrows,ncols,density", SHAPES[:10])
 def test_rref_and_quotient_ignore_row_order(seed, nrows, ncols, density):
+    # Neither the order of the rows nor a nonzero int multiple of each
+    # moves the output: the primitive reduced basis is unique.
     rng = random.Random(seed)
     rows = random_sparse_rows(rng, nrows, ncols, density)
     parity = (0,) * ncols
@@ -168,6 +177,24 @@ def test_rref_and_quotient_ignore_row_order(seed, nrows, ncols, density):
         rng.shuffle(shuffled)
         assert linalg.rref(shuffled) == expected_rref
         assert linalg.quotient(shuffled, parity) == expected_quotient
+        multiples = [tuple((k, f * c) for k, c in row)
+                     for row, f in zip(shuffled, (rng.choice([-1, 1]) * rng.randint(1, 50)
+                                                  for _ in shuffled))]
+        assert linalg.rref(multiples) == expected_rref
+        assert linalg.quotient(multiples, parity) == expected_quotient
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,density", SHAPES)
+def test_quotient_is_the_rational_quotient_over_its_scale(seed, nrows, ncols, density):
+    rows = random_sparse_rows(random.Random(seed), nrows, ncols, density)
+    parity = (0,) * ncols
+    kept, projection, scale = linalg.quotient(rows, parity)
+    expected_kept, expected_projection = fraction_quotient(rows, parity)
+    assert kept == expected_kept
+    assert [tuple((q, Fraction(c, scale)) for q, c in vec) for vec in projection] \
+        == expected_projection
+    # scale is the least common denominator of the rational projection.
+    assert scale == math.lcm(*(c.denominator for vec in expected_projection for _, c in vec))
 
 
 @pytest.mark.parametrize("seed,nrows,ncols,density", SHAPES[:10])
@@ -179,7 +206,7 @@ def test_quotient_kills_relations_and_keeps_a_basis(seed, nrows, ncols, density)
     rows = [tuple((k + lo, c) for k, c in row)
             for lo, hi in ((0, n_even), (n_even, ncols))
             for row in random_sparse_rows(rng, nrows // 2, hi - lo, density)]
-    kept, projection = linalg.quotient(rows, parity)
+    kept, projection, scale = linalg.quotient(rows, parity)
     assert len(kept) == ncols - linalg.rank(rows)
     for row in rows:
         image = [Fraction(0)] * len(kept)
@@ -190,7 +217,7 @@ def test_quotient_kills_relations_and_keeps_a_basis(seed, nrows, ncols, density)
     for vec in projection:
         assert [q for q, _ in vec] == sorted({q for q, _ in vec}) and all(c for _, c in vec)
     for q, k in enumerate(kept):
-        assert projection[k] == ((q, 1),)
+        assert projection[k] == ((q, scale),)
 
 
 def test_quotient_rejects_row_mixing_parities():
@@ -201,9 +228,13 @@ def test_quotient_rejects_row_mixing_parities():
 def test_quotient_worked_case():
     # x0 - x1 = 0 on two even coordinates and one odd: x1 and x2 survive,
     # and x0 maps to the class of x1.
-    kept, projection = linalg.quotient([((0, 1), (1, -1))], (0, 0, 1))
+    kept, projection, scale = linalg.quotient([((0, 1), (1, -1))], (0, 0, 1))
     assert kept == [1, 2]
-    assert projection == [((0, 1),), ((0, 1),), ((1, 1),)]
+    assert projection == [((0, 1),), ((0, 1),), ((1, 1),)] and scale == 1
+    # 4 x0 = 6 x1: x0 maps to 3/2 x1, so the projection is held at scale 2.
+    kept, projection, scale = linalg.quotient([((0, 4), (1, -6))], (0, 0, 1))
+    assert kept == [1, 2]
+    assert projection == [((0, 3),), ((0, 2),), ((1, 2),)] and scale == 2
 
 
 def test_elimination_takes_ints(monkeypatch, capsys):
@@ -225,6 +256,37 @@ def test_elimination_takes_ints(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d1,d2,n", [(2, 0, 6), (1, 2, 5)])
+def test_elimination_returns_ints(monkeypatch, d1, d2, n):
+    # No Fraction leaves the engine: every coefficient rref and quotient
+    # return, every table entry and every Bs projection entry is an int.
+    returned = {"rref": [], "quotient": []}
+
+    def record(name):
+        original = getattr(linalg, name)
+
+        def wrapper(*args):
+            returned[name].append(original(*args))
+            return returned[name][-1]
+
+        monkeypatch.setattr(linalg, name, wrapper)
+
+    record("rref")
+    record("quotient")
+    alg = build_free_jordan(d1, d2, n)
+    tag = build_tag(alg, n)
+    assert all(type(scale) is int for _, _, scale in returned["quotient"])
+    assert all(type(comp.scale) is int for comp in tag.bs.values())
+    for name, vecs in [
+        ("rref", [row for rows, _ in returned["rref"] for row in rows]),
+        ("quotient", [vec for _, projection, _ in returned["quotient"] for vec in projection]),
+        ("table", [vec for tab in alg.tables.values() for row in tab for vec in row]),
+        ("bs", [vec for comp in tag.bs.values() for vec in comp.projection]),
+    ]:
+        assert any(vecs), name
+        assert all(type(c) is int for vec in vecs for _, c in vec), name
 
 
 @pytest.mark.parametrize("seed,nrows,ncols,density", SHAPES)
