@@ -30,10 +30,15 @@ those of weight w, keeping degree and parity, so only the blocks of
 weight w >= 0 are built; counts and ranks at -w are read at w.  The ranks
 are taken mod 13, top down, and certified exact on the highest-weight
 spaces by d^2 = 0 (``ChainComplex._rank_column``); a block the
-certificate does not cover is ranked over Q.  On exact ranks the
-certificate's gap at weight w is the multiplicity of V(w) in H_r, and
-dim H_r at weight w is the sum of the multiplicities at the highest
-weights >= |w|.
+certificate does not cover is ranked over Q.  The ranks mod 13 are
+cleared (Chen--Kerber's twist): each weight's blocks are ranked from the
+top homological degree down, and a block's rows at the pivots of the
+block above are skipped.  Such a pivot is the top chain of a cycle mod
+13, as d^2 = 0, gated exactly over Z before any rank is taken, holds mod
+13, so its row depends on the rows ahead of it and no rank moves.  On
+exact ranks the certificate's gap at weight w is the multiplicity of
+V(w) in H_r, and dim H_r at weight w is the sum of the multiplicities at
+the highest weights >= |w|.
 """
 
 from __future__ import annotations
@@ -238,6 +243,20 @@ class ChainComplex:
         at weights w and -w is the suffix sum of g_r over the highest
         weights >= w.  The boundary columns go in as rows: rank(A^T) =
         rank(A).
+
+        The ranks mod p are cleared.  At each weight the blocks are ranked
+        from the top r down, and block r gets only its rows at positions
+        that are not pivots of block r + 1.  A pivot i of block r + 1 is
+        the top column of a combination of its rows, so mod p some chain
+        tau_i + sum_{j<i} c_j tau_j is a boundary, and as d^2 = 0 (gated
+        exactly over Z before any rank) it is a cycle: d(tau_i) lies in the
+        span mod p of the rows d(tau_j), j < i, which
+        ``linalg.pivots_mod_p`` takes first.  By induction on i the kept
+        rows span every row, so l_r(w) and its pivots do not move.  The
+        engine divides each row by its gcd, and the dependency carries over
+        when p does not divide the cleared row's gcd; either way the rows
+        are a subset, so l_r stays at most the rank over Q.  The Q fallback
+        ranks the whole block: a dependency mod p is not one over Q.
         """
         if (d, p) in self._columns:
             return self._columns[(d, p)]
@@ -254,13 +273,18 @@ class ChainComplex:
 
         for w in range(top_w, -1, -2):
             count = [len(blocks.get((r, d, w, p), ())) for r in range(top_r + 1)]
-            cols = [[c for c in bounds.get((r, d, w, p), ()) if c] for r in range(top_r + 1)]
-            ell = [linalg.rank_mod_p(c) if c else 0 for c in cols] + [0]
+            cols = [bounds.get((r, d, w, p), ()) for r in range(top_r + 1)]
+            ell, pivots = [0] * (top_r + 2), set()
+            for r in range(top_r, -1, -1):
+                rows = [c for i, c in enumerate(cols[r]) if c and i not in pivots]
+                pivots = set(linalg.pivots_mod_p(rows)) if rows else set()
+                ell[r] = len(pivots)
             gap = gaps(ell)
             if min(gap) < 0:
                 raise AssertionError(f"ranks mod {linalg.PRIME} exceed the highest weights at "
                                      f"r={gap.index(min(gap))} d={d} weight={w} parity={p}")
-            ranks = [x if not c or gap[r] == 0 or r > 0 and gap[r - 1] == 0 else linalg.rank(c)
+            ranks = [x if gap[r] == 0 or r > 0 and gap[r - 1] == 0 or not any(c)
+                     else linalg.rank([col for col in c if col])
                      for r, (x, c) in enumerate(zip(ell, cols))] + [0]
             if ranks != ell:
                 gap = gaps(ranks)

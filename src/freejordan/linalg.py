@@ -30,9 +30,11 @@ by ``scale``.
 Every exact elimination in the package enters through ``rank`` or
 ``quotient``.  Both reduce with ``_reduce``; ``quotient`` goes on through
 ``rref`` to the sorted pivot rows, which ``rank`` never builds.
-``rank_mod_p`` is the one inexact engine: a rank mod ``PRIME`` on packed
-rows, a lower bound for the rank over Q that only a certificate may
-promote to an exact rank (``homology``).
+``pivots_mod_p`` is the one inexact engine: the pivot columns mod
+``PRIME`` of packed rows, the top column of each echelon row, with the
+rows taken in input order.  Their count is a lower bound for the rank
+over Q that only a certificate may promote to an exact rank, and the
+pivots of one boundary block clear rows of the next (``homology``).
 ``SparseRow`` is also the one vector type of the package: the algebra's
 tables, Bs(J), the TAG bracket and the Chevalley-Eilenberg boundary
 columns hold their vectors as sorted pairs with no zero coefficient,
@@ -141,14 +143,16 @@ def _mod_p(v: int, size: int) -> int:
     return int.from_bytes(v.to_bytes(size, "little").translate(_MOD_P), "little")
 
 
-def rank_mod_p(rows: Sequence[SparseRow]) -> int:
-    """Rank mod PRIME of the int ``rows``, each first divided by the gcd of its entries.
+def pivots_mod_p(rows: Sequence[SparseRow]) -> list[int]:
+    """Pivot columns mod PRIME of the int ``rows``, each first divided by the gcd of its entries.
 
-    Dividing a row by a constant keeps the rank over Q, and a minor that
-    vanishes over Q vanishes mod PRIME, so this is at most ``rank(rows)``.
-    A row is packed one byte per column into one int, column k at byte k.
-    Its pivot is its top nonzero byte, and pivot rows are kept monic, so
-    one elimination step clears that byte f of v by v + (PRIME - f)·q, one
+    Each pivot is the top column of an echelon row, listed in the order of
+    the rows that made them.  Their count is the rank mod PRIME: dividing
+    a row by a constant keeps the rank over Q, and a minor that vanishes
+    over Q vanishes mod PRIME, so it is at most ``rank(rows)``.  A row is
+    packed one byte per column into one int, column k at byte k.  Its
+    pivot is its top nonzero byte, and pivot rows are kept monic, so one
+    elimination step clears that byte f of v by v + (PRIME - f)·q, one
     big-int multiply-add, then reduces every byte mod PRIME.
     """
     pivots: dict[int, int] = {}
@@ -167,7 +171,7 @@ def rank_mod_p(rows: Sequence[SparseRow]) -> int:
                 pivots[top] = _mod_p(v * _INVERSE[f], top + 1) if f != 1 else v
                 break
             v = _mod_p(v + (PRIME - f) * q, top + 1)
-    return len(pivots)
+    return list(pivots)
 
 
 def quotient(

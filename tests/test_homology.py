@@ -26,6 +26,21 @@ def stored_boundaries(cc):
             yield key, mon, {below[i]: c for i, c in col}
 
 
+def walked_rows(cc, key):
+    """The rows the rank walk passes for a block: its nonzero columns but
+    those at the pivots of the block above.  Every row of that block spans
+    what its walked rows span, so the full block gives the same pivots."""
+    r, d, w, p = key
+    above = set(linalg.pivots_mod_p([c for c in cc.boundaries.get((r + 1, d, w, p), ()) if c]))
+    return [c for i, c in enumerate(cc.boundaries[key]) if c and i not in above]
+
+
+def largest_block(cc):
+    """The key of the block of weight >= 0 whose boundary has the largest rank."""
+    return max((key for key in cc.boundaries if key[2] >= 0),
+               key=lambda key: linalg.rank([c for c in cc.boundaries[key] if c] or [()]))
+
+
 class TestChainComplex:
     def test_h0_is_the_ground_field(self):
         cc = ChainComplex(tag_for(0, 1, 3), 3, 3)
@@ -201,19 +216,55 @@ class TestChainComplex:
 
     def test_each_block_is_ranked_once(self, monkeypatch):
         # Certified runs rank each block of weight >= 0 with a nonzero
-        # boundary once mod p, and nothing over Q.
+        # boundary once mod p, on its rows but those at the pivots of the
+        # block above, and nothing over Q.
         tag = tag_for(1, 1, 4)
         calls, q_calls = [], []
-        rank_mod_p, rank = linalg.rank_mod_p, linalg.rank
-        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: calls.append(rows) or rank_mod_p(rows))
+        pivots_mod_p, rank = linalg.pivots_mod_p, linalg.rank
+        monkeypatch.setattr(linalg, "pivots_mod_p", lambda rows: calls.append(rows) or pivots_mod_p(rows))
         monkeypatch.setattr(linalg, "rank", lambda rows: q_calls.append(rows) or rank(rows))
         compute_homology(tag, 4, 4)
         monkeypatch.undo()
         cc = ChainComplex(tag, 4, 4)
         assert len(cc.blocks) == 61 and all(key[2] >= 0 for key in cc.blocks)
-        ranked = [[c for c in cols if c] for cols in cc.boundaries.values()]
-        assert sorted(calls) == sorted(cols for cols in ranked if cols)
+        walked = [walked_rows(cc, key) for key, cols in cc.boundaries.items() if any(cols)]
+        assert all(walked) and sorted(calls) == sorted(walked)
+        # The clearing skips rows.
+        assert sum(map(len, calls)) < sum(c != () for cols in cc.boundaries.values() for c in cols)
         assert q_calls == []
+
+    @pytest.mark.parametrize("d1,d2,n", [(1, 1, 6), (0, 2, 6), (2, 0, 6), (2, 1, 5), (1, 2, 5),
+                                         (3, 0, 5), (0, 3, 6)])
+    def test_clearing_moves_no_rank(self, monkeypatch, d1, d2, n):
+        # At every (z-degree, parity, weight) the walk's pivot count on the
+        # rows it keeps is the whole block's, and every row it skips sits
+        # at a pivot of block r + 1, as that block was ranked.
+        cc = ChainComplex(tag_for(d1, d2, n), n, n)
+        where = {id(c): (key, i) for key, cols in cc.boundaries.items()
+                 for i, c in enumerate(cols) if c}
+        walked = {}
+        pivots_mod_p = linalg.pivots_mod_p
+
+        def record(rows):
+            (key,) = {where[id(c)][0] for c in rows}
+            assert key not in walked
+            walked[key] = {where[id(c)][1] for c in rows}, set(pivots_mod_p(rows))
+            return list(walked[key][1])
+
+        monkeypatch.setattr(linalg, "pivots_mod_p", record)
+        for d, p in sorted({key[1::2] for key in cc.boundaries}):
+            cc._rank_column(d, p)
+        monkeypatch.undo()
+        skipped = 0
+        for (r, d, w, p), cols in cc.boundaries.items():
+            nonzero = {i for i, c in enumerate(cols) if c}
+            if not nonzero:
+                continue
+            kept, pivots = walked[(r, d, w, p)]
+            assert len(pivots) == len(linalg.pivots_mod_p([c for c in cols if c])), (r, d, w, p)
+            assert nonzero - kept <= walked.get((r + 1, d, w, p), (set(), set()))[1], (r, d, w, p)
+            skipped += len(nonzero - kept)
+        assert skipped > 0
 
     @pytest.mark.parametrize("d1,d2", [(1, 1), (0, 2), (2, 0), (2, 1), (1, 2), (3, 0)])
     def test_rank_engine_matches_q_on_every_block(self, d1, d2):
@@ -224,27 +275,26 @@ class TestChainComplex:
         for key, cols in cc.boundaries.items():
             cols = [c for c in cols if c]
             if cols and key[2] >= 0:
-                assert linalg.rank_mod_p(cols) == linalg.rank(cols), key
+                assert len(linalg.pivots_mod_p(cols)) == linalg.rank(cols), key
                 ranked += 1
         assert ranked >= 40
 
     def test_understated_block_falls_back_to_q(self, monkeypatch):
-        # One block's rank mod p read one short leaves its highest-weight
-        # homology bound nonzero: that block is ranked over Q, and the
-        # report does not move.
+        # One block's rank mod p, on the rows the walk passes, read one
+        # short leaves its highest-weight homology bound nonzero: the whole
+        # block is ranked over Q, and the report does not move.
         tag = tag_for(1, 1, 6)
         expected = compute_homology(tag, 6, 6).to_json_dict()
         cc = ChainComplex(tag, 6, 6)
-        big = max((cols for key, cols in cc.boundaries.items() if key[2] >= 0),
-                  key=lambda cols: linalg.rank([c for c in cols if c] or [()]))
-        target = [c for c in big if c]
-        rank_mod_p, rank = linalg.rank_mod_p, linalg.rank
+        key = largest_block(cc)
+        target, whole = walked_rows(cc, key), [c for c in cc.boundaries[key] if c]
+        pivots_mod_p, rank = linalg.pivots_mod_p, linalg.rank
         q_calls = []
-        monkeypatch.setattr(linalg, "rank_mod_p",
-                            lambda rows: rank_mod_p(rows) - (rows == target))
+        monkeypatch.setattr(linalg, "pivots_mod_p",
+                            lambda rows: pivots_mod_p(rows)[:-1 if rows == target else None])
         monkeypatch.setattr(linalg, "rank", lambda rows: q_calls.append(rows) or rank(rows))
         assert compute_homology(tag, 6, 6).to_json_dict() == expected
-        assert target in q_calls
+        assert whole in q_calls
 
     def test_d_squared_gate_is_the_jacobi_gate(self, monkeypatch):
         # At r_max = 3 the d^2 = 0 gate fails on exactly the doubled
@@ -319,12 +369,12 @@ class TestChainComplex:
         """Read the largest block's rank mod p one short, so it falls back to
         Q, and its rank over Q one too many."""
         cc = ChainComplex(tag, 4, 4)
-        big = max((cols for key, cols in cc.boundaries.items() if key[2] >= 0),
-                  key=lambda cols: linalg.rank([c for c in cols if c] or [()]))
-        target = [c for c in big if c]
-        rank_mod_p, rank = linalg.rank_mod_p, linalg.rank
-        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: rank_mod_p(rows) - (rows == target))
-        monkeypatch.setattr(linalg, "rank", lambda rows: rank(rows) + (rows == target))
+        key = largest_block(cc)
+        target, whole = walked_rows(cc, key), [c for c in cc.boundaries[key] if c]
+        pivots_mod_p, rank = linalg.pivots_mod_p, linalg.rank
+        monkeypatch.setattr(linalg, "pivots_mod_p",
+                            lambda rows: pivots_mod_p(rows)[:-1 if rows == target else None])
+        monkeypatch.setattr(linalg, "rank", lambda rows: rank(rows) + (rows == whole))
 
     def test_overstated_q_rank_is_a_negative_multiplicity(self, monkeypatch):
         # The fallback's rank is checked as the mod-p ranks are: on exact

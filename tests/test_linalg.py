@@ -293,7 +293,7 @@ def test_elimination_returns_ints(monkeypatch, d1, d2, n):
 def test_rank_mod_p_on_random_rows(seed, nrows, ncols, density):
     # Rows with repeats, negations, zero rows and entries above 2**64.
     rows = random_sparse_rows(random.Random(seed), nrows, ncols, density)
-    assert linalg.rank_mod_p(rows) <= linalg.rank(rows)
+    assert len(linalg.pivots_mod_p(rows)) <= linalg.rank(rows)
 
 
 def test_rank_mod_p_never_exceeds_rank_over_q():
@@ -313,7 +313,7 @@ def test_rank_mod_p_never_exceeds_rank_over_q():
         rows.append(tuple((k, c + p * rng.randint(-2, 2)) for k, c in enumerate(combo)))
         rows.append(tuple((k, p * p * rng.randint(-5, 5)) for k in range(ncols)))
         rows = [tuple((k, c) for k, c in row if c) for row in rows]
-        q, mod_p = linalg.rank(rows), linalg.rank_mod_p(rows)
+        q, mod_p = linalg.rank(rows), len(linalg.pivots_mod_p(rows))
         assert mod_p <= q
         short += mod_p < q
     assert short > 100  # the planted minors do bite (141 of 200)
@@ -323,6 +323,19 @@ def test_rank_mod_p_worked_case():
     # 13 divides the determinant of [[2, 3], [1, 8]] = 13, so the rank mod
     # 13 is 1; a row 26 * (1, 2) is divided by its gcd first, so it counts.
     assert linalg.rank([((0, 2), (1, 3)), ((0, 1), (1, 8))]) == 2
-    assert linalg.rank_mod_p([((0, 2), (1, 3)), ((0, 1), (1, 8))]) == 1
-    assert linalg.rank_mod_p([((0, 26), (1, 52))]) == 1
-    assert linalg.rank_mod_p([(), ((2, 0),)]) == 0
+    assert len(linalg.pivots_mod_p([((0, 2), (1, 3)), ((0, 1), (1, 8))])) == 1
+    assert len(linalg.pivots_mod_p([((0, 26), (1, 52))])) == 1
+    assert len(linalg.pivots_mod_p([(), ((2, 0),)])) == 0
+
+
+def test_pivots_mod_p_are_top_columns_in_input_order():
+    # a = x0 + x2 and b = x0 + x1 are pivots at their top columns 2 and 1;
+    # c = x1 + x2 reduces by a to x1 - x0, by b to -2 x0, a pivot at 0.
+    a, b, c = ((0, 1), (2, 1)), ((0, 1), (1, 1)), ((1, 1), (2, 1))
+    assert linalg.pivots_mod_p([a, b, c]) == [2, 1, 0]
+    # Another order lists the same set in its own order.
+    assert linalg.pivots_mod_p([b, c, a]) == [1, 2, 0]
+    # A row in the span of the rows ahead of it gives no pivot.
+    assert linalg.pivots_mod_p([a, b, ((0, 2), (1, 1), (2, 1))]) == [2, 1]
+    # The top column, not the lowest: x1 + x3 and x1 + 2 x2 give 3 and 2.
+    assert linalg.pivots_mod_p([((1, 1), (3, 1)), ((1, 1), (2, 2))]) == [3, 2]
