@@ -30,8 +30,7 @@ reproducible.
 Every vector is a ``Vector``, the package's one sparse type
 (``linalg.SparseRow``): sorted (index, coefficient) pairs with no zero
 coefficient, so the zero vector is ``()``.  The tables hold their entries
-in that form, and the cache stores each entry over the scale, as a
-rational.
+in that form, and the cache stores them as held, beside the scale.
 """
 
 from __future__ import annotations
@@ -39,15 +38,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
-from math import lcm
+from math import gcd, lcm
 from typing import Collection, Iterator
 
 from . import linalg
 from .rings import GDim
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # The default cap on relation-matrix entries per construction degree.
 DEFAULT_BUDGET = 20_000_000
@@ -68,8 +66,8 @@ class GradedJordanAlgebra:
     product of basis elements u and v, as a sparse ``Vector`` in degree
     i + j with int coefficients.  ``scale`` is the lcm of the rational
     products' denominators.  Instances are treated as immutable once
-    built.  ``to_json`` writes the rational products, with a sha256 of the
-    payload that ``from_json`` checks.
+    built.  ``to_json`` writes the tables and ``scale`` as held, with a
+    sha256 of the payload that ``from_json`` checks.
     """
 
     d1: int
@@ -125,7 +123,7 @@ class GradedJordanAlgebra:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> str:
-        """Canonical JSON: the sparse tables over ``scale``, plus a sha256 of the rest."""
+        """Canonical JSON: the sparse tables and ``scale`` as held, plus a sha256 of the rest."""
         payload = {
             "format_version": FORMAT_VERSION,
             "d1": self.d1,
@@ -133,11 +131,8 @@ class GradedJordanAlgebra:
             "max_degree": self.max_degree,
             "parities": {str(n): list(p) for n, p in self.parities.items()},
             "labels": {str(n): list(v) for n, v in self.labels.items()},
-            "tables": {
-                f"{i},{j}": [[[[k, str(Fraction(c, self.scale))] for k, c in vec] for vec in row]
-                             for row in tab]
-                for (i, j), tab in self.tables.items()
-            },
+            "tables": {f"{i},{j}": tab for (i, j), tab in self.tables.items()},
+            "scale": self.scale,
         }
         payload["sha256"] = _digest(payload)
         return _canonical(payload)
@@ -147,14 +142,15 @@ class GradedJordanAlgebra:
         """Inverse of ``to_json``.
 
         Raises ValueError unless the sha256 matches and the payload is well
-        formed: parities, labels and tables are JSON objects; a tuple of
-        parities 0 or 1 and as many labels for each degree 1..max_degree,
-        with the d1 even and then the d2 odd generators in degree 1; and
-        one table for each i <= j with i + j <= max_degree, of dim(i) x
-        dim(j) entries with indices below dim(i + j), no zero denominator,
-        and every term of the parity |x_u| + |y_v| of its entry.  The
-        rational entries are held times ``scale``, the lcm of their
-        denominators.
+        formed: d1, d2 >= 0, max_degree >= 1 and scale >= 1 are ints;
+        parities, labels and tables are JSON objects; a list of parities 0
+        or 1 and as many string labels for each degree 1..max_degree, with
+        the d1 even and then the d2 odd generators in degree 1; one table
+        for each i <= j with i + j <= max_degree, of dim(i) x dim(j)
+        entries, each a ``Vector`` of [index, int] pairs with indices below
+        dim(i + j) and every term of the parity |x_u| + |y_v| of its entry;
+        and gcd(scale, every entry) = 1, so that ``scale`` is the least
+        common denominator of the rational products.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
@@ -163,16 +159,25 @@ class GradedJordanAlgebra:
             raise ValueError("cache content does not match its sha256")
         if payload.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
+        header = [payload.get(key) for key in ("d1", "d2", "max_degree", "scale")]
+        if not _ints(header):
+            raise ValueError("cache d1, d2, max_degree or scale is not an int")
+        d1, d2, max_degree, scale = header
+        if min(max_degree, scale) < 1:
+            raise ValueError("cache max_degree or scale is below 1")
         if not all(isinstance(payload.get(key), dict) for key in ("parities", "labels", "tables")):
             raise ValueError("cache parities, labels or tables is not a JSON object")
-        max_degree = payload["max_degree"]
-        parities = {int(n): tuple(p) for n, p in payload["parities"].items()}
-        if set(parities) != set(range(1, max_degree + 1)):
-            raise ValueError("cache parities do not cover degrees 1..max_degree")
-        if any(q not in (0, 1) for p in parities.values() for q in p):
+        if not all(_ints(p) and set(p) <= {0, 1} for p in payload["parities"].values()):
             raise ValueError("cache parity is not 0 or 1")
-        if parities[1] != (0,) * payload["d1"] + (1,) * payload["d2"]:
+        parities = {int(n): tuple(p) for n, p in payload["parities"].items()}
+        if len(parities) != max_degree or set(parities) != set(range(1, max_degree + 1)):
+            raise ValueError("cache parities do not cover degrees 1..max_degree")
+        gens = parities[1]  # d1 zeros, then d2 ones
+        if list(gens) != sorted(gens) or [gens.count(0), gens.count(1)] != [d1, d2]:
             raise ValueError("cache degree-1 parities are not the generators'")
+        if not all(type(v) is list and all(type(s) is str for s in v)
+                   for v in payload["labels"].values()):
+            raise ValueError("cache label is not a string")
         labels = {int(n): tuple(v) for n, v in payload["labels"].items()}
         if {n: len(v) for n, v in labels.items()} != {n: len(p) for n, p in parities.items()}:
             raise ValueError("cache labels do not match the parities")
@@ -182,11 +187,10 @@ class GradedJordanAlgebra:
         }:
             raise ValueError("cache tables do not match the products through max_degree")
         tables = {(i, j): _read_table(tab, parities, i, j) for (i, j), tab in cached.items()}
-        scale = lcm(*(c.denominator for tab in tables.values()
-                      for row in tab for vec in row for _, c in vec))
-        tables = {key: [[tuple((k, c.numerator * (scale // c.denominator)) for k, c in vec)
-                         for vec in row] for row in tab] for key, tab in tables.items()}
-        return cls(payload["d1"], payload["d2"], max_degree, parities, labels, tables, scale)
+        entries = (c for tab in tables.values() for row in tab for vec in row for _, c in vec)
+        if gcd(scale, *entries) != 1:
+            raise ValueError("cache scale is not the least common denominator of the products")
+        return cls(d1, d2, max_degree, parities, labels, tables, scale)
 
 
 def cache_key(d1: int, d2: int, max_degree: int) -> str:
@@ -203,21 +207,30 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
-def _read_table(
-    tab: list, parities: dict[int, tuple[int, ...]], i: int, j: int
-) -> list[list[Vector]]:
-    """The cached (i, j) table in Fractions; ValueError unless it fits ``parities``.
+def _ints(xs) -> bool:
+    """Whether ``xs`` is a list of ints; a bool, though an int to Python, is not one."""
+    return type(xs) is list and all(type(x) is int for x in xs)
 
-    It must be dim(i) x dim(j), each entry a ``Vector`` (indices strictly
-    increasing and below dim(i + j), no zero coefficient), and each
-    term of the entry x_u.y_v must have the parity |x_u| + |y_v|.
+
+def _read_table(
+    tab, parities: dict[int, tuple[int, ...]], i: int, j: int
+) -> list[list[Vector]]:
+    """The cached (i, j) table as held; ValueError unless it fits ``parities``.
+
+    It must be dim(i) x dim(j) lists, each entry a ``Vector`` of [index,
+    int] pairs (indices strictly increasing and below dim(i + j), no zero
+    coefficient), and each term of the entry x_u.y_v must have the parity
+    |x_u| + |y_v|.
     """
-    if len(tab) != len(parities[i]) or any(len(row) != len(parities[j]) for row in tab):
+    if type(tab) is not list or len(tab) != len(parities[i]) or any(
+        type(row) is not list or len(row) != len(parities[j]) for row in tab
+    ):
         raise ValueError(f"cache table ({i}, {j}) is not dim({i}) x dim({j})")
-    try:
-        out = [[tuple((k, Fraction(c)) for k, c in vec) for vec in row] for row in tab]
-    except ArithmeticError as exc:  # a zero denominator, or an infinite float
-        raise ValueError(f"cache table ({i}, {j}) holds an invalid coefficient") from exc
+    if not all(type(vec) is list and all(
+        type(t) is list and len(t) == 2 and type(t[0]) is int and type(t[1]) is int for t in vec
+    ) for row in tab for vec in row):
+        raise ValueError(f"cache table ({i}, {j}) holds a term that is not a pair of ints")
+    out = [[tuple(map(tuple, vec)) for vec in row] for row in tab]
     dim = len(parities[i + j])
     if any(not 0 <= k < dim for row in out for vec in row for k, _ in vec):
         raise ValueError(f"cache table ({i}, {j}) holds an index beyond dim({i + j})")

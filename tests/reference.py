@@ -29,6 +29,9 @@ package computes in closed form or through its tables.
 * ``is_t_symmetric``     -- the t -> 1/t symmetry of an sl2 character;
 * ``rational``           -- an algebra's tables over its scale, in Fractions:
                            the rational products, at scale 1;
+* ``format2_json``       -- an algebra as the cache's format 2 wrote it, each
+                           entry over the scale as a Fraction string: the
+                           text that the pinned construction digests hash;
 * ``basis_vector``,
   ``multiply``,
   ``derivation_of``      -- rational vectors, products and d_{x,y} = [L_x, L_y]
@@ -105,7 +108,7 @@ from typing import Sequence
 
 from freejordan import linalg, solver
 from freejordan.homology import BlockKey, ChainComplex, Monomial
-from freejordan.jordan import GradedJordanAlgebra, PairSpace, Vector
+from freejordan.jordan import GradedJordanAlgebra, PairSpace, Vector, _canonical, _digest
 from freejordan.lambda_ops import lambda_adjoint_series, phi_series
 from freejordan.rings import GDIM_ONE, GDIM_X, GDIM_ZERO, L0, L2, RLAURENT_ONE, RLAURENT_ZERO, GDim, RLaurent, TZSeries
 from freejordan.tag import BsComponent, TagAlgebra
@@ -338,6 +341,29 @@ def rational(alg: GradedJordanAlgebra) -> GradedJordanAlgebra:
         key: [[tuple((k, Fraction(c, alg.scale)) for k, c in vec) for vec in row] for row in tab]
         for key, tab in alg.tables.items()
     })
+
+
+def format2_json(alg: GradedJordanAlgebra) -> str:
+    """``alg`` in the cache's format 2: the rational products as Fraction strings, with a sha256.
+
+    The cache now stores the tables as held, beside the scale; the digests
+    of the constructed algebras pinned before then hash this text.
+    """
+    payload = {
+        "format_version": 2,
+        "d1": alg.d1,
+        "d2": alg.d2,
+        "max_degree": alg.max_degree,
+        "parities": {str(n): list(p) for n, p in alg.parities.items()},
+        "labels": {str(n): list(v) for n, v in alg.labels.items()},
+        "tables": {
+            f"{i},{j}": [[[[k, str(Fraction(c, alg.scale))] for k, c in vec] for vec in row]
+                         for row in tab]
+            for (i, j), tab in alg.tables.items()
+        },
+    }
+    payload["sha256"] = _digest(payload)
+    return _canonical(payload)
 
 
 def basis_vector(alg: GradedJordanAlgebra, n: int, idx: int) -> Vector:

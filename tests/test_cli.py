@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,7 +24,7 @@ def _wrong_parity_term(payload):
     vec = payload["tables"]["1,3"][0][0]
     want = par["1"][0] ^ par["3"][0]
     k = next(k for k, q in enumerate(par["4"]) if q != want)
-    vec.append([k, "1"])
+    vec.append([k, 1])
     vec.sort(key=lambda term: term[0])
 
 
@@ -34,26 +33,60 @@ def _edit_terms(edit):
     return lambda payload: edit(payload["tables"]["1,3"][0][2])
 
 
-# Edits of a cached (1|1)@4 payload that keep it valid JSON of the right shape
-# at the top level; the sha256 is recomputed after each.
+def _scale_up(payload):
+    """Double every table entry and the scale: the same rational products."""
+    for tab in payload["tables"].values():
+        for row in tab:
+            for vec in row:
+                for term in vec:
+                    term[1] *= 2
+    payload["scale"] *= 2
+
+
+def _truncate_to_nothing(payload):
+    """max_degree 0 over no degrees at all."""
+    payload["max_degree"] = 0
+    for key in ("parities", "labels", "tables"):
+        payload[key] = {}
+
+
+# Edits of a cached (1|1)@4 payload that keep it a JSON object, each with the
+# message of the check it must trip; the sha256 is recomputed after each.
+# from_json must raise ValueError, and only ValueError, on every one.
 MALFORMED = {
-    "zero-denominator": lambda p: _first_entry(p).__setitem__(1, "1/0"),
-    "index-beyond-dim": lambda p: _first_entry(p).__setitem__(0, 99),
-    "short-table": lambda p: p["tables"]["1,2"][0].pop(),
-    "missing-table": lambda p: p["tables"].pop("1,3"),
-    "missing-labels": lambda p: p["labels"]["3"].pop(),
-    "missing-degree": lambda p: p["parities"].pop("4"),
-    "format-version": lambda p: p.__setitem__("format_version", 1),
-    "parities-not-an-object": lambda p: p.__setitem__("parities", list(p["parities"].values())),
-    "parity-out-of-range": lambda p: p["parities"]["2"].__setitem__(0, 2),
-    "generator-parities": lambda p: p["parities"].__setitem__("1", [0, 0]),
-    "term-parity": _wrong_parity_term,
+    "fraction-coefficient": (lambda p: _first_entry(p).__setitem__(1, "1/2"), "pair of ints"),
+    "float-coefficient": (lambda p: _first_entry(p).__setitem__(1, 0.5), "pair of ints"),
+    "bool-coefficient": (lambda p: _first_entry(p).__setitem__(1, True), "pair of ints"),
+    "string-index": (lambda p: _first_entry(p).__setitem__(0, "0"), "pair of ints"),
+    "row-not-a-list": (lambda p: p["tables"]["1,2"].__setitem__(0, 0), r"not dim\(1\) x dim\(2\)"),
+    "index-beyond-dim": (lambda p: _first_entry(p).__setitem__(0, 99), "beyond dim"),
+    "short-table": (lambda p: p["tables"]["1,2"][0].pop(), r"not dim\(1\) x dim\(2\)"),
+    "missing-table": (lambda p: p["tables"].pop("1,3"), "tables do not match"),
+    "missing-labels": (lambda p: p["labels"]["3"].pop(), "labels do not match"),
+    "label-not-a-string": (lambda p: p["labels"]["2"].__setitem__(0, 7), "label is not a string"),
+    "missing-degree": (lambda p: p["parities"].pop("4"), "do not cover degrees"),
+    "missing-d1": (lambda p: p.pop("d1"), "not an int"),
+    "missing-max-degree": (lambda p: p.pop("max_degree"), "not an int"),
+    "string-max-degree": (lambda p: p.__setitem__("max_degree", "4"), "not an int"),
+    "max-degree-zero": (_truncate_to_nothing, "below 1"),
+    "format-version": (lambda p: p.__setitem__("format_version", 2), "format version"),
+    "parities-not-an-object": (
+        lambda p: p.__setitem__("parities", list(p["parities"].values())), "not a JSON object"
+    ),
+    "parity-out-of-range": (lambda p: p["parities"]["2"].__setitem__(0, 2), "parity is not 0 or 1"),
+    "float-parity": (lambda p: p["parities"]["2"].__setitem__(0, 0.0), "parity is not 0 or 1"),
+    "generator-parities": (lambda p: p["parities"].__setitem__("1", [0, 0]), "generators'"),
+    "term-parity": (_wrong_parity_term, "wrong parity"),
     # The three breaches of the held Vector form: a repeated index, an
     # explicit zero coefficient (index 4 has the entry's parity), and terms
     # out of order.
-    "repeated-index": _edit_terms(lambda vec: vec.append(list(vec[-1]))),
-    "zero-coefficient": _edit_terms(lambda vec: vec.insert(1, [4, "0"])),
-    "unsorted-terms": _edit_terms(list.reverse),
+    "repeated-index": (_edit_terms(lambda vec: vec.append(list(vec[-1]))), "out of order or repeated"),
+    "zero-coefficient": (_edit_terms(lambda vec: vec.insert(1, [4, 0])), "zero coefficient"),
+    "unsorted-terms": (_edit_terms(list.reverse), "out of order or repeated"),
+    # The scale must be an int >= 1, and the least common denominator.
+    "scale-missing": (lambda p: p.pop("scale"), "not an int"),
+    "scale-zero": (lambda p: p.__setitem__("scale", 0), "below 1"),
+    "scale-not-least": (_scale_up, "least common denominator"),
 }
 
 
@@ -154,12 +187,26 @@ class TestOracleCommand:
         assert "dim Bs_2 = (1,0)" in out
         assert "rank Inn_2 >= (0,0)" in out
 
-    def test_cache_determinism(self, capsys, tmp_path):
-        args = ["oracle", "--d1", "1", "--d2", "1", "--max-degree", "4",
+    # (2|0)'s scale grows 1 -> 2 -> 4 -> 16 over degrees 3..6, so its cache
+    # holds the tables at scale 16.
+    @pytest.mark.parametrize("d1, d2, n", [(1, 1, 4), (2, 0, 6)], ids=["(1|1)@4", "(2|0)@6"])
+    @pytest.mark.parametrize("command", ["oracle", "homology"])
+    def test_cache_determinism(self, capsys, tmp_path, monkeypatch, command, d1, d2, n):
+        if command == "oracle":
+            depth = ["--max-degree", str(n)]
+        else:
+            depth = ["--rmax", str(n), "--dmax", str(n)]
+        args = [command, "--d1", str(d1), "--d2", str(d2), *depth,
                 "--cache-dir", str(tmp_path), "--format", "json"]
         code1, out1, _ = run(capsys, *args)
         cached = list(tmp_path.glob("oracle-*.json"))
         assert len(cached) == 1
+
+        def unbuilt(*_, **__):
+            raise AssertionError("a warm cache was rebuilt")
+
+        # The warm run answers from the cache alone.
+        monkeypatch.setattr(cli, "build_free_jordan", unbuilt)
         code2, out2, _ = run(capsys, *args)
         assert (code1, out1) == (code2, out2)
 
@@ -212,18 +259,8 @@ class TestOracleCommand:
         assert code == 0
         (path,) = tmp_path.glob("oracle-*.json")
         payload = json.loads(path.read_text())
-
-        def double_first(node):
-            # The first nonzero coefficient (a decimal or fraction string).
-            for k, item in enumerate(node):
-                if isinstance(item, str) and item != "0":
-                    node[k] = str(2 * Fraction(item))
-                    return True
-                if isinstance(item, list) and double_first(item):
-                    return True
-            return False
-
-        assert double_first(payload["tables"]["1,3"])
+        term = next(vec for row in payload["tables"]["1,3"] for vec in row if vec)[0]
+        term[1] *= 2
         path.write_text(json.dumps(payload))
         assert run(capsys, *args)[:2] == (0, expected)
 
@@ -346,8 +383,9 @@ class TestVerifyCommand:
         # checks of from_json stand between it and the TAG layer.
         args, path = self._cached(capsys, tmp_path)
         fresh = path.read_text()
-        self._edit_and_reseal(path, MALFORMED[edit])
-        with pytest.raises(ValueError):
+        change, message = MALFORMED[edit]
+        self._edit_and_reseal(path, change)
+        with pytest.raises(ValueError, match=message):
             GradedJordanAlgebra.from_json(path.read_text())
         code, out, err = run(capsys, *args)
         assert code == 0 and "Traceback" not in err
@@ -362,7 +400,7 @@ class TestVerifyCommand:
         # Unsorted terms passed it silently.
         args, path = self._cached(capsys, tmp_path)
         fresh = path.read_text()
-        self._edit_and_reseal(path, MALFORMED[edit])
+        self._edit_and_reseal(path, MALFORMED[edit][0])
         code, out, err = run(capsys, "oracle", *args[1:])
         assert code == 0 and "Traceback" not in err
         assert path.read_text() == fresh

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -17,7 +19,7 @@ from freejordan.jordan import (
 )
 from freejordan.rings import GDim
 from freejordan.solver import solve_dims
-from reference import basis_vector, identity_instance, jordan_residual
+from reference import basis_vector, format2_json, identity_instance, jordan_residual
 
 
 def rand_homogeneous(alg, rng, n):
@@ -299,6 +301,22 @@ class TestSerialization:
         assert clone.dims == alg.dims
         assert clone.labels == alg.labels
         assert clone.to_json() == alg.to_json()
+        # The file holds the tables as held, [index, int] pairs, beside the scale.
+        payload = json.loads(alg.to_json())
+        assert payload["scale"] == alg.scale
+        assert payload["tables"] == {
+            f"{i},{j}": [[[list(term) for term in vec] for vec in row] for row in tab]
+            for (i, j), tab in alg.tables.items()
+        }
+
+    # sha256 of the format-2 cache text, recorded from the format-2 writer.
+    @pytest.mark.parametrize("d1, d2, n, digest", [
+        (1, 1, 4, "8028843ffb86e85b8eec12aab7bae7db06123b124ec0c89553b0c1745ce0d5ce"),
+        (2, 0, 6, "b64561f47f4ad71d43af238a10a5571581d08d78663f4ce19ab8a502a6cd8c28"),
+    ], ids=["(1|1)@4", "(2|0)@6"])
+    def test_format2_reference_is_the_old_writer(self, d1, d2, n, digest):
+        text = format2_json(build_free_jordan(d1, d2, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_cache_key_depends_on_shape(self):
         assert len({cache_key(1, 1, 3), cache_key(1, 1, 4), cache_key(0, 2, 3)}) == 3
